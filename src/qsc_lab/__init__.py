@@ -22,8 +22,12 @@ from .geometry import (
 )
 from .connections import (
     ConnectionCoefficients,
+    GeneratorJets,
+    PointJets,
     covariant_derivative,
+    generator_jets,
     levi_civita,
+    point_jets,
     quarter_symmetric,
     torsion,
     torsion_lowered,
@@ -31,8 +35,6 @@ from .connections import (
 from .curvature import (
     CurvatureBundle,
     curvature_bundle,
-    d_tensor,
-    r_theta,
     ricci,
     riemann_g,
 )
@@ -55,11 +57,8 @@ from .tensor import (
     Tensor,
     contract,
     lower_first,
-    norm_fro,
     norm_max,
-    raise_first,
     tensor,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -72,10 +71,12 @@ __all__ = [
     "DomainError",
     "EXPECTED_FAIL_FLOOR",
     "GeneratorField",
+    "GeneratorJets",
     "HybridReport",
     "IDENTITY_CATALOG",
     "IdentityResult",
     "ManifoldSpec",
+    "PointJets",
     "Signature",
     "SingularMetricError",
     "Tensor",
@@ -84,9 +85,9 @@ __all__ = [
     "contract",
     "covariant_derivative",
     "curvature_bundle",
-    "d_tensor",
     "degeneracy_probe",
     "generator",
+    "generator_jets",
     "generator_names",
     "h_tensor",
     "hol_projective",
@@ -97,17 +98,14 @@ __all__ = [
     "lower_first",
     "manifold_by_name",
     "manifold_names",
-    "norm_fro",
     "norm_max",
     "partial",
+    "point_jets",
     "quarter_symmetric",
-    "r_theta",
-    "raise_first",
     "ricci",
     "riemann_g",
     "sample_points",
     "tensor",
-    "tensor_product",
     "torsion",
     "torsion_lowered",
     "weyl_projective",

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .connections import torsion
-from .curvature import curvature_bundle, d_tensor, ricci, riemann_g
-from .diff import DiffConfig, DomainError, MAX_STEP, MIN_STEP, SCHEMES
+from .connections import generator_jets, point_jets, torsion
+from .curvature import curvature_bundle, ricci, riemann_g
+from .diff import DiffConfig, MAX_STEP, MIN_STEP, SCHEMES
 from .geometry import generator_names, manifold_names
 from .invariants import IDENTITY_CATALOG, h_tensor, hol_projective, weyl_projective
 from .report import (
@@ -222,36 +222,39 @@ def cmd_tensor(args) -> int:
         if args.generator is None:
             raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
         gen = parse_generator_spec(args.generator, m.n)
+    # g, f, a, pi and torsion need no derivatives, so no stencil can leave the chart
     if what == "g":
         t = m.metric(point)
     elif what == "f":
         t = m.fundamental(point)
     elif what == "a":
         t = m.structure(point)
-    elif what == "rg":
-        t = riemann_g(m, point, cfg)
-    elif what == "ric_g":
-        t = ricci(riemann_g(m, point, cfg))
-    elif what == "w":
-        t = weyl_projective(m, point, cfg)
-    elif what == "p":
-        t = hol_projective(m, point, cfg)
     elif what == "pi":
         t = gen.pi(point)
     elif what == "torsion":
         t = torsion(m, point, gen)
-    elif what.startswith("d"):
-        t = d_tensor(int(what[1]), m, point, gen, cfg)
     else:
-        b = curvature_bundle(m, point, gen, cfg)
-        if what.startswith("ric"):
-            t = b.ric[int(what[3])]
-        elif what.startswith("prime_r"):
-            t = b.prime_r3 if what == "prime_r3" else b.prime_r4
-        elif what.startswith("h"):
-            t = h_tensor(int(what[1]), b)
+        pj = point_jets(m, point, cfg)
+        if what == "rg":
+            t = riemann_g(pj)
+        elif what == "ric_g":
+            t = ricci(riemann_g(pj))
+        elif what == "w":
+            t = weyl_projective(pj)
+        elif what == "p":
+            t = hol_projective(pj)
         else:
-            t = b.r[int(what[1])]
+            b = curvature_bundle(pj, generator_jets(pj, gen))
+            if what.startswith("d"):
+                t = b.d[int(what[1])]
+            elif what.startswith("ric"):
+                t = b.ric[int(what[3])]
+            elif what.startswith("prime_r"):
+                t = b.prime_r3 if what == "prime_r3" else b.prime_r4
+            elif what.startswith("h"):
+                t = h_tensor(int(what[1]), b)
+            else:
+                t = b.r[int(what[1])]
     _print_tensor(what, t)
     return 0
 
@@ -337,9 +340,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

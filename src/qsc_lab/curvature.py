@@ -10,9 +10,13 @@ B = nabla^g pi (direction first) and p = pi, q = pi o A:
     D0 = B + (p (x) q + q (x) p) / 2      D1 = B - B^T
     D2 = B + q (x) p                      D3 = B + p (x) q
 
-The six curvature kinds are linear in these.  ``kahler_form=True`` uses the
-shapes specialized with A^2 = -I; the general shapes keep A^2 explicit.  For
-catalog structures A^2 = -I holds exactly, so the two agree to rounding.
+The six curvature kinds are linear in these.  ``curvature_bundle`` assembles
+them, their traces and the D blocks from the two per-point records of
+``connections``: ``PointJets`` (g, A, Gamma with their partials, R^g, Ric^g) and
+``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a field
+itself.  The bundle uses the shapes specialized with A^2 = -I;
+``assemble_r_theta(kahler_form=False)`` keeps A^2 explicit.  For catalog
+structures A^2 = -I holds exactly, so the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -22,38 +26,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import (
-    covariant_derivative,
-    levi_civita,
-    levi_civita_jets,
+    GeneratorJets,
+    PointJets,
+    curvature_from_coefficients,
     quarter_symmetric_jets,
 )
-from .diff import DiffConfig
-from .geometry import GeneratorField, ManifoldSpec
-from .tensor import Signature, Tensor, contract, metric_inverse, norm_max
+from .tensor import Signature, Tensor, contract, norm_max
 
 THETAS = (0, 1, 2, 3, 4, 5)
 
 
-def curvature_from_coefficients(l: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """R^l_{ijk} = d_i L^l_{jk} - d_j L^l_{ik} + L^l_{im} L^m_{jk} - L^l_{jm} L^m_{ik}."""
-    dterm = np.einsum("iljk->lijk", dl) - np.einsum("jlik->lijk", dl)
-    qterm = np.einsum("lim,mjk->lijk", l, l) - np.einsum("ljm,mik->lijk", l, l)
-    return dterm + qterm
-
-
-def riemann_g(m: ManifoldSpec, point, cfg: DiffConfig) -> Tensor:
+def riemann_g(pj: PointJets) -> Tensor:
     """Curvature of the Levi-Civita connection as a (1,3) tensor."""
-    gamma, dgamma = levi_civita_jets(m, point, cfg)
-    return Tensor(m.n, Signature("uddd"), curvature_from_coefficients(gamma, dgamma))
+    return Tensor(pj.n, Signature("uddd"), pj.r_g)
 
 
-def commutator_curvature(
-    m: ManifoldSpec, point, gen: GeneratorField, cfg: DiffConfig
-) -> Tensor:
+def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> Tensor:
     """Curvature of the quarter-symmetric connection straight from its
     coefficients; the oracle every kind-1 closed shape is checked against."""
-    l, dl = quarter_symmetric_jets(m, point, gen, cfg)
-    return Tensor(m.n, Signature("uddd"), curvature_from_coefficients(l, dl))
+    l, dl = quarter_symmetric_jets(pj, gj)
+    return Tensor(pj.n, Signature("uddd"), curvature_from_coefficients(l, dl))
+
+
+def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """Feed each listed covariant slot through A: slot s of the result at X
+    is slot s of `arr` at AX, e.g. slots (0, 1) give t(A., A.)."""
+    out = arr
+    for s in slots:
+        out = np.moveaxis(np.tensordot(out, a, axes=([s], [0])), -1, s)
+    return out
 
 
 def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray):
@@ -62,19 +63,6 @@ def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray):
     d2 = nabla_pi + np.outer(pa, pi)
     d3 = nabla_pi + np.outer(pi, pa)
     return {0: d0, 1: d1, 2: d2, 3: d3}
-
-
-def d_tensor(
-    theta: int, m: ManifoldSpec, point, gen: GeneratorField, cfg: DiffConfig
-) -> Tensor:
-    """Generator-derivative tensor of kind theta in {0, 1, 2, 3}."""
-    if theta not in (0, 1, 2, 3):
-        raise ValueError(f"d_tensor kind must be 0..3, got {theta}")
-    lc = levi_civita(m, point, cfg)
-    nabla_pi = covariant_derivative(lc, gen.field, point, cfg).components
-    pi = gen.pi(point).components
-    pa = pi @ m.structure(point).components
-    return Tensor(m.n, Signature("dd"), _d_blocks(nabla_pi, pi, pa)[theta])
 
 
 def scalar_times_vector(s: np.ndarray, v: np.ndarray, pattern: str) -> np.ndarray:
@@ -170,18 +158,6 @@ def assemble_r_theta(
     )
 
 
-def r_theta(
-    theta: int,
-    m: ManifoldSpec,
-    point,
-    gen: GeneratorField,
-    cfg: DiffConfig,
-    kahler_form: bool = True,
-) -> Tensor:
-    b = curvature_bundle(m, point, gen, cfg, kahler_form=kahler_form)
-    return b.r[theta]
-
-
 def ricci(t: Tensor) -> Tensor:
     """Ric(Y, Z) = trace of X -> R(X, Y)Z (contract out with X)."""
     return contract(t, 0, 1)
@@ -194,12 +170,11 @@ def prime_r(t: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Everything the identity layer needs at one point, computed once."""
+    """The curvature kinds, their traces and the D blocks of one generator at
+    one point, assembled from its PointJets and GeneratorJets."""
 
-    point: np.ndarray
     n: int
     g: np.ndarray
-    g_inv: np.ndarray
     a: np.ndarray
     pi: np.ndarray
     pa: np.ndarray  # pi o A
@@ -218,78 +193,50 @@ class CurvatureBundle:
         return np.einsum("lijk,lw->ijkw", t.components, self.g)
 
 
-def curvature_bundle(
-    m: ManifoldSpec,
-    point,
-    gen: GeneratorField,
-    cfg: DiffConfig,
-    kahler_form: bool = True,
-) -> CurvatureBundle:
-    point = np.asarray(point, dtype=np.float64)
-    n = m.n
-    g = m.metric(point).components
-    g_inv = metric_inverse(Tensor(n, Signature("dd"), g)).components
-    a = m.structure(point).components
-    pi = gen.pi(point).components
+def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
+    n, a, pi = pj.n, pj.a, gj.pi
     pa = pi @ a
-    lc = levi_civita(m, point, cfg)
-    nabla_pi = covariant_derivative(lc, gen.field, point, cfg).components
-    d = _d_blocks(nabla_pi, pi, pa)
-    r_g = riemann_g(m, point, cfg)
+    d = _d_blocks(gj.nabla_pi, pi, pa)
+    r_g = riemann_g(pj)
     r = {
-        theta: Tensor(
-            n,
-            Signature("uddd"),
-            assemble_r_theta(theta, r_g.components, a, pi, d, kahler_form),
-        )
+        theta: Tensor(n, Signature("uddd"), assemble_r_theta(theta, pj.r_g, a, pi, d))
         for theta in THETAS
     }
     ric = {theta: ricci(r[theta]).components for theta in THETAS}
     return CurvatureBundle(
-        point=point,
         n=n,
-        g=g,
-        g_inv=g_inv,
+        g=pj.g,
         a=a,
         pi=pi,
         pa=pa,
-        nabla_pi=nabla_pi,
+        nabla_pi=gj.nabla_pi,
         d=d,
         r_g=r_g,
         r=r,
-        ric_g=ricci(r_g).components,
+        ric_g=pj.ric_g,
         ric=ric,
         prime_r3=prime_r(r[3]).components,
         prime_r4=prime_r(r[4]).components,
     )
 
 
-def kahler_identities(m: ManifoldSpec, point, cfg: DiffConfig) -> dict[str, float]:
+def kahler_identities(pj: PointJets) -> dict[str, float]:
     """Residuals of the five structure/curvature exchange rules for R^g.
 
     k1 (operator form): R(X,Y)AZ = A R(X,Y)Z; k2..k5 on the lowered tensor:
     k2: R(X,Y,AZ,AW) = R(AX,AY,Z,W)    k3: R(X,AY,AZ,W) = R(AX,Y,Z,AW)
     k4: R(AX,AY,AZ,AW) = R(X,Y,Z,W)    k5: R(X,Y,Z,AW) = -R(X,Y,AZ,W)
     """
-    r = riemann_g(m, point, cfg)
-    g = m.metric(point).components
-    a = m.structure(point).components
-    rl = np.einsum("lijk,lw->ijkw", r.components, g)
-
-    def rot(arr: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-        out = arr
-        for s in slots:
-            out = np.moveaxis(np.tensordot(out, a, axes=([s], [0])), -1, s)
-        return out
-
+    r, a = pj.r_g, pj.a
+    rl = np.einsum("lijk,lw->ijkw", r, pj.g)
+    rot = lambda *slots: rotate_slots(rl, a, slots)
     k1 = norm_max(
-        np.einsum("lijm,mk->lijk", r.components, a)
-        - np.einsum("lm,mijk->lijk", a, r.components)
+        np.einsum("lijm,mk->lijk", r, a) - np.einsum("lm,mijk->lijk", a, r)
     )
-    k2 = norm_max(rot(rl, (2, 3)) - rot(rl, (0, 1)))
-    k3 = norm_max(rot(rl, (1, 2)) - rot(rl, (0, 3)))
-    k4 = norm_max(rot(rl, (0, 1, 2, 3)) - rl)
-    k5 = norm_max(rot(rl, (3,)) + rot(rl, (2,)))
+    k2 = norm_max(rot(2, 3) - rot(0, 1))
+    k3 = norm_max(rot(1, 2) - rot(0, 3))
+    k4 = norm_max(rot(0, 1, 2, 3) - rl)
+    k5 = norm_max(rot(3) + rot(2))
     return {
         "k1_operator": k1,
         "k2_pair_exchange": k2,
@@ -298,14 +245,6 @@ def kahler_identities(m: ManifoldSpec, point, cfg: DiffConfig) -> dict[str, floa
         "k5_last_pair": k5,
         "scale": max(norm_max(r), norm_max(rl)),
     }
-
-
-def ricci_closed_forms(
-    m: ManifoldSpec, point, gen: GeneratorField, cfg: DiffConfig
-) -> dict[str, float]:
-    """Residuals of the closed-form traces against contracted curvatures,
-    plus the inverse formulas recovering D blocks and pi (x) pi from traces."""
-    return closed_form_residuals(curvature_bundle(m, point, gen, cfg))
 
 
 def closed_form_residuals(b: CurvatureBundle) -> dict[str, float]:
@@ -357,15 +296,15 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, float]:
     res["invert_d3_from_prime"] = norm_max(
         d3.T + np.einsum("mi,mj->ij", a, b.prime_r3)
     )
-    rot2 = lambda t: np.einsum("mj,pk,mp->jk", a, a, t)  # t(A d_j, A d_k)
+    pr3_aa = rotate_slots(b.prime_r3, a, (0, 1))  # 'R3(A d_j, A d_k)
     res["recover_pipi_4"] = norm_max(
-        pipi - (ric4 - ricg - rot2(b.prime_r4)) / (n - 1)
+        pipi - (ric4 - ricg - rotate_slots(b.prime_r4, a, (0, 1))) / (n - 1)
     )
     res["recover_pipi_5"] = norm_max(
-        pipi - (2 * ric5 - ric1 - rot2(b.prime_r3).T - ricg) / (n - 1)
+        pipi - (2 * ric5 - ric1 - pr3_aa.T - ricg) / (n - 1)
     )
     res["recover_pipi_0"] = norm_max(
-        pipi - (4 * ric0 - 2 * ric1 - ric3.T - rot2(b.prime_r3).T - ricg) / (n - 1)
+        pipi - (4 * ric0 - 2 * ric1 - ric3.T - pr3_aa.T - ricg) / (n - 1)
     )
     res["scale"] = max(
         norm_max(ricg),

@@ -7,8 +7,9 @@ structure A dx_a = dy_a, A dy_a = -dx_a:
 * ``flat_complex(k)``        g = identity, curvature zero.
 * ``fubini_study(k)``        metric of the potential ln(1 + |z|^2), entire chart.
 * ``complex_hyperbolic(k)``  metric of the potential -ln(1 - |z|^2), open unit ball.
-* ``conformal_nonkahler()``  g = exp(2 x1) * identity on R^4: almost Hermitian
-  but with nonparallel A, the negative control for every Kahler-only theorem.
+* ``conformal_nonkahler(2)`` g = exp(2 x1) * identity on R^4, k = 2 only: almost
+  Hermitian but with nonparallel A, the negative control for every Kahler-only
+  theorem.
 
 Component functions are written in plain arithmetic so that the analytic
 (Taylor-number) differentiation backend applies to them unchanged.
@@ -120,12 +121,6 @@ class ManifoldSpec:
     def fundamental(self, point) -> Tensor:
         """F(X, Y) = g(AX, Y), the skew form of the pair (g, A)."""
         return lower_first(self.structure(point), self.metric(point))
-
-    def total_metric(self, point) -> Tensor:
-        """G = g + F, the nonsymmetric metric the connection preserves."""
-        g = self.metric(point)
-        f = self.fundamental(point)
-        return Tensor(self.n, Signature("dd"), g.components + f.components)
 
     def metric_jets(self, point, cfg: DiffConfig):
         """(g, dg, d2g) with dg[a,i,j] = (d_a g)_ij, d2g[a,b,i,j] = d_a d_b g_ij."""
@@ -249,8 +244,15 @@ def complex_hyperbolic(k: int = 2) -> ManifoldSpec:
     )
 
 
-def conformal_nonkahler() -> ManifoldSpec:
-    """g = exp(2 x1) * identity on R^4: almost Hermitian, A not parallel."""
+def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
+    """g = exp(2 x1) * identity on R^4: almost Hermitian, A not parallel.
+
+    The chart exists for k = 2 only; any other k is rejected, not ignored.
+    """
+    if k != 2:
+        raise ValueError(
+            f"conformal_nonkahler is defined for k = 2 (n = 4) only, got k = {k}"
+        )
     n = 4
 
     def fn(u):
@@ -271,7 +273,7 @@ _MANIFOLDS = {
     "flat": flat_complex,
     "fs": fubini_study,
     "hyperbolic": complex_hyperbolic,
-    "conformal-nonkahler": lambda k=2: conformal_nonkahler(),
+    "conformal-nonkahler": conformal_nonkahler,
 }
 
 
@@ -284,8 +286,6 @@ def manifold_by_name(name: str, k: int = 2) -> ManifoldSpec:
         raise ValueError(
             f"unknown manifold {name!r}; choose from {', '.join(_MANIFOLDS)}"
         )
-    if name == "conformal-nonkahler":
-        return conformal_nonkahler()
     return _MANIFOLDS[name](k)
 
 

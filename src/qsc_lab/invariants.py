@@ -22,20 +22,26 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import metricity_defects, nabla1_pi_defect, torsion_identities
+from .connections import (
+    PointJets,
+    generator_jets,
+    metricity_defects,
+    nabla1_pi_defect,
+    point_jets,
+    torsion_identities,
+)
 from .curvature import (
     CurvatureBundle,
     commutator_curvature,
     closed_form_residuals,
     curvature_bundle,
     kahler_identities,
-    ricci,
-    riemann_g,
+    rotate_slots,
     scalar_times_vector,
 )
 from .diff import DiffConfig
 from .geometry import GeneratorField, ManifoldSpec
-from .tensor import Tensor, norm_max, relative_residual
+from .tensor import Signature, Tensor, norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 HYBRID_TOL = 1e-10
@@ -66,19 +72,23 @@ def hybrid_defect(b: np.ndarray | Tensor, a: np.ndarray | Tensor, label: str = "
     )
 
 
-def _weyl(r_g: np.ndarray, ric_g: np.ndarray, n: int) -> np.ndarray:
-    eye = np.eye(n)
-    return r_g + (
-        scalar_times_vector(ric_g, eye, "ik,lj")
-        - scalar_times_vector(ric_g, eye, "jk,li")
+def weyl_projective(pj: PointJets) -> Tensor:
+    """W = R^g + (Ric(X,Z)Y - Ric(Y,Z)X) / (n-1); zero iff constant curvature."""
+    n, eye = pj.n, np.eye(pj.n)
+    comps = pj.r_g + (
+        scalar_times_vector(pj.ric_g, eye, "ik,lj")
+        - scalar_times_vector(pj.ric_g, eye, "jk,li")
     ) / (n - 1)
+    return Tensor(n, Signature("uddd"), comps)
 
 
-def _hol_projective(r_g: np.ndarray, ric_g: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    eye = np.eye(n)
+def hol_projective(pj: PointJets) -> Tensor:
+    """Structure-adapted projective tensor P; zero iff constant holomorphic
+    sectional curvature (complex space form)."""
+    n, eye, a, ric_g = pj.n, np.eye(pj.n), pj.a, pj.ric_g
     ric_a = ric_g @ a  # Ric(., A .)
-    return (
-        r_g
+    comps = (
+        pj.r_g
         + (
             scalar_times_vector(ric_g, eye, "ik,lj")
             - scalar_times_vector(ric_g, eye, "jk,li")
@@ -91,22 +101,7 @@ def _hol_projective(r_g: np.ndarray, ric_g: np.ndarray, a: np.ndarray, n: int) -
         )
         / (n + 2)
     )
-
-
-def weyl_projective(m: ManifoldSpec, point, cfg: DiffConfig) -> Tensor:
-    """W = R^g + (Ric(X,Z)Y - Ric(Y,Z)X) / (n-1); zero iff constant curvature."""
-    r = riemann_g(m, point, cfg)
-    return Tensor(m.n, r.signature, _weyl(r.components, ricci(r).components, m.n))
-
-
-def hol_projective(m: ManifoldSpec, point, cfg: DiffConfig) -> Tensor:
-    """Structure-adapted projective tensor P; zero iff constant holomorphic
-    sectional curvature (complex space form)."""
-    r = riemann_g(m, point, cfg)
-    a = m.structure(point).components
-    return Tensor(
-        m.n, r.signature, _hol_projective(r.components, ricci(r).components, a, m.n)
-    )
+    return Tensor(n, Signature("uddd"), comps)
 
 
 def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
@@ -115,7 +110,6 @@ def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
     n, a = b.n, b.a
     eye = np.eye(n)
     sv = scalar_times_vector
-    rot2 = lambda t: np.einsum("mj,pk,mp->jk", a, a, t)  # t(A d_j, A d_k)
     if theta == 1:
         comps = b.r[1].components + sv(b.ric[1] @ a, a, "ji,lk")
     elif theta == 2:
@@ -129,7 +123,7 @@ def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
         )
     elif theta == 4:
         s = a.T @ b.prime_r4  # 'R4(A., .)
-        s2 = rot2(b.prime_r4)  # 'R4(A., A.)
+        s2 = rotate_slots(b.prime_r4, a, (0, 1))  # 'R4(A., A.)
         comps = (
             b.r[4].components
             - sv(s, a, "ji,lk")
@@ -143,7 +137,7 @@ def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
             / (n - 1)
         )
     elif theta == 5:
-        s2 = rot2(b.prime_r3)
+        s2 = rotate_slots(b.prime_r3, a, (0, 1))
         comps = (
             b.r[5].components
             + (sv(b.ric[5], eye, "ij,lk") - sv(b.ric[5], eye, "jk,li")) / (n - 1)
@@ -157,7 +151,7 @@ def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
             )
         )
     elif theta == 0:
-        s2 = rot2(b.prime_r3)
+        s2 = rotate_slots(b.prime_r3, a, (0, 1))
         sp = a.T @ b.prime_r3
         comps = (
             b.r[0].components
@@ -344,15 +338,8 @@ def _bundle_scale(b: CurvatureBundle) -> float:
     )
 
 
-def _rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    out = arr
-    for s in slots:
-        out = np.moveaxis(np.tensordot(out, a, axes=([s], [0])), -1, s)
-    return out
-
-
 def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> float:
-    rot = lambda slots: _rotate_slots(rl, a, slots)
+    rot = lambda slots: rotate_slots(rl, a, slots)
     return max(
         norm_max(rot((2, 3)) - rot((0, 1))),
         norm_max(rot((1, 2)) - rot((0, 3))),
@@ -364,7 +351,7 @@ def _part2_conclusions(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> float:
     op = norm_max(
         np.einsum("lijm,mk->lijk", r, a) - np.einsum("lm,mijk->lijk", a, r)
     )
-    rot = lambda slots: _rotate_slots(rl, a, slots)
+    rot = lambda slots: rotate_slots(rl, a, slots)
     return max(op, norm_max(rot((3,)) + rot((2,))))
 
 
@@ -468,11 +455,7 @@ def _hyb_cond_evaluator(theta: int):
 
 def _torsion_evaluator(key: str):
     def evaluate(ctx):
-        pairs = []
-        for gen in ctx["generators"]:
-            rec = torsion_identities(ctx["m"], ctx["p"], gen)
-            pairs.append((rec[key], rec["scale"]))
-        return pairs, None
+        return [(rec[key], rec["scale"]) for rec in ctx["torsion"]], None
 
     return evaluate
 
@@ -480,8 +463,8 @@ def _torsion_evaluator(key: str):
 def _metricity_evaluator(ctx):
     pairs = []
     worst: dict[str, float] = {}
-    for gen in ctx["generators"]:
-        rec = metricity_defects(ctx["m"], ctx["p"], gen, ctx["cfg"])
+    for gj in ctx["gens"]:
+        rec = metricity_defects(ctx["pj"], gj)
         defect = max(v for k, v in rec.items() if k != "scale")
         pairs.append((defect, rec["scale"]))
         for k, v in rec.items():
@@ -492,8 +475,8 @@ def _metricity_evaluator(ctx):
 
 def _nabla1pi_evaluator(ctx):
     pairs = []
-    for gen in ctx["generators"]:
-        rec = nabla1_pi_defect(ctx["m"], ctx["p"], gen, ctx["cfg"])
+    for gj in ctx["gens"]:
+        rec = nabla1_pi_defect(ctx["pj"], gj)
         pairs.append((rec["residual"], rec["scale"]))
     return pairs, None
 
@@ -528,9 +511,9 @@ def _richyb_evaluator(ctx):
 
 def _r1comm_evaluator(ctx):
     pairs = []
-    for gen in ctx["generators"]:
-        b = ctx["bundles"][gen.label]
-        comm = commutator_curvature(ctx["m"], ctx["p"], gen, ctx["cfg"]).components
+    for gj in ctx["gens"]:
+        b = ctx["bundles"][gj.label]
+        comm = commutator_curvature(ctx["pj"], gj).components
         res = norm_max(b.r[1].components - comm)
         pairs.append((res, max(norm_max(b.r[1]), norm_max(comm))))
     return pairs, None
@@ -632,7 +615,7 @@ def _lin2_evaluator(ctx):
 
 def _h0pw_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["m"].n
+    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
     target = (n + 2) / 4.0 * p - (n - 2) / 4.0 * w
     for b in ctx["bundles"].values():
         h0 = ctx["h"](0, b)
@@ -643,7 +626,7 @@ def _h0pw_evaluator(ctx):
 
 def _2h1h2_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["m"].n
+    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
     target = (n + 2) * p - (n - 1) * w
     for b in ctx["bundles"].values():
         h1, h2 = ctx["h"](1, b), ctx["h"](2, b)
@@ -654,7 +637,7 @@ def _2h1h2_evaluator(ctx):
 
 def _pcomb1_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["m"].n
+    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
     for b in ctx["bundles"].values():
         h0, h4 = ctx["h"](0, b), ctx["h"](4, b)
         res = norm_max(p - (4 * h0 + (n - 2) * h4) / (n + 2))
@@ -664,7 +647,7 @@ def _pcomb1_evaluator(ctx):
 
 def _pcomb2_evaluator(ctx):
     pairs = []
-    p, n = ctx["proj"], ctx["m"].n
+    p, n = ctx["proj"], ctx["pj"].n
     for b in ctx["bundles"].values():
         h0, h1, h2 = ctx["h"](0, b), ctx["h"](1, b), ctx["h"](2, b)
         res = norm_max(
@@ -676,7 +659,7 @@ def _pcomb2_evaluator(ctx):
 
 def _pcomb3_evaluator(ctx):
     pairs = []
-    p, n = ctx["proj"], ctx["m"].n
+    p, n = ctx["proj"], ctx["pj"].n
     for b in ctx["bundles"].values():
         h0, h1, h5 = ctx["h"](0, b), ctx["h"](1, b), ctx["h"](5, b)
         middle = (
@@ -738,7 +721,6 @@ def identity_suite(
     cfg: DiffConfig,
     tol_core: float = 1e-6,
     tol_audit: float = 1e-6,
-    kahler_form: bool = True,
 ) -> list[IdentityResult]:
     """Evaluate every applicable identity at every point.
 
@@ -746,17 +728,16 @@ def identity_suite(
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
     Per (identity, point) the worst generator (or generator pair) is reported.
+    Each point's metric, structure and generators are differentiated once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
         raise ValueError("identity suite needs at least one generator")
     results: list[IdentityResult] = []
     for point_index, p in enumerate(points):
-        bundles = {
-            gen.label: curvature_bundle(m, p, gen, cfg, kahler_form=kahler_form)
-            for gen in generators
-        }
-        any_bundle = next(iter(bundles.values()))
+        pj = point_jets(m, p, cfg)
+        gens = [generator_jets(pj, gen) for gen in generators]
+        bundles = {gj.label: curvature_bundle(pj, gj) for gj in gens}
         h_cache: dict[tuple[int, int], np.ndarray] = {}
 
         def h(theta: int, b: CurvatureBundle) -> np.ndarray:
@@ -766,20 +747,17 @@ def identity_suite(
             return h_cache[key]
 
         ctx = {
-            "m": m,
-            "p": p,
-            "cfg": cfg,
-            "generators": generators,
+            "pj": pj,
+            "gens": gens,
             "bundles": bundles,
-            "kahler_identities": kahler_identities(m, p, cfg),
+            "kahler_identities": kahler_identities(pj),
+            "torsion": [torsion_identities(pj, gj) for gj in gens],
             "h": h,
             "tol_audit": tol_audit,
         }
         if m.kahler_expected:
-            ctx["weyl"] = _weyl(any_bundle.r_g.components, any_bundle.ric_g, m.n)
-            ctx["proj"] = _hol_projective(
-                any_bundle.r_g.components, any_bundle.ric_g, any_bundle.a, m.n
-            )
+            ctx["weyl"] = weyl_projective(pj).components
+            ctx["proj"] = hol_projective(pj).components
         for ident, info in IDENTITY_CATALOG.items():
             if info.scope == "kahler_only" and not m.kahler_expected:
                 continue

@@ -87,11 +87,6 @@ class Tensor:
     def rank(self) -> int:
         return self.signature.rank
 
-    @staticmethod
-    def zeros(dim: int, signature: str | Signature) -> "Tensor":
-        sig = signature if isinstance(signature, Signature) else Signature(signature)
-        return Tensor(dim, sig, np.zeros((dim,) * sig.rank))
-
     def __getitem__(self, idx):
         return self.components[idx]
 
@@ -99,18 +94,6 @@ class Tensor:
 def tensor(dim: int, signature: str, components) -> Tensor:
     """Convenience constructor accepting any array-like components."""
     return Tensor(dim, Signature(signature), np.asarray(components, dtype=np.float64))
-
-
-def identity_endomorphism(dim: int) -> Tensor:
-    return tensor(dim, "ud", np.eye(dim))
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Outer product; the result's slots are a's slots followed by b's."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    comps = np.multiply.outer(a.components, b.components)
-    return Tensor(a.dim, Signature(a.signature.slots + b.signature.slots), comps)
 
 
 def contract(t: Tensor, up_slot: int, down_slot: int) -> Tensor:
@@ -145,58 +128,11 @@ def lower_first(t: Tensor, g: Tensor) -> Tensor:
     return Tensor(t.dim, Signature(t.signature.slots[1:] + DOWN), comps)
 
 
-def raise_first(t: Tensor, g_inv: Tensor) -> Tensor:
-    """Inverse of lower_first: raise the trailing covariant slot to the front."""
-    _check_metric_like(g_inv, t.dim)
-    if t.rank == 0 or t.signature.slots[-1] != DOWN:
-        raise ValueError("raise_first needs a trailing covariant slot")
-    comps = np.tensordot(t.components, g_inv.components, axes=([t.rank - 1], [0]))
-    comps = np.moveaxis(comps, -1, 0)
-    return Tensor(t.dim, Signature(UP + t.signature.slots[:-1]), comps)
-
-
-def apply_endo(t: Tensor, a: Tensor, slot: int) -> Tensor:
-    """Compose one slot with an endomorphism A (components A^i_j).
-
-    Covariant slot s: result(..., X, ...) = t(..., AX, ...).
-    Contravariant slot s: the output is postcomposed, result = A(t(...)).
-    Slots are 0-based.
-    """
-    if a.signature.slots != UP + DOWN:
-        raise ValueError(f"endomorphism must have signature ud, got {a.signature}")
-    if a.dim != t.dim:
-        raise ValueError(f"dimension mismatch: {t.dim} vs {a.dim}")
-    if not 0 <= slot < t.rank:
-        raise ValueError(f"slot {slot} out of range for rank-{t.rank} tensor")
-    if t.signature.slots[slot] == DOWN:
-        # t_{...m...} A^m_i: argument enters through A first
-        comps = np.tensordot(t.components, a.components, axes=([slot], [0]))
-    else:
-        # A^l_m t^{m...}
-        comps = np.tensordot(t.components, a.components, axes=([slot], [1]))
-    comps = np.moveaxis(comps, -1, slot)
-    return Tensor(t.dim, t.signature, comps)
-
-
-def combine(alpha: float, a: Tensor, beta: float, b: Tensor) -> Tensor:
-    """alpha*a + beta*b for tensors of identical dimension and signature."""
-    if a.dim != b.dim or a.signature != b.signature:
-        raise ValueError(
-            f"cannot combine ({a.dim}, {a.signature}) with ({b.dim}, {b.signature})"
-        )
-    return Tensor(a.dim, a.signature, alpha * a.components + beta * b.components)
-
-
 def norm_max(t: Tensor | np.ndarray) -> float:
     comps = t.components if isinstance(t, Tensor) else np.asarray(t)
     if comps.size == 0:
         return 0.0
     return float(np.max(np.abs(comps)))
-
-
-def norm_fro(t: Tensor | np.ndarray) -> float:
-    comps = t.components if isinstance(t, Tensor) else np.asarray(t)
-    return float(np.sqrt(np.sum(comps * comps)))
 
 
 def metric_inverse(g: Tensor, cond_bound: float = 1e12) -> Tensor:

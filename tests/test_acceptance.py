@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from qsc_lab.cli import main
-from qsc_lab.connections import metricity_defects
+from qsc_lab.connections import generator_jets, metricity_defects, point_jets
 from qsc_lab.curvature import commutator_curvature, curvature_bundle, riemann_g
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
@@ -30,6 +30,15 @@ CFG = DiffConfig(scheme="analytic")
 P0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _records(m, p, gen):
+    pj = point_jets(m, p, CFG)
+    return pj, generator_jets(pj, gen)
+
+
+def _bundle(m, p, gen):
+    return curvature_bundle(*_records(m, p, gen))
+
+
 def _verdict(capsys, n: int, ok: bool, desc: str) -> None:
     with capsys.disabled():
         print(f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {desc}")
@@ -47,7 +56,7 @@ def test_criterion_01_flat_baseline(capsys):
     core = [r for r in results if r.classification == "core"]
     ok = bool(core) and all(r.relative < 1e-9 for r in core)
 
-    b = curvature_bundle(m, P0, gens[1], CFG)
+    b = _bundle(m, P0, gens[1])
     spots = [
         (b.d[1][0, 1], 2.0),
         (b.d[3][0, 1], 1.0),
@@ -74,7 +83,7 @@ def test_criterion_02_generator_independence(capsys):
     for name in ("fs", "hyperbolic"):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 20, seed=0):
-            bundles = [curvature_bundle(m, p, g, CFG) for g in gens]
+            bundles = [_bundle(m, p, g) for g in gens]
             for theta in range(6):
                 vals = [h_tensor(theta, b).components for b in bundles]
                 scale = max(max(norm_max(v) for v in vals), 1.0)
@@ -92,8 +101,8 @@ def test_criterion_03_h4_weyl_h1_h3(capsys):
         m = manifold_by_name(name, k=2)
         gen = generator("random_poly", dim=4, seed=3)
         for p in sample_points(m, 5, seed=1):
-            b = curvature_bundle(m, p, gen, CFG)
-            w = weyl_projective(m, p, CFG).components
+            b = _bundle(m, p, gen)
+            w = weyl_projective(point_jets(m, p, CFG)).components
             h1 = h_tensor(1, b).components
             h3 = h_tensor(3, b).components
             h4 = h_tensor(4, b).components
@@ -113,10 +122,11 @@ def test_criterion_04_linear_identities(capsys):
 
     # the same combination checked directly: H0 = 1.5 P - 0.5 W at n = 4
     p0 = sample_points(m, 1, seed=3)[0]
-    b = curvature_bundle(m, p0, gens[0], CFG)
+    pj = point_jets(m, p0, CFG)
+    b = curvature_bundle(pj, generator_jets(pj, gens[0]))
     h0 = h_tensor(0, b).components
-    w = weyl_projective(m, p0, CFG).components
-    p = hol_projective(m, p0, CFG).components
+    w = weyl_projective(pj).components
+    p = hol_projective(pj).components
     direct = norm_max(h0 - (1.5 * p - 0.5 * w))
     ok &= _rel(direct, norm_max(h0), norm_max(w), norm_max(p)) < 1e-6
     _verdict(capsys, 4, ok, "linear identities between H tensors, W and P")
@@ -127,9 +137,8 @@ def test_criterion_05_projective_flatness(capsys):
     for name in ("fs", "hyperbolic"):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 5, seed=4):
-            ratio = norm_max(hol_projective(m, p, CFG)) / norm_max(
-                riemann_g(m, p, CFG)
-            )
+            pj = point_jets(m, p, CFG)
+            ratio = norm_max(hol_projective(pj)) / norm_max(riemann_g(pj))
             worst = max(worst, ratio)
     _verdict(
         capsys, 5, worst < 1e-6,
@@ -142,7 +151,7 @@ def test_criterion_06_parallel_structure_contrapositive(capsys):
     m = manifold_by_name("conformal-nonkahler")
     big = 1.0
     for p in sample_points(m, 3, seed=5):
-        res = metricity_defects(m, p, gen4, CFG)
+        res = metricity_defects(*_records(m, p, gen4))
         scale = max(res["scale"], 1.0)
         big = min(big, res["nabla_g_a"] / scale, res["nabla1_f"] / scale)
     ok = big > 1e-3
@@ -161,7 +170,7 @@ def test_criterion_06_parallel_structure_contrapositive(capsys):
     for name in ("flat", "fs", "hyperbolic"):
         mk = manifold_by_name(name, k=2)
         for p in sample_points(mk, 3, seed=6):
-            res = metricity_defects(mk, p, gen4, CFG)
+            res = metricity_defects(*_records(mk, p, gen4))
             scale = max(res["scale"], 1.0)
             small = max(small, res["nabla_g_a"] / scale, res["nabla1_f"] / scale)
     ok &= small < 1e-7
@@ -184,8 +193,9 @@ def test_criterion_07_commutator_oracle(capsys):
         m = manifold_by_name(name, k=2)
         for gen in specs:
             for p in sample_points(m, 3, seed=7):
-                oracle = commutator_curvature(m, p, gen, CFG).components
-                built = curvature_bundle(m, p, gen, CFG).r[1].components
+                pj, gj = _records(m, p, gen)
+                oracle = commutator_curvature(pj, gj).components
+                built = curvature_bundle(pj, gj).r[1].components
                 worst = max(
                     worst, _rel(norm_max(built - oracle), norm_max(oracle))
                 )
@@ -201,7 +211,7 @@ def test_criterion_08_hybridity_cascade(capsys):
     pts = sample_points(m, 10, seed=8)
     ok = True
     for p in pts:
-        b = curvature_bundle(m, p, gen, CFG)
+        b = _bundle(m, p, gen)
         rep = hybrid_defect(b.d[1], b.a)
         ok &= rep.defect < 1e-10 * max(rep.scale, 1.0)
         rl = b.lowered(1)
@@ -222,8 +232,8 @@ def test_criterion_09_dual_path_differentiation(capsys):
     fd = DiffConfig(scheme="fd4", step=1e-4)
     worst = 0.0
     for p in sample_points(m, 20, seed=10):
-        exact = riemann_g(m, p, CFG).components
-        approx = riemann_g(m, p, fd).components
+        exact = riemann_g(point_jets(m, p, CFG)).components
+        approx = riemann_g(point_jets(m, p, fd)).components
         worst = max(worst, _rel(norm_max(approx - exact), norm_max(exact)))
     _verdict(
         capsys, 9, worst < 1e-5,

@@ -38,6 +38,22 @@ def test_verify_conformal_expected_fail_block(capsys):
     assert "expected_fail_ok=True" in out
 
 
+def test_verify_conformal_rejects_other_dimensions(capsys):
+    """The conformal chart exists at k = 2 only; --k 4 must not run n = 4."""
+    code, out, err = run(
+        capsys, "verify", "--manifold", "conformal-nonkahler", "--k", "4",
+        "--generators", "linear_j", "--points", "1",
+    )
+    assert code == 2
+    assert "k = 4" in err and not out
+    code, out, _ = run(
+        capsys, "verify", "--manifold", "conformal-nonkahler", "--k", "2",
+        "--generators", "linear_j", "--points", "1",
+    )
+    assert code == 0
+    assert "expected_fail_ok=True" in out
+
+
 def test_verify_rejects_out_of_range_dimension(capsys):
     code, _, err = run(capsys, "verify", "--manifold", "fs", "--k", "9999")
     assert code == 2
@@ -195,12 +211,27 @@ def test_tensor_bad_points(capsys, point):
     assert err.strip()
 
 
-def test_tensor_unknown_what(capsys):
-    code, _, err = run(
-        capsys, "tensor", "--what", "q9", "--manifold", "flat", "--point", "0,0,0,0",
-    )
+def test_tensor_values_print_where_stencils_leave_the_chart(capsys):
+    """g, f, a, pi and torsion need no derivatives: at a hyperbolic point whose
+    fd4 stencil crosses the boundary they still print, while rg fails cleanly."""
+    common = ["--manifold", "hyperbolic", "--diff", "fd4", "--step", "1e-2",
+              "--generator", "linear_j", "--point", "0.99,0,0,0"]
+    for what in ("g", "f", "a", "pi", "torsion"):
+        code, out, err = run(capsys, "tensor", "--what", what, *common)
+        assert code == 0, (what, err)
+        assert out.startswith(what)
+    code, _, err = run(capsys, "tensor", "--what", "rg", *common)
     assert code == 2
-    assert "options" in err
+    assert "stencil leaves the chart domain" in err
+
+
+def test_tensor_unknown_what(capsys):
+    for what in ("q9", "d5"):
+        code, _, err = run(
+            capsys, "tensor", "--what", what, "--manifold", "flat", "--point", "0,0,0,0",
+        )
+        assert code == 2
+        assert "options" in err
 
 
 def test_list_catalogs(capsys):

@@ -12,10 +12,11 @@ from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.connections import (
     ConnectionCoefficients,
     covariant_derivative,
+    generator_jets,
     levi_civita,
-    levi_civita_jets,
     metricity_defects,
     nabla1_pi_defect,
+    point_jets,
     quarter_symmetric,
     quarter_symmetric_jets,
     torsion,
@@ -27,9 +28,14 @@ CFG = DiffConfig(scheme="analytic")
 EXACT = 1e-14
 
 
+def records(m, p, gen, cfg=CFG):
+    pj = point_jets(m, p, cfg)
+    return pj, generator_jets(pj, gen)
+
+
 def test_flat_christoffel_vanishes():
     m = manifold_by_name("flat", k=2)
-    lc = levi_civita(m, [0.3, -0.8, 1.0, 2.0], CFG)
+    lc = levi_civita(point_jets(m, [0.3, -0.8, 1.0, 2.0], CFG))
     assert np.max(np.abs(lc.gamma)) == 0.0
     assert lc.kind == "levi_civita"
 
@@ -38,7 +44,7 @@ def test_conformal_christoffel_hand_values():
     """g = exp(2 x1) I: Gamma^i_{jk} = d_j s delta_ik + d_k s delta_ij
     - d_i s delta_jk with s = x1, so the only derivative is along slot 0."""
     m = manifold_by_name("conformal-nonkahler")
-    lc = levi_civita(m, np.zeros(4), CFG)
+    lc = levi_civita(point_jets(m, np.zeros(4), CFG))
     gamma = lc.gamma
     want = np.zeros((4, 4, 4))
     for i in range(4):
@@ -57,7 +63,7 @@ def test_quarter_symmetric_coefficients_flat():
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    conn = quarter_symmetric(m, p, gen, CFG)
+    conn = quarter_symmetric(*records(m, p, gen))
     pi = gen.pi(p).components
     a = m.structure(p).components
     np.testing.assert_allclose(conn.gamma, -np.einsum("j,ik->ijk", pi, a), atol=0)
@@ -72,7 +78,7 @@ def test_coefficient_antisymmetry_equals_torsion():
         m = manifold_by_name(name, k=2)
         gen = generator("random_poly", dim=m.n, seed=5)
         for p in sample_points(m, 3, seed=1):
-            l = quarter_symmetric(m, p, gen, CFG).gamma
+            l = quarter_symmetric(*records(m, p, gen)).gamma
             t = torsion(m, p, gen).components
             assert np.max(np.abs((l - np.swapaxes(l, 1, 2)) - t)) < EXACT
 
@@ -81,9 +87,9 @@ def test_covariant_derivative_flat_is_coordinate_derivative():
     m = manifold_by_name("flat", k=2)
     gen = generator("random_poly", dim=4, seed=2)
     p = np.array([0.2, 0.4, -0.1, 0.3])
-    lc = levi_civita(m, p, CFG)
-    got = covariant_derivative(lc, gen.field, p, CFG).components
-    _, dpi = gen.jets(p, CFG)
+    lc = levi_civita(point_jets(m, p, CFG))
+    pi, dpi = gen.jets(p, CFG)
+    got = covariant_derivative(lc, pi, dpi, "d").components
     np.testing.assert_allclose(got, dpi, atol=0)
 
 
@@ -92,8 +98,8 @@ def test_covariant_derivative_product_rule():
     checked as nabla g applied to the metric (zero) on a curved manifold."""
     m = manifold_by_name("hyperbolic", k=2)
     p = sample_points(m, 1, seed=10)[0]
-    lc = levi_civita(m, p, CFG)
-    nabla_g = covariant_derivative(lc, m.metric_field, p, CFG)
+    pj = point_jets(m, p, CFG)
+    nabla_g = covariant_derivative(levi_civita(pj), pj.g, pj.dg, "dd")
     assert np.max(np.abs(nabla_g.components)) < 1e-12
     assert nabla_g.signature.slots == "ddd"
 
@@ -102,8 +108,9 @@ def test_covariant_derivative_mixed_tensor_slots():
     """The structure field (1,1) gets one + and one - coefficient term."""
     m = manifold_by_name("conformal-nonkahler")
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    lc = levi_civita(m, p, CFG)
-    got = covariant_derivative(lc, m.structure_field, p, CFG).components
+    pj = point_jets(m, p, CFG)
+    lc = levi_civita(pj)
+    got = covariant_derivative(lc, pj.a, pj.da, "ud").components
     a = m.structure(p).components
     gamma = lc.gamma
     want = (
@@ -118,14 +125,14 @@ def test_quarter_symmetric_jets_match_fd():
     m = manifold_by_name("fs", k=2)
     gen = generator("random_poly", dim=4, seed=4)
     p = np.array([0.15, -0.2, 0.3, 0.1])
-    _, dl = quarter_symmetric_jets(m, p, gen, CFG)
+    _, dl = quarter_symmetric_jets(*records(m, p, gen))
     h = 1e-4
     for a_dir in range(4):
         pp = p.copy(); pm = p.copy()
         pp[a_dir] += h; pm[a_dir] -= h
         fd = (
-            quarter_symmetric(m, pp, gen, CFG).gamma
-            - quarter_symmetric(m, pm, gen, CFG).gamma
+            quarter_symmetric(*records(m, pp, gen)).gamma
+            - quarter_symmetric(*records(m, pm, gen)).gamma
         ) / (2 * h)
         assert np.max(np.abs(dl[a_dir] - fd)) < 1e-7
 
@@ -133,12 +140,13 @@ def test_quarter_symmetric_jets_match_fd():
 def test_levi_civita_jets_consistency():
     m = manifold_by_name("hyperbolic", k=2)
     p = np.array([0.2, 0.1, -0.15, 0.05])
-    gamma, dgamma = levi_civita_jets(m, p, CFG)
-    np.testing.assert_allclose(gamma, levi_civita(m, p, CFG).gamma, atol=0)
+    pj = point_jets(m, p, CFG)
+    gamma, dgamma = pj.gamma, pj.dgamma
+    np.testing.assert_allclose(gamma, levi_civita(pj).gamma, atol=0)
     h = 1e-4
     pp = p.copy(); pm = p.copy()
     pp[1] += h; pm[1] -= h
-    fd = (levi_civita(m, pp, CFG).gamma - levi_civita(m, pm, CFG).gamma) / (2 * h)
+    fd = (point_jets(m, pp, CFG).gamma - point_jets(m, pm, CFG).gamma) / (2 * h)
     assert np.max(np.abs(dgamma[1] - fd)) < 1e-7
 
 
@@ -167,7 +175,7 @@ def test_torsion_identities_hold_on_all_catalog_manifolds(name):
     m = manifold_by_name(name, k=2)
     gen = generator("random_poly", dim=m.n, seed=6)
     for p in sample_points(m, 3, seed=2):
-        res = torsion_identities(m, p, gen)
+        res = torsion_identities(*records(m, p, gen))
         for key in ("twisted_composition", "lowered_reconstruction", "cyclic_sum"):
             assert res[key] < 1e-13 * max(res["scale"], 1.0)
 
@@ -177,7 +185,7 @@ def test_quarter_symmetric_preserves_everything_on_kahler(name):
     m = manifold_by_name(name, k=2)
     gen = generator("linear_j", dim=m.n)
     for p in sample_points(m, 2, seed=4):
-        res = metricity_defects(m, p, gen, CFG)
+        res = metricity_defects(*records(m, p, gen))
         for key in ("nabla1_g", "nabla1_f", "nabla1_g_total", "nabla1_a", "nabla_g_a"):
             assert res[key] < 1e-11 * max(res["scale"], 1.0), key
 
@@ -185,7 +193,7 @@ def test_quarter_symmetric_preserves_everything_on_kahler(name):
 def test_conformal_breaks_structure_parallelism_but_not_g():
     m = manifold_by_name("conformal-nonkahler")
     gen = generator("linear_j", dim=4)
-    res = metricity_defects(m, np.zeros(4), gen, CFG)
+    res = metricity_defects(*records(m, np.zeros(4), gen))
     assert res["nabla1_g"] < 1e-13
     for key in ("nabla1_f", "nabla1_g_total", "nabla1_a", "nabla_g_a"):
         assert res[key] > 1e-3, key
@@ -197,7 +205,7 @@ def test_nabla1_pi_closed_form(name):
     for gen_name in ("linear_j", "grad"):
         gen = generator(gen_name, dim=m.n)
         for p in sample_points(m, 2, seed=5):
-            res = nabla1_pi_defect(m, p, gen, CFG)
+            res = nabla1_pi_defect(*records(m, p, gen))
             assert res["residual"] < 1e-13 * max(res["scale"], 1.0)
 
 

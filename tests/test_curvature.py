@@ -9,16 +9,17 @@ import pytest
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max, relative_residual
+from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import (
+    assemble_r_theta,
     closed_form_residuals,
     commutator_curvature,
     curvature_bundle,
-    d_tensor,
     kahler_identities,
     prime_r,
-    r_theta,
     ricci,
     riemann_g,
+    rotate_slots,
     scalar_times_vector,
 )
 
@@ -26,9 +27,18 @@ CFG = DiffConfig(scheme="analytic")
 P0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def records(m, p, gen, cfg=CFG):
+    pj = point_jets(m, p, cfg)
+    return pj, generator_jets(pj, gen)
+
+
+def bundle(m, p, gen, cfg=CFG):
+    return curvature_bundle(*records(m, p, gen, cfg))
+
+
 def test_flat_riemann_vanishes():
     m = manifold_by_name("flat", k=2)
-    r = riemann_g(m, [0.4, -0.2, 0.7, 0.1], CFG)
+    r = riemann_g(point_jets(m, [0.4, -0.2, 0.7, 0.1], CFG))
     assert norm_max(r) == 0.0
     assert r.signature.slots == "uddd"
 
@@ -37,7 +47,7 @@ def test_riemann_symmetries_on_curved_metric():
     m = manifold_by_name("fs", k=2)
     gen = generator("zero", dim=4)
     for p in sample_points(m, 3, seed=11):
-        b = curvature_bundle(m, p, gen, CFG)
+        b = bundle(m, p, gen)
         rl = b.lowered(None)
         scale = norm_max(rl)
         assert scale > 0.1
@@ -53,7 +63,7 @@ def test_model_spaces_are_einstein(name, lam):
     m = manifold_by_name(name, k=2)
     gen = generator("zero", dim=4)
     for p in sample_points(m, 3, seed=12):
-        b = curvature_bundle(m, p, gen, CFG)
+        b = bundle(m, p, gen)
         assert norm_max(b.ric_g - lam * b.g) < 1e-10 * norm_max(b.ric_g)
 
 
@@ -64,17 +74,10 @@ def test_d_blocks_hand_values():
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
     vals = {0: 1.5, 1: 2.0, 2: 2.0, 3: 1.0}
+    b = bundle(m, P0, gen)
     for theta, want in vals.items():
-        d = d_tensor(theta, m, P0, gen, CFG)
-        assert d.components[0, 1] == pytest.approx(want, abs=1e-14)
-        assert d.signature.slots == "dd"
-
-
-def test_d_tensor_rejects_bad_kind():
-    m = manifold_by_name("flat", k=2)
-    gen = generator("zero", dim=4)
-    with pytest.raises(ValueError, match="0..3"):
-        d_tensor(5, m, P0, gen, CFG)
+        assert b.d[theta][0, 1] == pytest.approx(want, abs=1e-14)
+        assert b.d[theta].shape == (4, 4)
 
 
 def test_d_block_linear_relations():
@@ -82,7 +85,7 @@ def test_d_block_linear_relations():
     m = manifold_by_name("hyperbolic", k=2)
     gen = generator("random_poly", dim=4, seed=9)
     for p in sample_points(m, 4, seed=13):
-        b = curvature_bundle(m, p, gen, CFG)
+        b = bundle(m, p, gen)
         d0, d1, d2, d3 = (b.d[t] for t in range(4))
         assert norm_max(d1 - (d0 - d0.T)) < 1e-13
         assert norm_max(d1 - (d2 - d3.T)) < 1e-13
@@ -93,7 +96,7 @@ def test_kind1_hand_values():
     """R1(dx1, dy1)dx1 = -2 dy1 and Ric1(dx1, dx1) = 2 on flat/linear_j."""
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
-    b = curvature_bundle(m, P0, gen, CFG)
+    b = bundle(m, P0, gen)
     r1 = b.r[1].components
     np.testing.assert_allclose(r1[:, 0, 1, 0], [0.0, -2.0, 0.0, 0.0], atol=1e-14)
     assert b.ric[1][0, 0] == pytest.approx(2.0, abs=1e-14)
@@ -111,8 +114,9 @@ def test_kind1_matches_commutator_oracle(name, gen_name):
         else generator(gen_name, dim=4)
     )
     for p in sample_points(m, 3, seed=14):
-        oracle = commutator_curvature(m, p, gen, CFG)
-        built = r_theta(1, m, p, gen, CFG)
+        pj, gj = records(m, p, gen)
+        oracle = commutator_curvature(pj, gj)
+        built = curvature_bundle(pj, gj).r[1]
         diff = norm_max(built.components - oracle.components)
         assert relative_residual(diff, [norm_max(oracle)]) < 1e-12
 
@@ -121,7 +125,7 @@ def test_zero_generator_collapses_every_kind():
     m = manifold_by_name("fs", k=2)
     gen = generator("zero", dim=4)
     p = sample_points(m, 1, seed=15)[0]
-    b = curvature_bundle(m, p, gen, CFG)
+    b = bundle(m, p, gen)
     for theta in range(6):
         assert norm_max(b.r[theta].components - b.r_g.components) < 1e-13
         assert norm_max(b.ric[theta] - b.ric_g) < 1e-13
@@ -135,10 +139,12 @@ def test_general_and_reduced_assemblies_coincide():
         m = manifold_by_name(name, k=2)
         gen = generator("random_poly", dim=4, seed=3)
         p = sample_points(m, 1, seed=7)[0]
-        bk = curvature_bundle(m, p, gen, CFG, kahler_form=True)
-        bg = curvature_bundle(m, p, gen, CFG, kahler_form=False)
+        bk = bundle(m, p, gen)
         for theta in range(6):
-            diff = norm_max(bk.r[theta].components - bg.r[theta].components)
+            general = assemble_r_theta(
+                theta, bk.r_g.components, bk.a, bk.pi, bk.d, kahler_form=False
+            )
+            diff = norm_max(bk.r[theta].components - general)
             assert diff < 1e-12 * max(norm_max(bk.r[theta]), 1.0)
 
 
@@ -149,7 +155,7 @@ def test_closed_form_traces(name):
     m = manifold_by_name(name, k=2)
     gen = generator("random_poly", dim=4, seed=21)
     for p in sample_points(m, 3, seed=16):
-        res = closed_form_residuals(curvature_bundle(m, p, gen, CFG))
+        res = closed_form_residuals(bundle(m, p, gen))
         scale = max(res["scale"], 1.0)
         for key, val in res.items():
             if key != "scale":
@@ -160,7 +166,7 @@ def test_ricci_and_prime_contractions():
     m = manifold_by_name("fs", k=2)
     gen = generator("grad", dim=4)
     p = sample_points(m, 1, seed=17)[0]
-    b = curvature_bundle(m, p, gen, CFG)
+    b = bundle(m, p, gen)
     t = b.r[3]
     np.testing.assert_allclose(
         ricci(t).components, np.einsum("mmjk->jk", t.components), atol=0
@@ -176,12 +182,12 @@ def test_kahler_identities_split_the_catalog():
     for name in ("flat", "fs", "hyperbolic"):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 2, seed=18):
-            res = kahler_identities(m, p, CFG)
+            res = kahler_identities(point_jets(m, p, CFG))
             for key in ("k1_operator", "k2_pair_exchange", "k3_inner_outer",
                         "k4_all_four", "k5_last_pair"):
                 assert res[key] < 1e-12 * max(res["scale"], 1.0), key
     m = manifold_by_name("conformal-nonkahler")
-    res = kahler_identities(m, np.array([0.3, 0.1, -0.2, 0.4]), CFG)
+    res = kahler_identities(point_jets(m, np.array([0.3, 0.1, -0.2, 0.4]), CFG))
     assert res["k1_operator"] > 1e-3 * res["scale"]
 
 
@@ -196,10 +202,21 @@ def test_scalar_times_vector_pattern():
     np.testing.assert_allclose(out2, np.einsum("jk,li->lijk", s, v), atol=0)
 
 
+def test_rotate_slots_feeds_each_slot_through_a():
+    """rotate_slots(t, A, (0, 1))[j, k] = t(A d_j, A d_k), slot by slot."""
+    rng = np.random.default_rng(1)
+    t = rng.normal(size=(4, 4, 4))
+    a = rng.normal(size=(4, 4))
+    want = np.einsum("mj,pk,mpq->jkq", a, a, t)
+    np.testing.assert_allclose(rotate_slots(t, a, (0, 1)), want, atol=1e-12)
+    want2 = np.einsum("mq,jkm->jkq", a, t)
+    np.testing.assert_allclose(rotate_slots(t, a, (2,)), want2, atol=1e-12)
+
+
 def test_fd_curvature_tracks_analytic():
     m = manifold_by_name("fs", k=2)
     p = sample_points(m, 1, seed=19)[0]
-    exact = riemann_g(m, p, CFG)
-    fd = riemann_g(m, p, DiffConfig(scheme="fd4", step=1e-3))
+    exact = riemann_g(point_jets(m, p, CFG))
+    fd = riemann_g(point_jets(m, p, DiffConfig(scheme="fd4", step=1e-3)))
     diff = norm_max(fd.components - exact.components)
     assert relative_residual(diff, [norm_max(exact)]) < 1e-7

@@ -91,8 +91,6 @@ def test_fundamental_form_is_skew():
     for p in sample_points(m, 4, seed=8):
         f = m.fundamental(p).components
         assert np.max(np.abs(f + f.T)) < STRUCTURE_TOL
-        g_total = m.total_metric(p).components
-        np.testing.assert_allclose(g_total, m.metric(p).components + f, atol=0)
 
 
 def test_metric_jets_match_fd():

@@ -1,11 +1,14 @@
 """H tensors, projective invariants, hybridity, and the identity suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from qsc_lab.diff import DiffConfig
-from qsc_lab.geometry import generator, manifold_by_name, sample_points
+from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max
+from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import curvature_bundle
 from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
@@ -21,6 +24,11 @@ from qsc_lab.invariants import (
 )
 
 CFG = DiffConfig(scheme="analytic")
+
+
+def bundle(m, p, gen):
+    pj = point_jets(m, p, CFG)
+    return curvature_bundle(pj, generator_jets(pj, gen))
 
 
 def _std_structure(n=4):
@@ -55,7 +63,7 @@ def test_hybrid_defect_rank_one_hand_value():
 
 def test_h_tensor_rejects_bad_kind():
     m = manifold_by_name("flat", k=2)
-    b = curvature_bundle(m, np.zeros(4), generator("zero", dim=4), CFG)
+    b = bundle(m, np.zeros(4), generator("zero", dim=4))
     with pytest.raises(ValueError):
         h_tensor(7, b)
 
@@ -64,7 +72,7 @@ def test_h_tensors_vanish_on_flat():
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
     for p in sample_points(m, 3, seed=2):
-        b = curvature_bundle(m, p, gen, CFG)
+        b = bundle(m, p, gen)
         for theta in (1, 4):
             assert norm_max(h_tensor(theta, b)) < 1e-12
 
@@ -79,7 +87,7 @@ def test_h_tensors_generator_independent():
     for name in ("fs", "hyperbolic"):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 2, seed=3):
-            bundles = [curvature_bundle(m, p, g, CFG) for g in gens]
+            bundles = [bundle(m, p, g) for g in gens]
             for theta in range(6):
                 vals = [h_tensor(theta, b).components for b in bundles]
                 scale = max(norm_max(v) for v in vals)
@@ -92,11 +100,11 @@ def test_h1_h3_and_h4_weyl_coincide():
         m = manifold_by_name(name, k=2)
         gen = generator("grad", dim=4)
         p = sample_points(m, 1, seed=4)[0]
-        b = curvature_bundle(m, p, gen, CFG)
+        b = bundle(m, p, gen)
         h1 = h_tensor(1, b).components
         h3 = h_tensor(3, b).components
         h4 = h_tensor(4, b).components
-        w = weyl_projective(m, p, CFG).components
+        w = weyl_projective(point_jets(m, p, CFG)).components
         scale = max(norm_max(h1), norm_max(w), 1.0)
         assert norm_max(h1 - h3) < 1e-11 * scale
         assert norm_max(h4 - w) < 1e-11 * scale
@@ -106,7 +114,7 @@ def test_h0_closed_form_matches_assembled():
     m = manifold_by_name("fs", k=2)
     gen = generator("random_poly", dim=4, seed=5)
     p = sample_points(m, 1, seed=5)[0]
-    b = curvature_bundle(m, p, gen, CFG)
+    b = bundle(m, p, gen)
     direct = _h0_from_levi_civita(b)
     assembled = h_tensor(0, b).components
     assert norm_max(direct - assembled) < 1e-11 * max(norm_max(direct), 1.0)
@@ -117,15 +125,16 @@ def test_projective_invariants_flat_and_model_spaces():
     holomorphically projectively flat (P = 0) but not projectively flat."""
     m = manifold_by_name("flat", k=2)
     p = np.array([0.3, 0.1, -0.2, 0.4])
-    assert norm_max(weyl_projective(m, p, CFG)) == 0.0
-    assert norm_max(hol_projective(m, p, CFG)) == 0.0
+    pj = point_jets(m, p, CFG)
+    assert norm_max(weyl_projective(pj)) == 0.0
+    assert norm_max(hol_projective(pj)) == 0.0
     for name in ("fs", "hyperbolic"):
         mm = manifold_by_name(name, k=2)
         q = sample_points(mm, 1, seed=6)[0]
-        b = curvature_bundle(mm, q, generator("zero", dim=4), CFG)
-        r_scale = norm_max(b.r_g)
-        assert norm_max(hol_projective(mm, q, CFG)) < 1e-9 * r_scale
-        assert norm_max(weyl_projective(mm, q, CFG)) > 0.1 * r_scale
+        qj = point_jets(mm, q, CFG)
+        r_scale = norm_max(bundle(mm, q, generator("zero", dim=4)).r_g)
+        assert norm_max(hol_projective(qj)) < 1e-9 * r_scale
+        assert norm_max(weyl_projective(qj)) > 0.1 * r_scale
 
 
 def test_degeneracy_probe_reports_obstruction():
@@ -232,3 +241,25 @@ def test_conditional_hybrid_details_non_vacuous():
         assert r.passed
     assert cond["I-HYB-COND-1"].details["part1_satisfied"] == 2.0
     assert cond["I-HYB-COND-2"].details["part1_satisfied"] == 1.0
+
+
+def test_suite_differentiates_each_field_once_per_point(monkeypatch):
+    """One metric jet, one structure jet and one jet per generator at each
+    point; F and G come from the product rule, never from differencing."""
+    calls = Counter()
+    original = TensorField.jets
+
+    def counted(self, *args, **kwargs):
+        calls[self.label] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorField, "jets", counted)
+    m = manifold_by_name("fs", k=2)
+    gens = [
+        generator("zero", dim=4),
+        generator("linear_j", dim=4),
+        generator("random_poly", dim=4, seed=3),
+    ]
+    results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
+    assert all(r.passed for r in results)
+    assert calls == {"g": 2, "A": 2, "zero": 2, "linear_j": 2, "random_poly:3": 2}
