@@ -52,6 +52,7 @@ from .invariants import (
     weyl_projective,
 )
 from .tensor import (
+    NumericError,
     SingularMetricError,
     Signature,
     Tensor,
@@ -76,6 +77,7 @@ __all__ = [
     "IDENTITY_CATALOG",
     "IdentityResult",
     "ManifoldSpec",
+    "NumericError",
     "PointJets",
     "Signature",
     "SingularMetricError",

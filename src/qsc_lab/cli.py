@@ -1,7 +1,8 @@
 """Command-line harness: run the identity suite, print tensors, list catalogs.
 
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
-2 configuration error.
+2 configuration error, 3 numeric failure (a value overflowed or became
+undefined).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .report import (
     resolve_manifold,
     run_verification,
 )
-from .tensor import Tensor
+from .tensor import NumericError, Tensor
 
 PRINT_EPS = 1e-12
 
@@ -339,7 +340,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow surfaces once, as the NumericError of a finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -257,20 +257,20 @@ def torsion_identities(pj: PointJets, gj: GeneratorJets) -> dict[str, float]:
     cyclic_sum: cyclic XYZ sums of T(X,Y,Z) and of T(AX,Y,AZ) + T(X,AY,AZ) agree
     """
     a = pj.a
+    at = a.T
     t = _torsion(gj.pi, a)  # t[i, x, y]
     tl = _torsion_lowered(gj.pi, pj.f)  # tl[x, y, z]
 
-    t_axay = np.einsum("imp,mx,py->ixy", t, a, a)
+    # pairwise contractions only; `at @ arr @ a` feeds the last two slots of
+    # arr through A for every leading index
+    t_axay = at @ t @ a
     lhs1 = np.einsum("im,mxy->ixy", a, t_axay)
-    rhs1 = (
-        np.einsum("im,mxy->ixy", a, t)
-        - np.einsum("imy,mx->ixy", t, a)
-        - np.einsum("ixm,my->ixy", t, a)
-    )
+    rhs1 = np.einsum("im,mxy->ixy", a, t) - at @ t - t @ a
 
-    tl_axay = np.einsum("mpz,mx,py->xyz", tl, a, a)
-    tl_axaz = np.einsum("myp,mx,pz->xyz", tl, a, a)
-    tl_ayaz = np.einsum("xmp,my,pz->xyz", tl, a, a)
+    tl_ax = np.einsum("mx,myz->xyz", a, tl)  # tl(AX, Y, Z)
+    tl_axay = at @ tl_ax
+    tl_axaz = tl_ax @ a
+    tl_ayaz = at @ tl @ a
     rhs2 = tl_axay + tl_axaz + tl_ayaz
 
     def cyc(arr: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ structures A^2 = -I holds exactly, so the two agree to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +188,20 @@ class CurvatureBundle:
     prime_r3: np.ndarray
     prime_r4: np.ndarray
 
+    @cached_property
+    def scale(self) -> float:
+        """Largest max-norm among R^g, the six kinds, their Ricci traces,
+        Ric^g, 'R3 and 'R4: the residual scale every identity on this bundle
+        starts from.  Computed on first use, once per bundle."""
+        return max(
+            norm_max(self.r_g),
+            max(norm_max(t) for t in self.r.values()),
+            max(norm_max(v) for v in self.ric.values()),
+            norm_max(self.ric_g),
+            norm_max(self.prime_r3),
+            norm_max(self.prime_r4),
+        )
+
     def lowered(self, theta: int | None = None) -> np.ndarray:
         """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W); theta None means r_g."""
         t = self.r_g if theta is None else self.r[theta]
@@ -230,13 +245,16 @@ def kahler_identities(pj: PointJets) -> dict[str, float]:
     r, a = pj.r_g, pj.a
     rl = np.einsum("lijk,lw->ijkw", r, pj.g)
     rot = lambda *slots: rotate_slots(rl, a, slots)
+    # rotate_slots feeds slots in order, so extending a computed rotation
+    # repeats the same operations: r2 -> r23 and r01 -> r0123 are exact.
+    r2, r01 = rot(2), rot(0, 1)
     k1 = norm_max(
         np.einsum("lijm,mk->lijk", r, a) - np.einsum("lm,mijk->lijk", a, r)
     )
-    k2 = norm_max(rot(2, 3) - rot(0, 1))
+    k2 = norm_max(rotate_slots(r2, a, (3,)) - r01)
     k3 = norm_max(rot(1, 2) - rot(0, 3))
-    k4 = norm_max(rot(0, 1, 2, 3) - rl)
-    k5 = norm_max(rot(3) + rot(2))
+    k4 = norm_max(rotate_slots(r01, a, (2, 3)) - rl)
+    k5 = norm_max(rot(3) + r2)
     return {
         "k1_operator": k1,
         "k2_pair_exchange": k2,

@@ -19,6 +19,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .tensor import NumericError
+
 SCHEMES = ("analytic", "fd2", "fd4")
 
 MIN_STEP = 1e-7
@@ -155,15 +157,9 @@ def _flatten(structure, out: list) -> None:
 
 def eval_components(fn: ComponentFn, coords: np.ndarray) -> np.ndarray:
     """Evaluate a component function at float coordinates."""
-    result = fn([float(c) for c in coords])
-    shape = _shape_of(result)
-    flat: list = []
-    _flatten(result, flat)
-    arr = np.array([float(v) for v in flat], dtype=np.float64).reshape(shape or (1,))
-    if not shape:
-        arr = arr.reshape(())
+    arr = np.array(fn([float(c) for c in coords]), dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite field value")
+        raise NumericError("non-finite field value")
     return arr
 
 
@@ -197,7 +193,7 @@ def eval_jets(
         d2 = d2.reshape((n, n) + tail)
     for arr in (val, d1) + ((d2,) if second else ()):
         if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite field value")
+            raise NumericError("non-finite field value")
     return val, d1, d2
 
 

@@ -12,7 +12,11 @@ identity suite turns every such statement into a residual with a stable ID.
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
 composite tensors are assembled from; this keeps cancellation noise measured
-against the magnitude of what actually cancelled.
+against the magnitude of what actually cancelled.  The part shared by every
+identity on one generator, the max-norm over R^g, the six kinds, their traces
+and 'R3, 'R4, is ``CurvatureBundle.scale``: computed once per bundle, on first
+use.  ``identity_suite`` takes the max-norm of each H^theta, W and P once per
+point, next to the tensor itself.
 """
 
 from __future__ import annotations
@@ -327,23 +331,14 @@ def identity_ids() -> list[str]:
     return list(IDENTITY_CATALOG)
 
 
-def _bundle_scale(b: CurvatureBundle) -> float:
-    return max(
-        norm_max(b.r_g),
-        max(norm_max(t) for t in b.r.values()),
-        max(norm_max(v) for v in b.ric.values()),
-        norm_max(b.ric_g),
-        norm_max(b.prime_r3),
-        norm_max(b.prime_r4),
-    )
-
-
 def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> float:
     rot = lambda slots: rotate_slots(rl, a, slots)
+    r01 = rot((0, 1))
     return max(
-        norm_max(rot((2, 3)) - rot((0, 1))),
+        norm_max(rot((2, 3)) - r01),
         norm_max(rot((1, 2)) - rot((0, 3))),
-        norm_max(rot((0, 1, 2, 3)) - rl),
+        # the same operations as rot((0, 1, 2, 3)): slots are fed in order
+        norm_max(rotate_slots(r01, a, (2, 3)) - rl),
     )
 
 
@@ -396,6 +391,21 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> float:
     return norm_max(b.nabla_pi + np.outer(b.pi, b.pa) + 0.5 * np.outer(b.pa, b.pi))
 
 
+def _hyb_hypotheses(b: CurvatureBundle) -> tuple[float, float, float]:
+    """The kind-independent parts of the I-HYB-COND hypotheses of one bundle:
+    the relative part-1 defect for kind 1 (nabla^g pi hybrid), the one for the
+    other kinds (nabla^g pi and pi (x) pi hybrid), and the part-2 scale."""
+    nabla = hybrid_defect(b.nabla_pi, b.a)
+    pipi = hybrid_defect(np.outer(b.pi, b.pi), b.a)
+    return (
+        relative_residual(nabla.defect, [nabla.scale]),
+        relative_residual(
+            max(nabla.defect, pipi.defect), [max(nabla.scale, pipi.scale)]
+        ),
+        max(max(norm_max(d) for d in b.d.values()), nabla.scale, pipi.scale),
+    )
+
+
 def _hyb_cond_evaluator(theta: int):
     def evaluate(ctx: dict) -> tuple[list[tuple[float, float]], dict[str, float]]:
         tol = ctx["tol_audit"]
@@ -403,36 +413,28 @@ def _hyb_cond_evaluator(theta: int):
         h1_rels, h2_rels = [], []
         c1_sat, c2_sat = [], []
         violated = False
-        for b in ctx["bundles"].values():
+        for label, b in ctx["bundles"].items():
             a = b.a
-            pipi = np.outer(b.pi, b.pi)
-            hyp1 = hybrid_defect(b.nabla_pi, a).defect
-            hyp1_scale = norm_max(b.nabla_pi)
-            if theta != 1:
-                hyp1 = max(hyp1, hybrid_defect(pipi, a).defect)
-                hyp1_scale = max(hyp1_scale, norm_max(pipi))
-            hyp1_rel = relative_residual(hyp1, [hyp1_scale])
-            rl = b.lowered(theta)
-            scale = max(_bundle_scale(b), norm_max(rl))
-            c1 = _part1_conclusions(rl, a)
-            c1_rel = relative_residual(c1, [scale])
-            hyp2 = _part2_condition(theta, b)
-            hyp2_scale = max(
-                max(norm_max(d) for d in b.d.values()),
-                norm_max(b.nabla_pi),
-                norm_max(pipi),
-            )
-            hyp2_rel = relative_residual(hyp2, [hyp2_scale])
-            c2 = _part2_conclusions(b.r[theta].components, rl, a)
-            c2_rel = relative_residual(c2, [scale])
+            hyp1_kind1_rel, hyp1_rel, hyp2_scale = ctx["hyb_hypotheses"][label]
+            if theta == 1:
+                hyp1_rel = hyp1_kind1_rel
+            hyp2_rel = relative_residual(_part2_condition(theta, b), [hyp2_scale])
             h1_rels.append(hyp1_rel)
             h2_rels.append(hyp2_rel)
+            # a conclusion says something only where its hypothesis holds
+            if hyp1_rel < tol or hyp2_rel < tol:
+                rl = b.lowered(theta)
+                scale = max(b.scale, norm_max(rl))
             if hyp1_rel < tol:
+                c1 = _part1_conclusions(rl, a)
+                c1_rel = relative_residual(c1, [scale])
                 c1_sat.append(c1_rel)
                 pairs.append((c1, scale))
                 if c1_rel >= tol:
                     violated = True
             if hyp2_rel < tol:
+                c2 = _part2_conclusions(b.r[theta].components, rl, a)
+                c2_rel = relative_residual(c2, [scale])
                 c2_sat.append(c2_rel)
                 pairs.append((c2, scale))
                 if c2_rel >= tol:
@@ -546,29 +548,23 @@ def _pr34_evaluator(ctx):
 
 def _h1h3_evaluator(ctx):
     pairs = []
+    h, hn = ctx["h"], ctx["h_norm"]
     for b in ctx["bundles"].values():
-        h1 = ctx["h"](1, b)
-        h3 = ctx["h"](3, b)
-        res = norm_max(h1 - h3)
-        pairs.append((res, max(_bundle_scale(b), norm_max(h1), norm_max(h3))))
+        res = norm_max(h(1, b) - h(3, b))
+        pairs.append((res, max(b.scale, hn(1, b), hn(3, b))))
     return pairs, None
 
 
 def _hind_evaluator(theta: int):
     def evaluate(ctx):
         bundles = list(ctx["bundles"].values())
+        h, hn = ctx["h"], ctx["h_norm"]
         pairs = []
         for i in range(len(bundles)):
             for j in range(i + 1, len(bundles)):
-                hi = ctx["h"](theta, bundles[i])
-                hj = ctx["h"](theta, bundles[j])
-                res = norm_max(hi - hj)
-                scale = max(
-                    _bundle_scale(bundles[i]),
-                    _bundle_scale(bundles[j]),
-                    norm_max(hi),
-                    norm_max(hj),
-                )
+                bi, bj = bundles[i], bundles[j]
+                res = norm_max(h(theta, bi) - h(theta, bj))
+                scale = max(bi.scale, bj.scale, hn(theta, bi), hn(theta, bj))
                 pairs.append((res, scale))
         if not pairs:  # single generator: nothing to compare
             pairs = [(0.0, 1.0)]
@@ -579,106 +575,102 @@ def _hind_evaluator(theta: int):
 
 def _h4w_evaluator(ctx):
     pairs = []
-    w = ctx["weyl"]
+    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
     for b in ctx["bundles"].values():
-        h4 = ctx["h"](4, b)
-        res = norm_max(h4 - w)
-        pairs.append((res, max(_bundle_scale(b), norm_max(w), norm_max(h4))))
+        res = norm_max(h(4, b) - w)
+        pairs.append((res, max(b.scale, wn, hn(4, b))))
     return pairs, None
-
-
-def _scale_with(ctx, b, *arrays) -> float:
-    return max(_bundle_scale(b), *(norm_max(x) for x in arrays))
 
 
 def _lin1_evaluator(ctx):
     pairs = []
-    w = ctx["weyl"]
+    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
     for b in ctx["bundles"].values():
-        h0, h1, h2 = ctx["h"](0, b), ctx["h"](1, b), ctx["h"](2, b)
-        res = norm_max(4 * h0 - 2 * h1 - h2 - w)
-        pairs.append((res, _scale_with(ctx, b, h0, h1, h2, w)))
+        res = norm_max(4 * h(0, b) - 2 * h(1, b) - h(2, b) - w)
+        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(2, b), wn)))
     return pairs, None
 
 
 def _lin2_evaluator(ctx):
     pairs = []
-    w = ctx["weyl"]
+    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
     w_xzy = np.einsum("likj->lijk", w)  # W(X, Z)Y
     for b in ctx["bundles"].values():
-        h1, h5 = ctx["h"](1, b), ctx["h"](5, b)
+        h1, h5 = h(1, b), h(5, b)
         h1_yzx = np.einsum("ljki->lijk", h1)  # H1(Y, Z)X
         res = norm_max(2 * h5 - h1 + h1_yzx - w_xzy)
-        pairs.append((res, _scale_with(ctx, b, h1, h5, w)))
+        pairs.append((res, max(b.scale, hn(1, b), hn(5, b), wn)))
     return pairs, None
 
 
 def _h0pw_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
+    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
+    w, p, wn, pn = ctx["weyl"], ctx["proj"], ctx["weyl_norm"], ctx["proj_norm"]
     target = (n + 2) / 4.0 * p - (n - 2) / 4.0 * w
     for b in ctx["bundles"].values():
-        h0 = ctx["h"](0, b)
-        res = norm_max(h0 - target)
-        pairs.append((res, _scale_with(ctx, b, h0, w, p)))
+        res = norm_max(h(0, b) - target)
+        pairs.append((res, max(b.scale, hn(0, b), wn, pn)))
     return pairs, None
 
 
 def _2h1h2_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
+    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
+    w, p, wn, pn = ctx["weyl"], ctx["proj"], ctx["weyl_norm"], ctx["proj_norm"]
     target = (n + 2) * p - (n - 1) * w
     for b in ctx["bundles"].values():
-        h1, h2 = ctx["h"](1, b), ctx["h"](2, b)
-        res = norm_max(2 * h1 + h2 - target)
-        pairs.append((res, _scale_with(ctx, b, h1, h2, w, p)))
+        res = norm_max(2 * h(1, b) + h(2, b) - target)
+        pairs.append((res, max(b.scale, hn(1, b), hn(2, b), wn, pn)))
     return pairs, None
 
 
 def _pcomb1_evaluator(ctx):
     pairs = []
-    w, p, n = ctx["weyl"], ctx["proj"], ctx["pj"].n
+    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
+    p, pn = ctx["proj"], ctx["proj_norm"]
     for b in ctx["bundles"].values():
-        h0, h4 = ctx["h"](0, b), ctx["h"](4, b)
-        res = norm_max(p - (4 * h0 + (n - 2) * h4) / (n + 2))
-        pairs.append((res, _scale_with(ctx, b, h0, h4, p)))
+        res = norm_max(p - (4 * h(0, b) + (n - 2) * h(4, b)) / (n + 2))
+        pairs.append((res, max(b.scale, hn(0, b), hn(4, b), pn)))
     return pairs, None
 
 
 def _pcomb2_evaluator(ctx):
     pairs = []
-    p, n = ctx["proj"], ctx["pj"].n
+    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
+    p, pn = ctx["proj"], ctx["proj_norm"]
     for b in ctx["bundles"].values():
-        h0, h1, h2 = ctx["h"](0, b), ctx["h"](1, b), ctx["h"](2, b)
+        h0, h1, h2 = h(0, b), h(1, b), h(2, b)
         res = norm_max(
             p - (4 * (n - 1) * h0 - 2 * (n - 2) * h1 - (n - 2) * h2) / (n + 2)
         )
-        pairs.append((res, _scale_with(ctx, b, h0, h1, h2, p)))
+        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(2, b), pn)))
     return pairs, None
 
 
 def _pcomb3_evaluator(ctx):
     pairs = []
-    p, n = ctx["proj"], ctx["pj"].n
+    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
+    p, pn = ctx["proj"], ctx["proj_norm"]
     for b in ctx["bundles"].values():
-        h0, h1, h5 = ctx["h"](0, b), ctx["h"](1, b), ctx["h"](5, b)
+        h0, h1, h5 = h(0, b), h(1, b), h(5, b)
         middle = (
             2 * np.einsum("likj->lijk", h5)
             - np.einsum("likj->lijk", h1)
             + np.einsum("lkji->lijk", h1)
         )
         res = norm_max(p - 4 / (n + 2) * h0 - (n - 2) / (n + 2) * middle)
-        pairs.append((res, _scale_with(ctx, b, h0, h1, h5, p)))
+        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(5, b), pn)))
     return pairs, None
 
 
 def _h0rg_evaluator(ctx):
     pairs = []
+    h, hn = ctx["h"], ctx["h_norm"]
     for b in ctx["bundles"].values():
-        h0 = ctx["h"](0, b)
         direct = _h0_from_levi_civita(b)
-        res = norm_max(h0 - direct)
-        pairs.append((res, _scale_with(ctx, b, h0, direct)))
+        res = norm_max(h(0, b) - direct)
+        pairs.append((res, max(b.scale, hn(0, b), norm_max(direct))))
     return pairs, None
 
 
@@ -738,12 +730,14 @@ def identity_suite(
         pj = point_jets(m, p, cfg)
         gens = [generator_jets(pj, gen) for gen in generators]
         bundles = {gj.label: curvature_bundle(pj, gj) for gj in gens}
-        h_cache: dict[tuple[int, int], np.ndarray] = {}
+        # H^theta of each bundle and its max-norm, each computed once
+        h_cache: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
-        def h(theta: int, b: CurvatureBundle) -> np.ndarray:
+        def h_entry(theta: int, b: CurvatureBundle) -> tuple[np.ndarray, float]:
             key = (id(b), theta)
             if key not in h_cache:
-                h_cache[key] = h_tensor(theta, b).components
+                comps = h_tensor(theta, b).components
+                h_cache[key] = (comps, norm_max(comps))
             return h_cache[key]
 
         ctx = {
@@ -752,12 +746,18 @@ def identity_suite(
             "bundles": bundles,
             "kahler_identities": kahler_identities(pj),
             "torsion": [torsion_identities(pj, gj) for gj in gens],
-            "h": h,
+            "h": lambda theta, b: h_entry(theta, b)[0],
+            "h_norm": lambda theta, b: h_entry(theta, b)[1],
             "tol_audit": tol_audit,
         }
         if m.kahler_expected:
             ctx["weyl"] = weyl_projective(pj).components
             ctx["proj"] = hol_projective(pj).components
+            ctx["weyl_norm"] = norm_max(ctx["weyl"])
+            ctx["proj_norm"] = norm_max(ctx["proj"])
+            ctx["hyb_hypotheses"] = {
+                label: _hyb_hypotheses(b) for label, b in bundles.items()
+            }
         for ident, info in IDENTITY_CATALOG.items():
             if info.scope == "kahler_only" and not m.kahler_expected:
                 continue

@@ -28,6 +28,11 @@ class SingularMetricError(ValueError):
     """Metric inversion rejected: condition number above the configured bound."""
 
 
+class NumericError(ValueError, ArithmeticError):
+    """A computed value overflowed or became undefined (inf or nan); maps to
+    exit code 3, apart from the configuration errors of exit code 2."""
+
+
 @dataclass(frozen=True)
 class Signature:
     """Slot tags for a tensor, one character per slot: 'u' up, 'd' down."""
@@ -79,7 +84,7 @@ class Tensor:
                 f"signature {self.signature} at dim {self.dim}"
             )
         if not np.all(np.isfinite(comps)):
-            raise ValueError("non-finite tensor components")
+            raise NumericError("non-finite tensor components")
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, printed tensors, catalogs, reports."""
 
 import json
+import warnings
 
 import pytest
 
@@ -70,6 +71,21 @@ def test_verify_requires_manifold(capsys):
     code, _, err = run(capsys, "verify", "--points", "1")
     assert code == 2
     assert "--manifold" in err
+
+
+def test_verify_numeric_blow_up_is_a_numeric_failure(capsys):
+    """An overflowing generator is a numeric failure, not a configuration
+    error: exit 3 with one stderr line and no numpy warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "verify", "--manifold", "fs", "--k", "2",
+            "--generators", "const:1e200,1e200,1e200,1e200", "--points", "1",
+        )
+    assert code == 3
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_verify_detects_failures_with_tight_tolerance(capsys):

@@ -4,6 +4,8 @@ Oracles: flat space (all coefficients zero, covariant derivative equals the
 coordinate derivative), the conformal metric (Christoffel symbols by hand)
 and a finite-difference cross-check of the coefficient derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,49 @@ def test_torsion_identities_hold_on_all_catalog_manifolds(name):
         res = torsion_identities(*records(m, p, gen))
         for key in ("twisted_composition", "lowered_reconstruction", "cyclic_sum"):
             assert res[key] < 1e-13 * max(res["scale"], 1.0)
+
+
+def _torsion_identities_by_three_operand_einsums(a, pi, f):
+    """Reference: every rotation written as one direct einsum."""
+    t = np.einsum("k,ij->ijk", pi, a) - np.einsum("j,ik->ijk", pi, a)
+    tl = np.einsum("k,jl->jkl", pi, f) - np.einsum("j,kl->jkl", pi, f)
+    lhs1 = np.einsum("im,mxy->ixy", a, np.einsum("imp,mx,py->ixy", t, a, a))
+    rhs1 = (
+        np.einsum("im,mxy->ixy", a, t)
+        - np.einsum("imy,mx->ixy", t, a)
+        - np.einsum("ixm,my->ixy", t, a)
+    )
+    tl_axay = np.einsum("mpz,mx,py->xyz", tl, a, a)
+    tl_axaz = np.einsum("myp,mx,pz->xyz", tl, a, a)
+    tl_ayaz = np.einsum("xmp,my,pz->xyz", tl, a, a)
+
+    def cyc(arr):
+        return arr + np.transpose(arr, (1, 2, 0)) + np.transpose(arr, (2, 0, 1))
+
+    return {
+        "twisted_composition": np.max(np.abs(lhs1 - rhs1)),
+        "lowered_reconstruction": np.max(np.abs(tl - tl_axay - tl_axaz - tl_ayaz)),
+        "cyclic_sum": np.max(np.abs(cyc(tl) - cyc(tl_axaz + tl_ayaz))),
+        "scale": max(np.max(np.abs(t)), np.max(np.abs(tl))),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_torsion_identities_match_three_operand_einsums(k):
+    """The pairwise contractions agree with the direct einsums for a dense A
+    and pi, where no product is exact and the identities do not hold."""
+    m = manifold_by_name("fs", k=k)
+    rng = np.random.default_rng(k)
+    pj, gj = records(m, sample_points(m, 1, seed=7)[0], generator("zero", dim=m.n))
+    a = rng.normal(size=(m.n, m.n))
+    pj = dataclasses.replace(pj, a=a, f=a.T @ pj.g)
+    gj = dataclasses.replace(gj, pi=rng.normal(size=m.n))
+    got = torsion_identities(pj, gj)
+    want = _torsion_identities_by_three_operand_einsums(a, gj.pi, pj.f)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert value > 1.0, key
+        np.testing.assert_allclose(got[key], value, rtol=1e-12, err_msg=key)
 
 
 @pytest.mark.parametrize("name", ["flat", "fs", "hyperbolic"])

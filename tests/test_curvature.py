@@ -213,6 +213,18 @@ def test_rotate_slots_feeds_each_slot_through_a():
     np.testing.assert_allclose(rotate_slots(t, a, (2,)), want2, atol=1e-12)
 
 
+def test_rotate_slots_extends_a_computed_rotation_exactly():
+    """Slots are fed in order, so rotating (2, 3) after (0, 1) repeats the
+    operations of rotating (0, 1, 2, 3): equal bit for bit, for a dense A."""
+    rng = np.random.default_rng(2)
+    t = rng.normal(size=(4, 4, 4, 4))
+    a = rng.normal(size=(4, 4))
+    np.testing.assert_array_equal(
+        rotate_slots(rotate_slots(t, a, (0, 1)), a, (2, 3)),
+        rotate_slots(t, a, (0, 1, 2, 3)),
+    )
+
+
 def test_fd_curvature_tracks_analytic():
     m = manifold_by_name("fs", k=2)
     p = sample_points(m, 1, seed=19)[0]

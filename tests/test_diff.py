@@ -17,6 +17,7 @@ from qsc_lab.diff import (
     jet_log,
     partial,
 )
+from qsc_lab.tensor import NumericError
 
 
 def poly(u):
@@ -151,5 +152,5 @@ def test_domain_blocks_stencil_and_point():
 
 def test_non_finite_values_rejected():
     f = lambda u: math.inf * (u[0] + 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         field_jets(f, np.array([1.0]), DiffConfig(scheme="fd2"))

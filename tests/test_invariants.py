@@ -10,6 +10,7 @@ from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_po
 from qsc_lab.tensor import norm_max
 from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import curvature_bundle
+import qsc_lab.invariants as invariants
 from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
@@ -263,3 +264,29 @@ def test_suite_differentiates_each_field_once_per_point(monkeypatch):
     results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
     assert all(r.passed for r in results)
     assert calls == {"g": 2, "A": 2, "zero": 2, "linear_j": 2, "random_poly:3": 2}
+
+
+def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
+    """An I-HYB-COND conclusion is computed only where its hypothesis holds:
+    one call per (kind, point, generator) the rows count as satisfied."""
+    calls = Counter()
+    for name in ("_part1_conclusions", "_part2_conclusions"):
+
+        def counted(*args, _name=name, _original=getattr(invariants, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    m = manifold_by_name("fs", k=2)
+    gens = [
+        generator("zero", dim=4),
+        generator("linear_j", dim=4),
+        generator("random_poly", dim=4, seed=3),
+    ]
+    results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
+    rows = [r for r in results if r.id.startswith("I-HYB-COND")]
+    assert len(rows) == 12
+    for part in ("part1", "part2"):
+        satisfied = sum(r.details[f"{part}_satisfied"] for r in rows)
+        assert calls[f"_{part}_conclusions"] == satisfied
+        assert 0 < satisfied < len(rows) * len(gens)
