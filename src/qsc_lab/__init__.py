@@ -7,7 +7,7 @@ combinations, and checks every identity of the theory as a numerical
 residual at sampled chart points.
 """
 
-from .diff import DiffConfig, DomainError, partial
+from .diff import DiffConfig, DomainError
 from .geometry import (
     Chart,
     GeneratorField,
@@ -101,7 +101,6 @@ __all__ = [
     "manifold_by_name",
     "manifold_names",
     "norm_max",
-    "partial",
     "point_jets",
     "quarter_symmetric",
     "ricci",

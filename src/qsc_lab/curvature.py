@@ -205,7 +205,7 @@ class CurvatureBundle:
     def lowered(self, theta: int | None = None) -> np.ndarray:
         """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W); theta None means r_g."""
         t = self.r_g if theta is None else self.r[theta]
-        return np.einsum("lijk,lw->ijkw", t.components, self.g)
+        return t.components.transpose(1, 2, 3, 0) @ self.g
 
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
@@ -243,14 +243,12 @@ def kahler_identities(pj: PointJets) -> dict[str, float]:
     k4: R(AX,AY,AZ,AW) = R(X,Y,Z,W)    k5: R(X,Y,Z,AW) = -R(X,Y,AZ,W)
     """
     r, a = pj.r_g, pj.a
-    rl = np.einsum("lijk,lw->ijkw", r, pj.g)
+    rl = r.transpose(1, 2, 3, 0) @ pj.g
     rot = lambda *slots: rotate_slots(rl, a, slots)
     # rotate_slots feeds slots in order, so extending a computed rotation
     # repeats the same operations: r2 -> r23 and r01 -> r0123 are exact.
     r2, r01 = rot(2), rot(0, 1)
-    k1 = norm_max(
-        np.einsum("lijm,mk->lijk", r, a) - np.einsum("lm,mijk->lijk", a, r)
-    )
+    k1 = norm_max(r @ a - (a @ r.reshape(pj.n, -1)).reshape(r.shape))
     k2 = norm_max(rotate_slots(r2, a, (3,)) - r01)
     k3 = norm_max(rot(1, 2) - rot(0, 3))
     k4 = norm_max(rotate_slots(r01, a, (2, 3)) - rl)

@@ -1,21 +1,27 @@
 """Differentiation engine for pointwise fields.
 
-Two interchangeable backends produce first and second partial derivatives of
-component functions u -> nested lists of scalars:
+A field is a function ``fn(u)`` written once in numpy style.  The last axis of
+``u`` holds the n coordinates; ``fn`` returns an array of the field's shape,
+with any leading axes of ``u`` in front.  Fields index coordinates as
+``u[..., i]`` and contract them as ``u @ M`` (never ``M @ u``, which reads a
+batch of points as a matrix).  A constant field may return its constant
+array; both backends broadcast it.  Two interchangeable backends produce the
+first and second partial derivatives:
 
-* "analytic": forward-mode Taylor numbers of order two (Jet2).  Component
-  functions are written in plain arithmetic, so evaluating them on jets
-  yields exact derivatives to rounding.
+* "analytic": ``fn`` is called once on one array-valued second-order Taylor
+  number (``Jet2``) seeded with the point, so its derivatives are exact to
+  rounding.
 * "fd2" / "fd4": central finite-difference stencils of order two and four,
-  with optional Richardson extrapolation.  Second derivatives use direct
-  two-dimensional stencils; nothing is differenced twice.
+  with optional Richardson extrapolation.  ``fn`` is called once per stencil
+  level on all its points as a ``(m, n)`` batch; second derivatives use
+  direct two-dimensional stencils, nothing is differenced twice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from functools import lru_cache
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,34 +52,47 @@ class DiffConfig:
             )
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetrised outer product of two gradients: a b^T + b a^T."""
+    c = a[..., :, None] * b[..., None, :]
+    return c + np.swapaxes(c, -1, -2)
+
+
 class Jet2:
-    """Second-order Taylor number: value, gradient and symmetric Hessian."""
+    """Array-valued second-order Taylor number in n variables.
+
+    ``val`` has the value shape S, the gradient ``g`` shape S + (n,) and the
+    symmetric Hessian ``h`` shape S + (n, n): derivative axes trail, so numpy
+    broadcasting lines up the value axes.
+    """
 
     __slots__ = ("val", "g", "h")
+    __array_ufunc__ = None  # `ndarray op Jet2` dispatches to the jet
 
-    def __init__(self, val: float, g: np.ndarray, h: np.ndarray):
-        self.val = float(val)
+    def __init__(self, val, g: np.ndarray, h: np.ndarray):
+        self.val = np.asarray(val)
         self.g = g
         self.h = h
 
-    @staticmethod
-    def constant(val: float, n: int) -> "Jet2":
-        return Jet2(val, np.zeros(n), np.zeros((n, n)))
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.val.shape
 
-    @staticmethod
-    def variable(val: float, index: int, n: int) -> "Jet2":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet2(val, g, np.zeros((n, n)))
-
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(float(other), self.g.shape[0])
+    def _spread(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian broadcast to the value shape `shape`."""
+        if shape == self.val.shape:
+            return self.g, self.h
+        n = self.g.shape[-1]
+        return (
+            np.broadcast_to(self.g, shape + (n,)),
+            np.broadcast_to(self.h, shape + (n, n)),
+        )
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.val + o.val, self.g + o.g, self.h + o.h)
+        if isinstance(other, Jet2):
+            return Jet2(self.val + other.val, self.g + other.g, self.h + other.h)
+        val = self.val + other
+        return Jet2(val, *self._spread(np.shape(val)))
 
     __radd__ = __add__
 
@@ -81,120 +100,119 @@ class Jet2:
         return Jet2(-self.val, -self.g, -self.h)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.val - o.val, self.g - o.g, self.h - o.h)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            c = float(other)
-            return Jet2(self.val * c, self.g * c, self.h * c)
+            c = np.asarray(other)
+            return Jet2(self.val * c, self.g * c[..., None], self.h * c[..., None, None])
         o = other
-        cross = np.outer(self.g, o.g)
         return Jet2(
             self.val * o.val,
-            self.g * o.val + self.val * o.g,
-            self.h * o.val + cross + cross.T + self.val * o.h,
+            self.g * o.val[..., None] + self.val[..., None] * o.g,
+            self.h * o.val[..., None, None]
+            + _cross(self.g, o.g)
+            + self.val[..., None, None] * o.h,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, Jet2):
+            c = np.asarray(other)
+            return Jet2(self.val / c, self.g / c[..., None], self.h / c[..., None, None])
+        o = other
         val = self.val / o.val
-        g = (self.g - val * o.g) / o.val
-        cross = np.outer(g, o.g)
-        h = (self.h - cross - cross.T - val * o.h) / o.val
+        g = (self.g - val[..., None] * o.g) / o.val[..., None]
+        h = (self.h - _cross(g, o.g) - val[..., None, None] * o.h) / o.val[..., None, None]
         return Jet2(val, g, h)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        c = np.asarray(other, dtype=np.float64)
+        n = self.g.shape[-1]
+        return Jet2(c, np.zeros(c.shape + (n,)), np.zeros(c.shape + (n, n))) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Jet2 powers are non-negative integers")
-        out = Jet2.constant(1.0, self.g.shape[0])
+        out = Jet2(np.ones(self.shape), np.zeros_like(self.g), np.zeros_like(self.h))
         for _ in range(exponent):
             out = out * self
         return out
 
+    def __matmul__(self, m):
+        """Contract the last value axis with a constant vector or matrix."""
+        m = np.asarray(m)
+        if m.ndim not in (1, 2):
+            raise ValueError("a Jet2 contracts with a constant vector or matrix only")
+        g = np.swapaxes(self.g, -1, -2) @ m
+        h = np.moveaxis(self.h, -3, -1) @ m
+        if m.ndim == 2:
+            g, h = np.swapaxes(g, -1, -2), np.moveaxis(h, -1, -3)
+        return Jet2(self.val @ m, g, h)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        every = slice(None)
+        return Jet2(self.val[key], self.g[key + (every,)], self.h[key + (every, every)])
+
+    def reshape(self, shape):
+        shape = tuple(shape)
+        n = self.g.shape[-1]
+        return Jet2(
+            self.val.reshape(shape), self.g.reshape(shape + (n,)), self.h.reshape(shape + (n, n))
+        )
+
+    def sum(self, axis: int):
+        axis %= self.val.ndim
+        return Jet2(self.val.sum(axis), self.g.sum(axis), self.h.sum(axis))
+
 
 def jet_exp(x):
     if isinstance(x, Jet2):
-        e = math.exp(x.val)
-        return Jet2(e, e * x.g, e * (x.h + np.outer(x.g, x.g)))
-    return math.exp(x)
+        e = np.exp(x.val)
+        gg = x.g[..., :, None] * x.g[..., None, :]
+        return Jet2(e, e[..., None] * x.g, e[..., None, None] * (x.h + gg))
+    return np.exp(x)
 
 
-def jet_log(x):
-    if isinstance(x, Jet2):
-        return Jet2(
-            math.log(x.val),
-            x.g / x.val,
-            x.h / x.val - np.outer(x.g, x.g) / (x.val * x.val),
-        )
-    return math.log(x)
+FieldFn = Callable[[Any], Any]
 
 
-ComponentFn = Callable[[Sequence[Any]], Any]
-
-
-def _shape_of(structure) -> tuple[int, ...]:
-    if isinstance(structure, (list, tuple)):
-        return (len(structure),) + _shape_of(structure[0])
-    return ()
-
-
-def _flatten(structure, out: list) -> None:
-    if isinstance(structure, (list, tuple)):
-        for item in structure:
-            _flatten(item, out)
-    else:
-        out.append(structure)
-
-
-def eval_components(fn: ComponentFn, coords: np.ndarray) -> np.ndarray:
-    """Evaluate a component function at float coordinates."""
-    arr = np.array(fn([float(c) for c in coords]), dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+def eval_components(
+    fn: FieldFn, coords: np.ndarray, shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Field values at float coordinates: one point of shape (n,) or a batch
+    of points (m, n).  `shape`, the field's own shape, lets a constant field
+    return its constant array; it is broadcast over the batch."""
+    arr = np.array(fn(coords), dtype=np.float64)
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite field value")
+    if shape is not None:
+        arr = np.broadcast_to(arr, coords.shape[:-1] + shape)
     return arr
 
 
 def eval_jets(
-    fn: ComponentFn, point: np.ndarray, second: bool
+    fn: FieldFn, point: np.ndarray, second: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Evaluate on Taylor seeds; returns (value, d1, d2) with the derivative
-    direction leading: d1[a, ...] = da(component ...)."""
+    """Call `fn` once on a Taylor seed at `point`; returns (value, d1, d2)
+    with the derivative directions leading: d1[a, ...] = d_a(component ...)."""
     n = point.shape[0]
-    seeds = [Jet2.variable(float(point[i]), i, n) for i in range(n)]
-    result = fn(seeds)
-    shape = _shape_of(result)
-    flat: list = []
-    _flatten(result, flat)
-    size = len(flat)
-    val = np.zeros(size)
-    d1 = np.zeros((n, size))
-    d2 = np.zeros((n, n, size)) if second else None
-    for idx, entry in enumerate(flat):
-        if isinstance(entry, Jet2):
-            val[idx] = entry.val
-            d1[:, idx] = entry.g
-            if second:
-                d2[:, :, idx] = entry.h
-        else:
-            val[idx] = float(entry)
-    tail = shape or ()
-    val = val.reshape(tail) if tail else val.reshape(())
-    d1 = d1.reshape((n,) + tail)
-    if second:
-        d2 = d2.reshape((n, n) + tail)
-    for arr in (val, d1) + ((d2,) if second else ()):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite field value")
-    return val, d1, d2
+    out = fn(Jet2(point.copy(), np.eye(n), np.zeros((n, n, n))))
+    if isinstance(out, Jet2):
+        val, g, h = np.asarray(out.val, dtype=np.float64), out.g, out.h
+    else:  # a constant field
+        val = np.asarray(out, dtype=np.float64)
+        g, h = np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n))
+    if not (np.isfinite(val).all() and np.isfinite(g).all() and np.isfinite(h).all()):
+        raise NumericError("non-finite field value")
+    d1 = np.ascontiguousarray(np.moveaxis(g, -1, 0))
+    d2 = np.ascontiguousarray(np.moveaxis(h, (-2, -1), (0, 1))) if second else None
+    return val.copy(), d1, d2
 
 
 # Central stencils: offset -> coefficient, to be scaled by 1/step**order.
@@ -208,86 +226,77 @@ _D2_PURE_STENCILS = {
 }
 
 
+def _stencil(n: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, coefficients) of a stencil given as (slots, offset, coefficient)
+    terms: offsets is (m, n) in units of the step, one row per distinct
+    offset in order of first use; coefficients is (n,) * len(slots) + (m,)."""
+    rows: dict[tuple[int, ...], int] = {}
+    entries = []
+    for slots, offset, c in terms:
+        entries.append((slots, rows.setdefault(offset, len(rows)), c))
+    coef = np.zeros((n,) * len(entries[0][0]) + (len(rows),))
+    for slots, row, c in entries:
+        coef[slots + (row,)] = c
+    offsets = np.array(list(rows), dtype=np.float64)
+    offsets.flags.writeable = coef.flags.writeable = False  # shared through the cache
+    return offsets, coef
+
+
+def _offset(n: int, *moves: tuple[int, int]) -> tuple[int, ...]:
+    """Unit offset with entry k on axis i for each (i, k) in `moves`."""
+    e = [0] * n
+    for i, k in moves:
+        e[i] = k
+    return tuple(e)
+
+
+@lru_cache(maxsize=None)
+def _d1_stencil(n: int, scheme: str):
+    return _stencil(
+        n,
+        (((i,), _offset(n, (i, k)), c) for i in range(n) for k, c in _D1_STENCILS[scheme]),
+    )
+
+
+@lru_cache(maxsize=None)
+def _d2_stencil(n: int, scheme: str):
+    cross = _D1_STENCILS[scheme]
+
+    def terms():
+        for i in range(n):
+            for k, c in _D2_PURE_STENCILS[scheme]:
+                yield (i, i), _offset(n, (i, k)), c
+        # mixed partials: tensor product of two first-derivative stencils
+        for i in range(n):
+            for j in range(i + 1, n):
+                for ki, ci in cross:
+                    for kj, cj in cross:
+                        offset = _offset(n, (i, ki), (j, kj))
+                        yield (i, j), offset, ci * cj
+                        yield (j, i), offset, ci * cj
+
+    return _stencil(n, terms())
+
+
 def _check_domain(
-    point: np.ndarray, offsets: list[np.ndarray], domain: Callable[[np.ndarray], bool] | None
+    points: np.ndarray, domain: Callable[[np.ndarray], Any] | None
 ) -> None:
     if domain is None:
         return
-    for off in offsets:
-        q = point + off
-        if not domain(q):
-            raise DomainError(
-                f"finite-difference stencil leaves the chart domain at {q.tolist()}"
-            )
+    inside = np.asarray(domain(points), dtype=bool)
+    if not inside.all():
+        q = points[int(np.argmin(inside))]
+        raise DomainError(f"finite-difference stencil leaves the chart domain at {q.tolist()}")
 
 
-def _fd_d1_once(fn, point, step, scheme, domain) -> np.ndarray:
-    n = point.shape[0]
-    stencil = _D1_STENCILS[scheme]
-    offsets = []
-    for i in range(n):
-        for k, _ in stencil:
-            e = np.zeros(n)
-            e[i] = k * step
-            offsets.append(e)
-    _check_domain(point, offsets, domain)
-    base_shape = eval_components(fn, point).shape
-    out = np.zeros((n,) + base_shape)
-    for i in range(n):
-        acc = np.zeros(base_shape)
-        for k, c in stencil:
-            e = np.zeros(n)
-            e[i] = k * step
-            acc += c * eval_components(fn, point + e)
-        out[i] = acc / step
-    return out
-
-
-def _fd_d2_once(fn, point, step, scheme, domain) -> np.ndarray:
-    n = point.shape[0]
-    pure = _D2_PURE_STENCILS[scheme]
-    cross = _D1_STENCILS[scheme]
-    offsets = []
-    for i in range(n):
-        for k, _ in pure:
-            e = np.zeros(n)
-            e[i] = k * step
-            offsets.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for ki, _ in cross:
-                for kj, _ in cross:
-                    e = np.zeros(n)
-                    e[i] = ki * step
-                    e[j] = kj * step
-                    offsets.append(e)
-    _check_domain(point, offsets, domain)
-    f0 = eval_components(fn, point)
-    out = np.zeros((n, n) + f0.shape)
-    for i in range(n):
-        acc = np.zeros(f0.shape)
-        for k, c in pure:
-            if k == 0:
-                acc += c * f0
-            else:
-                e = np.zeros(n)
-                e[i] = k * step
-                acc += c * eval_components(fn, point + e)
-        out[i, i] = acc / (step * step)
-    # mixed partials: tensor product of two first-derivative stencils
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = np.zeros(f0.shape)
-            for ki, ci in cross:
-                for kj, cj in cross:
-                    e = np.zeros(n)
-                    e[i] = ki * step
-                    e[j] = kj * step
-                    acc += ci * cj * eval_components(fn, point + e)
-            val = acc / (step * step)
-            out[i, j] = val
-            out[j, i] = val
-    return out
+def _fd_level(stencil, order, fn, point, shape, step, scheme, domain) -> np.ndarray:
+    """One stencil level: every stencil point sampled in one batch, the
+    samples contracted with the stencil coefficients."""
+    offsets, coef = stencil(point.shape[0], scheme)
+    points = point + offsets * step
+    _check_domain(points, domain)
+    samples = eval_components(fn, points, shape)
+    return np.tensordot(coef, samples, 1) / (step if order == 1 else step * step)
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray:
@@ -296,30 +305,22 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray
     return (factor * fine - coarse) / (factor - 1.0)
 
 
-def fd_d1(fn, point, cfg: DiffConfig, domain=None) -> np.ndarray:
-    d = _fd_d1_once(fn, point, cfg.step, cfg.scheme, domain)
+def _fd(stencil, order, fn, point, shape, cfg: DiffConfig, domain) -> np.ndarray:
+    d = _fd_level(stencil, order, fn, point, shape, cfg.step, cfg.scheme, domain)
     if cfg.richardson:
-        d_half = _fd_d1_once(fn, point, cfg.step / 2, cfg.scheme, domain)
-        d = _richardson(d, d_half, cfg.scheme)
-    return d
-
-
-def fd_d2(fn, point, cfg: DiffConfig, domain=None) -> np.ndarray:
-    d = _fd_d2_once(fn, point, cfg.step, cfg.scheme, domain)
-    if cfg.richardson:
-        d_half = _fd_d2_once(fn, point, cfg.step / 2, cfg.scheme, domain)
+        d_half = _fd_level(stencil, order, fn, point, shape, cfg.step / 2, cfg.scheme, domain)
         d = _richardson(d, d_half, cfg.scheme)
     return d
 
 
 def field_jets(
-    fn: ComponentFn,
+    fn: FieldFn,
     point: np.ndarray,
     cfg: DiffConfig,
     domain=None,
     second: bool = False,
 ):
-    """(value, d1[, d2]) of a component function under the configured scheme."""
+    """(value, d1[, d2]) of a field under the configured scheme."""
     point = np.asarray(point, dtype=np.float64)
     if domain is not None and not domain(point):
         raise DomainError(f"point {point.tolist()} outside the chart domain")
@@ -327,55 +328,8 @@ def field_jets(
         val, d1, d2 = eval_jets(fn, point, second)
     else:
         val = eval_components(fn, point)
-        d1 = fd_d1(fn, point, cfg, domain)
-        d2 = fd_d2(fn, point, cfg, domain) if second else None
+        d1 = _fd(_d1_stencil, 1, fn, point, val.shape, cfg, domain)
+        d2 = _fd(_d2_stencil, 2, fn, point, val.shape, cfg, domain) if second else None
     if second:
         return val, d1, d2
     return val, d1
-
-
-def partial(
-    field: ComponentFn,
-    point,
-    direction: int,
-    cfg: DiffConfig | None = None,
-    order: int = 1,
-    domain=None,
-):
-    """Partial derivative of a component field along one coordinate.
-
-    order 1 gives d_field/d_u(direction), order 2 the pure second partial.
-    Returns a scalar for scalar fields, else an array shaped like the field.
-    """
-    cfg = cfg or DiffConfig()
-    point = np.asarray(point, dtype=np.float64)
-    n = point.shape[0]
-    if not 0 <= direction < n:
-        raise ValueError(f"direction {direction} out of range for dimension {n}")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if cfg.scheme == "analytic":
-        val, d1, d2 = eval_jets(field, point, second=(order == 2))
-        out = d1[direction] if order == 1 else d2[direction, direction]
-        return float(out) if np.ndim(out) == 0 else out
-    stencil = (_D1_STENCILS if order == 1 else _D2_PURE_STENCILS)[cfg.scheme]
-    offsets = []
-    for k, _ in stencil:
-        e = np.zeros(n)
-        e[direction] = k * cfg.step
-        offsets.append(e)
-    _check_domain(point, offsets, domain)
-
-    def evaluate(h: float) -> np.ndarray:
-        acc = None
-        for k, c in stencil:
-            e = np.zeros(n)
-            e[direction] = k * h
-            term = c * eval_components(field, point + e)
-            acc = term if acc is None else acc + term
-        return acc / h**order
-
-    out = evaluate(cfg.step)
-    if cfg.richardson:
-        out = _richardson(out, evaluate(cfg.step / 2), cfg.scheme)
-    return float(out) if np.ndim(out) == 0 else out

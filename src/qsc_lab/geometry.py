@@ -11,8 +11,12 @@ structure A dx_a = dy_a, A dy_a = -dx_a:
   Hermitian but with nonparallel A, the negative control for every Kahler-only
   theorem.
 
-Component functions are written in plain arithmetic so that the analytic
-(Taylor-number) differentiation backend applies to them unchanged.
+Every field is one numpy-style function of ``u``, whose last axis holds the
+coordinates: it indexes them as ``u[..., i]``, contracts them as ``u @ M``
+(never ``M @ u``) and returns an array of the field's shape.  The same
+function serves a whole finite-difference stencil (``u`` of shape (m, n)) and
+the analytic backend (``u`` one array-valued Taylor number); see ``diff``.
+Domain predicates likewise take a batch of points and answer per row.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp, partial
+from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
 from .tensor import Signature, Tensor, lower_first, norm_max
 
 __all__ = [
@@ -42,7 +46,6 @@ __all__ = [
     "generator_names",
     "sample_points",
     "check_almost_hermitian",
-    "partial",
 ]
 
 HYPERBOLIC_MARGIN = 1e-6
@@ -50,11 +53,12 @@ HYPERBOLIC_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate domain: even dimension and a membership predicate."""
+    """A coordinate domain: even dimension and a membership predicate that
+    answers for each row of a batch of points."""
 
     dim: int
     label: str
-    contains: Callable[[np.ndarray], bool]
+    contains: Callable[[np.ndarray], Any]
 
     def __post_init__(self) -> None:
         if self.dim % 2 != 0 or not 2 <= self.dim <= 16:
@@ -78,14 +82,15 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
 class TensorField:
     """A tensor-valued function of the chart coordinates.
 
-    ``fn`` maps a coordinate sequence to nested lists of scalars and must be
-    written in arithmetic the Taylor-number backend understands; the same
-    function is sampled by the finite-difference backends.
+    ``fn`` maps coordinates ``u`` (last axis the n coordinates) to an array
+    of the field's shape, in numpy style: ``u[..., i]`` and ``u @ M`` only.
+    The analytic backend calls it on one Taylor number, the
+    finite-difference backends on a batch of stencil points.
     """
 
     signature: Signature
-    fn: Callable[[Sequence[Any]], Any]
-    domain: Callable[[np.ndarray], bool] | None = None
+    fn: Callable[[Any], Any]
+    domain: Callable[[np.ndarray], Any] | None = None
     label: str = ""
 
     def value(self, point) -> Tensor:
@@ -146,47 +151,35 @@ class GeneratorField:
         return self.field.jets(point, cfg, second=False)
 
 
-def _standard_structure(n: int):
+def _standard_matrix(n: int) -> np.ndarray:
     a = np.zeros((n, n))
     for pair in range(n // 2):
         x, y = 2 * pair, 2 * pair + 1
         a[y, x] = 1.0   # A @ dx = dy
         a[x, y] = -1.0  # A @ dy = -dx
-    rows = a.tolist()
-
-    def fn(u):
-        return rows
-
-    return fn
+    return a
 
 
-def _everywhere(point: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(point)))
+def _standard_structure(n: int):
+    a = _standard_matrix(n)
+    return lambda u: a
+
+
+def _everywhere(points: np.ndarray) -> np.ndarray:
+    return np.isfinite(points).all(axis=-1)
 
 
 def _hermitian_pair_metric(k: int, c_fn: Callable[[Any], tuple[Any, Any]]):
-    """Real metric of a U(k)-invariant Hermitian form c1*delta + c2*zbar z^T."""
+    """Real metric 2[c1(s) I + c2(s)(u u^T + Ju (Ju)^T)], s = |u|^2, of the
+    U(k)-invariant Hermitian form c1*delta + c2*zbar z^T."""
     n = 2 * k
+    eye, a = np.eye(n), _standard_matrix(n)
 
     def fn(u):
-        s = u[0] * u[0]
-        for i in range(1, n):
-            s = s + u[i] * u[i]
-        c1, c2 = c_fn(s)
-        g = [[0.0] * n for _ in range(n)]
-        for a in range(k):
-            xa, ya = u[2 * a], u[2 * a + 1]
-            for b in range(k):
-                xb, yb = u[2 * b], u[2 * b + 1]
-                sym = c2 * (xa * xb + ya * yb)
-                if a == b:
-                    sym = sym + c1
-                skew = c2 * (xa * yb - ya * xb)
-                g[2 * a][2 * b] = 2 * sym
-                g[2 * a + 1][2 * b + 1] = 2 * sym
-                g[2 * a][2 * b + 1] = 2 * skew
-                g[2 * a + 1][2 * b] = -2 * skew
-        return g
+        c1, c2 = c_fn((u * u).sum(-1))
+        ju = u @ a  # (Ju)_a = (y_a, -x_a): its sign drops out of Ju (Ju)^T
+        pairs = u[..., :, None] * u[..., None, :] + ju[..., :, None] * ju[..., None, :]
+        return 2 * (c2[..., None, None] * pairs + c1[..., None, None] * eye)
 
     return fn
 
@@ -194,7 +187,7 @@ def _hermitian_pair_metric(k: int, c_fn: Callable[[Any], tuple[Any, Any]]):
 def flat_complex(k: int = 2) -> ManifoldSpec:
     """Flat chart: identity metric, standard structure, zero curvature."""
     n = _check_pairs(k)
-    eye = np.eye(n).tolist()
+    eye = np.eye(n)
     chart = Chart(n, f"flat_complex({k})", _everywhere)
     return ManifoldSpec(
         label=f"flat_complex({k})",
@@ -229,8 +222,8 @@ def complex_hyperbolic(k: int = 2) -> ManifoldSpec:
         c1 = 1 / (1 - s)
         return c1, c1 * c1
 
-    def inside(point: np.ndarray) -> bool:
-        return _everywhere(point) and float(point @ point) < 1.0 - HYPERBOLIC_MARGIN
+    def inside(points: np.ndarray) -> np.ndarray:
+        return _everywhere(points) & ((points * points).sum(-1) < 1.0 - HYPERBOLIC_MARGIN)
 
     chart = Chart(n, f"complex_hyperbolic({k})", inside)
     return ManifoldSpec(
@@ -254,10 +247,10 @@ def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
             f"conformal_nonkahler is defined for k = 2 (n = 4) only, got k = {k}"
         )
     n = 4
+    eye = np.eye(n)
 
     def fn(u):
-        c = jet_exp(2 * u[0])
-        return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
+        return jet_exp(2 * u[..., 0])[..., None, None] * eye
 
     chart = Chart(n, "conformal_nonkahler", _everywhere)
     return ManifoldSpec(
@@ -298,20 +291,15 @@ def _check_pairs(k: int) -> int:
 # -- generator catalog -------------------------------------------------------
 
 def _linear_j_fn(u):
-    # pi = sum_a (x_a dy_a - y_a dx_a)
-    out = []
-    for pair in range(len(u) // 2):
-        out.append(-u[2 * pair + 1])
-        out.append(u[2 * pair])
-    return out
+    # pi = sum_a (x_a dy_a - y_a dx_a) = -(u @ A): pi_{2a} = -y_a, pi_{2a+1} = x_a
+    return -(u @ _standard_matrix(u.shape[-1]))
 
 
 def _grad_fn(u):
-    # pi = d(x1^2 + y1^2)
-    out = [0.0] * len(u)
-    out[0] = 2 * u[0]
-    out[1] = 2 * u[1]
-    return out
+    # pi = d(x1^2 + y1^2) = u @ diag(2, 2, 0, ..., 0)
+    scale = np.zeros(u.shape[-1])
+    scale[:2] = 2.0
+    return u @ np.diag(scale)
 
 
 def generator(
@@ -328,13 +316,13 @@ def generator(
     at most two, coefficients uniform in [-1, 1]; takes ``dim`` and ``seed``).
     """
     if label == "zero":
-        fn = lambda u: [0.0] * len(u)
+        fn = lambda u: np.zeros(u.shape[-1])
         name = "zero"
     elif label == "const":
         if components is None:
             raise ValueError("const generator needs `components`")
-        comps = [float(c) for c in components]
-        fn = lambda u: _require_len(comps, len(u))
+        comps = np.array([float(c) for c in components])
+        fn = lambda u: _require_len(comps, u.shape[-1])
         name = "const"
     elif label == "linear_j":
         fn = _linear_j_fn
@@ -350,20 +338,15 @@ def generator(
         c1 = rng.uniform(-1.0, 1.0, size=(dim, dim))
         c2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
         c2 = 0.5 * (c2 + np.transpose(c2, (0, 2, 1)))  # only the symmetric part acts
+        # pi_j = c0_j + c1_ji u_i + c2_jil u_i u_l; rows of c2 flattened over (j, i)
+        c2_rows = c2.reshape(dim * dim, dim).T
 
         def fn(u):
-            m = len(u)
+            m = u.shape[-1]
             if m != dim:
                 raise ValueError(f"random_poly built for dim {dim}, point has {m}")
-            out = []
-            for j in range(m):
-                val = c0[j]
-                for i in range(m):
-                    val = val + c1[j, i] * u[i]
-                    for l in range(m):
-                        val = val + c2[j, i, l] * u[i] * u[l]
-                out.append(val)
-            return out
+            c2u = (u @ c2_rows).reshape(u.shape[:-1] + (dim, dim))  # [..., j, i] = c2_jil u_l
+            return c0 + u @ c1.T + (c2u * u[..., None, :]).sum(-1)
 
         name = f"random_poly:{seed}"
     else:
@@ -377,7 +360,7 @@ def generator_names() -> list[str]:
     return ["zero", "const", "linear_j", "grad", "random_poly"]
 
 
-def _require_len(comps: list[float], n: int) -> list[float]:
+def _require_len(comps: np.ndarray, n: int) -> np.ndarray:
     if len(comps) != n:
         raise ValueError(f"const generator has {len(comps)} components, chart needs {n}")
     return comps

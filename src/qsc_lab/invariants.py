@@ -343,9 +343,7 @@ def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> float:
 
 
 def _part2_conclusions(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> float:
-    op = norm_max(
-        np.einsum("lijm,mk->lijk", r, a) - np.einsum("lm,mijk->lijk", a, r)
-    )
+    op = norm_max(r @ a - (a @ r.reshape(len(a), -1)).reshape(r.shape))
     rot = lambda slots: rotate_slots(rl, a, slots)
     return max(op, norm_max(rot((3,)) + rot((2,))))
 

@@ -137,7 +137,7 @@ def norm_max(t: Tensor | np.ndarray) -> float:
     comps = t.components if isinstance(t, Tensor) else np.asarray(t)
     if comps.size == 0:
         return 0.0
-    return float(np.max(np.abs(comps)))
+    return float(np.abs(comps).max())
 
 
 def metric_inverse(g: Tensor, cond_bound: float = 1e12) -> Tensor:

@@ -6,10 +6,12 @@ symmetrized with the complex structure.  For a metric with potential phi,
 g_ij = (H_ij + (A^T H A)_ij) / 2 where H is the coordinate Hessian of phi.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qsc_lab.diff import DiffConfig, DomainError
+from qsc_lab.diff import DiffConfig, DomainError, eval_components, eval_jets
 from qsc_lab.geometry import (
     Chart,
     check_almost_hermitian,
@@ -183,3 +185,156 @@ def test_sample_points_deterministic_and_in_domain():
     for p in a:
         assert m.chart.contains(p)
         assert np.linalg.norm(p) <= m.sample_radius + 1e-12
+
+
+# -- the array field protocol -------------------------------------------------
+
+def _catalog_fields(k):
+    """(name, field) for the metric and structure of every chart at complex
+    dimension k and for every generator family at n = 2k."""
+    n = 2 * k
+    for name in manifold_names():
+        if name == "conformal-nonkahler" and k != 2:
+            continue
+        m = manifold_by_name(name, k=k)
+        yield f"{name}.g", m.metric_field
+        yield f"{name}.A", m.structure_field
+    consts = [0.3, -0.2, 0.1, 0.5, -0.7, 0.25, 0.9, -0.4][:n]
+    for label, gen in (
+        ("zero", generator("zero", dim=n)),
+        ("const", generator("const", components=consts)),
+        ("linear_j", generator("linear_j", dim=n)),
+        ("grad", generator("grad", dim=n)),
+        ("random_poly:1", generator("random_poly", dim=n, seed=1)),
+        ("random_poly:3", generator("random_poly", dim=n, seed=3)),
+    ):
+        yield label, gen.field
+
+
+def _sympy_jets(exprs, u, point):
+    """(value, d1, d2) of sympy expressions at `point`, evaluated in 30-digit
+    arithmetic; derivative directions lead, as in eval_jets."""
+    sympy = pytest.importorskip("sympy")
+    import mpmath
+
+    n = len(u)
+    exprs = np.array(exprs, dtype=object)
+    flat = list(exprs.ravel())
+    d1 = [[sympy.diff(e, u[a]) for e in flat] for a in range(n)]
+    d2 = [[[sympy.diff(e, u[b]) for e in d1[a]] for b in range(n)] for a in range(n)]
+    evaluate = sympy.lambdify(u, [flat, d1, d2], modules="mpmath")
+    with mpmath.workdps(30):
+        val, g, h = (np.array(x, dtype=float) for x in evaluate(*map(mpmath.mpf, point)))
+    return val.reshape(exprs.shape), g.reshape((n,) + exprs.shape), h.reshape((n, n) + exprs.shape)
+
+
+def _sympy_oracle(k, point):
+    """Jets of the fields of `_catalog_fields`, written independently in
+    sympy.  The curved metrics come from their Kahler potentials phi:
+    g = (H + A^T H A) / 2 with H the coordinate Hessian of phi, so their
+    jets are the third and fourth derivatives of phi, symmetrized the same way."""
+    sympy = pytest.importorskip("sympy")
+    import mpmath
+
+    n = 2 * k
+    u = sympy.symbols(f"u0:{n}", real=True)
+    a = np.zeros((n, n))
+    for pair in range(k):
+        a[2 * pair + 1, 2 * pair] = 1.0
+        a[2 * pair, 2 * pair + 1] = -1.0
+    s = sum(x * x for x in u)
+
+    def from_potential(phi):
+        # each partial of phi once, by sorted multi-index up to order four
+        partials = {(): phi}
+        for order in range(1, 5):
+            for idx in itertools.combinations_with_replacement(range(n), order):
+                partials[idx] = sympy.diff(partials[idx[:-1]], u[idx[-1]])
+        keys = [idx for idx in partials if len(idx) >= 2]
+        evaluate = sympy.lambdify(u, [partials[idx] for idx in keys], modules="mpmath")
+        with mpmath.workdps(30):
+            values = dict(zip(keys, (float(x) for x in evaluate(*map(mpmath.mpf, point)))))
+        sym = lambda t: (t + np.swapaxes(a, 0, 1) @ t @ a) / 2
+        return tuple(
+            sym(np.array([values[tuple(sorted(i))] for i in np.ndindex((n,) * order)]).reshape((n,) * order))
+            for order in (2, 3, 4)
+        )
+
+    def constant(c):
+        c = np.asarray(c, dtype=float)
+        return c, np.zeros((n,) + c.shape), np.zeros((n, n) + c.shape)
+
+    consts = [0.3, -0.2, 0.1, 0.5, -0.7, 0.25, 0.9, -0.4][:n]
+    oracle = {
+        "flat.g": constant(np.eye(n)),
+        "fs.g": from_potential(sympy.log(1 + s)),
+        "hyperbolic.g": from_potential(-sympy.log(1 - s)),
+        "zero": constant(np.zeros(n)),
+        "const": constant(consts),
+        "linear_j": _sympy_jets([(-u[i + 1] if i % 2 == 0 else u[i - 1]) for i in range(n)], u, point),
+        "grad": _sympy_jets([2 * u[0], 2 * u[1]] + [sympy.Integer(0)] * (n - 2), u, point),
+    }
+    if k == 2:
+        oracle["conformal-nonkahler.g"] = _sympy_jets(
+            [[sympy.exp(2 * u[0]) if i == j else sympy.Integer(0) for j in range(n)] for i in range(n)],
+            u,
+            point,
+        )
+    for name in manifold_names():
+        if name != "conformal-nonkahler" or k == 2:
+            oracle[f"{name}.A"] = constant(a)
+    for seed in (1, 3):
+        # the documented generator: uniform [-1, 1] coefficients in this order
+        rng = np.random.default_rng(seed)
+        c0 = rng.uniform(-1.0, 1.0, size=n)
+        c1 = rng.uniform(-1.0, 1.0, size=(n, n))
+        c2 = rng.uniform(-1.0, 1.0, size=(n, n, n))
+        oracle[f"random_poly:{seed}"] = _sympy_jets(
+            [
+                c0[j]
+                + sum(c1[j, i] * u[i] for i in range(n))
+                + sum(c2[j, i, l] * u[i] * u[l] for i in range(n) for l in range(n))
+                for j in range(n)
+            ],
+            u,
+            point,
+        )
+    return oracle
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_analytic_jets_match_sympy_derivatives(k):
+    """eval_jets of every catalog field against sympy's derivatives of the
+    closed form, evaluated in 30-digit arithmetic: no jet code involved."""
+    point = sample_points(manifold_by_name("hyperbolic", k=k), 1, seed=11)[0]
+    oracle = _sympy_oracle(k, point)
+    names = []
+    for name, field in _catalog_fields(k):
+        got = eval_jets(field.fn, point, second=True)
+        for part, x, want in zip(("value", "d1", "d2"), got, oracle[name]):
+            np.testing.assert_allclose(x, want, rtol=1e-12, err_msg=f"{name} {part}")
+        names.append(name)
+    assert sorted(names) == sorted(oracle)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("rows", ["m=n", "m=3"])
+def test_batched_fields_equal_single_point_calls(k, rows):
+    """A stencil batch (m, n) gives the same values as m single-point calls,
+    also when m = n, where M @ u would silently read the batch as a matrix."""
+    n = 2 * k
+    m = n if rows == "m=n" else 3
+    batch = sample_points(manifold_by_name("hyperbolic", k=k), m, seed=5)
+    for name, field in _catalog_fields(k):
+        single = [eval_components(field.fn, p) for p in batch]
+        got = eval_components(field.fn, batch, single[0].shape)
+        assert got.shape == (m,) + single[0].shape, name
+        np.testing.assert_allclose(got, np.stack(single), rtol=1e-14, atol=1e-15, err_msg=name)
+
+
+def test_domain_predicates_answer_per_row():
+    m = manifold_by_name("hyperbolic", k=1)
+    rows = np.array([[0.5, 0.5], [0.8, 0.7], [0.0, 0.0], [np.nan, 0.0]])
+    np.testing.assert_array_equal(m.chart.contains(rows), [True, False, True, False])
+    flat = manifold_by_name("flat", k=1)
+    np.testing.assert_array_equal(flat.chart.contains(rows), [True, True, True, False])
