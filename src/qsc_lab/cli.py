@@ -236,14 +236,15 @@ def cmd_tensor(args) -> int:
         t = torsion(m, point, gen)
     else:
         pj = point_jets(m, point, cfg)
+        operator = lambda comps: Tensor(m.n, "uddd", comps)
         if what == "rg":
             t = riemann_g(pj)
         elif what == "ric_g":
             t = ricci(riemann_g(pj))
         elif what == "w":
-            t = weyl_projective(pj)
+            t = operator(weyl_projective(pj))
         elif what == "p":
-            t = hol_projective(pj)
+            t = operator(hol_projective(pj))
         else:
             b = curvature_bundle(pj, generator_jets(pj, gen))
             if what.startswith("d"):
@@ -253,9 +254,9 @@ def cmd_tensor(args) -> int:
             elif what.startswith("prime_r"):
                 t = b.prime_r3 if what == "prime_r3" else b.prime_r4
             elif what.startswith("h"):
-                t = h_tensor(int(what[1]), b)
+                t = operator(h_tensor(int(what[1]), b))
             else:
-                t = b.r[int(what[1])]
+                t = operator(b.r[int(what[1])])
     _print_tensor(what, t)
     return 0
 

@@ -1,5 +1,5 @@
 """Levi-Civita and quarter-symmetric connections in coordinates, and the
-per-point jet records every later layer reads.
+jet records every later layer reads.
 
 Coefficient convention is direction-first: nabla_{d_j} d_k = L^i_{jk} d_i,
 stored as gamma[i, j, k].  The quarter-symmetric connection of a metric g,
@@ -10,39 +10,49 @@ structure A and generator one-form pi is
 the coordinate form of nabla^1_X Y = nabla^g_X Y - pi(X) A Y.  Its torsion is
 T(X, Y) = pi(Y) A X - pi(X) A Y.
 
-Everything computed at a point is algebra on two immutable records:
+Everything computed from the fields is algebra on two immutable records:
 
 * ``PointJets`` (``point_jets``): g with its first and second partials, g^-1,
-  A and its partials, F = g(A., .), Gamma and its partials, R^g and Ric^g.
-  The metric and the structure are differentiated once each, and the metric
-  is inverted once.
-* ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi for
-  one generator at that point; the generator is differentiated once.
+  A and its partials, F = g(A., .), Gamma and its partials, R^g and Ric^g, at
+  one point or a batch of P points.  The metric and the structure are
+  differentiated, and the metric inverted, once per point; Gamma, R^g and
+  Ric^g are then computed once on the stacked arrays.
+* ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
+  one generator, or of G generators stacked on an axis after the point axes;
+  each generator is differentiated once per point.
 
 F, G = g + F and their partials follow from the product rule, not from
 differencing F and G again.
+
+Batch convention: arrays carry batch axes first and tensor slots last, and
+every function here takes any leading axes; with none, it returns its
+single-point value.  Transpose with ``swapaxes(-1, -2)``: ``.T`` would reverse
+the batch axes too.  Contract with ``@`` on moved trailing axes (``einsum``
+with ``...`` only below n^5).  ``along_generators`` gives point data the unit
+generator axis that lets them broadcast against generator data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .diff import DiffConfig
 from .geometry import Chart, GeneratorField, ManifoldSpec, as_point
-from .tensor import Signature, Tensor, metric_inverse, norm_max
+from .tensor import Signature, Tensor, contract_first, metric_inverse, norm_max
 
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
     dim: int
     kind: str
-    gamma: np.ndarray  # gamma[i, j, k] = L^i_{jk}, j the direction slot
+    gamma: np.ndarray  # gamma[..., i, j, k] = L^i_{jk}, j the direction slot
 
     def __post_init__(self) -> None:
         g = np.ascontiguousarray(self.gamma, dtype=np.float64)
-        if g.shape != (self.dim,) * 3:
+        if g.shape[-3:] != (self.dim,) * 3 or g.ndim < 3:
             raise ValueError(f"coefficient block must be cubic, got {g.shape}")
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
@@ -56,10 +66,12 @@ def _freeze_arrays(record) -> None:
 
 @dataclass(frozen=True)
 class PointJets:
-    """Metric and structure data at one point.
+    """Metric and structure data at one point, or at a batch of points on
+    the leading axes (point shape (n,) or (P, n)).
 
-    Derivative directions lead: dg[a, i, j] = d_a g_ij, d2g[a, b, i, j] =
-    d_a d_b g_ij, da[a, i, j] = d_a A^i_j, dgamma[a, i, j, k] = d_a Gamma^i_jk.
+    Derivative directions lead the slots: dg[..., a, i, j] = d_a g_ij,
+    d2g[..., a, b, i, j] = d_a d_b g_ij, da[..., a, i, j] = d_a A^i_j,
+    dgamma[..., a, i, j, k] = d_a Gamma^i_jk.
     """
 
     chart: Chart
@@ -87,10 +99,12 @@ class PointJets:
 
 @dataclass(frozen=True)
 class GeneratorJets:
-    """One generator at one point: pi, dpi[a, j] = d_a pi_j, and
-    nabla_pi[a, j] = (nabla^g_{d_a} pi)_j."""
+    """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j
+    and nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j.  One generator has the
+    point axes of its PointJets; a stack of G adds a generator axis after
+    them, and `label` is then the tuple of their labels."""
 
-    label: str
+    label: str | tuple[str, ...]
     pi: np.ndarray
     dpi: np.ndarray
     nabla_pi: np.ndarray
@@ -99,41 +113,56 @@ class GeneratorJets:
         _freeze_arrays(self)
 
 
+def along_generators(pj: PointJets, pi: np.ndarray) -> PointJets:
+    """`pj` with a unit axis after its point axes when the generator array
+    `pi` stacks generators there, so that point and generator data broadcast."""
+    if pi.ndim == pj.point.ndim:
+        return pj
+    at = pj.point.ndim - 1
+    arrays = vars(pj).items()
+    return replace(pj, **{k: np.expand_dims(v, at) for k, v in arrays if isinstance(v, np.ndarray)})
+
+
 def levi_civita_jets(g_inv: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
     """(Gamma, dGamma) from the inverse metric and the metric partials:
     Gamma^i_{jk} = (1/2) g^{il} (d_j g_{lk} + d_k g_{jl} - d_l g_{jk})."""
-    term = (
-        np.einsum("jlk->ljk", dg)
-        + np.einsum("kjl->ljk", dg)
-        - np.einsum("ljk->ljk", dg)
-    )
-    dterm = (
-        np.einsum("ajlk->aljk", d2g)
-        + np.einsum("akjl->aljk", d2g)
-        - np.einsum("aljk->aljk", d2g)
-    )
-    dg_inv = -np.einsum("im,amp,pl->ail", g_inv, dg, g_inv)
-    gamma = 0.5 * np.einsum("il,ljk->ijk", g_inv, term)
+    # term[l, j, k] = dg[j, l, k] + dg[k, j, l] - dg[l, j, k]; dterm likewise
+    term = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -1) - dg
+    dterm = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -1) - d2g
+    g_inv_a = g_inv[..., None, :, :]  # one copy per derivative direction
+    dg_inv = -(g_inv_a @ dg @ g_inv_a)
+    gamma = 0.5 * contract_first(g_inv, term, 3)
     dgamma = 0.5 * (
-        np.einsum("ail,ljk->aijk", dg_inv, term)
-        + np.einsum("il,aljk->aijk", g_inv, dterm)
+        contract_first(dg_inv, term[..., None, :, :, :], 3)
+        + contract_first(g_inv_a, dterm, 3)
     )
     return gamma, dgamma
 
 
 def curvature_from_coefficients(l: np.ndarray, dl: np.ndarray) -> np.ndarray:
     """R^l_{ijk} = d_i L^l_{jk} - d_j L^l_{ik} + L^l_{im} L^m_{jk} - L^l_{jm} L^m_{ik}."""
-    dterm = np.einsum("iljk->lijk", dl) - np.einsum("jlik->lijk", dl)
-    qterm = np.einsum("lim,mjk->lijk", l, l) - np.einsum("ljm,mik->lijk", l, l)
-    return dterm + qterm
+    n = l.shape[-1]
+    lead = l.shape[:-3]
+    # half[l, i, j, k] = d_i L^l_{jk} + L^l_{im} L^m_{jk}; R is its (i, j) skew part
+    quad = l.reshape(lead + (n * n, n)) @ l.reshape(lead + (n, n * n))
+    half = dl.swapaxes(-4, -3) + quad.reshape(lead + (n,) * 4)
+    return half - half.swapaxes(-3, -2)
 
 
-def point_jets(m: ManifoldSpec, point, cfg: DiffConfig) -> PointJets:
-    """Differentiate the metric and the structure of `m` once at `point`."""
-    point = as_point(point, m.n)
-    g, dg, d2g = m.metric_jets(point, cfg)
-    g_inv = metric_inverse(Tensor(m.n, Signature("dd"), g)).components
-    a, da = m.structure_jets(point, cfg)
+def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
+    """Differentiate the metric and the structure of `m` once at each point,
+    one point (n,) or a batch (P, n); invert the metric once per point."""
+    single = np.ndim(points) == 1
+    rows = []
+    for p in np.atleast_2d(np.asarray(points, dtype=np.float64)):
+        p = as_point(p, m.n)
+        g, dg, d2g = m.metric_jets(p, cfg)
+        g_inv = metric_inverse(g)
+        a, da = m.structure_jets(p, cfg)
+        rows.append((p, g, dg, d2g, g_inv, a, da))
+    point, g, dg, d2g, g_inv, a, da = (
+        np.stack(column)[0] if single else np.stack(column) for column in zip(*rows)
+    )
     gamma, dgamma = levi_civita_jets(g_inv, dg, d2g)
     r_g = curvature_from_coefficients(gamma, dgamma)
     return PointJets(
@@ -146,19 +175,32 @@ def point_jets(m: ManifoldSpec, point, cfg: DiffConfig) -> PointJets:
         g_inv=g_inv,
         a=a,
         da=da,
-        f=a.T @ g,
+        f=a.swapaxes(-1, -2) @ g,
         gamma=gamma,
         dgamma=dgamma,
         r_g=r_g,
-        ric_g=np.trace(r_g, axis1=0, axis2=1),
+        ric_g=np.trace(r_g, axis1=-4, axis2=-3),
     )
 
 
-def generator_jets(pj: PointJets, gen: GeneratorField) -> GeneratorJets:
-    """Differentiate one generator once at the point of `pj`."""
-    pi, dpi = gen.jets(pj.point, pj.cfg)
-    nabla_pi = covariant_derivative(levi_civita(pj), pi, dpi, "d").components
-    return GeneratorJets(gen.label, pi, dpi, nabla_pi)
+def generator_jets(
+    pj: PointJets, gens: GeneratorField | Sequence[GeneratorField]
+) -> GeneratorJets:
+    """Differentiate each generator once at each point of `pj`: one generator
+    keeps the point axes, a list of G stacks them on a generator axis."""
+    stacked = not isinstance(gens, GeneratorField)
+    gen_list = list(gens) if stacked else [gens]
+    jets = [[gen.jets(p, pj.cfg) for gen in gen_list] for p in pj.point.reshape(-1, pj.n)]
+    lead = pj.point.shape[:-1] + ((len(gen_list),) if stacked else ())
+    pi = np.array([[jet[0] for jet in row] for row in jets]).reshape(lead + (pj.n,))
+    dpi = np.array([[jet[1] for jet in row] for row in jets]).reshape(lead + (pj.n,) * 2)
+    conn = levi_civita(along_generators(pj, pi))
+    return GeneratorJets(
+        tuple(gen.label for gen in gen_list) if stacked else gens.label,
+        pi,
+        dpi,
+        covariant_derivative(conn, pi, dpi, "d"),
+    )
 
 
 def levi_civita(pj: PointJets) -> ConnectionCoefficients:
@@ -166,45 +208,49 @@ def levi_civita(pj: PointJets) -> ConnectionCoefficients:
 
 
 def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> ConnectionCoefficients:
-    gamma = pj.gamma - np.einsum("j,ik->ijk", gj.pi, pj.a)
+    pj = along_generators(pj, gj.pi)
+    gamma = pj.gamma - gj.pi[..., None, :, None] * pj.a[..., :, None, :]
     return ConnectionCoefficients(pj.n, "quarter_symmetric", gamma)
 
 
 def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets):
     """(L, dL) of the quarter-symmetric connection."""
     l = quarter_symmetric(pj, gj).gamma
+    pj = along_generators(pj, gj.pi)
     dl = (
         pj.dgamma
-        - np.einsum("aj,ik->aijk", gj.dpi, pj.a)
-        - np.einsum("j,aik->aijk", gj.pi, pj.da)
+        - gj.dpi[..., :, None, :, None] * pj.a[..., None, :, None, :]
+        - gj.pi[..., None, None, :, None] * pj.da[..., :, :, None, :]
     )
     return l, dl
 
 
 def covariant_derivative(
     conn: ConnectionCoefficients, value: np.ndarray, d1: np.ndarray, slots: str
-) -> Tensor:
+) -> np.ndarray:
     """nabla of a field given its value and partials d1 (direction first) and
     its slot kinds; the derivative direction is the new leading slot."""
-    comps = d1.copy()
+    out = d1
     letters = "bcdefghi"
     sub = letters[: len(slots)]
     for slot, kind in enumerate(slots):
         t_sub = sub[:slot] + "m" + sub[slot + 1 :]
-        out_sub = "a" + sub
+        spec = f"...{t_sub}->...a{sub}"
         if kind == "u":
-            comps += np.einsum(f"{sub[slot]}am,{t_sub}->{out_sub}", conn.gamma, value)
+            out = out + np.einsum(f"...{sub[slot]}am,{spec}", conn.gamma, value)
         else:
-            comps -= np.einsum(f"ma{sub[slot]},{t_sub}->{out_sub}", conn.gamma, value)
-    return Tensor(conn.dim, Signature("d" + slots), comps)
+            out = out - np.einsum(f"...ma{sub[slot]},{spec}", conn.gamma, value)
+    return out
 
 
 def _torsion(pi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("k,ij->ijk", pi, a) - np.einsum("j,ik->ijk", pi, a)
+    """t[..., i, j, k] = pi_k A^i_j - pi_j A^i_k."""
+    return a[..., :, :, None] * pi[..., None, None, :] - a[..., :, None, :] * pi[..., None, :, None]
 
 
 def _torsion_lowered(pi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.einsum("k,jl->jkl", pi, f) - np.einsum("j,kl->jkl", pi, f)
+    """tl[..., j, k, l] = pi_k F_jl - pi_j F_kl."""
+    return pi[..., None, :, None] * f[..., :, None, :] - pi[..., :, None, None] * f[..., None, :, :]
 
 
 def torsion(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
@@ -219,67 +265,71 @@ def torsion_lowered(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
     return Tensor(m.n, Signature("ddd"), comps)
 
 
-def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, float]:
+def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Max-norm covariant-derivative defects of g, F, G, A under the
-    quarter-symmetric connection, plus nabla^g A under Levi-Civita."""
+    quarter-symmetric connection, plus nabla^g A under Levi-Civita; each has
+    the batch shape of pj's point axes (with gj's generator axis where the
+    generator enters)."""
     conn = quarter_symmetric(pj, gj)
+    pj = along_generators(pj, gj.pi)
     # d_a F_ij = d_a A^m_i g_mj + A^m_i d_a g_mj; G = g + F
-    df = np.einsum("ami,mj->aij", pj.da, pj.g) + np.einsum("mi,amj->aij", pj.a, pj.dg)
+    df = pj.da.swapaxes(-1, -2) @ pj.g[..., None, :, :] + (
+        pj.a.swapaxes(-1, -2)[..., None, :, :] @ pj.dg
+    )
+    defect = lambda c, v, d1, slots: norm_max(covariant_derivative(c, v, d1, slots), 3)
     return {
-        "nabla1_g": norm_max(covariant_derivative(conn, pj.g, pj.dg, "dd")),
-        "nabla1_f": norm_max(covariant_derivative(conn, pj.f, df, "dd")),
-        "nabla1_g_total": norm_max(
-            covariant_derivative(conn, pj.g + pj.f, pj.dg + df, "dd")
-        ),
-        "nabla1_a": norm_max(covariant_derivative(conn, pj.a, pj.da, "ud")),
-        "nabla_g_a": norm_max(covariant_derivative(levi_civita(pj), pj.a, pj.da, "ud")),
-        "scale": max(norm_max(pj.g), norm_max(pj.f), norm_max(pj.a)),
+        "nabla1_g": defect(conn, pj.g, pj.dg, "dd"),
+        "nabla1_f": defect(conn, pj.f, df, "dd"),
+        "nabla1_g_total": defect(conn, pj.g + pj.f, pj.dg + df, "dd"),
+        "nabla1_a": defect(conn, pj.a, pj.da, "ud"),
+        "nabla_g_a": defect(levi_civita(pj), pj.a, pj.da, "ud"),
+        "scale": np.max([norm_max(pj.g, 2), norm_max(pj.f, 2), norm_max(pj.a, 2)], axis=0),
     }
 
 
-def nabla1_pi_defect(pj: PointJets, gj: GeneratorJets) -> dict[str, float]:
+def nabla1_pi_defect(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Residual of (nabla^1_X pi)(Y) = (nabla^g_X pi)(Y) + pi(X) pi(A Y)."""
     conn = quarter_symmetric(pj, gj)
-    lhs = covariant_derivative(conn, gj.pi, gj.dpi, "d").components
-    pa = gj.pi @ pj.a  # pa_j = pi(A d_j)
-    rhs = gj.nabla_pi + np.outer(gj.pi, pa)
+    pj = along_generators(pj, gj.pi)
+    lhs = covariant_derivative(conn, gj.pi, gj.dpi, "d")
+    pa = (gj.pi[..., None, :] @ pj.a)[..., 0, :]  # pa_j = pi(A d_j)
+    rhs = gj.nabla_pi + gj.pi[..., :, None] * pa[..., None, :]
     return {
-        "residual": norm_max(lhs - rhs),
-        "scale": max(norm_max(lhs), norm_max(rhs)),
+        "residual": norm_max(lhs - rhs, 2),
+        "scale": np.maximum(norm_max(lhs, 2), norm_max(rhs, 2)),
     }
 
 
-def torsion_identities(pj: PointJets, gj: GeneratorJets) -> dict[str, float]:
+def torsion_identities(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Residuals of the structure-twisted torsion identities.
 
     twisted_composition:   A T(AX, AY) = A T(X, Y) - T(AX, Y) - T(X, AY)
     lowered_reconstruction: T(X,Y,Z) = T(AX,AY,Z) + T(AX,Y,AZ) + T(X,AY,AZ)
     cyclic_sum: cyclic XYZ sums of T(X,Y,Z) and of T(AX,Y,AZ) + T(X,AY,AZ) agree
     """
+    pj = along_generators(pj, gj.pi)
     a = pj.a
-    at = a.T
-    t = _torsion(gj.pi, a)  # t[i, x, y]
-    tl = _torsion_lowered(gj.pi, pj.f)  # tl[x, y, z]
+    at = a.swapaxes(-1, -2)
+    t = _torsion(gj.pi, a)  # t[..., i, x, y]
+    tl = _torsion_lowered(gj.pi, pj.f)  # tl[..., x, y, z]
 
-    # pairwise contractions only; `at @ arr @ a` feeds the last two slots of
-    # arr through A for every leading index
-    t_axay = at @ t @ a
-    lhs1 = np.einsum("im,mxy->ixy", a, t_axay)
-    rhs1 = np.einsum("im,mxy->ixy", a, t) - at @ t - t @ a
+    # pairwise contractions only; `at3 @ arr @ a3` feeds the last two slots
+    # of a 3-slot arr through A for every leading index
+    a3, at3 = a[..., None, :, :], at[..., None, :, :]
+    lhs1 = contract_first(a, at3 @ t @ a3, 3)
+    rhs1 = contract_first(a, t, 3) - at3 @ t - t @ a3
 
-    tl_ax = np.einsum("mx,myz->xyz", a, tl)  # tl(AX, Y, Z)
-    tl_axay = at @ tl_ax
-    tl_axaz = tl_ax @ a
-    tl_ayaz = at @ tl @ a
-    rhs2 = tl_axay + tl_axaz + tl_ayaz
+    tl_ax = contract_first(at, tl, 3)  # tl(AX, Y, Z)
+    tl_axaz = tl_ax @ a3
+    tl_ayaz = at3 @ tl @ a3
+    rhs2 = at3 @ tl_ax + tl_axaz + tl_ayaz
 
     def cyc(arr: np.ndarray) -> np.ndarray:
-        return arr + np.transpose(arr, (1, 2, 0)) + np.transpose(arr, (2, 0, 1))
+        return arr + np.moveaxis(arr, -3, -1) + np.moveaxis(arr, -1, -3)
 
-    scale = max(norm_max(t), norm_max(tl), 0.0)
     return {
-        "twisted_composition": norm_max(lhs1 - rhs1),
-        "lowered_reconstruction": norm_max(tl - rhs2),
-        "cyclic_sum": norm_max(cyc(tl) - cyc(tl_axaz + tl_ayaz)),
-        "scale": scale,
+        "twisted_composition": norm_max(lhs1 - rhs1, 3),
+        "lowered_reconstruction": norm_max(tl - rhs2, 3),
+        "cyclic_sum": norm_max(cyc(tl) - cyc(tl_axaz + tl_ayaz), 3),
+        "scale": np.maximum(norm_max(t, 3), norm_max(tl, 3)),
     }

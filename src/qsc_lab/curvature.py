@@ -1,7 +1,7 @@
 """Curvature of the quarter-symmetric connection: six kinds and their traces.
 
 All (1,3) curvature operators use slots (out; X, Y, Z), components
-R[l, i, j, k], sign convention R(X, Y)Z = [nabla_X, nabla_Y] Z -
+R[..., l, i, j, k], sign convention R(X, Y)Z = [nabla_X, nabla_Y] Z -
 nabla_{[X,Y]} Z, so the round unit sphere has Ric = (n-1) g > 0.
 
 The generator enters through four derived (0,2) tensors built from
@@ -11,152 +11,167 @@ B = nabla^g pi (direction first) and p = pi, q = pi o A:
     D2 = B + q (x) p                      D3 = B + p (x) q
 
 The six curvature kinds are linear in these.  ``curvature_bundle`` assembles
-them, their traces and the D blocks from the two per-point records of
-``connections``: ``PointJets`` (g, A, Gamma with their partials, R^g, Ric^g) and
-``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a field
-itself.  The bundle uses the shapes specialized with A^2 = -I;
-``assemble_r_theta(kahler_form=False)`` keeps A^2 explicit.  For catalog
-structures A^2 = -I holds exactly, so the two agree to rounding.
+them, their traces and the D blocks once per job, from the two records of
+``connections``: ``PointJets`` (g, A, Gamma with their partials, R^g, Ric^g)
+and ``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a
+field itself.  For P points and G generators every bundle array has the batch
+axes (P, G) in front of its tensor slots; the kind-indexed arrays carry the
+kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.
+
+Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
+``fold_rank_one`` sums the n x n coefficients that share (V, vector slot)
+before it expands each group once.  The shapes are those specialized to
+A^2 = -I, which every catalog structure satisfies exactly.
+
+Batch convention (as in ``connections``): tensor slots trail, any leading
+axes are batch axes.  Transpose with ``swapaxes(-1, -2)``, never ``.T``,
+which would reverse the batch axes too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .connections import (
     GeneratorJets,
     PointJets,
+    along_generators,
     curvature_from_coefficients,
     quarter_symmetric_jets,
 )
-from .tensor import Signature, Tensor, contract, norm_max
+from .tensor import NumericError, Signature, Tensor, contract, contract_first, norm_max
 
 THETAS = (0, 1, 2, 3, 4, 5)
 
 
 def riemann_g(pj: PointJets) -> Tensor:
-    """Curvature of the Levi-Civita connection as a (1,3) tensor."""
+    """Curvature of the Levi-Civita connection at one point, as a (1,3) tensor."""
     return Tensor(pj.n, Signature("uddd"), pj.r_g)
 
 
-def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> Tensor:
+def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
     """Curvature of the quarter-symmetric connection straight from its
     coefficients; the oracle every kind-1 closed shape is checked against."""
     l, dl = quarter_symmetric_jets(pj, gj)
-    return Tensor(pj.n, Signature("uddd"), curvature_from_coefficients(l, dl))
+    return curvature_from_coefficients(l, dl)
 
 
 def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Feed each listed covariant slot through A: slot s of the result at X
-    is slot s of `arr` at AX, e.g. slots (0, 1) give t(A., A.)."""
+    """Feed each listed slot through A: slot s of the result at X is slot s
+    of `arr` at AX, e.g. slots (0, 1) give t(A., A.).
+
+    Slots count from the first tensor slot.  `a` carries the leading axes of
+    `arr` (size one where shared), so the tensor slots are the trailing
+    arr.ndim - a.ndim + 2 axes.
+    """
+    rank = arr.ndim - a.ndim + 2
+    a = a.reshape(a.shape[:-2] + (1,) * (rank - 2) + a.shape[-2:])
     out = arr
     for s in slots:
-        out = np.moveaxis(np.tensordot(out, a, axes=([s], [0])), -1, s)
+        out = (out.swapaxes(s - rank, -1) @ a).swapaxes(s - rank, -1)
     return out
 
 
-def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray):
-    d0 = nabla_pi + 0.5 * (np.outer(pi, pa) + np.outer(pa, pi))
-    d1 = nabla_pi - nabla_pi.T
-    d2 = nabla_pi + np.outer(pa, pi)
-    d3 = nabla_pi + np.outer(pi, pa)
-    return {0: d0, 1: d1, 2: d2, 3: d3}
+def structure_commutator(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """R(X, Y)AZ - A R(X, Y)Z of a (1,3) operator with batch axes."""
+    return r @ a[..., None, None, :, :] - contract_first(a, r, 4)
+
+
+def lowered(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W) of a (1,3) operator."""
+    return np.moveaxis(r, -4, -1) @ g[..., None, None, :, :]
+
+
+def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray) -> np.ndarray:
+    """D0..D3 stacked on a leading kind axis."""
+    p_q = pi[..., :, None] * pa[..., None, :]
+    q_p = pa[..., :, None] * pi[..., None, :]
+    b, b_t = nabla_pi, nabla_pi.swapaxes(-1, -2)
+    return np.stack([b + 0.5 * (p_q + q_p), b - b_t, b + q_p, b + p_q])
 
 
 def scalar_times_vector(s: np.ndarray, v: np.ndarray, pattern: str) -> np.ndarray:
     """Rank-one (1,3) blocks  s(slot, slot) * V(vector slot).
 
-    pattern "ij,lk" means s(X, Y) V Z, i.e. out[l,i,j,k] = s[i,j] v[l,k];
-    v is an endomorphism (A) or the identity (coefficient along X, Y or Z).
+    pattern "ij,lk" means s(X, Y) V Z, i.e. out[..., l,i,j,k] = s[..., i,j]
+    v[..., l,k]; "ji,lk" reads s transposed.  v is an endomorphism (A) or the
+    identity (coefficient along X, Y or Z).
     """
     lhs, rhs = pattern.split(",")
-    return np.einsum(f"{lhs},{rhs}->lijk", s, v)
+    if lhs[0] > lhs[1]:
+        s = s.swapaxes(-1, -2)
+    at = "ijk".index(rhs[1]) - 3  # the vector slot among the trailing three
+    s_out = np.expand_dims(s, (-4, at))
+    v_out = np.expand_dims(v, tuple(ax for ax in (-3, -2, -1) if ax != at))
+    return s_out * v_out
 
 
-def _pi_triple(pi: np.ndarray, vec: np.ndarray, arrangement: str) -> np.ndarray:
-    """pi(Z)(pi(Y) V X - pi(X) V Y) style blocks; vec is delta or A^2."""
-    if arrangement == "z_yx":
-        return np.einsum("k,j,li->lijk", pi, pi, vec) - np.einsum(
-            "k,i,lj->lijk", pi, pi, vec
-        )
-    if arrangement == "y_xz":
-        return np.einsum("j,i,lk->lijk", pi, pi, vec) - np.einsum(
-            "j,k,li->lijk", pi, pi, vec
-        )
-    raise ValueError(arrangement)
+def fold_rank_one(base, a: np.ndarray, terms) -> np.ndarray:
+    """base + sum of c * s(., .) V(.) over terms (c, s, V, pattern), V "I" or
+    "A" and the pattern as in ``scalar_times_vector``.
+
+    The coefficients sharing (V, vector slot) are summed first, s transposed
+    where its pattern reads it so; each group is then expanded once, so a
+    tensor costs at most six n^4 products however many terms it has.
+    """
+    groups: dict[tuple[str, str], np.ndarray] = {}
+    for c, s, v, pattern in terms:
+        lhs, rhs = pattern.split(",")
+        if lhs[0] > lhs[1]:
+            s = s.swapaxes(-1, -2)
+        key = (v, rhs)
+        groups[key] = groups[key] + c * s if key in groups else c * s
+    eye = np.eye(a.shape[-1])
+    out = base
+    for i, ((v, rhs), s) in enumerate(groups.items()):
+        lhs = "".join(c for c in "ijk" if c != rhs[1])
+        block = scalar_times_vector(s, a if v == "A" else eye, f"{lhs},{rhs}")
+        if i == 0:
+            out = base + block
+        else:
+            out += block
+    return out
 
 
 def assemble_r_theta(
-    theta: int,
-    r_g: np.ndarray,
-    a: np.ndarray,
-    pi: np.ndarray,
-    d: dict[int, np.ndarray],
-    kahler_form: bool = True,
+    theta: int, r_g: np.ndarray, a: np.ndarray, pi: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
-    """Curvature of kind theta from the Levi-Civita curvature and D blocks."""
+    """Curvature of kind theta from the Levi-Civita curvature, A, pi and the
+    D blocks d[0..3], in the shapes specialized to A^2 = -I."""
     if theta not in THETAS:
         raise ValueError(f"curvature kind must be one of {THETAS}, got {theta}")
-    eye = np.eye(a.shape[0])
-    sa = lambda s, pat: scalar_times_vector(s, a, pat)
-    if theta == 1:
-        return r_g - sa(d[1], "ij,lk")
-    if theta == 2:
-        return r_g - sa(d[2], "ik,lj") + sa(d[2], "jk,li")
-    if theta == 3:
-        return r_g - sa(d[2], "ij,lk") + sa(d[3], "jk,li")
-    if kahler_form:
-        if theta == 0:
-            half_sum = 0.5 * (d[2] + d[3])
-            return (
-                r_g
-                - 0.5 * sa(d[1], "ij,lk")
-                - 0.5 * sa(half_sum, "ik,lj")
-                + 0.5 * sa(half_sum, "jk,li")
-                + 0.25 * _pi_triple(pi, eye, "z_yx")
-            )
-        if theta == 4:
-            return (
-                r_g
-                - sa(d[3], "ij,lk")
-                + sa(d[3], "jk,li")
-                + _pi_triple(pi, eye, "z_yx")
-            )
-        # theta == 5
-        return (
-            r_g
-            - 0.5 * sa(d[1], "ij,lk")
-            - 0.5 * sa(d[3], "ik,lj")
-            + 0.5 * sa(d[2], "jk,li")
-            - 0.5 * _pi_triple(pi, eye, "y_xz")
-        )
-    a2 = a @ a
+    pp = pi[..., :, None] * pi[..., None, :]  # pp[i, j] = pi_i pi_j
     if theta == 0:
-        return (
-            r_g
-            - 0.5 * sa(d[0] - d[0].T, "ij,lk")
-            - 0.5 * sa(d[0], "ik,lj")
-            + 0.5 * sa(d[0], "jk,li")
-            - 0.25 * _pi_triple(pi, a2, "z_yx")
-        )
-    if theta == 4:
-        return (
-            r_g
-            - sa(d[3], "ij,lk")
-            + sa(d[3], "jk,li")
-            - _pi_triple(pi, a2, "z_yx")
-        )
-    # theta == 5 general shape
-    return (
-        r_g
-        - 0.5 * sa(d[2] - d[3].T, "ij,lk")
-        - 0.5 * sa(d[3], "ik,lj")
-        + 0.5 * sa(d[2], "jk,li")
-        + 0.5 * _pi_triple(pi, a2, "y_xz")
-    )
+        half_sum = 0.5 * (d[2] + d[3])
+        terms = [
+            (-0.5, d[1], "A", "ij,lk"), (-0.5, half_sum, "A", "ik,lj"),
+            (0.5, half_sum, "A", "jk,li"),
+            # pi(Z)(pi(Y) X - pi(X) Y) / 4
+            (0.25, pp, "I", "jk,li"), (-0.25, pp, "I", "ik,lj"),
+        ]
+    elif theta == 1:
+        terms = [(-1.0, d[1], "A", "ij,lk")]
+    elif theta == 2:
+        terms = [(-1.0, d[2], "A", "ik,lj"), (1.0, d[2], "A", "jk,li")]
+    elif theta == 3:
+        terms = [(-1.0, d[2], "A", "ij,lk"), (1.0, d[3], "A", "jk,li")]
+    elif theta == 4:
+        terms = [
+            (-1.0, d[3], "A", "ij,lk"), (1.0, d[3], "A", "jk,li"),
+            # pi(Z)(pi(Y) X - pi(X) Y)
+            (1.0, pp, "I", "jk,li"), (-1.0, pp, "I", "ik,lj"),
+        ]
+    else:
+        terms = [
+            (-0.5, d[1], "A", "ij,lk"), (-0.5, d[3], "A", "ik,lj"),
+            (0.5, d[2], "A", "jk,li"),
+            # -pi(Y)(pi(X) Z - pi(Z) X) / 2
+            (-0.5, pp, "I", "ij,lk"), (0.5, pp, "I", "jk,li"),
+        ]
+    return fold_rank_one(r_g, a, terms)
 
 
 def ricci(t: Tensor) -> Tensor:
@@ -171,8 +186,10 @@ def prime_r(t: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """The curvature kinds, their traces and the D blocks of one generator at
-    one point, assembled from its PointJets and GeneratorJets."""
+    """The curvature kinds, their traces and the D blocks of the generators
+    at the points of one job.  g, a, r_g and ric_g are point data with a unit
+    generator axis; r (6, ..., n^4), ric (6, ..., n, n) and d (4, ..., n, n)
+    lead with the kind."""
 
     n: int
     g: np.ndarray
@@ -180,44 +197,49 @@ class CurvatureBundle:
     pi: np.ndarray
     pa: np.ndarray  # pi o A
     nabla_pi: np.ndarray
-    d: dict[int, np.ndarray]
-    r_g: Tensor
-    r: dict[int, Tensor]
+    d: np.ndarray
+    r_g: np.ndarray
+    r: np.ndarray
     ric_g: np.ndarray
-    ric: dict[int, np.ndarray]
+    ric: np.ndarray
     prime_r3: np.ndarray
     prime_r4: np.ndarray
 
     @cached_property
-    def scale(self) -> float:
+    def scale(self) -> np.ndarray:
         """Largest max-norm among R^g, the six kinds, their Ricci traces,
-        Ric^g, 'R3 and 'R4: the residual scale every identity on this bundle
-        starts from.  Computed on first use, once per bundle."""
-        return max(
-            norm_max(self.r_g),
-            max(norm_max(t) for t in self.r.values()),
-            max(norm_max(v) for v in self.ric.values()),
-            norm_max(self.ric_g),
-            norm_max(self.prime_r3),
-            norm_max(self.prime_r4),
+        Ric^g, 'R3 and 'R4, per (point, generator): the residual scale every
+        identity on this bundle starts from.  Computed on first use."""
+        return reduce(
+            np.maximum,
+            (
+                norm_max(self.r_g, 4),
+                norm_max(self.r, 4).max(0),
+                norm_max(self.ric, 2).max(0),
+                norm_max(self.ric_g, 2),
+                norm_max(self.prime_r3, 2),
+                norm_max(self.prime_r4, 2),
+            ),
         )
 
     def lowered(self, theta: int | None = None) -> np.ndarray:
         """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W); theta None means r_g."""
-        t = self.r_g if theta is None else self.r[theta]
-        return t.components.transpose(1, 2, 3, 0) @ self.g
+        return lowered(self.r_g if theta is None else self.r[theta], self.g)
 
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
+    """Assemble every kind for all points and generators at once; a value
+    that overflowed anywhere in the stack is a NumericError."""
+    pj = along_generators(pj, gj.pi)
     n, a, pi = pj.n, pj.a, gj.pi
-    pa = pi @ a
+    pa = (pi[..., None, :] @ a)[..., 0, :]
     d = _d_blocks(gj.nabla_pi, pi, pa)
-    r_g = riemann_g(pj)
-    r = {
-        theta: Tensor(n, Signature("uddd"), assemble_r_theta(theta, pj.r_g, a, pi, d))
-        for theta in THETAS
-    }
-    ric = {theta: ricci(r[theta]).components for theta in THETAS}
+    batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
+    r = np.empty((len(THETAS),) + batch + (n,) * 4)
+    for theta in THETAS:
+        r[theta] = assemble_r_theta(theta, pj.r_g, a, pi, d)
+    if not np.isfinite(r).all():
+        raise NumericError("non-finite curvature components")
     return CurvatureBundle(
         n=n,
         g=pj.g,
@@ -226,54 +248,50 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         pa=pa,
         nabla_pi=gj.nabla_pi,
         d=d,
-        r_g=r_g,
+        r_g=pj.r_g,
         r=r,
         ric_g=pj.ric_g,
-        ric=ric,
-        prime_r3=prime_r(r[3]).components,
-        prime_r4=prime_r(r[4]).components,
+        ric=np.trace(r, axis1=-4, axis2=-3),
+        prime_r3=np.trace(r[3], axis1=-4, axis2=-1),
+        prime_r4=np.trace(r[4], axis1=-4, axis2=-1),
     )
 
 
-def kahler_identities(pj: PointJets) -> dict[str, float]:
-    """Residuals of the five structure/curvature exchange rules for R^g.
+def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
+    """Residuals of the five structure/curvature exchange rules for R^g, one
+    per point.
 
     k1 (operator form): R(X,Y)AZ = A R(X,Y)Z; k2..k5 on the lowered tensor:
     k2: R(X,Y,AZ,AW) = R(AX,AY,Z,W)    k3: R(X,AY,AZ,W) = R(AX,Y,Z,AW)
     k4: R(AX,AY,AZ,AW) = R(X,Y,Z,W)    k5: R(X,Y,Z,AW) = -R(X,Y,AZ,W)
     """
     r, a = pj.r_g, pj.a
-    rl = r.transpose(1, 2, 3, 0) @ pj.g
+    rl = lowered(r, pj.g)
     rot = lambda *slots: rotate_slots(rl, a, slots)
     # rotate_slots feeds slots in order, so extending a computed rotation
     # repeats the same operations: r2 -> r23 and r01 -> r0123 are exact.
     r2, r01 = rot(2), rot(0, 1)
-    k1 = norm_max(r @ a - (a @ r.reshape(pj.n, -1)).reshape(r.shape))
-    k2 = norm_max(rotate_slots(r2, a, (3,)) - r01)
-    k3 = norm_max(rot(1, 2) - rot(0, 3))
-    k4 = norm_max(rotate_slots(r01, a, (2, 3)) - rl)
-    k5 = norm_max(rot(3) + r2)
     return {
-        "k1_operator": k1,
-        "k2_pair_exchange": k2,
-        "k3_inner_outer": k3,
-        "k4_all_four": k4,
-        "k5_last_pair": k5,
-        "scale": max(norm_max(r), norm_max(rl)),
+        "k1_operator": norm_max(structure_commutator(r, a), 4),
+        "k2_pair_exchange": norm_max(rotate_slots(r2, a, (3,)) - r01, 4),
+        "k3_inner_outer": norm_max(rot(1, 2) - rot(0, 3), 4),
+        "k4_all_four": norm_max(rotate_slots(r01, a, (2, 3)) - rl, 4),
+        "k5_last_pair": norm_max(rot(3) + r2, 4),
+        "scale": np.maximum(norm_max(r, 4), norm_max(rl, 4)),
     }
 
 
-def closed_form_residuals(b: CurvatureBundle) -> dict[str, float]:
+def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
     n, a, pi = b.n, b.a, b.pi
+    t = lambda x: x.swapaxes(-1, -2)
+    at = t(a)
     ricg = b.ric_g
     d1, d2, d3 = b.d[1], b.d[2], b.d[3]
-    pipi = np.outer(pi, pi)
+    pipi = pi[..., :, None] * pi[..., None, :]
 
     def da(dblock: np.ndarray, first_rotated: bool) -> np.ndarray:
         # D(A d_k, d_j) -> [j, k] when first_rotated, else D(A d_j, d_k) -> [j, k]
-        if first_rotated:
-            return np.einsum("mk,mj->jk", a, dblock)
-        return np.einsum("mj,mk->jk", a, dblock)
+        return t(dblock) @ a if first_rotated else at @ dblock
 
     closed = {
         "ric1": ricg - da(d1, True),
@@ -288,46 +306,42 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, float]:
         + 0.25 * (n - 1) * pipi,
     }
     res = {
-        f"closed_{name}": norm_max(b.ric[int(name[-1])] - val)
+        f"closed_{name}": norm_max(b.ric[int(name[-1])] - val, 2)
         for name, val in closed.items()
     }
-    prime_closed = np.einsum("jm,mi->ij", d3, a)  # 'R3(X,Y) = D3(Y, AX)
-    res["closed_prime_r3"] = norm_max(b.prime_r3 - prime_closed)
-    res["closed_prime_r4"] = norm_max(b.prime_r4 - prime_closed)
+    prime_closed = t(d3 @ a)  # 'R3(X,Y) = D3(Y, AX)
+    res["closed_prime_r3"] = norm_max(b.prime_r3 - prime_closed, 2)
+    res["closed_prime_r4"] = norm_max(b.prime_r4 - prime_closed, 2)
 
     # inverse formulas: traces back to generator data
-    ric1, ric2, ric3 = b.ric[1], b.ric[2], b.ric[3]
-    ric4, ric5, ric0 = b.ric[4], b.ric[5], b.ric[0]
+    ric0, ric1, ric2, ric3, ric4, ric5 = b.ric
     # D1(Z, Y) = (Ric1 - Ricg)(Y, AZ): residual indexed [Z, Y]
-    res["invert_d1"] = norm_max(d1 - np.einsum("jm,mk->kj", ric1 - ricg, a))
+    res["invert_d1"] = norm_max(d1 - t((ric1 - ricg) @ a), 2)
     # D2(Y, Z) = (Ric2 - Ricg)(AY, Z)
-    res["invert_d2_from_ric2"] = norm_max(
-        d2 - np.einsum("mj,mk->jk", a, ric2 - ricg)
-    )
+    res["invert_d2_from_ric2"] = norm_max(d2 - at @ (ric2 - ricg), 2)
     # D2(Z, Y) = (Ric3 - Ricg)(Y, AZ)
-    res["invert_d2_from_ric3"] = norm_max(
-        d2 - np.einsum("jm,mk->kj", ric3 - ricg, a)
-    )
+    res["invert_d2_from_ric3"] = norm_max(d2 - t((ric3 - ricg) @ a), 2)
     # D3(Y, X) = -'R3(AX, Y)
-    res["invert_d3_from_prime"] = norm_max(
-        d3.T + np.einsum("mi,mj->ij", a, b.prime_r3)
-    )
+    res["invert_d3_from_prime"] = norm_max(t(d3) + at @ b.prime_r3, 2)
     pr3_aa = rotate_slots(b.prime_r3, a, (0, 1))  # 'R3(A d_j, A d_k)
     res["recover_pipi_4"] = norm_max(
-        pipi - (ric4 - ricg - rotate_slots(b.prime_r4, a, (0, 1))) / (n - 1)
+        pipi - (ric4 - ricg - rotate_slots(b.prime_r4, a, (0, 1))) / (n - 1), 2
     )
     res["recover_pipi_5"] = norm_max(
-        pipi - (2 * ric5 - ric1 - pr3_aa.T - ricg) / (n - 1)
+        pipi - (2 * ric5 - ric1 - t(pr3_aa) - ricg) / (n - 1), 2
     )
     res["recover_pipi_0"] = norm_max(
-        pipi - (4 * ric0 - 2 * ric1 - ric3.T - pr3_aa.T - ricg) / (n - 1)
+        pipi - (4 * ric0 - 2 * ric1 - t(ric3) - t(pr3_aa) - ricg) / (n - 1), 2
     )
-    res["scale"] = max(
-        norm_max(ricg),
-        max(norm_max(val) for val in b.ric.values()),
-        norm_max(b.prime_r3),
-        norm_max(b.prime_r4),
-        (n - 1) * norm_max(pipi),
-        max(norm_max(val) for val in b.d.values()),
+    res["scale"] = reduce(
+        np.maximum,
+        (
+            norm_max(ricg, 2),
+            norm_max(b.ric, 2).max(0),
+            norm_max(b.prime_r3, 2),
+            norm_max(b.prime_r4, 2),
+            (n - 1) * norm_max(pipi, 2),
+            norm_max(b.d, 2).max(0),
+        ),
     )
     return res

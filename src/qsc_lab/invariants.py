@@ -9,24 +9,37 @@ H4 coincides with the Weyl projective tensor W of g, and all of them are
 linear combinations of W and the structure-adapted projective tensor P.  The
 identity suite turns every such statement into a residual with a stable ID.
 
+One batched pass per job: ``identity_suite`` builds one ``PointJets`` for all
+P points, one ``GeneratorJets`` for all G generators and one
+``CurvatureBundle`` with batch axes (P, G), then calls ``h_tensor`` once per
+kind.  Each evaluator returns residuals and scales shaped (P, K), K the
+generators or, for an independence check, the generator pairs; a report row
+takes the per-point maxima.  H, W and P are rank-one folds
+(``curvature.fold_rank_one``) of a curvature tensor.
+
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
 composite tensors are assembled from; this keeps cancellation noise measured
 against the magnitude of what actually cancelled.  The part shared by every
-identity on one generator, the max-norm over R^g, the six kinds, their traces
-and 'R3, 'R4, is ``CurvatureBundle.scale``: computed once per bundle, on first
-use.  ``identity_suite`` takes the max-norm of each H^theta, W and P once per
-point, next to the tensor itself.
+identity on one (point, generator), the max-norm over R^g, the six kinds,
+their traces and 'R3, 'R4, is ``CurvatureBundle.scale``.  The max-norms of
+each H^theta, W and P are taken once per job, next to the tensors.
+
+Batch convention as in ``connections``: tensor slots trail, leading axes are
+batch axes, transposes are ``swapaxes(-1, -2)`` (never ``.T``, which would
+reverse the batch axes too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
 
 from .connections import (
+    GeneratorJets,
     PointJets,
     generator_jets,
     metricity_defects,
@@ -35,32 +48,46 @@ from .connections import (
     torsion_identities,
 )
 from .curvature import (
+    THETAS,
     CurvatureBundle,
-    commutator_curvature,
     closed_form_residuals,
+    commutator_curvature,
     curvature_bundle,
+    fold_rank_one,
     kahler_identities,
+    lowered,
     rotate_slots,
-    scalar_times_vector,
+    structure_commutator,
 )
 from .diff import DiffConfig
 from .geometry import GeneratorField, ManifoldSpec
-from .tensor import Signature, Tensor, norm_max, relative_residual
+from .tensor import Tensor, norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 HYBRID_TOL = 1e-10
 
 
+def _emax(*arrays):
+    """Elementwise maximum of arrays that broadcast together."""
+    return reduce(np.maximum, arrays)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
 @dataclass(frozen=True)
 class HybridReport:
+    """Hybridity defects of a (0,2) tensor, one value per leading index."""
+
     label: str
-    defect: float          # max |B(AX, Y) + B(X, AY)|
-    kahler_defect: float   # max |B(AX, AY) - B(X, Y)|
-    scale: float
+    defect: np.ndarray          # max |B(AX, Y) + B(X, AY)|
+    kahler_defect: np.ndarray   # max |B(AX, AY) - B(X, Y)|
+    scale: np.ndarray
     tol: float = HYBRID_TOL
 
     @property
-    def is_hybrid(self) -> bool:
+    def is_hybrid(self):
         return relative_residual(self.defect, [self.scale]) < self.tol
 
 
@@ -68,131 +95,91 @@ def hybrid_defect(b: np.ndarray | Tensor, a: np.ndarray | Tensor, label: str = "
     """Hybridity of a (0,2) tensor: B(AX, Y) = -B(X, AY)."""
     bb = b.components if isinstance(b, Tensor) else np.asarray(b)
     aa = a.components if isinstance(a, Tensor) else np.asarray(a)
+    at = aa.swapaxes(-1, -2)
     return HybridReport(
         label=label,
-        defect=norm_max(aa.T @ bb + bb @ aa),
-        kahler_defect=norm_max(aa.T @ bb @ aa - bb),
-        scale=norm_max(bb),
+        defect=norm_max(at @ bb + bb @ aa, 2),
+        kahler_defect=norm_max(at @ bb @ aa - bb, 2),
+        scale=norm_max(bb, 2),
     )
 
 
-def weyl_projective(pj: PointJets) -> Tensor:
+def weyl_projective(pj: PointJets) -> np.ndarray:
     """W = R^g + (Ric(X,Z)Y - Ric(Y,Z)X) / (n-1); zero iff constant curvature."""
-    n, eye = pj.n, np.eye(pj.n)
-    comps = pj.r_g + (
-        scalar_times_vector(pj.ric_g, eye, "ik,lj")
-        - scalar_times_vector(pj.ric_g, eye, "jk,li")
-    ) / (n - 1)
-    return Tensor(n, Signature("uddd"), comps)
+    c, ric = 1.0 / (pj.n - 1), pj.ric_g
+    return fold_rank_one(pj.r_g, pj.a, [(c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li")])
 
 
-def hol_projective(pj: PointJets) -> Tensor:
+def hol_projective(pj: PointJets) -> np.ndarray:
     """Structure-adapted projective tensor P; zero iff constant holomorphic
     sectional curvature (complex space form)."""
-    n, eye, a, ric_g = pj.n, np.eye(pj.n), pj.a, pj.ric_g
-    ric_a = ric_g @ a  # Ric(., A .)
-    comps = (
-        pj.r_g
-        + (
-            scalar_times_vector(ric_g, eye, "ik,lj")
-            - scalar_times_vector(ric_g, eye, "jk,li")
-        )
-        / (n + 2)
-        - (
-            scalar_times_vector(ric_a, a, "ik,lj")
-            - scalar_times_vector(ric_a, a, "jk,li")
-            + 2 * scalar_times_vector(ric_a, a, "ij,lk")
-        )
-        / (n + 2)
-    )
-    return Tensor(n, Signature("uddd"), comps)
+    c, ric = 1.0 / (pj.n + 2), pj.ric_g
+    ric_a = ric @ pj.a  # Ric(., A .)
+    terms = [
+        (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
+        (-c, ric_a, "A", "ik,lj"), (c, ric_a, "A", "jk,li"), (-2 * c, ric_a, "A", "ij,lk"),
+    ]
+    return fold_rank_one(pj.r_g, pj.a, terms)
 
 
-def h_tensor(theta: int, b: CurvatureBundle) -> Tensor:
+def h_tensor(theta: int, b: CurvatureBundle) -> np.ndarray:
     """Generator-invariant tensor of kind theta, built from the kind-theta
-    curvature and its traces."""
-    n, a = b.n, b.a
-    eye = np.eye(n)
-    sv = scalar_times_vector
-    if theta == 1:
-        comps = b.r[1].components + sv(b.ric[1] @ a, a, "ji,lk")
-    elif theta == 2:
-        s = a.T @ b.ric[2]  # Ric2(A., .)
-        comps = b.r[2].components + sv(s, a, "ik,lj") - sv(s, a, "jk,li")
-    elif theta == 3:
-        comps = (
-            b.r[3].components
-            + sv(b.ric[3] @ a, a, "ji,lk")
-            + sv(a.T @ b.prime_r3, a, "kj,li")
-        )
-    elif theta == 4:
-        s = a.T @ b.prime_r4  # 'R4(A., .)
-        s2 = rotate_slots(b.prime_r4, a, (0, 1))  # 'R4(A., A.)
-        comps = (
-            b.r[4].components
-            - sv(s, a, "ji,lk")
-            + sv(s, a, "kj,li")
-            - (
-                sv(b.ric[4], eye, "jk,li")
-                - sv(b.ric[4], eye, "ik,lj")
-                - sv(s2, eye, "jk,li")
-                + sv(s2, eye, "ik,lj")
-            )
-            / (n - 1)
-        )
-    elif theta == 5:
-        s2 = rotate_slots(b.prime_r3, a, (0, 1))
-        comps = (
-            b.r[5].components
-            + (sv(b.ric[5], eye, "ij,lk") - sv(b.ric[5], eye, "jk,li")) / (n - 1)
-            - (sv(b.ric[1], eye, "ij,lk") - sv(b.ric[1], eye, "jk,li")) / (2 * (n - 1))
-            - (sv(s2, eye, "ji,lk") - sv(s2, eye, "kj,li")) / (2 * (n - 1))
-            + 0.5
-            * (
-                sv(b.ric[1] @ a, a, "ji,lk")
-                - sv(b.ric[3] @ a, a, "kj,li")
-                - sv(a.T @ b.prime_r3, a, "ki,lj")
-            )
-        )
-    elif theta == 0:
-        s2 = rotate_slots(b.prime_r3, a, (0, 1))
-        sp = a.T @ b.prime_r3
-        comps = (
-            b.r[0].components
-            # trace correction carries slots (X, Z), not (X, Y)
-            + (sv(b.ric[0], eye, "ik,lj") - sv(b.ric[0], eye, "jk,li")) / (n - 1)
-            - (sv(b.ric[1], eye, "ik,lj") - sv(b.ric[1], eye, "jk,li")) / (2 * (n - 1))
-            - (
-                sv(b.ric[3], eye, "ki,lj")
-                - sv(b.ric[3], eye, "kj,li")
-                + sv(s2, eye, "ki,lj")
-                - sv(s2, eye, "kj,li")
-            )
-            / (4 * (n - 1))
-            + 0.25
-            * (
-                2 * sv(b.ric[1] @ a, a, "ji,lk")
-                + sv(b.ric[3] @ a, a, "ki,lj")
-                - sv(b.ric[3] @ a, a, "kj,li")
-            )
-            - 0.25 * (sv(sp, a, "ki,lj") - sv(sp, a, "kj,li"))
-        )
-    else:
+    curvature and its traces, for every (point, generator) of the bundle."""
+    if theta not in THETAS:
         raise ValueError(f"h_tensor kind must be 0..5, got {theta}")
-    return Tensor(n, b.r_g.signature, comps)
+    a, ric, pr3, pr4 = b.a, b.ric, b.prime_r3, b.prime_r4
+    at = a.swapaxes(-1, -2)
+    c = 1.0 / (b.n - 1)
+    if theta == 1:
+        terms = [(1.0, ric[1] @ a, "A", "ji,lk")]
+    elif theta == 2:
+        s = at @ ric[2]  # Ric2(A., .)
+        terms = [(1.0, s, "A", "ik,lj"), (-1.0, s, "A", "jk,li")]
+    elif theta == 3:
+        terms = [(1.0, ric[3] @ a, "A", "ji,lk"), (1.0, at @ pr3, "A", "kj,li")]
+    elif theta == 4:
+        s = at @ pr4  # 'R4(A., .)
+        s2 = rotate_slots(pr4, a, (0, 1))  # 'R4(A., A.)
+        terms = [
+            (-1.0, s, "A", "ji,lk"), (1.0, s, "A", "kj,li"),
+            (-c, ric[4], "I", "jk,li"), (c, ric[4], "I", "ik,lj"),
+            (c, s2, "I", "jk,li"), (-c, s2, "I", "ik,lj"),
+        ]
+    elif theta == 5:
+        s2 = rotate_slots(pr3, a, (0, 1))
+        terms = [
+            (c, ric[5], "I", "ij,lk"), (-c, ric[5], "I", "jk,li"),
+            (-c / 2, ric[1], "I", "ij,lk"), (c / 2, ric[1], "I", "jk,li"),
+            (-c / 2, s2, "I", "ji,lk"), (c / 2, s2, "I", "kj,li"),
+            (0.5, ric[1] @ a, "A", "ji,lk"), (-0.5, ric[3] @ a, "A", "kj,li"),
+            (-0.5, at @ pr3, "A", "ki,lj"),
+        ]
+    else:
+        s2 = rotate_slots(pr3, a, (0, 1))
+        sp = at @ pr3
+        terms = [
+            # trace correction carries slots (X, Z), not (X, Y)
+            (c, ric[0], "I", "ik,lj"), (-c, ric[0], "I", "jk,li"),
+            (-c / 2, ric[1], "I", "ik,lj"), (c / 2, ric[1], "I", "jk,li"),
+            (-c / 4, ric[3], "I", "ki,lj"), (c / 4, ric[3], "I", "kj,li"),
+            (-c / 4, s2, "I", "ki,lj"), (c / 4, s2, "I", "kj,li"),
+            (0.5, ric[1] @ a, "A", "ji,lk"),
+            (0.25, ric[3] @ a, "A", "ki,lj"), (-0.25, ric[3] @ a, "A", "kj,li"),
+            (-0.25, sp, "A", "ki,lj"), (0.25, sp, "A", "kj,li"),
+        ]
+    return fold_rank_one(b.r[theta], a, terms)
 
 
 def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
     """H0 written directly in the curvature and Ricci tensor of g."""
-    n, a = b.n, b.a
-    eye = np.eye(n)
-    sv = scalar_times_vector
-    s = a.T @ b.ric_g  # Ric(A., .)
-    return (
-        b.r_g.components
-        + (sv(b.ric_g, eye, "ik,lj") - sv(b.ric_g, eye, "jk,li")) / (4 * (n - 1))
-        + 0.25 * (2 * sv(s, a, "ij,lk") + sv(s, a, "ik,lj") - sv(s, a, "jk,li"))
-    )
+    a, ric = b.a, b.ric_g
+    s = a.swapaxes(-1, -2) @ ric  # Ric(A., .)
+    c = 1.0 / (4 * (b.n - 1))
+    terms = [
+        (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
+        (0.5, s, "A", "ij,lk"), (0.25, s, "A", "ik,lj"), (-0.25, s, "A", "jk,li"),
+    ]
+    return fold_rank_one(b.r_g, a, terms)
 
 
 def degeneracy_probe(
@@ -331,345 +318,286 @@ def identity_ids() -> list[str]:
     return list(IDENTITY_CATALOG)
 
 
-def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> float:
+
+
+def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> np.ndarray:
     rot = lambda slots: rotate_slots(rl, a, slots)
     r01 = rot((0, 1))
-    return max(
-        norm_max(rot((2, 3)) - r01),
-        norm_max(rot((1, 2)) - rot((0, 3))),
+    return _emax(
+        norm_max(rot((2, 3)) - r01, 4),
+        norm_max(rot((1, 2)) - rot((0, 3)), 4),
         # the same operations as rot((0, 1, 2, 3)): slots are fed in order
-        norm_max(rotate_slots(r01, a, (2, 3)) - rl),
+        norm_max(rotate_slots(r01, a, (2, 3)) - rl, 4),
     )
 
 
-def _part2_conclusions(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> float:
-    op = norm_max(r @ a - (a @ r.reshape(len(a), -1)).reshape(r.shape))
+def _part2_conclusions(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> np.ndarray:
     rot = lambda slots: rotate_slots(rl, a, slots)
-    return max(op, norm_max(rot((3,)) + rot((2,))))
+    return np.maximum(
+        norm_max(structure_commutator(r, a), 4), norm_max(rot((3,)) + rot((2,)), 4)
+    )
 
 
-def _part2_condition(theta: int, b: CurvatureBundle) -> float:
-    n, a = b.n, b.a
-    eye = np.eye(n)
-    sv = scalar_times_vector
-    pipi = np.outer(b.pi, b.pi)
+def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
+    a, pi, pa = b.a, b.pi, b.pa
+    pipi = _outer(pi, pi)
+    d2, d3 = b.d[2], b.d[3]
     if theta == 1:
-        return 0.0
+        return np.zeros(pi.shape[:-1])
+    if theta == 0:
+        return norm_max(b.nabla_pi + _outer(pi, pa) + 0.5 * _outer(pa, pi), 2)
     if theta == 2:
-        d2 = b.d[2]
-        c = (
-            sv(d2, eye, "ik,lj")
-            + sv(d2 @ a, a, "ik,lj")
-            - sv(d2, eye, "jk,li")
-            - sv(d2 @ a, a, "jk,li")
-        )
-        return norm_max(c)
-    if theta == 3:
-        d3 = b.d[3]
-        return norm_max(sv(d3, eye, "jk,li") + sv(d3 @ a, a, "jk,li"))
-    if theta == 4:
+        terms = [
+            (1.0, d2, "I", "ik,lj"), (1.0, d2 @ a, "A", "ik,lj"),
+            (-1.0, d2, "I", "jk,li"), (-1.0, d2 @ a, "A", "jk,li"),
+        ]
+    elif theta == 3:
+        terms = [(1.0, d3, "I", "jk,li"), (1.0, d3 @ a, "A", "jk,li")]
+    elif theta == 4:
         d4 = b.nabla_pi @ a - 2 * pipi
-        c = (
-            sv(d4, a, "jk,li")
-            + sv(pipi, a, "ik,lj")
-            + sv(d4 @ a, eye, "jk,li")
-            - sv(pipi @ a, eye, "ik,lj")
-        )
-        return norm_max(c)
-    if theta == 5:
-        d2, d3 = b.d[2], b.d[3]
-        c = (
-            sv(d3, eye, "ik,lj")
-            + sv(d3 @ a, a, "ik,lj")
-            - sv(d2 + np.outer(b.pi, b.pa), eye, "jk,li")
-            - sv(d2 @ a - pipi, a, "jk,li")
-        )
-        return norm_max(c)
-    # theta == 0
-    return norm_max(b.nabla_pi + np.outer(b.pi, b.pa) + 0.5 * np.outer(b.pa, b.pi))
+        terms = [
+            (1.0, d4, "A", "jk,li"), (1.0, pipi, "A", "ik,lj"),
+            (1.0, d4 @ a, "I", "jk,li"), (-1.0, pipi @ a, "I", "ik,lj"),
+        ]
+    else:
+        terms = [
+            (1.0, d3, "I", "ik,lj"), (1.0, d3 @ a, "A", "ik,lj"),
+            (-1.0, d2 + _outer(pi, pa), "I", "jk,li"), (-1.0, d2 @ a - pipi, "A", "jk,li"),
+        ]
+    return norm_max(fold_rank_one(0.0, a, terms), 4)
 
 
-def _hyb_hypotheses(b: CurvatureBundle) -> tuple[float, float, float]:
-    """The kind-independent parts of the I-HYB-COND hypotheses of one bundle:
-    the relative part-1 defect for kind 1 (nabla^g pi hybrid), the one for the
-    other kinds (nabla^g pi and pi (x) pi hybrid), and the part-2 scale."""
+def _hyb_hypotheses(b: CurvatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kind-independent parts of the I-HYB-COND hypotheses: the relative
+    part-1 defect for kind 1 (nabla^g pi hybrid), the one for the other kinds
+    (nabla^g pi and pi (x) pi hybrid), and the part-2 scale."""
     nabla = hybrid_defect(b.nabla_pi, b.a)
-    pipi = hybrid_defect(np.outer(b.pi, b.pi), b.a)
+    pipi = hybrid_defect(_outer(b.pi, b.pi), b.a)
     return (
         relative_residual(nabla.defect, [nabla.scale]),
         relative_residual(
-            max(nabla.defect, pipi.defect), [max(nabla.scale, pipi.scale)]
+            np.maximum(nabla.defect, pipi.defect), [np.maximum(nabla.scale, pipi.scale)]
         ),
-        max(max(norm_max(d) for d in b.d.values()), nabla.scale, pipi.scale),
+        _emax(norm_max(b.d, 2).max(0), nabla.scale, pipi.scale),
     )
 
 
+class _Job:
+    """What the evaluators of one ``identity_suite`` call read: the records
+    of all points and generators, the bundle, and the tensors built from them
+    (H and W/P on first use, so only on Kahler charts).  Point-level results
+    carry a unit generator axis."""
+
+    def __init__(self, pj: PointJets, gj: GeneratorJets, b: CurvatureBundle, tol_audit: float):
+        self.pj, self.gj, self.b, self.tol_audit = pj, gj, b, tol_audit
+        self.kahler = {k: v[:, None] for k, v in kahler_identities(pj).items()}
+        self.torsion = torsion_identities(pj, gj)
+
+    @cached_property
+    def h(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """Each H^theta, and its max-norm per (point, generator)."""
+        h = {theta: h_tensor(theta, self.b) for theta in THETAS}
+        return h, {theta: norm_max(x, 4) for theta, x in h.items()}
+
+    @cached_property
+    def wp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """W, P and their max-norms."""
+        w, p = weyl_projective(self.pj)[:, None], hol_projective(self.pj)[:, None]
+        return w, p, norm_max(w, 4), norm_max(p, 4)
+
+    @cached_property
+    def hyb(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _hyb_hypotheses(self.b)
+
+
+# An evaluator maps a _Job to (residuals, scales, details): residuals and
+# scales broadcast to (P, K); details, if any, map a key to one value per point.
+
 def _hyb_cond_evaluator(theta: int):
-    def evaluate(ctx: dict) -> tuple[list[tuple[float, float]], dict[str, float]]:
-        tol = ctx["tol_audit"]
-        pairs: list[tuple[float, float]] = []
-        h1_rels, h2_rels = [], []
-        c1_sat, c2_sat = [], []
-        violated = False
-        for label, b in ctx["bundles"].items():
-            a = b.a
-            hyp1_kind1_rel, hyp1_rel, hyp2_scale = ctx["hyb_hypotheses"][label]
-            if theta == 1:
-                hyp1_rel = hyp1_kind1_rel
-            hyp2_rel = relative_residual(_part2_condition(theta, b), [hyp2_scale])
-            h1_rels.append(hyp1_rel)
-            h2_rels.append(hyp2_rel)
-            # a conclusion says something only where its hypothesis holds
-            if hyp1_rel < tol or hyp2_rel < tol:
-                rl = b.lowered(theta)
-                scale = max(b.scale, norm_max(rl))
-            if hyp1_rel < tol:
-                c1 = _part1_conclusions(rl, a)
-                c1_rel = relative_residual(c1, [scale])
-                c1_sat.append(c1_rel)
-                pairs.append((c1, scale))
-                if c1_rel >= tol:
-                    violated = True
-            if hyp2_rel < tol:
-                c2 = _part2_conclusions(b.r[theta].components, rl, a)
-                c2_rel = relative_residual(c2, [scale])
-                c2_sat.append(c2_rel)
-                pairs.append((c2, scale))
-                if c2_rel >= tol:
-                    violated = True
-        if not pairs:
-            pairs = [(0.0, 1.0)]
+    def evaluate(j: _Job):
+        b, tol = j.b, j.tol_audit
+        hyp1_kind1_rel, hyp1_rel, hyp2_scale = j.hyb
+        h1 = hyp1_kind1_rel if theta == 1 else hyp1_rel
+        h2 = relative_residual(_part2_condition(theta, b), [hyp2_scale])
+        held = (h1 < tol, h2 < tol)
+        # a conclusion says something only where its hypothesis holds
+        rows = held[0] | held[1]
+        batch = rows.shape
+        r = b.r[theta][rows]
+        a = np.broadcast_to(b.a, batch + b.a.shape[-2:])[rows]
+        rl = lowered(r, np.broadcast_to(b.g, batch + b.g.shape[-2:])[rows])
+        scale = np.maximum(b.scale[rows], norm_max(rl, 4))
+        res = np.zeros(batch + (2,))
+        sc = np.zeros(batch + (2,))
+        for part, mask in enumerate(held):
+            sub = mask[rows]
+            if sub.any():
+                res[mask, part] = (
+                    _part1_conclusions(rl[sub], a[sub])
+                    if part == 0
+                    else _part2_conclusions(r[sub], rl[sub], a[sub])
+                )
+                sc[mask, part] = scale[sub]
+        rel = relative_residual(res, [sc])
+        res, sc = res.reshape(batch[0], -1), sc.reshape(batch[0], -1)
+        sc[~rows.any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
         details = {
-            "part1_hypothesis_rel_min": min(h1_rels),
-            "part1_satisfied": float(len(c1_sat)),
-            "part1_conclusion_rel_max": max(c1_sat) if c1_sat else 0.0,
-            "part2_condition_rel_min": min(h2_rels),
-            "part2_satisfied": float(len(c2_sat)),
-            "part2_conclusion_rel_max": max(c2_sat) if c2_sat else 0.0,
-            "violated": 1.0 if violated else 0.0,
+            "part1_hypothesis_rel_min": h1.min(-1),
+            "part1_satisfied": held[0].sum(-1).astype(float),
+            "part1_conclusion_rel_max": rel[..., 0].max(-1),
+            "part2_condition_rel_min": h2.min(-1),
+            "part2_satisfied": held[1].sum(-1).astype(float),
+            "part2_conclusion_rel_max": rel[..., 1].max(-1),
+            "violated": (rel >= tol).any((-2, -1)).astype(float),
         }
-        return pairs, details
+        return res, sc, details
 
     return evaluate
 
 
 def _torsion_evaluator(key: str):
-    def evaluate(ctx):
-        return [(rec[key], rec["scale"]) for rec in ctx["torsion"]], None
-
-    return evaluate
+    return lambda j: (j.torsion[key], j.torsion["scale"], None)
 
 
-def _metricity_evaluator(ctx):
-    pairs = []
-    worst: dict[str, float] = {}
-    for gj in ctx["gens"]:
-        rec = metricity_defects(ctx["pj"], gj)
-        defect = max(v for k, v in rec.items() if k != "scale")
-        pairs.append((defect, rec["scale"]))
-        for k, v in rec.items():
-            if k != "scale":
-                worst[k] = max(worst.get(k, 0.0), v)
-    return pairs, worst
+def _metricity_evaluator(j: _Job):
+    rec = metricity_defects(j.pj, j.gj)
+    batch = j.b.pi.shape[:-1]
+    worst = {k: np.broadcast_to(v, batch) for k, v in rec.items() if k != "scale"}
+    details = {k: v.max(-1) for k, v in worst.items()}
+    return _emax(*worst.values()), rec["scale"], details
 
 
-def _nabla1pi_evaluator(ctx):
-    pairs = []
-    for gj in ctx["gens"]:
-        rec = nabla1_pi_defect(ctx["pj"], gj)
-        pairs.append((rec["residual"], rec["scale"]))
-    return pairs, None
+def _nabla1pi_evaluator(j: _Job):
+    rec = nabla1_pi_defect(j.pj, j.gj)
+    return rec["residual"], rec["scale"], None
 
 
-def _drel_evaluator(ctx):
-    pairs = []
-    for b in ctx["bundles"].values():
-        d0, d1, d2, d3 = b.d[0], b.d[1], b.d[2], b.d[3]
-        res = max(
-            norm_max(d1 - (d2 - d3.T)),
-            norm_max(d1 - (d0 - d0.T)),
-            norm_max(2 * d0 - (d2 + d3)),
-        )
-        scale = max(norm_max(d0), norm_max(d1), norm_max(d2), norm_max(d3))
-        pairs.append((res, scale))
-    return pairs, None
+def _drel_evaluator(j: _Job):
+    d0, d1, d2, d3 = j.b.d
+    t = lambda x: x.swapaxes(-1, -2)
+    res = _emax(
+        norm_max(d1 - (d2 - t(d3)), 2),
+        norm_max(d1 - (d0 - t(d0)), 2),
+        norm_max(2 * d0 - (d2 + d3), 2),
+    )
+    return res, norm_max(j.b.d, 2).max(0), None
 
 
 def _kahler_evaluator(key: str):
-    def evaluate(ctx):
-        rec = ctx["kahler_identities"]
-        return [(rec[key], rec["scale"])], None
-
-    return evaluate
+    return lambda j: (j.kahler[key], j.kahler["scale"], None)
 
 
-def _richyb_evaluator(ctx):
-    b = next(iter(ctx["bundles"].values()))
-    rep = hybrid_defect(b.ric_g, b.a, label="ric_g")
-    return [(rep.defect, rep.scale)], None
+def _richyb_evaluator(j: _Job):
+    rep = hybrid_defect(j.pj.ric_g, j.pj.a, label="ric_g")
+    return rep.defect[:, None], rep.scale[:, None], None
 
 
-def _r1comm_evaluator(ctx):
-    pairs = []
-    for gj in ctx["gens"]:
-        b = ctx["bundles"][gj.label]
-        comm = commutator_curvature(ctx["pj"], gj).components
-        res = norm_max(b.r[1].components - comm)
-        pairs.append((res, max(norm_max(b.r[1]), norm_max(comm))))
-    return pairs, None
+def _r1comm_evaluator(j: _Job):
+    comm = commutator_curvature(j.pj, j.gj)
+    r1 = j.b.r[1]
+    return norm_max(r1 - comm, 4), np.maximum(norm_max(r1, 4), norm_max(comm, 4)), None
 
 
-def _riccf_evaluator(ctx):
-    pairs = []
-    for b in ctx["bundles"].values():
-        rec = closed_form_residuals(b)
-        res = max(v for k, v in rec.items() if k != "scale")
-        pairs.append((res, rec["scale"]))
-    return pairs, None
+def _riccf_evaluator(j: _Job):
+    rec = closed_form_residuals(j.b)
+    return _emax(*(v for k, v in rec.items() if k != "scale")), rec["scale"], None
 
 
-def _ric23_evaluator(ctx):
-    pairs = []
-    for b in ctx["bundles"].values():
-        res = norm_max(b.ric[2] - b.ric[3].T)
-        pairs.append((res, max(norm_max(b.ric[2]), norm_max(b.ric[3]))))
-    return pairs, None
+def _ric23_evaluator(j: _Job):
+    ric2, ric3 = j.b.ric[2], j.b.ric[3]
+    res = norm_max(ric2 - ric3.swapaxes(-1, -2), 2)
+    return res, np.maximum(norm_max(ric2, 2), norm_max(ric3, 2)), None
 
 
-def _pr34_evaluator(ctx):
-    pairs = []
-    for b in ctx["bundles"].values():
-        res = norm_max(b.prime_r3 - b.prime_r4)
-        pairs.append((res, max(norm_max(b.prime_r3), norm_max(b.prime_r4))))
-    return pairs, None
+def _pr34_evaluator(j: _Job):
+    pr3, pr4 = j.b.prime_r3, j.b.prime_r4
+    return norm_max(pr3 - pr4, 2), np.maximum(norm_max(pr3, 2), norm_max(pr4, 2)), None
 
 
-def _h1h3_evaluator(ctx):
-    pairs = []
-    h, hn = ctx["h"], ctx["h_norm"]
-    for b in ctx["bundles"].values():
-        res = norm_max(h(1, b) - h(3, b))
-        pairs.append((res, max(b.scale, hn(1, b), hn(3, b))))
-    return pairs, None
+def _h1h3_evaluator(j: _Job):
+    h, hn = j.h
+    return norm_max(h[1] - h[3], 4), _emax(j.b.scale, hn[1], hn[3]), None
 
 
 def _hind_evaluator(theta: int):
-    def evaluate(ctx):
-        bundles = list(ctx["bundles"].values())
-        h, hn = ctx["h"], ctx["h_norm"]
-        pairs = []
-        for i in range(len(bundles)):
-            for j in range(i + 1, len(bundles)):
-                bi, bj = bundles[i], bundles[j]
-                res = norm_max(h(theta, bi) - h(theta, bj))
-                scale = max(bi.scale, bj.scale, hn(theta, bi), hn(theta, bj))
-                pairs.append((res, scale))
-        if not pairs:  # single generator: nothing to compare
-            pairs = [(0.0, 1.0)]
-        return pairs, None
+    def evaluate(j: _Job):
+        first, second = np.triu_indices(j.b.pi.shape[-2], 1)
+        if not first.size:  # single generator: nothing to compare
+            return np.zeros((len(j.pj.point), 1)), 1.0, None
+        (h, hn), bs = (x[theta] for x in j.h), j.b.scale
+        # the pairs (i, i+1..G-1) of one triangle row at a time, in the order
+        # of (first, second): no copy of H per pair
+        res = np.concatenate(
+            [norm_max(h[:, i + 1 :] - h[:, i, None], 4) for i in range(h.shape[1] - 1)],
+            axis=-1,
+        )
+        scale = _emax(bs[:, first], bs[:, second], hn[:, first], hn[:, second])
+        return res, scale, None
 
     return evaluate
 
 
-def _h4w_evaluator(ctx):
-    pairs = []
-    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
-    for b in ctx["bundles"].values():
-        res = norm_max(h(4, b) - w)
-        pairs.append((res, max(b.scale, wn, hn(4, b))))
-    return pairs, None
+def _h4w_evaluator(j: _Job):
+    (h, hn), (w, _, wn, _) = j.h, j.wp
+    return norm_max(h[4] - w, 4), _emax(j.b.scale, wn, hn[4]), None
 
 
-def _lin1_evaluator(ctx):
-    pairs = []
-    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
-    for b in ctx["bundles"].values():
-        res = norm_max(4 * h(0, b) - 2 * h(1, b) - h(2, b) - w)
-        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(2, b), wn)))
-    return pairs, None
+def _lin1_evaluator(j: _Job):
+    (h, hn), (w, _, wn, _) = j.h, j.wp
+    res = norm_max(4 * h[0] - 2 * h[1] - h[2] - w, 4)
+    return res, _emax(j.b.scale, hn[0], hn[1], hn[2], wn), None
 
 
-def _lin2_evaluator(ctx):
-    pairs = []
-    h, hn, w, wn = ctx["h"], ctx["h_norm"], ctx["weyl"], ctx["weyl_norm"]
-    w_xzy = np.einsum("likj->lijk", w)  # W(X, Z)Y
-    for b in ctx["bundles"].values():
-        h1, h5 = h(1, b), h(5, b)
-        h1_yzx = np.einsum("ljki->lijk", h1)  # H1(Y, Z)X
-        res = norm_max(2 * h5 - h1 + h1_yzx - w_xzy)
-        pairs.append((res, max(b.scale, hn(1, b), hn(5, b), wn)))
-    return pairs, None
+def _lin2_evaluator(j: _Job):
+    (h, hn), (w, _, wn, _) = j.h, j.wp
+    w_xzy = w.swapaxes(-1, -2)  # W(X, Z)Y
+    h1_yzx = np.moveaxis(h[1], -1, -3)  # H1(Y, Z)X
+    res = norm_max(2 * h[5] - h[1] + h1_yzx - w_xzy, 4)
+    return res, _emax(j.b.scale, hn[1], hn[5], wn), None
 
 
-def _h0pw_evaluator(ctx):
-    pairs = []
-    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
-    w, p, wn, pn = ctx["weyl"], ctx["proj"], ctx["weyl_norm"], ctx["proj_norm"]
+def _h0pw_evaluator(j: _Job):
+    (h, hn), (w, p, wn, pn), n = j.h, j.wp, j.pj.n
     target = (n + 2) / 4.0 * p - (n - 2) / 4.0 * w
-    for b in ctx["bundles"].values():
-        res = norm_max(h(0, b) - target)
-        pairs.append((res, max(b.scale, hn(0, b), wn, pn)))
-    return pairs, None
+    return norm_max(h[0] - target, 4), _emax(j.b.scale, hn[0], wn, pn), None
 
 
-def _2h1h2_evaluator(ctx):
-    pairs = []
-    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
-    w, p, wn, pn = ctx["weyl"], ctx["proj"], ctx["weyl_norm"], ctx["proj_norm"]
-    target = (n + 2) * p - (n - 1) * w
-    for b in ctx["bundles"].values():
-        res = norm_max(2 * h(1, b) + h(2, b) - target)
-        pairs.append((res, max(b.scale, hn(1, b), hn(2, b), wn, pn)))
-    return pairs, None
+def _2h1h2_evaluator(j: _Job):
+    (h, hn), (w, p, wn, pn), n = j.h, j.wp, j.pj.n
+    diff = 2 * h[1]
+    diff += h[2]
+    diff -= (n + 2) * p - (n - 1) * w
+    return norm_max(diff, 4), _emax(j.b.scale, hn[1], hn[2], wn, pn), None
 
 
-def _pcomb1_evaluator(ctx):
-    pairs = []
-    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
-    p, pn = ctx["proj"], ctx["proj_norm"]
-    for b in ctx["bundles"].values():
-        res = norm_max(p - (4 * h(0, b) + (n - 2) * h(4, b)) / (n + 2))
-        pairs.append((res, max(b.scale, hn(0, b), hn(4, b), pn)))
-    return pairs, None
+def _pcomb1_evaluator(j: _Job):
+    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
+    res = norm_max(p - (4 * h[0] + (n - 2) * h[4]) / (n + 2), 4)
+    return res, _emax(j.b.scale, hn[0], hn[4], pn), None
 
 
-def _pcomb2_evaluator(ctx):
-    pairs = []
-    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
-    p, pn = ctx["proj"], ctx["proj_norm"]
-    for b in ctx["bundles"].values():
-        h0, h1, h2 = h(0, b), h(1, b), h(2, b)
-        res = norm_max(
-            p - (4 * (n - 1) * h0 - 2 * (n - 2) * h1 - (n - 2) * h2) / (n + 2)
-        )
-        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(2, b), pn)))
-    return pairs, None
+def _pcomb2_evaluator(j: _Job):
+    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
+    combo = (4 * (n - 1) * h[0] - 2 * (n - 2) * h[1] - (n - 2) * h[2]) / (n + 2)
+    return norm_max(p - combo, 4), _emax(j.b.scale, hn[0], hn[1], hn[2], pn), None
 
 
-def _pcomb3_evaluator(ctx):
-    pairs = []
-    h, hn, n = ctx["h"], ctx["h_norm"], ctx["pj"].n
-    p, pn = ctx["proj"], ctx["proj_norm"]
-    for b in ctx["bundles"].values():
-        h0, h1, h5 = h(0, b), h(1, b), h(5, b)
-        middle = (
-            2 * np.einsum("likj->lijk", h5)
-            - np.einsum("likj->lijk", h1)
-            + np.einsum("lkji->lijk", h1)
-        )
-        res = norm_max(p - 4 / (n + 2) * h0 - (n - 2) / (n + 2) * middle)
-        pairs.append((res, max(b.scale, hn(0, b), hn(1, b), hn(5, b), pn)))
-    return pairs, None
+def _pcomb3_evaluator(j: _Job):
+    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
+    # in place: H^theta blocks are the largest arrays of a job
+    middle = 2 * h[5].swapaxes(-1, -2)
+    middle -= h[1].swapaxes(-1, -2)
+    middle += h[1].swapaxes(-3, -1)
+    middle *= (n - 2) / (n + 2)
+    diff = -4 / (n + 2) * h[0]
+    diff += p
+    diff -= middle
+    return norm_max(diff, 4), _emax(j.b.scale, hn[0], hn[1], hn[5], pn), None
 
 
-def _h0rg_evaluator(ctx):
-    pairs = []
-    h, hn = ctx["h"], ctx["h_norm"]
-    for b in ctx["bundles"].values():
-        direct = _h0_from_levi_civita(b)
-        res = norm_max(h(0, b) - direct)
-        pairs.append((res, max(b.scale, hn(0, b), norm_max(direct))))
-    return pairs, None
+def _h0rg_evaluator(j: _Job):
+    (h, hn), direct = j.h, _h0_from_levi_civita(j.b)
+    return norm_max(h[0] - direct, 4), _emax(j.b.scale, hn[0], norm_max(direct, 4)), None
 
 
 _EVALUATORS: dict[str, Callable] = {
@@ -718,71 +646,51 @@ def identity_suite(
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
     Per (identity, point) the worst generator (or generator pair) is reported.
-    Each point's metric, structure and generators are differentiated once.
+    Each point's metric, structure and generators are differentiated once;
+    everything after the jets runs once per call on (point, generator) batches.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
         raise ValueError("identity suite needs at least one generator")
+    pj = point_jets(m, points, cfg)
+    gj = generator_jets(pj, generators)
+    job = _Job(pj, gj, curvature_bundle(pj, gj), tol_audit)
     results: list[IdentityResult] = []
-    for point_index, p in enumerate(points):
-        pj = point_jets(m, p, cfg)
-        gens = [generator_jets(pj, gen) for gen in generators]
-        bundles = {gj.label: curvature_bundle(pj, gj) for gj in gens}
-        # H^theta of each bundle and its max-norm, each computed once
-        h_cache: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-
-        def h_entry(theta: int, b: CurvatureBundle) -> tuple[np.ndarray, float]:
-            key = (id(b), theta)
-            if key not in h_cache:
-                comps = h_tensor(theta, b).components
-                h_cache[key] = (comps, norm_max(comps))
-            return h_cache[key]
-
-        ctx = {
-            "pj": pj,
-            "gens": gens,
-            "bundles": bundles,
-            "kahler_identities": kahler_identities(pj),
-            "torsion": [torsion_identities(pj, gj) for gj in gens],
-            "h": lambda theta, b: h_entry(theta, b)[0],
-            "h_norm": lambda theta, b: h_entry(theta, b)[1],
-            "tol_audit": tol_audit,
-        }
-        if m.kahler_expected:
-            ctx["weyl"] = weyl_projective(pj).components
-            ctx["proj"] = hol_projective(pj).components
-            ctx["weyl_norm"] = norm_max(ctx["weyl"])
-            ctx["proj_norm"] = norm_max(ctx["proj"])
-            ctx["hyb_hypotheses"] = {
-                label: _hyb_hypotheses(b) for label, b in bundles.items()
-            }
-        for ident, info in IDENTITY_CATALOG.items():
-            if info.scope == "kahler_only" and not m.kahler_expected:
-                continue
-            classification = info.classification
-            if info.scope == "kahler_hypothesis" and not m.kahler_expected:
-                classification = "expected-fail"
-            tol = tol_core if classification == "core" else tol_audit
-            pairs, details = _EVALUATORS[ident](ctx)
-            max_res = max(r for r, _ in pairs)
-            scale = max(s for _, s in pairs)
-            rel = max(relative_residual(r, [s]) for r, s in pairs)
-            if ident.startswith("I-HYB-COND") and details is not None:
-                passed = details["violated"] == 0.0
-            elif classification == "expected-fail":
-                passed = rel >= EXPECTED_FAIL_FLOOR
-            else:
-                passed = rel < tol
+    # I-HYB-COND reads no H^theta: run before the six H^theta exist, its
+    # masked rotations never share memory with them (rows are sorted below)
+    order = sorted(IDENTITY_CATALOG, key=lambda ident: not ident.startswith("I-HYB-COND"))
+    for ident in order:
+        info = IDENTITY_CATALOG[ident]
+        if info.scope == "kahler_only" and not m.kahler_expected:
+            continue
+        classification = info.classification
+        if info.scope == "kahler_hypothesis" and not m.kahler_expected:
+            classification = "expected-fail"
+        tol = tol_core if classification == "core" else tol_audit
+        res, scale, details = _EVALUATORS[ident](job)
+        res, scale = np.broadcast_arrays(res, scale)
+        rel = relative_residual(res, [scale]).max(-1)
+        if details is not None and ident.startswith("I-HYB-COND"):
+            passed = details["violated"] == 0.0
+        elif classification == "expected-fail":
+            passed = rel >= EXPECTED_FAIL_FLOOR
+        else:
+            passed = rel < tol
+        for point_index, (r, s, q, ok) in enumerate(
+            zip(res.max(-1), scale.max(-1), rel, passed)
+        ):
             results.append(
                 IdentityResult(
                     id=ident,
                     point_index=point_index,
-                    max_residual=max_res,
-                    scale=scale,
-                    relative=rel,
-                    passed=passed,
+                    max_residual=float(r),
+                    scale=float(s),
+                    relative=float(q),
+                    passed=bool(ok),
                     classification=classification,
-                    details=details,
+                    details=None
+                    if details is None
+                    else {k: float(v[point_index]) for k, v in details.items()},
                 )
             )
     results.sort(key=lambda r: (r.id, r.point_index))

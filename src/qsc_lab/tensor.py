@@ -1,4 +1,4 @@
-"""Dense coordinate tensors at a point.
+"""Dense coordinate tensors at a point, and the array helpers of the pipeline.
 
 A tensor is a dim**rank block of float64 components plus a signature that
 tags every slot contravariant ("u") or covariant ("d").  Slot order is the
@@ -6,12 +6,17 @@ argument order of the multilinear map; mixed tensors keep the output slot
 first, so a curvature operator R(X, Y)Z is stored as R[l, i, j, k] with
 signature "uddd" and slots (out; X, Y, Z).
 
-Values are immutable after construction and safe to share.
+Values are immutable after construction and safe to share.  ``Tensor`` is
+the API and CLI view of one tensor at one point; the pipeline itself works
+on plain arrays whose tensor slots are the trailing axes, after any leading
+batch axes (``norm_max(x, rank)`` takes one max-norm per leading index).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -133,30 +138,47 @@ def lower_first(t: Tensor, g: Tensor) -> Tensor:
     return Tensor(t.dim, Signature(t.signature.slots[1:] + DOWN), comps)
 
 
-def norm_max(t: Tensor | np.ndarray) -> float:
+def norm_max(t: Tensor | np.ndarray, rank: int | None = None):
+    """Largest absolute component.  With `rank`, one max-norm per leading
+    index, taken over the trailing `rank` axes (the tensor slots)."""
     comps = t.components if isinstance(t, Tensor) else np.asarray(t)
+    if rank is not None:
+        # max and -min: no temporary the size of the input
+        lead = comps.shape[: comps.ndim - rank]
+        flat = comps.reshape(lead + (prod(comps.shape[len(lead):]),))
+        return np.maximum(flat.max(-1), -flat.min(-1))
     if comps.size == 0:
         return 0.0
     return float(np.abs(comps).max())
 
 
-def metric_inverse(g: Tensor, cond_bound: float = 1e12) -> Tensor:
-    """Invert a (0,2) metric, rejecting near-singular input."""
-    _check_metric_like(g, g.dim)
-    cond = float(np.linalg.cond(g.components))
+def contract_first(m: np.ndarray, arr: np.ndarray, rank: int) -> np.ndarray:
+    """m[..., i, l] contracted with the first of the `rank` trailing slots of
+    `arr`, as one matmul on the flattened remaining slots."""
+    n = arr.shape[-1]
+    lead = arr.shape[: arr.ndim - rank]
+    out = m @ arr.reshape(lead + (n, n ** (rank - 1)))
+    return out.reshape(out.shape[:-2] + (n,) * rank)
+
+
+def metric_inverse(g: np.ndarray, cond_bound: float = 1e12) -> np.ndarray:
+    """Invert the components of a (0,2) metric, rejecting near-singular input."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"expected a square metric block, got shape {g.shape}")
+    cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > cond_bound:
         raise SingularMetricError(
             f"metric condition number {cond:.3e} exceeds bound {cond_bound:.1e}"
         )
-    inv = np.linalg.inv(g.components)
-    inv = 0.5 * (inv + inv.T)  # symmetrize away inversion rounding
-    return Tensor(g.dim, Signature(UP + UP), inv)
+    inv = np.linalg.inv(g)
+    return 0.5 * (inv + inv.T)  # symmetrize away inversion rounding
 
 
-def relative_residual(residual: float, scales: Iterable[float]) -> float:
-    """residual / max(scale, guard); the guard keeps all-zero identities exact."""
-    scale = max(list(scales) + [0.0])
-    return residual / max(scale, _SCALE_GUARD)
+def relative_residual(residual, scales: Iterable):
+    """residual / max(scale, guard), elementwise over arrays; the guard keeps
+    all-zero identities exact."""
+    scale = reduce(np.maximum, scales, 0.0)
+    return residual / np.maximum(scale, _SCALE_GUARD)
 
 
 def _check_metric_like(g: Tensor, dim: int) -> None:

@@ -67,7 +67,7 @@ def test_criterion_01_flat_baseline(capsys):
 
     t = torsion(m, P0, gens[1]).components
     ok &= bool(np.all(np.abs(t[:, 0, 1] - [0, 1, 0, 0]) < 1e-12))
-    ok &= bool(np.all(np.abs(b.r[1].components[:, 0, 1, 0] - [0, -2, 0, 0]) < 1e-12))
+    ok &= bool(np.all(np.abs(b.r[1][:, 0, 1, 0] - [0, -2, 0, 0]) < 1e-12))
     ok &= abs(b.ric[1][0, 0] - 2.0) < 1e-12
     ok &= norm_max(h_tensor(1, b)) < 1e-12 and norm_max(h_tensor(4, b)) < 1e-12
     _verdict(capsys, 1, ok, "flat baseline: core identities and hand values")
@@ -85,7 +85,7 @@ def test_criterion_02_generator_independence(capsys):
         for p in sample_points(m, 20, seed=0):
             bundles = [_bundle(m, p, g) for g in gens]
             for theta in range(6):
-                vals = [h_tensor(theta, b).components for b in bundles]
+                vals = [h_tensor(theta, b) for b in bundles]
                 scale = max(max(norm_max(v) for v in vals), 1.0)
                 for x, y in itertools.combinations(vals, 2):
                     worst = max(worst, norm_max(x - y) / scale)
@@ -102,10 +102,10 @@ def test_criterion_03_h4_weyl_h1_h3(capsys):
         gen = generator("random_poly", dim=4, seed=3)
         for p in sample_points(m, 5, seed=1):
             b = _bundle(m, p, gen)
-            w = weyl_projective(point_jets(m, p, CFG)).components
-            h1 = h_tensor(1, b).components
-            h3 = h_tensor(3, b).components
-            h4 = h_tensor(4, b).components
+            w = weyl_projective(point_jets(m, p, CFG))
+            h1 = h_tensor(1, b)
+            h3 = h_tensor(3, b)
+            h4 = h_tensor(4, b)
             scale = max(norm_max(w), norm_max(h1), 1.0)
             worst = max(worst, norm_max(h4 - w) / scale, norm_max(h1 - h3) / scale)
     _verdict(capsys, 3, worst < 1e-6, f"H4 = W and H1 = H3, worst {worst:.2e}")
@@ -124,9 +124,9 @@ def test_criterion_04_linear_identities(capsys):
     p0 = sample_points(m, 1, seed=3)[0]
     pj = point_jets(m, p0, CFG)
     b = curvature_bundle(pj, generator_jets(pj, gens[0]))
-    h0 = h_tensor(0, b).components
-    w = weyl_projective(pj).components
-    p = hol_projective(pj).components
+    h0 = h_tensor(0, b)
+    w = weyl_projective(pj)
+    p = hol_projective(pj)
     direct = norm_max(h0 - (1.5 * p - 0.5 * w))
     ok &= _rel(direct, norm_max(h0), norm_max(w), norm_max(p)) < 1e-6
     _verdict(capsys, 4, ok, "linear identities between H tensors, W and P")
@@ -194,8 +194,8 @@ def test_criterion_07_commutator_oracle(capsys):
         for gen in specs:
             for p in sample_points(m, 3, seed=7):
                 pj, gj = _records(m, p, gen)
-                oracle = commutator_curvature(pj, gj).components
-                built = curvature_bundle(pj, gj).r[1].components
+                oracle = commutator_curvature(pj, gj)
+                built = curvature_bundle(pj, gj).r[1]
                 worst = max(
                     worst, _rel(norm_max(built - oracle), norm_max(oracle))
                 )

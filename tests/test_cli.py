@@ -88,6 +88,21 @@ def test_verify_numeric_blow_up_is_a_numeric_failure(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_verify_numeric_blow_up_in_a_stacked_job_is_a_numeric_failure(capsys):
+    """An overflowing generator among others, at several points: the one
+    finiteness check on the stacked curvature still exits 3, quietly."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "verify", "--manifold", "fs", "--k", "2",
+            "--generators", "zero,const:1e200,1e200,1e200,1e200,linear_j",
+            "--points", "3",
+        )
+    assert code == 3
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_verify_detects_failures_with_tight_tolerance(capsys):
     code, out, _ = run(
         capsys, "verify", "--manifold", "fs", "--points", "1",

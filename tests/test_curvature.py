@@ -8,7 +8,7 @@ import pytest
 
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
-from qsc_lab.tensor import norm_max, relative_residual
+from qsc_lab.tensor import Tensor, norm_max, relative_residual
 from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import (
     assemble_r_theta,
@@ -97,7 +97,7 @@ def test_kind1_hand_values():
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
     b = bundle(m, P0, gen)
-    r1 = b.r[1].components
+    r1 = b.r[1]
     np.testing.assert_allclose(r1[:, 0, 1, 0], [0.0, -2.0, 0.0, 0.0], atol=1e-14)
     assert b.ric[1][0, 0] == pytest.approx(2.0, abs=1e-14)
 
@@ -117,7 +117,7 @@ def test_kind1_matches_commutator_oracle(name, gen_name):
         pj, gj = records(m, p, gen)
         oracle = commutator_curvature(pj, gj)
         built = curvature_bundle(pj, gj).r[1]
-        diff = norm_max(built.components - oracle.components)
+        diff = norm_max(built - oracle)
         assert relative_residual(diff, [norm_max(oracle)]) < 1e-12
 
 
@@ -127,25 +127,71 @@ def test_zero_generator_collapses_every_kind():
     p = sample_points(m, 1, seed=15)[0]
     b = bundle(m, p, gen)
     for theta in range(6):
-        assert norm_max(b.r[theta].components - b.r_g.components) < 1e-13
+        assert norm_max(b.r[theta] - b.r_g) < 1e-13
         assert norm_max(b.ric[theta] - b.ric_g) < 1e-13
 
 
+def _pi_triple(pi, vec, arrangement):
+    """pi(Z)(pi(Y) V X - pi(X) V Y) style blocks; vec is delta or A^2."""
+    if arrangement == "z_yx":
+        return np.einsum("k,j,li->lijk", pi, pi, vec) - np.einsum(
+            "k,i,lj->lijk", pi, pi, vec
+        )
+    return np.einsum("j,i,lk->lijk", pi, pi, vec) - np.einsum(
+        "j,k,li->lijk", pi, pi, vec
+    )
+
+
+def _general_assembly(theta, r_g, a, pi, d):
+    """Reference: the six kinds with A^2 kept explicit, one einsum a block."""
+    sa = lambda s, pat: np.einsum(f"{pat}->lijk", s, a)
+    a2 = a @ a
+    if theta == 1:
+        return r_g - sa(d[1], "ij,lk")
+    if theta == 2:
+        return r_g - sa(d[2], "ik,lj") + sa(d[2], "jk,li")
+    if theta == 3:
+        return r_g - sa(d[2], "ij,lk") + sa(d[3], "jk,li")
+    if theta == 0:
+        return (
+            r_g
+            - 0.5 * sa(d[0] - d[0].T, "ij,lk")
+            - 0.5 * sa(d[0], "ik,lj")
+            + 0.5 * sa(d[0], "jk,li")
+            - 0.25 * _pi_triple(pi, a2, "z_yx")
+        )
+    if theta == 4:
+        return (
+            r_g
+            - sa(d[3], "ij,lk")
+            + sa(d[3], "jk,li")
+            - _pi_triple(pi, a2, "z_yx")
+        )
+    return (
+        r_g
+        - 0.5 * sa(d[2] - d[3].T, "ij,lk")
+        - 0.5 * sa(d[3], "ik,lj")
+        + 0.5 * sa(d[2], "jk,li")
+        + 0.5 * _pi_triple(pi, a2, "y_xz")
+    )
+
+
 def test_general_and_reduced_assemblies_coincide():
-    """The two shapes of kinds 0, 4, 5 differ only by pi-triple blocks
-    carrying (A^2 + I); any almost complex structure kills that gap, so
-    they must agree on the whole catalog, non-integrable case included."""
+    """The general shapes of kinds 0, 4, 5 and the A^2 = -I shapes the
+    bundle uses differ only by pi-triple blocks carrying (A^2 + I); any almost
+    complex structure kills that gap, so they must agree on the whole
+    catalog, non-integrable case included."""
     for name in ("flat", "fs", "hyperbolic", "conformal-nonkahler"):
         m = manifold_by_name(name, k=2)
         gen = generator("random_poly", dim=4, seed=3)
         p = sample_points(m, 1, seed=7)[0]
         bk = bundle(m, p, gen)
         for theta in range(6):
-            general = assemble_r_theta(
-                theta, bk.r_g.components, bk.a, bk.pi, bk.d, kahler_form=False
-            )
-            diff = norm_max(bk.r[theta].components - general)
+            general = _general_assembly(theta, bk.r_g, bk.a, bk.pi, bk.d)
+            diff = norm_max(bk.r[theta] - general)
             assert diff < 1e-12 * max(norm_max(bk.r[theta]), 1.0)
+            reduced = assemble_r_theta(theta, bk.r_g, bk.a, bk.pi, bk.d)
+            np.testing.assert_array_equal(reduced, bk.r[theta])
 
 
 @pytest.mark.parametrize("name", ["flat", "fs", "hyperbolic"])
@@ -167,7 +213,7 @@ def test_ricci_and_prime_contractions():
     gen = generator("grad", dim=4)
     p = sample_points(m, 1, seed=17)[0]
     b = bundle(m, p, gen)
-    t = b.r[3]
+    t = Tensor(4, "uddd", b.r[3])
     np.testing.assert_allclose(
         ricci(t).components, np.einsum("mmjk->jk", t.components), atol=0
     )
@@ -232,3 +278,96 @@ def test_fd_curvature_tracks_analytic():
     fd = riemann_g(point_jets(m, p, DiffConfig(scheme="fd4", step=1e-3)))
     diff = norm_max(fd.components - exact.components)
     assert relative_residual(diff, [norm_max(exact)]) < 1e-7
+
+
+def test_rotate_slots_with_leading_axes_rotates_each_index():
+    """Batch axes lead, and A carries them (size one where shared)."""
+    rng = np.random.default_rng(4)
+    t = rng.normal(size=(2, 3, 4, 4, 4))
+    a = rng.normal(size=(2, 1, 4, 4))
+    for slots in ((0,), (1, 2), (0, 1, 2)):
+        got = rotate_slots(t, a, slots)
+        assert got.shape == t.shape
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(
+                    got[i, j], rotate_slots(t[i, j], a[i, 0], slots), rtol=1e-14, atol=1e-14
+                )
+
+
+def _bracket(g, f, a):
+    """g(Y,Z)X - g(X,Z)Y + F(Y,Z)AX - F(X,Z)AY - 2F(X,Y)AZ as [l, i, j, k],
+    with F(X, Y) = g(AX, Y)."""
+    eye = np.eye(len(g))
+    return (
+        np.einsum("jk,li->lijk", g, eye)
+        - np.einsum("ik,lj->lijk", g, eye)
+        + np.einsum("jk,li->lijk", f, a)
+        - np.einsum("ik,lj->lijk", f, a)
+        - 2 * np.einsum("ij,lk->lijk", f, a)
+    )
+
+
+def _holomorphic_curvature_at_origin(potential: str, k: int) -> float:
+    """c of R = (c/4) bracket at the origin, from the metric
+    g = (H + A^T H A) / 2 of a Kahler potential, H its coordinate Hessian.
+
+    sympy gives the exact partials of the potential up to order four; there
+    dg = 0, so R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} with
+    d_i Gamma^l_{jk} = g^{lm} (d_i d_j g_mk + d_i d_k g_jm - d_i d_m g_jk) / 2.
+    The fit must leave no residual: the bracket is the whole curvature.
+    """
+    sympy = pytest.importorskip("sympy")
+    import itertools
+
+    n = 2 * k
+    u = sympy.symbols(f"u0:{n}", real=True)
+    s = sum(x * x for x in u)
+    phi = {"fs": sympy.log(1 + s), "hyperbolic": -sympy.log(1 - s)}[potential]
+    partials = {(): phi}
+    for order in range(1, 5):
+        for idx in itertools.combinations_with_replacement(range(n), order):
+            partials[idx] = sympy.diff(partials[idx[:-1]], u[idx[-1]])
+    origin = {x: 0 for x in u}
+
+    def tensor_of(order):
+        return np.array(
+            [float(partials[tuple(sorted(i))].subs(origin)) for i in np.ndindex((n,) * order)]
+        ).reshape((n,) * order)
+
+    a = np.zeros((n, n))
+    for pair in range(k):
+        a[2 * pair + 1, 2 * pair] = 1.0
+        a[2 * pair, 2 * pair + 1] = -1.0
+    sym = lambda t: (t + a.T @ t @ a) / 2
+    g, dg, d2g = sym(tensor_of(2)), sym(tensor_of(3)), sym(tensor_of(4))
+    assert np.abs(dg).max() == 0.0
+    dgamma = 0.5 * np.einsum(
+        "lm,imjk->iljk",
+        np.linalg.inv(g),
+        np.einsum("ijmk->imjk", d2g)
+        + np.einsum("ikjm->imjk", d2g)
+        - np.einsum("imjk->imjk", d2g),
+    )
+    r = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+    t = _bracket(g, a.T @ g, a)
+    c = 4 * np.sum(r * t) / np.sum(t * t)
+    assert np.abs(r - c / 4 * t).max() < 1e-14 * np.abs(r).max()
+    return c
+
+
+@pytest.mark.parametrize("name,c", [("fs", 2.0), ("hyperbolic", -2.0)])
+def test_space_forms_have_constant_holomorphic_curvature(name, c):
+    """R^g = (c/4)[g(Y,Z)X - g(X,Z)Y + F(Y,Z)AX - F(X,Z)AY - 2F(X,Y)AZ]:
+    c pinned by sympy at the origin for n = 2 and 4, then checked at sampled
+    points against R^g from the jets, n up to 8.  The first Bianchi identity
+    fixes the sign of the last term for F(X, Y) = g(AX, Y); with
+    g(X, AY) = -F(X, Y) it reads +2 g(X, AY) AZ."""
+    for k in (1, 2):
+        assert _holomorphic_curvature_at_origin(name, k) == pytest.approx(c, rel=1e-14)
+    for k in (1, 2, 4):
+        m = manifold_by_name(name, k=k)
+        pj = point_jets(m, sample_points(m, 3, seed=20), CFG)
+        for i in range(3):
+            want = c / 4 * _bracket(pj.g[i], pj.f[i], pj.a[i])
+            assert norm_max(pj.r_g[i] - want) < 1e-12 * norm_max(want)

@@ -90,7 +90,7 @@ def test_h_tensors_generator_independent():
         for p in sample_points(m, 2, seed=3):
             bundles = [bundle(m, p, g) for g in gens]
             for theta in range(6):
-                vals = [h_tensor(theta, b).components for b in bundles]
+                vals = [h_tensor(theta, b) for b in bundles]
                 scale = max(norm_max(v) for v in vals)
                 for v in vals[1:]:
                     assert norm_max(v - vals[0]) < 1e-10 * max(scale, 1.0)
@@ -102,10 +102,10 @@ def test_h1_h3_and_h4_weyl_coincide():
         gen = generator("grad", dim=4)
         p = sample_points(m, 1, seed=4)[0]
         b = bundle(m, p, gen)
-        h1 = h_tensor(1, b).components
-        h3 = h_tensor(3, b).components
-        h4 = h_tensor(4, b).components
-        w = weyl_projective(point_jets(m, p, CFG)).components
+        h1 = h_tensor(1, b)
+        h3 = h_tensor(3, b)
+        h4 = h_tensor(4, b)
+        w = weyl_projective(point_jets(m, p, CFG))
         scale = max(norm_max(h1), norm_max(w), 1.0)
         assert norm_max(h1 - h3) < 1e-11 * scale
         assert norm_max(h4 - w) < 1e-11 * scale
@@ -117,7 +117,7 @@ def test_h0_closed_form_matches_assembled():
     p = sample_points(m, 1, seed=5)[0]
     b = bundle(m, p, gen)
     direct = _h0_from_levi_civita(b)
-    assembled = h_tensor(0, b).components
+    assembled = h_tensor(0, b)
     assert norm_max(direct - assembled) < 1e-11 * max(norm_max(direct), 1.0)
 
 
@@ -268,12 +268,13 @@ def test_suite_differentiates_each_field_once_per_point(monkeypatch):
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
     """An I-HYB-COND conclusion is computed only where its hypothesis holds:
-    one call per (kind, point, generator) the rows count as satisfied."""
+    the masked rows handed to the conclusions, summed over the kinds, are the
+    (point, generator) pairs the report rows count as satisfied."""
     calls = Counter()
     for name in ("_part1_conclusions", "_part2_conclusions"):
 
         def counted(*args, _name=name, _original=getattr(invariants, name)):
-            calls[_name] += 1
+            calls[_name] += len(args[0])
             return _original(*args)
 
         monkeypatch.setattr(invariants, name, counted)
@@ -290,3 +291,90 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
         satisfied = sum(r.details[f"{part}_satisfied"] for r in rows)
         assert calls[f"_{part}_conclusions"] == satisfied
         assert 0 < satisfied < len(rows) * len(gens)
+
+
+def _rows_close(got, want, rtol=1e-12):
+    assert (got.id, got.passed, got.classification) == (want.id, want.passed, want.classification)
+    for field in ("max_residual", "scale", "relative"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rtol, abs=0), (
+            got.id, field
+        )
+    assert (got.details is None) == (want.details is None)
+    if got.details is not None:
+        assert got.details.keys() == want.details.keys()
+        for key, value in want.details.items():
+            assert got.details[key] == pytest.approx(value, rel=rtol, abs=0), (got.id, key)
+
+
+SEVEN = [
+    generator("zero", dim=4),
+    generator("linear_j", dim=4),
+    generator("grad", dim=4),
+    generator("const", dim=4, components=[0.3, -0.2, 0.1, 0.5]),
+    generator("random_poly", dim=4, seed=1),
+    generator("random_poly", dim=4, seed=2),
+    generator("random_poly", dim=4, seed=3),
+]
+
+
+@pytest.mark.parametrize("name", ["flat", "fs", "hyperbolic", "conformal-nonkahler"])
+def test_batched_suite_equals_single_point_runs(name):
+    """One call over P points gives, row by row, what P one-point calls give."""
+    m = manifold_by_name(name, k=2)
+    pts = sample_points(m, 4, seed=21)
+    batched = identity_suite(m, pts, SEVEN, CFG)
+    assert len({r.point_index for r in batched}) == 4
+    for index, p in enumerate(pts):
+        single = identity_suite(m, p[None, :], SEVEN, CFG)
+        rows = [r for r in batched if r.point_index == index]
+        assert len(rows) == len(single)
+        for got, want in zip(rows, single):
+            _rows_close(got, want)
+
+
+@pytest.mark.parametrize("name", ["fs", "conformal-nonkahler"])
+def test_permuting_generators_leaves_every_row_unchanged(name):
+    m = manifold_by_name(name, k=2)
+    pts = sample_points(m, 3, seed=22)
+    want = identity_suite(m, pts, SEVEN, CFG)
+    order = [4, 0, 6, 2, 5, 1, 3]
+    got = identity_suite(m, pts, [SEVEN[i] for i in order], CFG)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _rows_close(g, w)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_stacked_h_tensor_equals_the_per_bundle_one(k):
+    m = manifold_by_name("fs", k=k)
+    n = m.n
+    gens = [generator("linear_j", dim=n), generator("random_poly", dim=n, seed=5)]
+    pts = sample_points(m, 2, seed=23)
+    pj = point_jets(m, pts, CFG)
+    b = curvature_bundle(pj, generator_jets(pj, gens))
+    assert b.r.shape == (6, 2, 2) + (n,) * 4
+    for theta in range(6):
+        stacked = h_tensor(theta, b)
+        assert stacked.shape == (2, 2) + (n,) * 4
+        for i, p in enumerate(pts):
+            for j, gen in enumerate(gens):
+                single = h_tensor(theta, bundle(m, p, gen))
+                scale = max(norm_max(single), 1.0)
+                assert norm_max(stacked[i, j] - single) <= 1e-13 * scale, (theta, i, j)
+
+
+@pytest.mark.parametrize("points,gens", [(1, 1), (2, 3), (4, 7)])
+def test_suite_builds_one_bundle_and_six_h_tensors_per_call(monkeypatch, points, gens):
+    """Everything after the jets runs once per call, whatever P and G."""
+    calls = Counter()
+    for name in ("curvature_bundle", "h_tensor"):
+
+        def counted(*args, _name=name, _original=getattr(invariants, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    m = manifold_by_name("hyperbolic", k=2)
+    results = identity_suite(m, sample_points(m, points, seed=24), SEVEN[:gens], CFG)
+    assert all(r.passed for r in results)
+    assert calls == {"curvature_bundle": 1, "h_tensor": 6}

@@ -108,12 +108,12 @@ def test_lower_raise_roundtrip(dim, rank, seed):
     sig = Signature("u" + "d" * (rank - 1))
     t = Tensor(dim, sig, components(dim, rank, seed))
     g = spd_metric(dim, seed + 1)
-    g_inv = metric_inverse(g)
+    g_inv = metric_inverse(g.components)
     low = lower_first(t, g)
     assert low.signature.slots == "d" * rank
     # raise the trailing slot with g^-1 and move it back to the front
     back = np.moveaxis(
-        np.tensordot(low.components, g_inv.components, axes=([rank - 1], [0])), -1, 0
+        np.tensordot(low.components, g_inv, axes=([rank - 1], [0])), -1, 0
     )
     assert norm_max(back - t.components) < ROUNDTRIP_TOL
 
@@ -136,21 +136,34 @@ def test_norms():
     assert norm_max(np.zeros((2, 2))) == 0.0
 
 
+def test_batched_norms_and_residuals_keep_leading_axes():
+    """norm_max(x, rank) is one max-norm per leading index; relative_residual
+    works elementwise, and with no leading axes both give today's values."""
+    x = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
+    got = norm_max(x, 2)
+    assert got.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert got[i, j] == norm_max(x[i, j])
+    assert norm_max(x[0, 0], 2) == norm_max(x[0, 0])
+    assert norm_max(np.zeros((0, 4, 4)), 2).shape == (0,)
+    rel = relative_residual(got, [np.full((2, 1), 2.0), 1.0])
+    np.testing.assert_array_equal(rel, got / np.maximum(got * 0 + 2.0, 1.0))
+    assert relative_residual(0.0, [np.zeros(3)]).tolist() == [0.0, 0.0, 0.0]
+
+
 @given(dim=st.integers(2, 5), seed=st.integers(0, 500))
 @settings(max_examples=60, deadline=None)
 def test_metric_inverse_roundtrip(dim, seed):
     g = spd_metric(dim, seed)
-    g_inv = metric_inverse(g)
-    assert g_inv.signature.slots == "uu"
-    np.testing.assert_allclose(
-        g.components @ g_inv.components, np.eye(dim), atol=1e-10
-    )
+    g_inv = metric_inverse(g.components)
+    assert g_inv.shape == (dim, dim)
+    np.testing.assert_allclose(g.components @ g_inv, np.eye(dim), atol=1e-10)
 
 
 def test_metric_inverse_rejects_singular():
-    g = tensor(2, "dd", [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularMetricError):
-        metric_inverse(g)
+        metric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_relative_residual_guard():
