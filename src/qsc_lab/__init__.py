@@ -13,7 +13,6 @@ from .geometry import (
     GeneratorField,
     ManifoldSpec,
     TensorField,
-    check_almost_hermitian,
     generator,
     generator_names,
     manifold_by_name,
@@ -30,7 +29,6 @@ from .connections import (
     point_jets,
     quarter_symmetric,
     torsion,
-    torsion_lowered,
 )
 from .curvature import (
     CurvatureBundle,
@@ -43,11 +41,9 @@ from .invariants import (
     IDENTITY_CATALOG,
     HybridReport,
     IdentityResult,
-    degeneracy_probe,
     h_tensor,
     hol_projective,
     hybrid_defect,
-    identity_ids,
     identity_suite,
     weyl_projective,
 )
@@ -83,18 +79,15 @@ __all__ = [
     "SingularMetricError",
     "Tensor",
     "TensorField",
-    "check_almost_hermitian",
     "contract",
     "covariant_derivative",
     "curvature_bundle",
-    "degeneracy_probe",
     "generator",
     "generator_jets",
     "generator_names",
     "h_tensor",
     "hol_projective",
     "hybrid_defect",
-    "identity_ids",
     "identity_suite",
     "levi_civita",
     "lower_first",
@@ -108,7 +101,6 @@ __all__ = [
     "sample_points",
     "tensor",
     "torsion",
-    "torsion_lowered",
     "weyl_projective",
     "__version__",
 ]

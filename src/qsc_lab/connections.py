@@ -259,12 +259,6 @@ def torsion(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
     return Tensor(m.n, Signature("udd"), comps)
 
 
-def torsion_lowered(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
-    """T(X, Y, Z) = pi(Y) F(X, Z) - pi(X) F(Y, Z), slots (X, Y, Z)."""
-    comps = _torsion_lowered(gen.pi(point).components, m.fundamental(point).components)
-    return Tensor(m.n, Signature("ddd"), comps)
-
-
 def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Max-norm covariant-derivative defects of g, F, G, A under the
     quarter-symmetric connection, plus nabla^g A under Levi-Civita; each has

@@ -179,11 +179,6 @@ def ricci(t: Tensor) -> Tensor:
     return contract(t, 0, 1)
 
 
-def prime_r(t: Tensor) -> Tensor:
-    """'R(X, Y) = trace of Z -> R(X, Y)Z (contract out with Z)."""
-    return contract(t, 0, 3)
-
-
 @dataclass(frozen=True)
 class CurvatureBundle:
     """The curvature kinds, their traces and the D blocks of the generators
@@ -221,10 +216,6 @@ class CurvatureBundle:
                 norm_max(self.prime_r4, 2),
             ),
         )
-
-    def lowered(self, theta: int | None = None) -> np.ndarray:
-        """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W); theta None means r_g."""
-        return lowered(self.r_g if theta is None else self.r[theta], self.g)
 
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
-from .tensor import Signature, Tensor, lower_first, norm_max
+from .tensor import Signature, Tensor, lower_first
 
 __all__ = [
     "Chart",
@@ -45,7 +45,6 @@ __all__ = [
     "generator",
     "generator_names",
     "sample_points",
-    "check_almost_hermitian",
 ]
 
 HYPERBOLIC_MARGIN = 1e-6
@@ -379,25 +378,3 @@ def sample_points(m: ManifoldSpec, count: int, seed: int) -> np.ndarray:
         m.chart.require(points[row])
     return points
 
-
-def check_almost_hermitian(m: ManifoldSpec, points) -> dict[str, float]:
-    """Max residuals of the structure equations over the given points.
-
-    Checks A^2 + I, g(A., A.) - g, F(A., .) + g and G(A., A.) - G, plus the
-    smallest metric eigenvalue encountered (positive definiteness witness).
-    """
-    res = {"a_squared": 0.0, "metric_compat": 0.0, "f_compat": 0.0, "g_total_compat": 0.0}
-    min_eig = np.inf
-    eye = np.eye(m.n)
-    for p in np.atleast_2d(np.asarray(points, dtype=np.float64)):
-        g = m.metric(p).components
-        a = m.structure(p).components
-        f = a.T @ g  # F_ij = A^m_i g_mj
-        big_g = g + f
-        res["a_squared"] = max(res["a_squared"], norm_max(a @ a + eye))
-        res["metric_compat"] = max(res["metric_compat"], norm_max(a.T @ g @ a - g))
-        res["f_compat"] = max(res["f_compat"], norm_max(a.T @ f + g))
-        res["g_total_compat"] = max(res["g_total_compat"], norm_max(a.T @ big_g @ a - big_g))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (g + g.T)))))
-    res["min_metric_eigenvalue"] = float(min_eig)
-    return res

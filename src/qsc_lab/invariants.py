@@ -9,6 +9,11 @@ H4 coincides with the Weyl projective tensor W of g, and all of them are
 linear combinations of W and the structure-adapted projective tensor P.  The
 identity suite turns every such statement into a residual with a stable ID.
 
+The identities live in one table, ``IDENTITY_CATALOG``: each entry holds the
+description, classification, scope and evaluator of one ID.  A linear
+relation among H0..H5, W, P and H0 written in R^g is one row of coefficients,
+a ``LinearRelation``; one evaluator computes the residual of every such row.
+
 One batched pass per job: ``identity_suite`` builds one ``PointJets`` for all
 P points, one ``GeneratorJets`` for all G generators and one
 ``CurvatureBundle`` with batch axes (P, G), then calls ``h_tensor`` once per
@@ -64,7 +69,6 @@ from .geometry import GeneratorField, ManifoldSpec
 from .tensor import Tensor, norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
-HYBRID_TOL = 1e-10
 
 
 def _emax(*arrays):
@@ -84,11 +88,6 @@ class HybridReport:
     defect: np.ndarray          # max |B(AX, Y) + B(X, AY)|
     kahler_defect: np.ndarray   # max |B(AX, AY) - B(X, Y)|
     scale: np.ndarray
-    tol: float = HYBRID_TOL
-
-    @property
-    def is_hybrid(self):
-        return relative_residual(self.defect, [self.scale]) < self.tol
 
 
 def hybrid_defect(b: np.ndarray | Tensor, a: np.ndarray | Tensor, label: str = "") -> HybridReport:
@@ -182,29 +181,6 @@ def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
     return fold_rank_one(b.r_g, a, terms)
 
 
-def degeneracy_probe(
-    m: ManifoldSpec, points, gen: GeneratorField
-) -> list[dict[str, float]]:
-    """Pointwise witness that hybrid pi (x) pi forces pi ~ 0.
-
-    Returns one record per point with the pi (x) pi hybrid defect and the
-    generator norm; a hybrid defect below tolerance with a sizable generator
-    would disprove the degeneracy (none exists)."""
-    out = []
-    for p in np.atleast_2d(np.asarray(points, dtype=np.float64)):
-        pi = gen.pi(p).components
-        a = m.structure(p).components
-        rep = hybrid_defect(np.outer(pi, pi), a, label="pipi")
-        out.append(
-            {
-                "pi_norm": norm_max(pi),
-                "pipi_hybrid_defect": rep.defect,
-                "pipi_scale": rep.scale,
-            }
-        )
-    return out
-
-
 # -- identity suite ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -217,107 +193,6 @@ class IdentityResult:
     passed: bool
     classification: str  # core | audit | expected-fail
     details: dict[str, float] | None = None
-
-
-@dataclass(frozen=True)
-class IdentityInfo:
-    description: str
-    classification: str  # core | audit
-    scope: str  # hermitian | kahler_hypothesis | kahler_only
-
-
-IDENTITY_CATALOG: dict[str, IdentityInfo] = {
-    "I-T1": IdentityInfo(
-        "torsion: A T(AX,AY) = A T(X,Y) - T(AX,Y) - T(X,AY)", "core", "hermitian"
-    ),
-    "I-T2": IdentityInfo(
-        "lowered torsion rebuilt from structure-rotated slots", "core", "hermitian"
-    ),
-    "I-T3": IdentityInfo("cyclic torsion sums agree", "core", "hermitian"),
-    "I-NABLA1PI": IdentityInfo(
-        "(nabla^1 pi)(X,Y) = (nabla^g pi)(X,Y) + pi(X) pi(AY)", "core", "hermitian"
-    ),
-    "I-DREL": IdentityInfo(
-        "linear relations among the D blocks (D1, D0, D2, D3)", "core", "hermitian"
-    ),
-    "I-METRICITY": IdentityInfo(
-        "connection preserves g, F, G and A (and A is g-parallel)",
-        "core",
-        "kahler_hypothesis",
-    ),
-    "I-K1": IdentityInfo("R(X,Y)AZ = A R(X,Y)Z", "core", "kahler_hypothesis"),
-    "I-K2": IdentityInfo("R(X,Y,AZ,AW) = R(AX,AY,Z,W)", "core", "kahler_hypothesis"),
-    "I-K3": IdentityInfo("R(X,AY,AZ,W) = R(AX,Y,Z,AW)", "core", "kahler_hypothesis"),
-    "I-K4": IdentityInfo("R(AX,AY,AZ,AW) = R(X,Y,Z,W)", "core", "kahler_hypothesis"),
-    "I-K5": IdentityInfo("R(X,Y,Z,AW) = -R(X,Y,AZ,W)", "core", "kahler_hypothesis"),
-    "I-RICHYB": IdentityInfo("Ricci tensor of g is hybrid", "core", "kahler_hypothesis"),
-    "I-R1COMM": IdentityInfo(
-        "kind-1 curvature equals the coefficient-commutator curvature",
-        "core",
-        "kahler_only",
-    ),
-    "I-RIC-CF": IdentityInfo(
-        "closed forms of all Ricci-type traces and their inversions",
-        "core",
-        "kahler_only",
-    ),
-    "I-RIC23": IdentityInfo("Ric2(X,Y) = Ric3(Y,X)", "core", "kahler_only"),
-    "I-PR34": IdentityInfo("'R3 = 'R4", "core", "kahler_only"),
-    "I-H1H3": IdentityInfo("H1 = H3", "core", "kahler_only"),
-    "I-HIND-0": IdentityInfo("H0 is generator-independent", "core", "kahler_only"),
-    "I-HIND-1": IdentityInfo("H1 is generator-independent", "core", "kahler_only"),
-    "I-HIND-2": IdentityInfo("H2 is generator-independent", "core", "kahler_only"),
-    "I-HIND-3": IdentityInfo("H3 is generator-independent", "core", "kahler_only"),
-    "I-HIND-4": IdentityInfo("H4 is generator-independent", "core", "kahler_only"),
-    "I-HIND-5": IdentityInfo("H5 is generator-independent", "core", "kahler_only"),
-    "I-H4W": IdentityInfo("H4 equals the Weyl projective tensor", "core", "kahler_only"),
-    "I-LIN1": IdentityInfo("4 H0 - 2 H1 - H2 = W", "audit", "kahler_only"),
-    "I-LIN2": IdentityInfo(
-        "2 H5(X,Y)Z - H1(X,Y)Z + H1(Y,Z)X = W(X,Z)Y", "audit", "kahler_only"
-    ),
-    "I-H0PW": IdentityInfo(
-        "H0 = ((n+2)/4) P - ((n-2)/4) W", "audit", "kahler_only"
-    ),
-    "I-2H1H2": IdentityInfo(
-        "2 H1 + H2 = (n+2) P - (n-1) W", "audit", "kahler_only"
-    ),
-    "I-PCOMB1": IdentityInfo(
-        "P = (4 H0 + (n-2) H4) / (n+2)", "audit", "kahler_only"
-    ),
-    "I-PCOMB2": IdentityInfo(
-        "P = (4(n-1) H0 - 2(n-2) H1 - (n-2) H2) / (n+2)", "audit", "kahler_only"
-    ),
-    "I-PCOMB3": IdentityInfo(
-        "P from H0 and the H5/H1 slot-permuted combination", "audit", "kahler_only"
-    ),
-    "I-H0RG": IdentityInfo(
-        "H0 written directly in R^g and Ric^g", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-0": IdentityInfo(
-        "conditional hybrid curvature properties, kind 0", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-1": IdentityInfo(
-        "conditional hybrid curvature properties, kind 1", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-2": IdentityInfo(
-        "conditional hybrid curvature properties, kind 2", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-3": IdentityInfo(
-        "conditional hybrid curvature properties, kind 3", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-4": IdentityInfo(
-        "conditional hybrid curvature properties, kind 4", "audit", "kahler_only"
-    ),
-    "I-HYB-COND-5": IdentityInfo(
-        "conditional hybrid curvature properties, kind 5", "audit", "kahler_only"
-    ),
-}
-
-
-def identity_ids() -> list[str]:
-    return list(IDENTITY_CATALOG)
-
-
 
 
 def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -385,8 +260,8 @@ def _hyb_hypotheses(b: CurvatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndar
 class _Job:
     """What the evaluators of one ``identity_suite`` call read: the records
     of all points and generators, the bundle, and the tensors built from them
-    (H and W/P on first use, so only on Kahler charts).  Point-level results
-    carry a unit generator axis."""
+    (on first use, so only on Kahler charts).  Point-level results carry a
+    unit generator axis."""
 
     def __init__(self, pj: PointJets, gj: GeneratorJets, b: CurvatureBundle, tol_audit: float):
         self.pj, self.gj, self.b, self.tol_audit = pj, gj, b, tol_audit
@@ -394,16 +269,16 @@ class _Job:
         self.torsion = torsion_identities(pj, gj)
 
     @cached_property
-    def h(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Each H^theta, and its max-norm per (point, generator)."""
-        h = {theta: h_tensor(theta, self.b) for theta in THETAS}
-        return h, {theta: norm_max(x, 4) for theta, x in h.items()}
+    def tensors(self) -> dict[str, np.ndarray]:
+        """H0..H5 per (point, generator), W and P per point."""
+        t = {f"H{theta}": h_tensor(theta, self.b) for theta in THETAS}
+        t["W"], t["P"] = weyl_projective(self.pj)[:, None], hol_projective(self.pj)[:, None]
+        return t
 
     @cached_property
-    def wp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """W, P and their max-norms."""
-        w, p = weyl_projective(self.pj)[:, None], hol_projective(self.pj)[:, None]
-        return w, p, norm_max(w, 4), norm_max(p, 4)
+    def norms(self) -> dict[str, np.ndarray]:
+        """The max-norm of each of ``tensors``."""
+        return {name: norm_max(t, 4) for name, t in self.tensors.items()}
 
     @cached_property
     def hyb(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,17 +389,13 @@ def _pr34_evaluator(j: _Job):
     return norm_max(pr3 - pr4, 2), np.maximum(norm_max(pr3, 2), norm_max(pr4, 2)), None
 
 
-def _h1h3_evaluator(j: _Job):
-    h, hn = j.h
-    return norm_max(h[1] - h[3], 4), _emax(j.b.scale, hn[1], hn[3]), None
-
-
 def _hind_evaluator(theta: int):
     def evaluate(j: _Job):
         first, second = np.triu_indices(j.b.pi.shape[-2], 1)
         if not first.size:  # single generator: nothing to compare
             return np.zeros((len(j.pj.point), 1)), 1.0, None
-        (h, hn), bs = (x[theta] for x in j.h), j.b.scale
+        name, bs = f"H{theta}", j.b.scale
+        h, hn = j.tensors[name], j.norms[name]
         # the pairs (i, i+1..G-1) of one triangle row at a time, in the order
         # of (first, second): no copy of H per pair
         res = np.concatenate(
@@ -537,98 +408,172 @@ def _hind_evaluator(theta: int):
     return evaluate
 
 
-def _h4w_evaluator(j: _Job):
-    (h, hn), (w, _, wn, _) = j.h, j.wp
-    return norm_max(h[4] - w, 4), _emax(j.b.scale, wn, hn[4]), None
+class LinearRelation:
+    """The evaluator of one linear relation: sum_i c_i T_i = 0.
+
+    A term is (c, name) or (c, name, slots).  c is a number or a function of
+    n.  name is a key of ``_Job.tensors`` or "H0RG", H0 written in R^g, which
+    is built for its row alone (kept for the whole job, it would raise the
+    peak memory).  slots names the arguments of T: "YZX" is T(Y, Z)X.  The
+    scale is the bundle scale and the max-norm of every T_i in the row."""
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def __call__(self, j: _Job):
+        tensors, norms = [], [j.b.scale]
+        for _, name, *_ in self.terms:
+            if name == "H0RG":
+                tensors.append(_h0_from_levi_civita(j.b))
+                norms.append(norm_max(tensors[-1], 4))
+            else:
+                tensors.append(j.tensors[name])
+                norms.append(j.norms[name])
+        # allocated once the tensors exist, so building them does not peak on top of it
+        total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
+        for (c, _, *slots), t in zip(self.terms, tensors):
+            c = c(j.pj.n) if callable(c) else c
+            if slots:
+                t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
+            if c == 1:  # unit terms in place: no temporary as large as H
+                total += t
+            elif c == -1:
+                total -= t
+            else:
+                total += c * t
+        return norm_max(total, 4), _emax(*norms), None
 
 
-def _lin1_evaluator(j: _Job):
-    (h, hn), (w, _, wn, _) = j.h, j.wp
-    res = norm_max(4 * h[0] - 2 * h[1] - h[2] - w, 4)
-    return res, _emax(j.b.scale, hn[0], hn[1], hn[2], wn), None
+@dataclass(frozen=True)
+class Identity:
+    description: str
+    classification: str  # core | audit
+    scope: str  # hermitian | kahler_hypothesis | kahler_only
+    evaluate: Callable[[_Job], tuple]
 
 
-def _lin2_evaluator(j: _Job):
-    (h, hn), (w, _, wn, _) = j.h, j.wp
-    w_xzy = w.swapaxes(-1, -2)  # W(X, Z)Y
-    h1_yzx = np.moveaxis(h[1], -1, -3)  # H1(Y, Z)X
-    res = norm_max(2 * h[5] - h[1] + h1_yzx - w_xzy, 4)
-    return res, _emax(j.b.scale, hn[1], hn[5], wn), None
-
-
-def _h0pw_evaluator(j: _Job):
-    (h, hn), (w, p, wn, pn), n = j.h, j.wp, j.pj.n
-    target = (n + 2) / 4.0 * p - (n - 2) / 4.0 * w
-    return norm_max(h[0] - target, 4), _emax(j.b.scale, hn[0], wn, pn), None
-
-
-def _2h1h2_evaluator(j: _Job):
-    (h, hn), (w, p, wn, pn), n = j.h, j.wp, j.pj.n
-    diff = 2 * h[1]
-    diff += h[2]
-    diff -= (n + 2) * p - (n - 1) * w
-    return norm_max(diff, 4), _emax(j.b.scale, hn[1], hn[2], wn, pn), None
-
-
-def _pcomb1_evaluator(j: _Job):
-    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
-    res = norm_max(p - (4 * h[0] + (n - 2) * h[4]) / (n + 2), 4)
-    return res, _emax(j.b.scale, hn[0], hn[4], pn), None
-
-
-def _pcomb2_evaluator(j: _Job):
-    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
-    combo = (4 * (n - 1) * h[0] - 2 * (n - 2) * h[1] - (n - 2) * h[2]) / (n + 2)
-    return norm_max(p - combo, 4), _emax(j.b.scale, hn[0], hn[1], hn[2], pn), None
-
-
-def _pcomb3_evaluator(j: _Job):
-    (h, hn), (_, p, _, pn), n = j.h, j.wp, j.pj.n
-    # in place: H^theta blocks are the largest arrays of a job
-    middle = 2 * h[5].swapaxes(-1, -2)
-    middle -= h[1].swapaxes(-1, -2)
-    middle += h[1].swapaxes(-3, -1)
-    middle *= (n - 2) / (n + 2)
-    diff = -4 / (n + 2) * h[0]
-    diff += p
-    diff -= middle
-    return norm_max(diff, 4), _emax(j.b.scale, hn[0], hn[1], hn[5], pn), None
-
-
-def _h0rg_evaluator(j: _Job):
-    (h, hn), direct = j.h, _h0_from_levi_civita(j.b)
-    return norm_max(h[0] - direct, 4), _emax(j.b.scale, hn[0], norm_max(direct, 4)), None
-
-
-_EVALUATORS: dict[str, Callable] = {
-    "I-T1": _torsion_evaluator("twisted_composition"),
-    "I-T2": _torsion_evaluator("lowered_reconstruction"),
-    "I-T3": _torsion_evaluator("cyclic_sum"),
-    "I-NABLA1PI": _nabla1pi_evaluator,
-    "I-DREL": _drel_evaluator,
-    "I-METRICITY": _metricity_evaluator,
-    "I-K1": _kahler_evaluator("k1_operator"),
-    "I-K2": _kahler_evaluator("k2_pair_exchange"),
-    "I-K3": _kahler_evaluator("k3_inner_outer"),
-    "I-K4": _kahler_evaluator("k4_all_four"),
-    "I-K5": _kahler_evaluator("k5_last_pair"),
-    "I-RICHYB": _richyb_evaluator,
-    "I-R1COMM": _r1comm_evaluator,
-    "I-RIC-CF": _riccf_evaluator,
-    "I-RIC23": _ric23_evaluator,
-    "I-PR34": _pr34_evaluator,
-    "I-H1H3": _h1h3_evaluator,
-    **{f"I-HIND-{t}": _hind_evaluator(t) for t in range(6)},
-    "I-H4W": _h4w_evaluator,
-    "I-LIN1": _lin1_evaluator,
-    "I-LIN2": _lin2_evaluator,
-    "I-H0PW": _h0pw_evaluator,
-    "I-2H1H2": _2h1h2_evaluator,
-    "I-PCOMB1": _pcomb1_evaluator,
-    "I-PCOMB2": _pcomb2_evaluator,
-    "I-PCOMB3": _pcomb3_evaluator,
-    "I-H0RG": _h0rg_evaluator,
-    **{f"I-HYB-COND-{t}": _hyb_cond_evaluator(t) for t in range(6)},
+IDENTITY_CATALOG: dict[str, Identity] = {
+    "I-T1": Identity(
+        "torsion: A T(AX,AY) = A T(X,Y) - T(AX,Y) - T(X,AY)", "core", "hermitian",
+        _torsion_evaluator("twisted_composition"),
+    ),
+    "I-T2": Identity(
+        "lowered torsion rebuilt from structure-rotated slots", "core", "hermitian",
+        _torsion_evaluator("lowered_reconstruction"),
+    ),
+    "I-T3": Identity(
+        "cyclic torsion sums agree", "core", "hermitian", _torsion_evaluator("cyclic_sum")
+    ),
+    "I-NABLA1PI": Identity(
+        "(nabla^1 pi)(X,Y) = (nabla^g pi)(X,Y) + pi(X) pi(AY)", "core", "hermitian",
+        _nabla1pi_evaluator,
+    ),
+    "I-DREL": Identity(
+        "linear relations among the D blocks (D1, D0, D2, D3)", "core", "hermitian",
+        _drel_evaluator,
+    ),
+    "I-METRICITY": Identity(
+        "connection preserves g, F, G and A (and A is g-parallel)", "core",
+        "kahler_hypothesis", _metricity_evaluator,
+    ),
+    "I-K1": Identity(
+        "R(X,Y)AZ = A R(X,Y)Z", "core", "kahler_hypothesis", _kahler_evaluator("k1_operator")
+    ),
+    "I-K2": Identity(
+        "R(X,Y,AZ,AW) = R(AX,AY,Z,W)", "core", "kahler_hypothesis",
+        _kahler_evaluator("k2_pair_exchange"),
+    ),
+    "I-K3": Identity(
+        "R(X,AY,AZ,W) = R(AX,Y,Z,AW)", "core", "kahler_hypothesis",
+        _kahler_evaluator("k3_inner_outer"),
+    ),
+    "I-K4": Identity(
+        "R(AX,AY,AZ,AW) = R(X,Y,Z,W)", "core", "kahler_hypothesis",
+        _kahler_evaluator("k4_all_four"),
+    ),
+    "I-K5": Identity(
+        "R(X,Y,Z,AW) = -R(X,Y,AZ,W)", "core", "kahler_hypothesis",
+        _kahler_evaluator("k5_last_pair"),
+    ),
+    "I-RICHYB": Identity(
+        "Ricci tensor of g is hybrid", "core", "kahler_hypothesis", _richyb_evaluator
+    ),
+    "I-R1COMM": Identity(
+        "kind-1 curvature equals the coefficient-commutator curvature", "core",
+        "kahler_only", _r1comm_evaluator,
+    ),
+    "I-RIC-CF": Identity(
+        "closed forms of all Ricci-type traces and their inversions", "core",
+        "kahler_only", _riccf_evaluator,
+    ),
+    "I-RIC23": Identity("Ric2(X,Y) = Ric3(Y,X)", "core", "kahler_only", _ric23_evaluator),
+    "I-PR34": Identity("'R3 = 'R4", "core", "kahler_only", _pr34_evaluator),
+    "I-H1H3": Identity(
+        "H1 = H3", "core", "kahler_only", LinearRelation((1, "H1"), (-1, "H3"))
+    ),
+    **{
+        f"I-HIND-{t}": Identity(
+            f"H{t} is generator-independent", "core", "kahler_only", _hind_evaluator(t)
+        )
+        for t in THETAS
+    },
+    "I-H4W": Identity(
+        "H4 equals the Weyl projective tensor", "core", "kahler_only",
+        LinearRelation((1, "H4"), (-1, "W")),
+    ),
+    "I-LIN1": Identity(
+        "4 H0 - 2 H1 - H2 = W", "audit", "kahler_only",
+        LinearRelation((4, "H0"), (-2, "H1"), (-1, "H2"), (-1, "W")),
+    ),
+    "I-LIN2": Identity(
+        "2 H5(X,Y)Z - H1(X,Y)Z + H1(Y,Z)X = W(X,Z)Y", "audit", "kahler_only",
+        LinearRelation((2, "H5"), (-1, "H1"), (1, "H1", "YZX"), (-1, "W", "XZY")),
+    ),
+    "I-H0PW": Identity(
+        "H0 = ((n+2)/4) P - ((n-2)/4) W", "audit", "kahler_only",
+        LinearRelation((1, "H0"), (lambda n: -(n + 2) / 4, "P"), (lambda n: (n - 2) / 4, "W")),
+    ),
+    "I-2H1H2": Identity(
+        "2 H1 + H2 = (n+2) P - (n-1) W", "audit", "kahler_only",
+        LinearRelation((2, "H1"), (1, "H2"), (lambda n: -(n + 2), "P"), (lambda n: n - 1, "W")),
+    ),
+    "I-PCOMB1": Identity(
+        "P = (4 H0 + (n-2) H4) / (n+2)", "audit", "kahler_only",
+        LinearRelation(
+            (1, "P"), (lambda n: -4 / (n + 2), "H0"), (lambda n: -(n - 2) / (n + 2), "H4")
+        ),
+    ),
+    "I-PCOMB2": Identity(
+        "P = (4(n-1) H0 - 2(n-2) H1 - (n-2) H2) / (n+2)", "audit", "kahler_only",
+        LinearRelation(
+            (1, "P"),
+            (lambda n: -4 * (n - 1) / (n + 2), "H0"),
+            (lambda n: 2 * (n - 2) / (n + 2), "H1"),
+            (lambda n: (n - 2) / (n + 2), "H2"),
+        ),
+    ),
+    "I-PCOMB3": Identity(
+        "P from H0 and the H5/H1 slot-permuted combination", "audit", "kahler_only",
+        # (n+2) P = 4 H0 + (n-2)(2 H5(X,Z)Y - H1(X,Z)Y + H1(Z,Y)X)
+        LinearRelation(
+            (1, "P"),
+            (lambda n: -4 / (n + 2), "H0"),
+            (lambda n: -2 * (n - 2) / (n + 2), "H5", "XZY"),
+            (lambda n: (n - 2) / (n + 2), "H1", "XZY"),
+            (lambda n: -(n - 2) / (n + 2), "H1", "ZYX"),
+        ),
+    ),
+    "I-H0RG": Identity(
+        "H0 written directly in R^g and Ric^g", "audit", "kahler_only",
+        LinearRelation((1, "H0"), (-1, "H0RG")),
+    ),
+    **{
+        f"I-HYB-COND-{t}": Identity(
+            f"conditional hybrid curvature properties, kind {t}", "audit", "kahler_only",
+            _hyb_cond_evaluator(t),
+        )
+        for t in THETAS
+    },
 }
 
 
@@ -667,7 +612,7 @@ def identity_suite(
         if info.scope == "kahler_hypothesis" and not m.kahler_expected:
             classification = "expected-fail"
         tol = tol_core if classification == "core" else tol_audit
-        res, scale, details = _EVALUATORS[ident](job)
+        res, scale, details = info.evaluate(job)
         res, scale = np.broadcast_arrays(res, scale)
         rel = relative_residual(res, [scale]).max(-1)
         if details is not None and ident.startswith("I-HYB-COND"):

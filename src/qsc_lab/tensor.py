@@ -52,14 +52,6 @@ class Signature:
     def rank(self) -> int:
         return len(self.slots)
 
-    @property
-    def contravariant(self) -> int:
-        return self.slots.count(UP)
-
-    @property
-    def covariant(self) -> int:
-        return self.slots.count(DOWN)
-
     def drop(self, *positions: int) -> "Signature":
         keep = [c for i, c in enumerate(self.slots) if i not in positions]
         return Signature("".join(keep))

@@ -11,12 +11,11 @@ import numpy as np
 
 from qsc_lab.cli import main
 from qsc_lab.connections import generator_jets, metricity_defects, point_jets
-from qsc_lab.curvature import commutator_curvature, curvature_bundle, riemann_g
+from qsc_lab.curvature import commutator_curvature, curvature_bundle, lowered, riemann_g
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.invariants import (
     _part1_conclusions,
-    degeneracy_probe,
     h_tensor,
     hol_projective,
     hybrid_defect,
@@ -214,15 +213,13 @@ def test_criterion_08_hybridity_cascade(capsys):
         b = _bundle(m, p, gen)
         rep = hybrid_defect(b.d[1], b.a)
         ok &= rep.defect < 1e-10 * max(rep.scale, 1.0)
-        rl = b.lowered(1)
+        rl = lowered(b.r[1], b.g)
         scale = max(norm_max(rl), 1.0)
         ok &= _part1_conclusions(rl, b.a) < 1e-9 * scale
-    probes = degeneracy_probe(m, sample_points(m, 50, seed=9), gen)
-    for rec in probes:
-        degenerate = (
-            rec["pipi_hybrid_defect"] < 1e-10 * max(rec["pipi_scale"], 1.0)
-            and rec["pi_norm"] >= 1e-5
-        )
+    for p in sample_points(m, 50, seed=9):
+        pi = gen.pi(p).components
+        rep = hybrid_defect(np.outer(pi, pi), m.structure(p).components)
+        degenerate = rep.defect < 1e-10 * max(rep.scale, 1.0) and norm_max(pi) >= 1e-5
         ok &= not degenerate
     _verdict(capsys, 8, ok, "hybrid generator derivative propagates to curvature")
 

@@ -13,6 +13,7 @@ from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.connections import (
     ConnectionCoefficients,
+    _torsion_lowered,
     covariant_derivative,
     generator_jets,
     levi_civita,
@@ -23,7 +24,6 @@ from qsc_lab.connections import (
     quarter_symmetric_jets,
     torsion,
     torsion_identities,
-    torsion_lowered,
 )
 
 CFG = DiffConfig(scheme="analytic")
@@ -166,7 +166,7 @@ def test_torsion_lowered_matches_metric_pairing():
     gen = generator("grad", dim=4)
     p = sample_points(m, 1, seed=3)[0]
     t = torsion(m, p, gen).components
-    tl = torsion_lowered(m, p, gen).components
+    tl = _torsion_lowered(gen.pi(p).components, m.fundamental(p).components)
     g = m.metric(p).components
     np.testing.assert_allclose(tl, np.einsum("mxy,mz->xyz", t, g), atol=1e-14)
 

@@ -16,7 +16,7 @@ from qsc_lab.curvature import (
     commutator_curvature,
     curvature_bundle,
     kahler_identities,
-    prime_r,
+    lowered,
     ricci,
     riemann_g,
     rotate_slots,
@@ -48,7 +48,7 @@ def test_riemann_symmetries_on_curved_metric():
     gen = generator("zero", dim=4)
     for p in sample_points(m, 3, seed=11):
         b = bundle(m, p, gen)
-        rl = b.lowered(None)
+        rl = lowered(b.r_g, b.g)
         scale = norm_max(rl)
         assert scale > 0.1
         assert norm_max(rl + rl.transpose(1, 0, 2, 3)) < 1e-12 * scale
@@ -217,11 +217,8 @@ def test_ricci_and_prime_contractions():
     np.testing.assert_allclose(
         ricci(t).components, np.einsum("mmjk->jk", t.components), atol=0
     )
-    np.testing.assert_allclose(
-        prime_r(t).components, np.einsum("mijm->ij", t.components), atol=0
-    )
     np.testing.assert_allclose(b.ric[3], ricci(t).components, atol=0)
-    np.testing.assert_allclose(b.prime_r3, prime_r(t).components, atol=0)
+    np.testing.assert_allclose(b.prime_r3, np.einsum("mijm->ij", t.components), atol=0)
 
 
 def test_kahler_identities_split_the_catalog():

@@ -1,5 +1,6 @@
 """H tensors, projective invariants, hybridity, and the identity suite."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,19 +8,18 @@ import pytest
 
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
-from qsc_lab.tensor import norm_max
+from qsc_lab.tensor import Signature, norm_max
 from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import curvature_bundle
 import qsc_lab.invariants as invariants
 from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
+    LinearRelation,
     _h0_from_levi_civita,
-    degeneracy_probe,
     h_tensor,
     hol_projective,
     hybrid_defect,
-    identity_ids,
     identity_suite,
     weyl_projective,
 )
@@ -139,25 +139,84 @@ def test_projective_invariants_flat_and_model_spaces():
 
 
 def test_degeneracy_probe_reports_obstruction():
+    """Hybrid pi (x) pi forces pi ~ 0: a sizable generator is never hybrid."""
     m = manifold_by_name("flat", k=2)
-    pts = sample_points(m, 5, seed=7)
-    recs = degeneracy_probe(m, pts, generator("linear_j", dim=4))
-    assert len(recs) == 5
-    for rec in recs:
-        if rec["pi_norm"] >= 1e-5:
-            assert rec["pipi_hybrid_defect"] > 1e-10
-    zero_recs = degeneracy_probe(m, pts, generator("zero", dim=4))
-    assert all(r["pi_norm"] == 0.0 for r in zero_recs)
+    for p in sample_points(m, 5, seed=7):
+        a = m.structure(p).components
+        pi = generator("linear_j", dim=4).pi(p).components
+        if norm_max(pi) >= 1e-5:
+            assert hybrid_defect(np.outer(pi, pi), a).defect > 1e-10
+        assert norm_max(generator("zero", dim=4).pi(p).components) == 0.0
 
 
 def test_catalog_shape():
-    ids = identity_ids()
-    assert len(ids) == len(IDENTITY_CATALOG) == 38
-    assert ids == list(IDENTITY_CATALOG)
+    assert list(IDENTITY_CATALOG) == [
+        "I-T1", "I-T2", "I-T3", "I-NABLA1PI", "I-DREL", "I-METRICITY",
+        "I-K1", "I-K2", "I-K3", "I-K4", "I-K5", "I-RICHYB",
+        "I-R1COMM", "I-RIC-CF", "I-RIC23", "I-PR34", "I-H1H3",
+        *(f"I-HIND-{t}" for t in range(6)),
+        "I-H4W", "I-LIN1", "I-LIN2", "I-H0PW", "I-2H1H2",
+        "I-PCOMB1", "I-PCOMB2", "I-PCOMB3", "I-H0RG",
+        *(f"I-HYB-COND-{t}" for t in range(6)),
+    ]
     assert "Weyl projective" in IDENTITY_CATALOG["I-H4W"].description
-    for info in IDENTITY_CATALOG.values():
-        assert info.classification in ("core", "audit")
-        assert info.scope in ("hermitian", "kahler_hypothesis", "kahler_only")
+    m = manifold_by_name("fs", k=2)
+    gens = [generator("linear_j", dim=4), generator("grad", dim=4)]
+    ran = {r.id for r in identity_suite(m, sample_points(m, 1, seed=9), gens, CFG)}
+    for ident, entry in IDENTITY_CATALOG.items():
+        assert entry.classification in ("core", "audit")
+        assert entry.scope in ("hermitian", "kahler_hypothesis", "kahler_only")
+        assert callable(entry.evaluate) and ident in ran, ident
+
+
+def _cp1_times_ch1():
+    """CP^1 x CH^1 on the flat chart's domain: Kahler, with holomorphic
+    sectional curvature of opposite signs on the two factors, so P != 0."""
+    blocks = np.diag([2.0, 2.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, 2.0])
+
+    def metric(u):
+        s1 = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
+        s2 = u[..., 2] * u[..., 2] + u[..., 3] * u[..., 3]
+        f, h = 1 / ((1 + s1) * (1 + s1)), 1 / ((1 - s2) * (1 - s2))
+        return f[..., None, None] * blocks[0] + h[..., None, None] * blocks[1]
+
+    return dataclasses.replace(
+        manifold_by_name("flat", k=2),
+        label="cp1xch1",
+        metric_field=TensorField(Signature("dd"), metric, label="g"),
+        sample_radius=0.4,
+    )
+
+
+LINEAR_TERMS = [
+    (ident, index)
+    for ident, entry in IDENTITY_CATALOG.items()
+    if isinstance(entry.evaluate, LinearRelation)
+    for index in range(len(entry.evaluate.terms))
+]
+
+
+@pytest.mark.parametrize("ident,index", LINEAR_TERMS)
+def test_flipping_one_term_of_a_linear_relation_fails_it(monkeypatch, ident, index):
+    """Every term of a row is read, and the shared scale does not hide it:
+    the row passes, and fails once one coefficient changes sign.  P vanishes
+    on every complex space form, so a P term is flipped on CP^1 x CH^1."""
+    entry = IDENTITY_CATALOG[ident]
+    terms = list(entry.evaluate.terms)
+    c, name, *slots = terms[index]
+    terms[index] = (lambda n: -(c(n) if callable(c) else c), name, *slots)
+    m = _cp1_times_ch1() if name == "P" else manifold_by_name("fs", k=2)
+    gens = [generator("linear_j", dim=4), generator("random_poly", dim=4, seed=3)]
+    pts = sample_points(m, 1, seed=0)
+
+    def row(evaluate):
+        table = {ident: dataclasses.replace(entry, evaluate=evaluate)}
+        monkeypatch.setattr(invariants, "IDENTITY_CATALOG", table)
+        [result] = identity_suite(m, pts, gens, CFG)
+        return result
+
+    assert row(entry.evaluate).passed
+    assert not row(LinearRelation(*terms)).passed
 
 
 def test_suite_flat_all_pass_tight():
@@ -177,7 +236,7 @@ def test_suite_covers_full_catalog_on_kahler():
     m = manifold_by_name("fs", k=2)
     gens = [generator("linear_j", dim=4), generator("grad", dim=4)]
     results = identity_suite(m, sample_points(m, 1, seed=9), gens, CFG)
-    assert {r.id for r in results} == set(identity_ids())
+    assert {r.id for r in results} == set(IDENTITY_CATALOG)
     assert all(r.passed for r in results)
 
 

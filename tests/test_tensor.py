@@ -33,8 +33,6 @@ def spd_metric(dim: int, seed: int) -> Tensor:
 def test_signature_counts():
     sig = Signature("uddd")
     assert sig.rank == 4
-    assert sig.contravariant == 1
-    assert sig.covariant == 3
     assert sig.drop(0, 2).slots == "dd"
     assert str(sig) == "uddd"
 
