@@ -289,13 +289,16 @@ def _check_domain(
         raise DomainError(f"finite-difference stencil leaves the chart domain at {q.tolist()}")
 
 
-def _fd_level(stencil, order, fn, point, shape, step, scheme, domain) -> np.ndarray:
+def _fd_level(stencil, order, fn, point, val, step, scheme, domain) -> np.ndarray:
     """One stencil level: every stencil point sampled in one batch, the
-    samples contracted with the stencil coefficients."""
+    samples contracted with the stencil coefficients.  The coefficients of
+    each slot sum to zero, so the samples are centred on ``val``, the value
+    at ``point``: on a constant field sum c_k (f_k - f_0) is exactly zero,
+    where sum c_k f_k leaves rounding of about eps |f| / step^order."""
     offsets, coef = stencil(point.shape[0], scheme)
     points = point + offsets * step
     _check_domain(points, domain)
-    samples = eval_components(fn, points, shape)
+    samples = eval_components(fn, points, val.shape) - val
     return np.tensordot(coef, samples, 1) / (step if order == 1 else step * step)
 
 
@@ -305,10 +308,10 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray
     return (factor * fine - coarse) / (factor - 1.0)
 
 
-def _fd(stencil, order, fn, point, shape, cfg: DiffConfig, domain) -> np.ndarray:
-    d = _fd_level(stencil, order, fn, point, shape, cfg.step, cfg.scheme, domain)
+def _fd(stencil, order, fn, point, val, cfg: DiffConfig, domain) -> np.ndarray:
+    d = _fd_level(stencil, order, fn, point, val, cfg.step, cfg.scheme, domain)
     if cfg.richardson:
-        d_half = _fd_level(stencil, order, fn, point, shape, cfg.step / 2, cfg.scheme, domain)
+        d_half = _fd_level(stencil, order, fn, point, val, cfg.step / 2, cfg.scheme, domain)
         d = _richardson(d, d_half, cfg.scheme)
     return d
 
@@ -328,8 +331,8 @@ def field_jets(
         val, d1, d2 = eval_jets(fn, point, second)
     else:
         val = eval_components(fn, point)
-        d1 = _fd(_d1_stencil, 1, fn, point, val.shape, cfg, domain)
-        d2 = _fd(_d2_stencil, 2, fn, point, val.shape, cfg, domain) if second else None
+        d1 = _fd(_d1_stencil, 1, fn, point, val, cfg, domain)
+        d2 = _fd(_d2_stencil, 2, fn, point, val, cfg, domain) if second else None
     if second:
         return val, d1, d2
     return val, d1

@@ -258,6 +258,17 @@ def test_fd_calls_the_field_once_per_stencil_level(second, most):
         np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("scheme", ["fd2", "fd4"])
+@pytest.mark.parametrize("richardson", [False, True])
+def test_fd_derivatives_of_a_constant_field_are_exactly_zero(scheme, richardson):
+    """The stencil sums are centred on the value at the point, so the size of
+    a constant field leaves no rounding in its derivatives."""
+    c = np.full((3, 3), 7.0 / 3.0)
+    cfg = DiffConfig(scheme=scheme, richardson=richardson)
+    _, d1, d2 = field_jets(lambda u: c, np.array([0.3, -0.2, 0.1, 0.5]), cfg, second=True)
+    assert not d1.any() and not d2.any()
+
+
 def test_analytic_jets_call_the_field_once():
     m = manifold_by_name("fs", k=4)
     calls = []

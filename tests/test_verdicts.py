@@ -3,9 +3,9 @@ and per-row pass flags.
 
 ``golden/verdicts.json`` holds, for one rotation of each benchmark workload
 at seed 1, the argv of every job with its exit code, its ``summary`` block
-and the pass flag of every report row.  The flat fd4 jobs are pinned as they
-fail today (the fd4 noise-floor defect of ROADMAP item 4); a change that
-mends it updates the file and says so.  Regenerate it with
+and the pass flag of every report row.  Every job exits 0, the flat fd4 job
+included since finite differences centre their stencil sums; a change that
+moves a verdict updates the file and says so.  Regenerate it with
 
     PYTHONPATH=src python tests/test_verdicts.py
 """
