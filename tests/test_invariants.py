@@ -170,8 +170,9 @@ def test_catalog_shape():
 
 
 def _cp1_times_ch1():
-    """CP^1 x CH^1 on the flat chart's domain: Kahler, with holomorphic
-    sectional curvature of opposite signs on the two factors, so P != 0."""
+    """CP^1 x CH^1, sampled near the origin (the CH^1 factor needs |z2| < 1):
+    Kahler, with holomorphic sectional curvature of opposite signs on the two
+    factors, so P != 0."""
     blocks = np.diag([2.0, 2.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, 2.0])
 
     def metric(u):
