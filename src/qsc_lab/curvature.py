@@ -19,9 +19,9 @@ axes (P, G) in front of its tensor slots; the kind-indexed arrays carry the
 kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.
 
 Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
-``fold_rank_one`` sums the n x n coefficients that share (V, vector slot)
-before it expands each group once.  The shapes are those specialized to
-A^2 = -I, which every catalog structure satisfies exactly.
+``fold_rank_one`` adds them through n^3 diagonal views and applies A once per
+tensor.  The shapes are those specialized to A^2 = -I, which every catalog
+structure satisfies exactly.
 
 Batch convention (as in ``connections``): tensor slots trail, any leading
 axes are batch axes.  Transpose with ``swapaxes(-1, -2)``, never ``.T``,
@@ -65,13 +65,18 @@ def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.n
 
     Slots count from the first tensor slot.  `a` carries the leading axes of
     `arr` (size one where shared), so the tensor slots are the trailing
-    arr.ndim - a.ndim + 2 axes.
+    arr.ndim - a.ndim + 2 axes.  Each slot is one matmul, no transposed copy.
     """
-    rank = arr.ndim - a.ndim + 2
-    a = a.reshape(a.shape[:-2] + (1,) * (rank - 2) + a.shape[-2:])
+    rank, n = arr.ndim - a.ndim + 2, a.shape[-1]
+    a_last = a.reshape(a.shape[:-2] + (1,) * (rank - 2) + a.shape[-2:])
+    a_t = a.swapaxes(-1, -2)[..., None, :, :]
     out = arr
     for s in slots:
-        out = (out.swapaxes(s - rank, -1) @ a).swapaxes(s - rank, -1)
+        if s == rank - 1:
+            out = out @ a_last
+        else:  # the slots before s flattened to a batch axis, those after to columns
+            fed = a_t @ out.reshape(out.shape[: out.ndim - rank] + (n**s, n, -1))
+            out = fed.reshape(fed.shape[:-3] + (n,) * rank)
     return out
 
 
@@ -93,47 +98,40 @@ def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray) -> np.ndarra
     return np.stack([b + 0.5 * (p_q + q_p), b - b_t, b + q_p, b + p_q])
 
 
-def scalar_times_vector(s: np.ndarray, v: np.ndarray, pattern: str) -> np.ndarray:
-    """Rank-one (1,3) blocks  s(slot, slot) * V(vector slot).
-
-    pattern "ij,lk" means s(X, Y) V Z, i.e. out[..., l,i,j,k] = s[..., i,j]
-    v[..., l,k]; "ji,lk" reads s transposed.  v is an endomorphism (A) or the
-    identity (coefficient along X, Y or Z).
-    """
-    lhs, rhs = pattern.split(",")
-    if lhs[0] > lhs[1]:
-        s = s.swapaxes(-1, -2)
-    at = "ijk".index(rhs[1]) - 3  # the vector slot among the trailing three
-    s_out = np.expand_dims(s, (-4, at))
-    v_out = np.expand_dims(v, tuple(ax for ax in (-3, -2, -1) if ax != at))
-    return s_out * v_out
+# writable n^3 views out[..., l, i, j, k] with l equal to the vector slot
+_DIAGONALS = {"k": "...lijl->...lij", "j": "...lilk->...lik", "i": "...lljk->...ljk"}
 
 
 def fold_rank_one(base, a: np.ndarray, terms) -> np.ndarray:
     """base + sum of c * s(., .) V(.) over terms (c, s, V, pattern), V "I" or
-    "A" and the pattern as in ``scalar_times_vector``.
+    "A"; pattern "ij,lk" means out[..., l,i,j,k] += s[..., i,j] V[..., l,k],
+    and "ji,lk" reads s transposed.
 
-    The coefficients sharing (V, vector slot) are summed first, s transposed
-    where its pattern reads it so; each group is then expanded once, so a
-    tensor costs at most six n^4 products however many terms it has.
+    Terms sharing (V, vector slot) are summed first.  An I-group is added
+    through an n^3 diagonal view of the output.  s(., .) A(slot) is A applied
+    to the output slot of s(., .) I(slot), so the A-groups go into the
+    diagonals of one zeroed buffer that A is then applied to once.
     """
-    groups: dict[tuple[str, str], np.ndarray] = {}
+    groups: dict[str, dict[str, np.ndarray]] = {"A": {}, "I": {}}
     for c, s, v, pattern in terms:
         lhs, rhs = pattern.split(",")
         if lhs[0] > lhs[1]:
             s = s.swapaxes(-1, -2)
-        key = (v, rhs)
-        groups[key] = groups[key] + c * s if key in groups else c * s
-    eye = np.eye(a.shape[-1])
-    out = base
-    for i, ((v, rhs), s) in enumerate(groups.items()):
-        lhs = "".join(c for c in "ijk" if c != rhs[1])
-        block = scalar_times_vector(s, a if v == "A" else eye, f"{lhs},{rhs}")
-        if i == 0:
-            out = base + block
-        else:
-            out += block
-    return out
+        slot, group = rhs[1], groups[v]
+        group[slot] = group[slot] + c * s if slot in group else c * s
+    blocks = [s.shape[:-2] + (a.shape[-1],) * 4 for g in groups.values() for s in g.values()]
+
+    def add_diagonals(out: np.ndarray, v: str) -> np.ndarray:
+        for slot, s in groups[v].items():
+            diagonal = np.einsum(_DIAGONALS[slot], out)
+            diagonal += s[..., None, :, :]
+        return out
+
+    out = add_diagonals(np.zeros(np.broadcast_shapes(np.shape(base), *blocks)), "A")
+    if groups["A"]:
+        out = contract_first(a, out, 4)  # rebinding frees the buffer
+    out += base
+    return add_diagonals(out, "I")
 
 
 def assemble_r_theta(

@@ -19,8 +19,9 @@ P points, one ``GeneratorJets`` for all G generators and one
 ``CurvatureBundle`` with batch axes (P, G), then calls ``h_tensor`` once per
 kind.  Each evaluator returns residuals and scales shaped (P, K), K the
 generators or, for an independence check, the generator pairs; a report row
-takes the per-point maxima.  H, W and P are rank-one folds
-(``curvature.fold_rank_one``) of a curvature tensor.
+takes the per-point maxima.  H, W, P and the I-HYB-COND conditions are
+rank-one folds (``curvature.fold_rank_one``): n^3 diagonal adds for the
+identity blocks and one matmul with A per tensor for the structure blocks.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that

@@ -135,10 +135,11 @@ def norm_max(t: Tensor | np.ndarray, rank: int | None = None):
     index, taken over the trailing `rank` axes (the tensor slots)."""
     comps = t.components if isinstance(t, Tensor) else np.asarray(t)
     if rank is not None:
-        # max and -min: no temporary the size of the input
+        # max and -min: no temporary the size of the input; adding +0.0
+        # turns the -0.0 that -min gives on an all-zero block into +0.0
         lead = comps.shape[: comps.ndim - rank]
         flat = comps.reshape(lead + (prod(comps.shape[len(lead):]),))
-        return np.maximum(flat.max(-1), -flat.min(-1))
+        return np.maximum(flat.max(-1), -flat.min(-1)) + 0.0
     if comps.size == 0:
         return 0.0
     return float(np.abs(comps).max())

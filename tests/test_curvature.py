@@ -3,6 +3,8 @@
 The commutator-of-coefficients curvature is the oracle for every assembled
 kind; flat space and hand values at (1,0,0,0) pin the conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,12 @@ from qsc_lab.curvature import (
     closed_form_residuals,
     commutator_curvature,
     curvature_bundle,
+    fold_rank_one,
     kahler_identities,
     lowered,
     ricci,
     riemann_g,
     rotate_slots,
-    scalar_times_vector,
 )
 
 CFG = DiffConfig(scheme="analytic")
@@ -234,15 +236,61 @@ def test_kahler_identities_split_the_catalog():
     assert res["k1_operator"] > 1e-3 * res["scale"]
 
 
-def test_scalar_times_vector_pattern():
+# (vector slot, the other two slots) of every rank-one pattern
+PATTERN_SLOTS = (("lk", "ij"), ("lj", "ik"), ("li", "jk"))
+
+
+def test_fold_rank_one_matches_einsum():
+    """Every V in {I, A}, vector slot and orientation of s, alone and all at
+    once, against einsum: dense A, batch axes (P, G) = (2, 3), and a base
+    with a unit generator axis or the scalar 0."""
     rng = np.random.default_rng(0)
-    s = rng.normal(size=(3, 3))
-    v = rng.normal(size=(3, 3))
-    out = scalar_times_vector(s, v, "ij,lk")
-    want = np.einsum("ij,lk->lijk", s, v)
-    np.testing.assert_allclose(out, want, atol=0)
-    out2 = scalar_times_vector(s, v, "jk,li")
-    np.testing.assert_allclose(out2, np.einsum("jk,li->lijk", s, v), atol=0)
+    n = 4
+    a = rng.normal(size=(2, 1, n, n))
+    vectors = {"I": np.broadcast_to(np.eye(n), a.shape), "A": a}
+    s = rng.normal(size=(2, 3, n, n))
+    cases = [
+        [(rng.normal(), s, v, f"{lhs},{rhs}")]
+        for v in vectors
+        for rhs, pair in PATTERN_SLOTS
+        for lhs in (pair, pair[::-1])
+    ]
+    cases.append([term for case in cases for term in case])
+    for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0):
+        for terms in cases:
+            want = base + sum(
+                c * np.einsum(f"...{pattern.replace(',', ',...')}->...lijk", x, vectors[v])
+                for c, x, v, pattern in terms
+            )
+            got = fold_rank_one(base, a, terms)
+            assert got.shape == (2, 3) + (n,) * 4
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * norm_max(want))
+
+
+def test_fold_rank_one_builds_no_n4_temporary():
+    """At n=16 with (P, G) = (1, 3), one fold of every group kind peaks at
+    two output-sized blocks (the A buffer and the output) plus n^3 per
+    (point, generator); one n^4 temporary more would be n times that."""
+    rng = np.random.default_rng(7)
+    n, p, g = 16, 1, 3
+    base = rng.normal(size=(p, 1) + (n,) * 4)
+    a = rng.normal(size=(p, 1, n, n))
+    s = rng.normal(size=(p, g, n, n))
+    terms = [
+        (0.5, s, v, f"{lhs},{rhs}")
+        for v in ("I", "A")
+        for rhs, pair in PATTERN_SLOTS
+        for lhs in (pair, pair[::-1])
+    ]
+    block = p * g * n**4 * 8
+    tracemalloc.start()
+    try:
+        out = fold_rank_one(base, a, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == block
+    assert peak <= 2 * block + p * g * n**3 * 8
 
 
 def test_rotate_slots_feeds_each_slot_through_a():
@@ -266,6 +314,37 @@ def test_rotate_slots_extends_a_computed_rotation_exactly():
         rotate_slots(rotate_slots(t, a, (0, 1)), a, (2, 3)),
         rotate_slots(t, a, (0, 1, 2, 3)),
     )
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_rotate_slots_feeds_one_slot_through_a_dense_a(rank):
+    """Each single slot, with leading axes and a dense A, against einsum."""
+    rng = np.random.default_rng(5)
+    n = 4
+    t = rng.normal(size=(2, 3) + (n,) * rank)
+    a = rng.normal(size=(2, 1, n, n))
+    slots = "ijkl"[:rank]
+    for s in range(rank):
+        fed = slots[:s] + "m" + slots[s + 1:]
+        want = np.einsum(f"...{fed},...m{slots[s]}->...{slots}", t, a)
+        got = rotate_slots(t, a, (s,))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * norm_max(want))
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_rotate_slots_is_exact_for_the_standard_structure(rank):
+    """The catalog's A is the standard J, a signed permutation (J d_x = d_y,
+    J d_y = -d_x), so feeding a slot through it only moves and negates
+    components: equal bit for bit to indexing."""
+    n = 4
+    j = point_jets(manifold_by_name("fs", k=2), P0, CFG).a
+    perm, sign = np.array([1, 0, 3, 2]), np.array([1.0, -1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(j, np.eye(n)[perm].T * sign)
+    t = np.random.default_rng(6).normal(size=(2, 3) + (n,) * rank)
+    for s in range(rank):
+        shape = (n,) + (1,) * (rank - 1 - s)
+        want = np.take(t, perm, axis=s - rank) * sign.reshape(shape)
+        np.testing.assert_array_equal(rotate_slots(t, j[None, None], (s,)), want)
 
 
 def test_fd_curvature_tracks_analytic():

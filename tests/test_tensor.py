@@ -1,5 +1,7 @@
 """Tensor container and slot algebra, checked against loop-level oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +134,15 @@ def test_norms():
     t = tensor(2, "dd", [[3.0, 0.0], [0.0, -4.0]])
     assert norm_max(t) == 4.0
     assert norm_max(np.zeros((2, 2))) == 0.0
+
+
+def test_norm_of_an_all_zero_block_is_positive_zero():
+    """Zeros of either sign have max-norm +0.0, never -0.0, so a report
+    never prints a negative zero residual."""
+    for zero in (0.0, -0.0):
+        block = np.full((2, 3, 4, 4), zero)
+        for norm in (*norm_max(block, 2).ravel(), norm_max(block)):
+            assert math.copysign(1.0, norm) == 1.0
 
 
 def test_batched_norms_and_residuals_keep_leading_axes():
