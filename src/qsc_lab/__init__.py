@@ -55,7 +55,6 @@ from .tensor import (
     contract,
     lower_first,
     norm_max,
-    tensor,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +98,6 @@ __all__ = [
     "ricci",
     "riemann_g",
     "sample_points",
-    "tensor",
     "torsion",
     "weyl_projective",
     "__version__",

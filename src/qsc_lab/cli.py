@@ -1,5 +1,10 @@
 """Command-line harness: run the identity suite, print tensors, list catalogs.
 
+Each ``verify`` setting is a field of ``report.RunConfig``, which holds its
+default and checks its value; the field name is the ``dest`` of its flag
+and its key in a ``--config`` file.  ``tensor`` hands the derivative flags
+it was given to ``DiffConfig``, which holds their defaults.
+
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
 2 configuration error, 3 numeric failure (a value overflowed or became
 undefined).
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,22 +63,6 @@ _WHAT_CHOICES = sorted(
     | {f"ric{t}" for t in range(6)}
     | {f"h{t}" for t in range(6)}
 )
-
-_CONFIG_DEFAULTS = {
-    "manifold": None,
-    "k": 2,
-    "generators": ["zero", "linear_j"],
-    "num_points": 5,
-    "seed": 0,
-    "scheme": "analytic",
-    "step": 1e-4,
-    "richardson": False,
-    "tolerance_core": 1e-6,
-    "tolerance_audit": 1e-6,
-    "audit_soft": False,
-    "report": None,
-}
-
 
 def split_generator_list(value: str) -> list[str]:
     """Split a comma list of generator specs; const components keep their
@@ -125,7 +115,9 @@ def _print_tensor(name: str, t) -> None:
 
 
 def _merge_config(args) -> RunConfig:
-    merged = dict(_CONFIG_DEFAULTS)
+    """The config file's settings, overlaid with the flags that were given."""
+    keys = {f.name for f in fields(RunConfig)}
+    merged = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -134,48 +126,21 @@ def _merge_config(args) -> RunConfig:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(_CONFIG_DEFAULTS)
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(loaded) - keys
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
         merged.update(loaded)
-    flag_values = {
-        "manifold": args.manifold,
-        "k": args.k,
-        "generators": split_generator_list(args.generators)
-        if args.generators is not None
-        else None,
-        "num_points": args.points,
-        "seed": args.seed,
-        "scheme": args.diff,
-        "step": args.step,
-        "richardson": args.richardson,
-        "tolerance_core": args.tol_core,
-        "tolerance_audit": args.tol_audit,
-        "audit_soft": args.audit_soft,
-        "report": args.report,
-    }
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if merged["manifold"] is None:
+    given = {key: getattr(args, key) for key in keys}
+    if given["generators"] is not None:
+        given["generators"] = split_generator_list(given["generators"])
+    merged.update({k: v for k, v in given.items() if v is not None})
+    if merged.get("manifold") is None:
         raise ConfigError("--manifold is required (or set it in the config file)")
-    try:
-        return RunConfig(
-            manifold=merged["manifold"],
-            k=int(merged["k"]),
-            generators=tuple(merged["generators"]),
-            num_points=int(merged["num_points"]),
-            seed=int(merged["seed"]),
-            scheme=merged["scheme"],
-            step=float(merged["step"]),
-            richardson=bool(merged["richardson"]),
-            tolerance_core=float(merged["tolerance_core"]),
-            tolerance_audit=float(merged["tolerance_audit"]),
-            audit_soft=bool(merged["audit_soft"]),
-            report=merged["report"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**merged)
 
 
 def _print_table(report: dict) -> None:
@@ -205,14 +170,11 @@ def cmd_verify(args) -> int:
 def cmd_tensor(args) -> int:
     if args.manifold is None:
         raise ConfigError("--manifold is required")
-    m = resolve_manifold(args.manifold, args.k if args.k is not None else 2)
+    m = resolve_manifold(args.manifold, args.k if args.k is not None else RunConfig.k)
     point = _parse_point(args.point, m.n)
     m.chart.require(point)
-    cfg = DiffConfig(
-        scheme=args.diff or "analytic",
-        step=args.step if args.step is not None else 1e-4,
-        richardson=bool(args.richardson),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(DiffConfig)}
+    cfg = DiffConfig(**{k: v for k, v in given.items() if v is not None})
     what = args.what.lower()
     if what not in _WHAT_CHOICES:
         raise ConfigError(
@@ -275,22 +237,17 @@ def cmd_list(args) -> int:
     return 0
 
 
+# A flag left out parses to None, so the config file or the dataclass
+# default decides; each dest is the name of the setting it sets.
 def _add_common_flags(sub) -> None:
     sub.add_argument("--manifold", help="manifold name, see `list manifolds`")
-    sub.add_argument("--k", type=int, default=None, help="complex dimension (n = 2k)")
-    sub.add_argument("--diff", choices=SCHEMES, default=None, help="derivative scheme")
+    sub.add_argument("--k", type=int, help="complex dimension (n = 2k)")
+    sub.add_argument("--diff", dest="scheme", choices=SCHEMES, help="derivative scheme")
     sub.add_argument(
-        "--step",
-        type=float,
-        default=None,
-        help=f"finite-difference step in [{MIN_STEP:g}, {MAX_STEP:g}]",
+        "--step", type=float, help=f"finite-difference step in [{MIN_STEP:g}, {MAX_STEP:g}]"
     )
     sub.add_argument(
-        "--richardson",
-        action="store_const",
-        const=True,
-        default=None,
-        help="extrapolate finite differences",
+        "--richardson", action="store_const", const=True, help="extrapolate finite differences"
     )
 
 
@@ -304,28 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run the identity suite and report")
     _add_common_flags(verify)
+    verify.add_argument("--generators", help="comma list of generator specs")
+    verify.add_argument("--points", dest="num_points", type=int, help="sample point count")
+    verify.add_argument("--seed", type=int, help="sampling seed")
+    verify.add_argument("--tol-core", dest="tolerance_core", type=float, help="core tolerance")
     verify.add_argument(
-        "--generators", default=None, help="comma list of generator specs"
+        "--tol-audit", dest="tolerance_audit", type=float, help="audit tolerance"
     )
-    verify.add_argument("--points", type=int, default=None, help="sample point count")
-    verify.add_argument("--seed", type=int, default=None, help="sampling seed")
-    verify.add_argument("--tol-core", type=float, default=None, help="core tolerance")
-    verify.add_argument("--tol-audit", type=float, default=None, help="audit tolerance")
     verify.add_argument(
         "--audit-soft",
         action="store_const",
         const=True,
-        default=None,
         help="audit failures do not affect the exit code",
     )
-    verify.add_argument("--report", default=None, help="write the JSON report here")
-    verify.add_argument("--config", default=None, help="JSON config file; flags win")
+    verify.add_argument("--report", help="write the JSON report here")
+    verify.add_argument("--config", help="JSON config file; flags win")
     verify.set_defaults(fn=cmd_verify)
 
     tensor = subs.add_parser("tensor", help="print one tensor at a point")
     _add_common_flags(tensor)
     tensor.add_argument("--what", required=True, help=", ".join(_WHAT_CHOICES))
-    tensor.add_argument("--generator", default=None, help="generator spec")
+    tensor.add_argument("--generator", help="generator spec")
     tensor.add_argument("--point", required=True, help="comma list of coordinates")
     tensor.set_defaults(fn=cmd_tensor)
 

@@ -31,6 +31,7 @@ SCHEMES = ("analytic", "fd2", "fd4")
 
 MIN_STEP = 1e-7
 MAX_STEP = 1e-2
+DEFAULT_STEP = 1e-4
 
 
 class DomainError(ValueError):
@@ -39,8 +40,11 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class DiffConfig:
+    """A derivative scheme; step and richardson shape finite-difference
+    stencils only, so the analytic scheme rejects any but their defaults."""
+
     scheme: str = "analytic"
-    step: float = 1e-4
+    step: float = DEFAULT_STEP
     richardson: bool = False
 
     def __post_init__(self) -> None:
@@ -49,6 +53,15 @@ class DiffConfig:
         if not MIN_STEP <= self.step <= MAX_STEP:
             raise ValueError(
                 f"step {self.step:g} outside [{MIN_STEP:g}, {MAX_STEP:g}]"
+            )
+        if self.scheme == "analytic" and self.richardson:
+            raise ValueError(
+                "richardson extrapolates finite differences; the analytic scheme takes none"
+            )
+        if self.scheme == "analytic" and self.step != DEFAULT_STEP:
+            raise ValueError(
+                f"step {self.step:g} sizes finite-difference stencils; "
+                "the analytic scheme takes none"
             )
 
 

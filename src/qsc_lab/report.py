@@ -7,12 +7,12 @@ same configuration produce byte-identical output except for the timestamp.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .diff import DiffConfig, SCHEMES
+from .diff import DEFAULT_STEP, DiffConfig
 from .geometry import (
     generator,
     generator_names,
@@ -29,15 +29,38 @@ class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+
+
+# field annotation -> (the values it accepts, how one is stored if not as
+# given, what the error message asks for)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), None, "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), None, "a string or null"),
+    "bool": (lambda v: isinstance(v, bool), None, "true or false"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), None, "an integer"),
+    "float": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float, "a number"
+    ),
+    "tuple[str, ...]": (_is_strings, tuple, "a list of strings"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a ``verify`` run.  Each field is a config-file key,
+    the ``dest`` of its ``verify`` flag and a key of the report's
+    ``config_echo``; a value of any other type than its annotation's is a
+    ``ConfigError`` naming the key."""
+
     manifold: str
     k: int = 2
     generators: tuple[str, ...] = ("zero", "linear_j")
     num_points: int = 5
     seed: int = 0
     scheme: str = "analytic"
-    step: float = 1e-4
+    step: float = DEFAULT_STEP
     richardson: bool = False
     tolerance_core: float = 1e-6
     tolerance_audit: float = 1e-6
@@ -45,23 +68,28 @@ class RunConfig:
     report: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepts, stored_as, kind = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if stored_as is not None:
+                object.__setattr__(self, f.name, stored_as(value))
         if self.num_points < 1:
             raise ConfigError("num_points must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.tolerance_core <= 0 or self.tolerance_audit <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(
-                f"unknown scheme {self.scheme!r}; options: {', '.join(SCHEMES)}"
-            )
         if not self.generators:
             raise ConfigError("at least one generator is required")
+        try:
+            self.diff_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def diff_config(self) -> DiffConfig:
-        return DiffConfig(
-            scheme=self.scheme, step=self.step, richardson=self.richardson
-        )
+        return DiffConfig(self.scheme, self.step, self.richardson)
 
 
 def parse_generator_spec(spec: str, dim: int):

@@ -93,11 +93,6 @@ class Tensor:
         return self.components[idx]
 
 
-def tensor(dim: int, signature: str, components) -> Tensor:
-    """Convenience constructor accepting any array-like components."""
-    return Tensor(dim, Signature(signature), np.asarray(components, dtype=np.float64))
-
-
 def contract(t: Tensor, up_slot: int, down_slot: int) -> Tensor:
     """Trace one contravariant slot against one covariant slot."""
     sig = t.signature

@@ -176,6 +176,87 @@ def test_config_file_missing_or_invalid(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "verify", "--config", str(bad))
     assert code == 2 and "valid JSON" in err
+    bad.write_text("[1, 2]")
+    code, _, err = run(capsys, "verify", "--config", str(bad))
+    assert code == 2 and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("audit_soft", "no"),
+        ("richardson", "false"),
+        ("k", 2.7),
+        ("num_points", 1.9),
+        ("generators", "zero"),
+    ],
+)
+def test_config_file_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    """A config value is taken as written or rejected, never cast: "no" is
+    not false, 2.7 is not 2 and "zero" is not a list of generators."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"manifold": "flat", "num_points": 1, key: value}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {key} must be"), err
+
+
+@pytest.mark.parametrize(
+    "argv,setting",
+    [
+        (["verify", "--manifold", "flat", "--points", "1", "--richardson"], "richardson"),
+        (["verify", "--manifold", "flat", "--points", "1", "--step", "5e-3"], "step"),
+        (["tensor", "--what", "rg", "--manifold", "fs", "--point", "0.1,0,0,0",
+          "--richardson"], "richardson"),
+        (["tensor", "--what", "rg", "--manifold", "fs", "--point", "0.1,0,0,0",
+          "--step", "5e-3"], "step"),
+    ],
+    ids=["verify-richardson", "verify-step", "tensor-richardson", "tensor-step"],
+)
+def test_analytic_scheme_rejects_finite_difference_settings(capsys, argv, setting):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {setting}") and "analytic" in err, err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--manifold", "fs", "--points", "2", "--seed", "3",
+         "--generators", "linear_j,const:0.3,0,0.1,0", "--diff", "fd4", "--richardson",
+         "--step", "2e-3", "--tol-core", "1e-5", "--audit-soft"],
+        ["--manifold", "hyperbolic", "--points", "1", "--generators", "grad"],
+    ],
+    ids=["fd4", "analytic"],
+)
+def test_config_echo_reproduces_its_report(tmp_path, capsys, flags):
+    """A report's config_echo, fed back as a config file, gives the same
+    report and table apart from the timestamp; the analytic echo's step and
+    richardson are the defaults the scheme accepts."""
+    report = tmp_path / "out.json"
+    code, out, _ = run(capsys, "verify", *flags, "--report", str(report))
+    first = json.loads(report.read_text())
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(first["config_echo"]))
+    report.unlink()
+    again = run(capsys, "verify", "--config", str(cfg))
+    second = json.loads(report.read_text())
+    assert again == (code, out, "")
+    first.pop("generated_at"), second.pop("generated_at")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_verify_flags_config_keys_and_report_schema_name_the_same_settings():
+    from dataclasses import fields
+    from importlib import resources
+
+    from qsc_lab.cli import build_parser
+    from qsc_lab.report import RunConfig
+
+    dests = set(vars(build_parser().parse_args(["verify"]))) - {"config", "command", "fn"}
+    schema = json.loads(resources.files("qsc_lab").joinpath("report_schema.json").read_text())
+    echo = schema["properties"]["config_echo"]
+    assert dests == {f.name for f in fields(RunConfig)} == set(echo["required"])
 
 
 def test_split_generator_list_reattaches_const_components():

@@ -54,6 +54,16 @@ def test_diffconfig_validation():
         DiffConfig(step=1e-9)
 
 
+def test_analytic_config_rejects_stencil_settings():
+    """step and richardson shape finite differences only; the analytic scheme
+    rejects any but their defaults instead of ignoring them."""
+    with pytest.raises(ValueError, match="richardson"):
+        DiffConfig(richardson=True)
+    with pytest.raises(ValueError, match="step"):
+        DiffConfig(step=5e-3)
+    assert DiffConfig("analytic", 1e-4, False) == DiffConfig()
+
+
 def test_jets_match_hand_derivatives():
     val, d1, d2 = eval_jets(poly, np.array([1.5, 0.7]), second=True)
     assert val == pytest.approx(poly(np.array([1.5, 0.7])))

@@ -44,12 +44,10 @@ def test_hybrid_defect_metric_and_form():
     m = manifold_by_name("fs", k=2)
     p = sample_points(m, 1, seed=1)[0]
     a = m.structure(p).components
-    rep_g = hybrid_defect(m.metric(p), a, label="g")
-    rep_f = hybrid_defect(m.fundamental(p), a, label="f")
+    rep_g = hybrid_defect(m.metric(p), a)
+    rep_f = hybrid_defect(m.fundamental(p), a)
     assert rep_g.defect < 1e-13 * rep_g.scale
-    assert rep_g.kahler_defect < 1e-13 * rep_g.scale
     assert rep_f.defect < 1e-13 * rep_f.scale
-    assert rep_g.label == "g"
 
 
 def test_hybrid_defect_rank_one_hand_value():

@@ -44,6 +44,22 @@ def test_config_validation(kwargs, msg):
         RunConfig(manifold="flat", **kwargs)
 
 
+def test_config_stores_numbers_as_floats_and_generators_as_a_tuple():
+    cfg = RunConfig(manifold="flat", generators=["zero"], tolerance_core=1, step=1e-4)
+    assert cfg.generators == ("zero",)
+    assert type(cfg.tolerance_core) is float and cfg.tolerance_core == 1.0
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("k", True), ("seed", 1.0), ("tolerance_audit", False), ("report", 3),
+     ("manifold", None), ("generators", ["zero", 1])],
+)
+def test_config_rejects_other_types_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        RunConfig(**{"manifold": "flat", key: value})
+
+
 def test_generator_spec_round_trips():
     g = parse_generator_spec("const:1,0,0.5,0", dim=4)
     assert g.label == "const"

@@ -15,7 +15,6 @@ from qsc_lab.tensor import (
     metric_inverse,
     norm_max,
     relative_residual,
-    tensor,
 )
 
 ROUNDTRIP_TOL = 1e-12
@@ -29,7 +28,7 @@ def components(dim: int, rank: int, seed: int) -> np.ndarray:
 def spd_metric(dim: int, seed: int) -> Tensor:
     rng = np.random.default_rng(seed)
     b = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return tensor(dim, "dd", b @ b.T + dim * np.eye(dim))
+    return Tensor(dim, "dd", b @ b.T + dim * np.eye(dim))
 
 
 def test_signature_counts():
@@ -46,21 +45,21 @@ def test_signature_rejects_bad_slots():
 
 def test_tensor_validates_shape_and_finiteness():
     with pytest.raises(ValueError):
-        tensor(3, "dd", np.zeros((3, 2)))
+        Tensor(3, "dd", np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        tensor(2, "d", [np.nan, 0.0])
+        Tensor(2, "d", [np.nan, 0.0])
     with pytest.raises(ValueError):
         Tensor(17, Signature("d"), np.zeros(17))
 
 
 def test_tensor_components_frozen():
-    t = tensor(2, "dd", np.eye(2))
+    t = Tensor(2, "dd", np.eye(2))
     with pytest.raises(ValueError):
         t.components[0, 0] = 5.0
 
 
 def test_zeros_and_getitem():
-    t = tensor(3, "ud", np.zeros((3, 3)))
+    t = Tensor(3, "ud", np.zeros((3, 3)))
     assert t.components.shape == (3, 3)
     assert t[1, 2] == 0.0
 
@@ -122,7 +121,7 @@ def test_lower_first_slot_order():
     """R[l,i,j,k] must become R[i,j,k,w] with the lowered slot appended last."""
     dim = 2
     t = Tensor(dim, Signature("ud"), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    g = tensor(dim, "dd", np.diag([2.0, 5.0]))
+    g = Tensor(dim, "dd", np.diag([2.0, 5.0]))
     low = lower_first(t, g)
     assert low.signature.slots == "dd"
     # low[j, w] = g[l, w] t[l, j]
@@ -131,7 +130,7 @@ def test_lower_first_slot_order():
 
 
 def test_norms():
-    t = tensor(2, "dd", [[3.0, 0.0], [0.0, -4.0]])
+    t = Tensor(2, "dd", [[3.0, 0.0], [0.0, -4.0]])
     assert norm_max(t) == 4.0
     assert norm_max(np.zeros((2, 2))) == 0.0
 
