@@ -30,12 +30,7 @@ from .connections import (
     quarter_symmetric,
     torsion,
 )
-from .curvature import (
-    CurvatureBundle,
-    curvature_bundle,
-    ricci,
-    riemann_g,
-)
+from .curvature import CurvatureBundle, curvature_bundle, riemann_g
 from .invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
@@ -47,15 +42,7 @@ from .invariants import (
     identity_suite,
     weyl_projective,
 )
-from .tensor import (
-    NumericError,
-    SingularMetricError,
-    Signature,
-    Tensor,
-    contract,
-    lower_first,
-    norm_max,
-)
+from .tensor import NumericError, SingularMetricError, Tensor, norm_max
 
 __version__ = "0.1.0"
 
@@ -74,11 +61,9 @@ __all__ = [
     "ManifoldSpec",
     "NumericError",
     "PointJets",
-    "Signature",
     "SingularMetricError",
     "Tensor",
     "TensorField",
-    "contract",
     "covariant_derivative",
     "curvature_bundle",
     "generator",
@@ -89,13 +74,11 @@ __all__ = [
     "hybrid_defect",
     "identity_suite",
     "levi_civita",
-    "lower_first",
     "manifold_by_name",
     "manifold_names",
     "norm_max",
     "point_jets",
     "quarter_symmetric",
-    "ricci",
     "riemann_g",
     "sample_points",
     "torsion",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .connections import generator_jets, point_jets, torsion
-from .curvature import curvature_bundle, ricci, riemann_g
+from .curvature import curvature_bundle, riemann_g
 from .diff import DiffConfig, MAX_STEP, MIN_STEP, SCHEMES
 from .geometry import generator_names, manifold_names
 from .invariants import IDENTITY_CATALOG, h_tensor, hol_projective, weyl_projective
@@ -101,7 +101,7 @@ def _coord_labels(n: int) -> list[str]:
 def _print_tensor(name: str, t) -> None:
     comps = t.components if isinstance(t, Tensor) else np.asarray(t)
     labels = _coord_labels(comps.shape[0])
-    sig = t.signature.slots if isinstance(t, Tensor) else "d" * comps.ndim
+    sig = t.signature if isinstance(t, Tensor) else "d" * comps.ndim
     print(f"{name}  slots={sig}  (entries with |value| > {PRINT_EPS:g})")
     shown = 0
     for idx in np.ndindex(comps.shape):
@@ -202,7 +202,7 @@ def cmd_tensor(args) -> int:
         if what == "rg":
             t = riemann_g(pj)
         elif what == "ric_g":
-            t = ricci(riemann_g(pj))
+            t = pj.ric_g
         elif what == "w":
             t = operator(weyl_projective(pj))
         elif what == "p":

@@ -41,7 +41,7 @@ import numpy as np
 
 from .diff import DiffConfig
 from .geometry import Chart, GeneratorField, ManifoldSpec, as_point
-from .tensor import Signature, Tensor, contract_first, metric_inverse, norm_max
+from .tensor import Tensor, contract_first, metric_inverse, norm_max
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def _torsion_lowered(pi: np.ndarray, f: np.ndarray) -> np.ndarray:
 def torsion(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
     """T(X, Y) = pi(Y) A X - pi(X) A Y as a (1,2) tensor, slots (out; X, Y)."""
     comps = _torsion(gen.pi(point).components, m.structure(point).components)
-    return Tensor(m.n, Signature("udd"), comps)
+    return Tensor(m.n, "udd", comps)
 
 
 def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:

@@ -42,14 +42,14 @@ from .connections import (
     curvature_from_coefficients,
     quarter_symmetric_jets,
 )
-from .tensor import NumericError, Signature, Tensor, contract, contract_first, norm_max
+from .tensor import NumericError, Tensor, contract_first, norm_max
 
 THETAS = (0, 1, 2, 3, 4, 5)
 
 
 def riemann_g(pj: PointJets) -> Tensor:
     """Curvature of the Levi-Civita connection at one point, as a (1,3) tensor."""
-    return Tensor(pj.n, Signature("uddd"), pj.r_g)
+    return Tensor(pj.n, "uddd", pj.r_g)
 
 
 def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
@@ -78,11 +78,6 @@ def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.n
             fed = a_t @ out.reshape(out.shape[: out.ndim - rank] + (n**s, n, -1))
             out = fed.reshape(fed.shape[:-3] + (n,) * rank)
     return out
-
-
-def structure_commutator(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """R(X, Y)AZ - A R(X, Y)Z of a (1,3) operator with batch axes."""
-    return r @ a[..., None, None, :, :] - contract_first(a, r, 4)
 
 
 def lowered(r: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -172,11 +167,6 @@ def assemble_r_theta(
     return fold_rank_one(r_g, a, terms)
 
 
-def ricci(t: Tensor) -> Tensor:
-    """Ric(Y, Z) = trace of X -> R(X, Y)Z (contract out with X)."""
-    return contract(t, 0, 1)
-
-
 @dataclass(frozen=True)
 class CurvatureBundle:
     """The curvature kinds, their traces and the D blocks of the generators
@@ -246,27 +236,44 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     )
 
 
-def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
-    """Residuals of the five structure/curvature exchange rules for R^g, one
-    per point.
+def rotation_rules(rl: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
+    """k2..k4, the rules that move A between slot pairs of a lowered (0,4)
+    tensor with batch axes: the part-1 conclusions of I-HYB-COND.
 
-    k1 (operator form): R(X,Y)AZ = A R(X,Y)Z; k2..k5 on the lowered tensor:
     k2: R(X,Y,AZ,AW) = R(AX,AY,Z,W)    k3: R(X,AY,AZ,W) = R(AX,Y,Z,AW)
-    k4: R(AX,AY,AZ,AW) = R(X,Y,Z,W)    k5: R(X,Y,Z,AW) = -R(X,Y,AZ,W)
+    k4: R(AX,AY,AZ,AW) = R(X,Y,Z,W)
     """
-    r, a = pj.r_g, pj.a
-    rl = lowered(r, pj.g)
     rot = lambda *slots: rotate_slots(rl, a, slots)
-    # rotate_slots feeds slots in order, so extending a computed rotation
-    # repeats the same operations: r2 -> r23 and r01 -> r0123 are exact.
-    r2, r01 = rot(2), rot(0, 1)
+    r01 = rot(0, 1)
     return {
-        "k1_operator": norm_max(structure_commutator(r, a), 4),
-        "k2_pair_exchange": norm_max(rotate_slots(r2, a, (3,)) - r01, 4),
+        "k2_pair_exchange": norm_max(rot(2, 3) - r01, 4),
         "k3_inner_outer": norm_max(rot(1, 2) - rot(0, 3), 4),
+        # the same operations as rot(0, 1, 2, 3): slots are fed in order
         "k4_all_four": norm_max(rotate_slots(r01, a, (2, 3)) - rl, 4),
-        "k5_last_pair": norm_max(rot(3) + r2, 4),
-        "scale": np.maximum(norm_max(r, 4), norm_max(rl, 4)),
+    }
+
+
+def commutation_rules(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
+    """k1 and k5, the rules that A commutes with R(X, Y), on the (1,3)
+    operator r and its lowered form rl: the part-2 conclusions of I-HYB-COND.
+
+    k1: R(X,Y)AZ = A R(X,Y)Z           k5: R(X,Y,Z,AW) = -R(X,Y,AZ,W)
+    """
+    return {
+        "k1_operator": norm_max(r @ a[..., None, None, :, :] - contract_first(a, r, 4), 4),
+        "k5_last_pair": norm_max(rotate_slots(rl, a, (3,)) + rotate_slots(rl, a, (2,)), 4),
+    }
+
+
+def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
+    """Residuals of the five structure/curvature exchange rules k1..k5 of
+    ``rotation_rules`` and ``commutation_rules`` for R^g, one per point,
+    with the residual scale."""
+    rl = lowered(pj.r_g, pj.g)
+    return {
+        **commutation_rules(pj.r_g, rl, pj.a),
+        **rotation_rules(rl, pj.a),
+        "scale": np.maximum(norm_max(pj.r_g, 4), norm_max(rl, 4)),
     }
 
 

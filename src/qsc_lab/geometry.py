@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
-from .tensor import Signature, Tensor, lower_first
+from .tensor import Tensor
 
 __all__ = [
     "Chart",
@@ -87,7 +87,7 @@ class TensorField:
     finite-difference backends on a batch of stencil points.
     """
 
-    signature: Signature
+    signature: str  # one "u" or "d" per slot
     fn: Callable[[Any], Any]
     domain: Callable[[np.ndarray], Any] | None = None
     label: str = ""
@@ -124,7 +124,8 @@ class ManifoldSpec:
 
     def fundamental(self, point) -> Tensor:
         """F(X, Y) = g(AX, Y), the skew form of the pair (g, A)."""
-        return lower_first(self.structure(point), self.metric(point))
+        a = self.structure(point).components
+        return Tensor(self.n, "dd", a.T @ self.metric(point).components)
 
     def metric_jets(self, point, cfg: DiffConfig):
         """(g, dg, d2g) with dg[a,i,j] = (d_a g)_ij, d2g[a,b,i,j] = d_a d_b g_ij."""
@@ -191,8 +192,8 @@ def flat_complex(k: int = 2) -> ManifoldSpec:
     return ManifoldSpec(
         label=f"flat_complex({k})",
         chart=chart,
-        metric_field=TensorField(Signature("dd"), lambda u: eye, label="g"),
-        structure_field=TensorField(Signature("ud"), _standard_structure(n), label="A"),
+        metric_field=TensorField("dd", lambda u: eye, label="g"),
+        structure_field=TensorField("ud", _standard_structure(n), label="A"),
     )
 
 
@@ -208,8 +209,8 @@ def fubini_study(k: int = 2) -> ManifoldSpec:
     return ManifoldSpec(
         label=f"fubini_study({k})",
         chart=chart,
-        metric_field=TensorField(Signature("dd"), _hermitian_pair_metric(k, c_fn), label="g"),
-        structure_field=TensorField(Signature("ud"), _standard_structure(n), label="A"),
+        metric_field=TensorField("dd", _hermitian_pair_metric(k, c_fn), label="g"),
+        structure_field=TensorField("ud", _standard_structure(n), label="A"),
     )
 
 
@@ -228,10 +229,8 @@ def complex_hyperbolic(k: int = 2) -> ManifoldSpec:
     return ManifoldSpec(
         label=f"complex_hyperbolic({k})",
         chart=chart,
-        metric_field=TensorField(
-            Signature("dd"), _hermitian_pair_metric(k, c_fn), domain=inside, label="g"
-        ),
-        structure_field=TensorField(Signature("ud"), _standard_structure(n), label="A"),
+        metric_field=TensorField("dd", _hermitian_pair_metric(k, c_fn), domain=inside, label="g"),
+        structure_field=TensorField("ud", _standard_structure(n), label="A"),
         sample_radius=0.4,
     )
 
@@ -255,8 +254,8 @@ def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
     return ManifoldSpec(
         label="conformal_nonkahler",
         chart=chart,
-        metric_field=TensorField(Signature("dd"), fn, label="g"),
-        structure_field=TensorField(Signature("ud"), _standard_structure(n), label="A"),
+        metric_field=TensorField("dd", fn, label="g"),
+        structure_field=TensorField("ud", _standard_structure(n), label="A"),
         kahler_expected=False,
     )
 
@@ -352,7 +351,7 @@ def generator(
         raise ValueError(
             f"unknown generator {label!r}; choose from {', '.join(generator_names())}"
         )
-    return GeneratorField(name, TensorField(Signature("d"), fn, label=name))
+    return GeneratorField(name, TensorField("d", fn, label=name))
 
 
 def generator_names() -> list[str]:

@@ -57,17 +57,18 @@ from .curvature import (
     THETAS,
     CurvatureBundle,
     closed_form_residuals,
+    commutation_rules,
     commutator_curvature,
     curvature_bundle,
     fold_rank_one,
     kahler_identities,
     lowered,
     rotate_slots,
-    structure_commutator,
+    rotation_rules,
 )
 from .diff import DiffConfig
 from .geometry import GeneratorField, ManifoldSpec
-from .tensor import Tensor, norm_max, relative_residual
+from .tensor import norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 
@@ -89,14 +90,9 @@ class HybridReport:
     scale: np.ndarray
 
 
-def hybrid_defect(b: np.ndarray | Tensor, a: np.ndarray | Tensor) -> HybridReport:
+def hybrid_defect(b: np.ndarray, a: np.ndarray) -> HybridReport:
     """Hybridity of a (0,2) tensor: B(AX, Y) = -B(X, AY)."""
-    bb = b.components if isinstance(b, Tensor) else np.asarray(b)
-    aa = a.components if isinstance(a, Tensor) else np.asarray(a)
-    return HybridReport(
-        defect=norm_max(aa.swapaxes(-1, -2) @ bb + bb @ aa, 2),
-        scale=norm_max(bb, 2),
-    )
+    return HybridReport(defect=norm_max(a.swapaxes(-1, -2) @ b + b @ a, 2), scale=norm_max(b, 2))
 
 
 def weyl_projective(pj: PointJets) -> np.ndarray:
@@ -191,24 +187,6 @@ class IdentityResult:
     details: dict[str, float] | None = None
 
 
-def _part1_conclusions(rl: np.ndarray, a: np.ndarray) -> np.ndarray:
-    rot = lambda slots: rotate_slots(rl, a, slots)
-    r01 = rot((0, 1))
-    return _emax(
-        norm_max(rot((2, 3)) - r01, 4),
-        norm_max(rot((1, 2)) - rot((0, 3)), 4),
-        # the same operations as rot((0, 1, 2, 3)): slots are fed in order
-        norm_max(rotate_slots(r01, a, (2, 3)) - rl, 4),
-    )
-
-
-def _part2_conclusions(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> np.ndarray:
-    rot = lambda slots: rotate_slots(rl, a, slots)
-    return np.maximum(
-        norm_max(structure_commutator(r, a), 4), norm_max(rot((3,)) + rot((2,)), 4)
-    )
-
-
 def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
     a, pi, pa = b.a, b.pi, b.pa
     pipi = _outer(pi, pi)
@@ -300,14 +278,16 @@ def _hyb_cond_evaluator(theta: int):
         scale = np.maximum(b.scale[rows], norm_max(rl, 4))
         res = np.zeros(batch + (2,))
         sc = np.zeros(batch + (2,))
+        # the conclusions are the Kahler rules on R^theta: k2..k4, then k1 and k5
         for part, mask in enumerate(held):
             sub = mask[rows]
             if sub.any():
-                res[mask, part] = (
-                    _part1_conclusions(rl[sub], a[sub])
+                rules = (
+                    rotation_rules(rl[sub], a[sub])
                     if part == 0
-                    else _part2_conclusions(r[sub], rl[sub], a[sub])
+                    else commutation_rules(r[sub], rl[sub], a[sub])
                 )
+                res[mask, part] = _emax(*rules.values())
                 sc[mask, part] = scale[sub]
         rel = relative_residual(res, [sc])
         res, sc = res.reshape(batch[0], -1), sc.reshape(batch[0], -1)

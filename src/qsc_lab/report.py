@@ -7,6 +7,7 @@ same configuration produce byte-identical output except for the timestamp.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
@@ -79,8 +80,10 @@ class RunConfig:
             raise ConfigError("num_points must be at least 1")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.tolerance_core <= 0 or self.tolerance_audit <= 0:
-            raise ConfigError("tolerances must be positive")
+        for key in ("tolerance_core", "tolerance_audit"):
+            tol = getattr(self, key)
+            if not 0 < tol < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {tol!r}")
         if not self.generators:
             raise ConfigError("at least one generator is required")
         try:

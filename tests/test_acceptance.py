@@ -11,11 +11,16 @@ import numpy as np
 
 from qsc_lab.cli import main
 from qsc_lab.connections import generator_jets, metricity_defects, point_jets
-from qsc_lab.curvature import commutator_curvature, curvature_bundle, lowered, riemann_g
+from qsc_lab.curvature import (
+    commutator_curvature,
+    curvature_bundle,
+    lowered,
+    riemann_g,
+    rotation_rules,
+)
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.invariants import (
-    _part1_conclusions,
     h_tensor,
     hol_projective,
     hybrid_defect,
@@ -137,7 +142,7 @@ def test_criterion_05_projective_flatness(capsys):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 5, seed=4):
             pj = point_jets(m, p, CFG)
-            ratio = norm_max(hol_projective(pj)) / norm_max(riemann_g(pj))
+            ratio = norm_max(hol_projective(pj)) / norm_max(riemann_g(pj).components)
             worst = max(worst, ratio)
     _verdict(
         capsys, 5, worst < 1e-6,
@@ -215,7 +220,7 @@ def test_criterion_08_hybridity_cascade(capsys):
         ok &= rep.defect < 1e-10 * max(rep.scale, 1.0)
         rl = lowered(b.r[1], b.g)
         scale = max(norm_max(rl), 1.0)
-        ok &= _part1_conclusions(rl, b.a) < 1e-9 * scale
+        ok &= max(rotation_rules(rl, b.a).values()) < 1e-9 * scale
     for p in sample_points(m, 50, seed=9):
         pi = gen.pi(p).components
         rep = hybrid_defect(np.outer(pi, pi), m.structure(p).components)

@@ -3,9 +3,11 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from qsc_lab.cli import main, split_generator_list
+from qsc_lab.cli import _WHAT_CHOICES, main, split_generator_list
+from qsc_lab.geometry import manifold_by_name
 
 try:
     import jsonschema
@@ -201,6 +203,21 @@ def test_config_file_value_of_the_wrong_type(tmp_path, capsys, key, value):
     assert err.startswith(f"error: {key} must be"), err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_a_tolerance_that_is_not_finite(tmp_path, capsys, value):
+    """A NaN tolerance would fail every row and an infinite one pass every
+    row.  As a flag or as a config value (Python's JSON reader takes NaN and
+    Infinity) either is a configuration error naming the setting."""
+    cfg = tmp_path / "run.json"
+    config = {"manifold": "flat", "num_points": 1, "tolerance_audit": float(value)}
+    cfg.write_text(json.dumps(config))
+    flag = ["--manifold", "flat", "--points", "1", "--tol-core", value]
+    for argv, key in ((flag, "tolerance_core"), (["--config", str(cfg)], "tolerance_audit")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and not out
+        assert err.startswith(f"error: {key} must be positive and finite"), err
+
+
 @pytest.mark.parametrize(
     "argv,setting",
     [
@@ -335,6 +352,47 @@ def test_tensor_values_print_where_stencils_leave_the_chart(capsys):
     code, _, err = run(capsys, "tensor", "--what", "rg", *common)
     assert code == 2
     assert "stencil leaves the chart domain" in err
+
+
+FS_TENSOR = ["--manifold", "fs", "--k", "2", "--generator", "random_poly:3",
+             "--point", "0.1,0.2,-0.15,0.3"]
+
+
+def _expected_slots(what: str) -> str:
+    special = {"a": "ud", "pi": "d", "torsion": "udd", "rg": "uddd", "w": "uddd", "p": "uddd"}
+    if what in special:
+        return special[what]
+    return "uddd" if what[0] in "rh" and what[1:].isdigit() else "dd"
+
+
+def _printed_components(out: str) -> np.ndarray:
+    """The printed entries of a `tensor` call at n = 4 as a dense array;
+    entries below the print threshold read as zero."""
+    header, *lines = out.splitlines()
+    labels = {lab: i for i, lab in enumerate(["x1", "y1", "x2", "y2"])}
+    comps = np.zeros((4,) * len(header.split()[1].removeprefix("slots=")))
+    for line in lines:
+        if "=" in line:
+            idx, value = line.split(" = ")
+            comps[tuple(labels[lab] for lab in idx.strip(" []").split(","))] = float(value)
+    return comps
+
+
+@pytest.mark.parametrize("what", _WHAT_CHOICES)
+def test_tensor_header_gives_the_slots_of_every_tensor(capsys, what):
+    """The header line names the tensor and its up/down slots; f is A^T g
+    and ric_g the (out, X) trace of rg, to the 12 printed digits."""
+    code, out, err = run(capsys, "tensor", "--what", what, *FS_TENSOR)
+    assert code == 0, err
+    assert out.splitlines()[0].split()[:2] == [what, f"slots={_expected_slots(what)}"]
+    if what == "f":
+        m, p = manifold_by_name("fs", k=2), [0.1, 0.2, -0.15, 0.3]
+        want = m.structure(p).components.T @ m.metric(p).components
+        np.testing.assert_allclose(_printed_components(out), want, rtol=1e-11, atol=1e-12)
+    elif what == "ric_g":
+        _, rg, _ = run(capsys, "tensor", "--what", "rg", *FS_TENSOR)
+        want = np.einsum("mmjk->jk", _printed_components(rg))
+        np.testing.assert_allclose(_printed_components(out), want, rtol=1e-10, atol=1e-10)
 
 
 def test_tensor_unknown_what(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
-from qsc_lab.tensor import Signature, norm_max
+from qsc_lab.tensor import norm_max
 from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import curvature_bundle
 import qsc_lab.invariants as invariants
@@ -44,8 +44,8 @@ def test_hybrid_defect_metric_and_form():
     m = manifold_by_name("fs", k=2)
     p = sample_points(m, 1, seed=1)[0]
     a = m.structure(p).components
-    rep_g = hybrid_defect(m.metric(p), a)
-    rep_f = hybrid_defect(m.fundamental(p), a)
+    rep_g = hybrid_defect(m.metric(p).components, a)
+    rep_f = hybrid_defect(m.fundamental(p).components, a)
     assert rep_g.defect < 1e-13 * rep_g.scale
     assert rep_f.defect < 1e-13 * rep_f.scale
 
@@ -182,7 +182,7 @@ def _cp1_times_ch1():
     return dataclasses.replace(
         manifold_by_name("flat", k=2),
         label="cp1xch1",
-        metric_field=TensorField(Signature("dd"), metric, label="g"),
+        metric_field=TensorField("dd", metric, label="g"),
         sample_radius=0.4,
     )
 
@@ -329,7 +329,7 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
     the masked rows handed to the conclusions, summed over the kinds, are the
     (point, generator) pairs the report rows count as satisfied."""
     calls = Counter()
-    for name in ("_part1_conclusions", "_part2_conclusions"):
+    for name in ("rotation_rules", "commutation_rules"):
 
         def counted(*args, _name=name, _original=getattr(invariants, name)):
             calls[_name] += len(args[0])
@@ -345,9 +345,9 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
     results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
     rows = [r for r in results if r.id.startswith("I-HYB-COND")]
     assert len(rows) == 12
-    for part in ("part1", "part2"):
+    for part, rules in (("part1", "rotation_rules"), ("part2", "commutation_rules")):
         satisfied = sum(r.details[f"{part}_satisfied"] for r in rows)
-        assert calls[f"_{part}_conclusions"] == satisfied
+        assert calls[rules] == satisfied
         assert 0 < satisfied < len(rows) * len(gens)
 
 

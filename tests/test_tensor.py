@@ -1,4 +1,5 @@
-"""Tensor container and slot algebra, checked against loop-level oracles."""
+"""The one-point Tensor record and the array helpers, checked against
+loop-level oracles."""
 
 import math
 
@@ -6,12 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsc_lab.curvature import lowered
 from qsc_lab.tensor import (
-    Signature,
     SingularMetricError,
     Tensor,
-    contract,
-    lower_first,
     metric_inverse,
     norm_max,
     relative_residual,
@@ -32,15 +31,16 @@ def spd_metric(dim: int, seed: int) -> Tensor:
 
 
 def test_signature_counts():
-    sig = Signature("uddd")
-    assert sig.rank == 4
-    assert sig.drop(0, 2).slots == "dd"
-    assert str(sig) == "uddd"
+    """The signature is a plain string with one character per slot."""
+    t = Tensor(2, "uddd", np.zeros((2,) * 4))
+    assert t.signature == "uddd"
+    assert len(t.signature) == t.components.ndim == 4
 
 
 def test_signature_rejects_bad_slots():
-    with pytest.raises(ValueError):
-        Signature("uxd")
+    for sig in ("uxd", None, ("u", "d")):
+        with pytest.raises(ValueError, match="signature slots"):
+            Tensor(2, sig, np.zeros((2, 2)))
 
 
 def test_tensor_validates_shape_and_finiteness():
@@ -49,7 +49,7 @@ def test_tensor_validates_shape_and_finiteness():
     with pytest.raises(ValueError):
         Tensor(2, "d", [np.nan, 0.0])
     with pytest.raises(ValueError):
-        Tensor(17, Signature("d"), np.zeros(17))
+        Tensor(17, "d", np.zeros(17))
 
 
 def test_tensor_components_frozen():
@@ -61,77 +61,34 @@ def test_tensor_components_frozen():
 def test_zeros_and_getitem():
     t = Tensor(3, "ud", np.zeros((3, 3)))
     assert t.components.shape == (3, 3)
-    assert t[1, 2] == 0.0
+    assert t.components[1, 2] == 0.0
 
 
-@given(dim=st.integers(2, 4), seed=st.integers(0, 500))
+@given(dim=st.integers(2, 5), batch=st.integers(0, 2), seed=st.integers(0, 500))
 @settings(max_examples=60, deadline=None)
-def test_contract_matches_explicit_sum(dim, seed):
-    """contract() against the definition written as an index loop."""
-    t = Tensor(dim, Signature("udd"), components(dim, 3, seed))
-    got = contract(t, 0, 1)
-    want = np.zeros(dim)
-    for k in range(dim):
-        for m in range(dim):
-            want[k] += t[m, m, k]
-    assert got.signature.slots == "d"
-    np.testing.assert_allclose(got.components, want, atol=1e-14)
+def test_lower_raise_roundtrip(dim, batch, seed):
+    """lowered() on a (1,3) operator with `batch` leading axes, undone by
+    raising the trailing slot with g^-1 and moving it back to the front."""
+    t = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(2,) * batch + (dim,) * 4)
+    g = spd_metric(dim, seed + 1).components
+    low = lowered(t, g)
+    assert low.shape == t.shape
+    back = np.moveaxis(low @ metric_inverse(g), -1, -4)
+    assert norm_max(back - t) < ROUNDTRIP_TOL
 
 
-@given(dim=st.integers(2, 4), seed=st.integers(0, 500))
-@settings(max_examples=60, deadline=None)
-def test_contract_last_slot_matches_explicit_sum(dim, seed):
-    t = Tensor(dim, Signature("uddd"), components(dim, 4, seed))
-    got = contract(t, 0, 3)
-    want = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            for m in range(dim):
-                want[i, j] += t[m, i, j, m]
-    np.testing.assert_allclose(got.components, want, atol=1e-14)
-
-
-def test_contract_rejects_bad_slots():
-    t = Tensor(2, Signature("udd"), components(2, 3, 1))
-    with pytest.raises(ValueError):
-        contract(t, 1, 2)  # slot 1 is covariant
-    with pytest.raises(ValueError):
-        contract(t, 0, 0)
-    with pytest.raises(ValueError):
-        contract(t, 0, 5)
-
-
-@given(dim=st.integers(2, 5), rank=st.integers(1, 4), seed=st.integers(0, 500))
-@settings(max_examples=60, deadline=None)
-def test_lower_raise_roundtrip(dim, rank, seed):
-    sig = Signature("u" + "d" * (rank - 1))
-    t = Tensor(dim, sig, components(dim, rank, seed))
-    g = spd_metric(dim, seed + 1)
-    g_inv = metric_inverse(g.components)
-    low = lower_first(t, g)
-    assert low.signature.slots == "d" * rank
-    # raise the trailing slot with g^-1 and move it back to the front
-    back = np.moveaxis(
-        np.tensordot(low.components, g_inv, axes=([rank - 1], [0])), -1, 0
-    )
-    assert norm_max(back - t.components) < ROUNDTRIP_TOL
-
-
-def test_lower_first_slot_order():
-    """R[l,i,j,k] must become R[i,j,k,w] with the lowered slot appended last."""
+def test_lowered_appends_the_lowered_slot_last():
+    """R[l,i,j,k] must become R[i,j,k,w] = sum_l g[l,w] R[l,i,j,k]."""
     dim = 2
-    t = Tensor(dim, Signature("ud"), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    g = Tensor(dim, "dd", np.diag([2.0, 5.0]))
-    low = lower_first(t, g)
-    assert low.signature.slots == "dd"
-    # low[j, w] = g[l, w] t[l, j]
-    assert low[0, 0] == 2.0 * 1.0
-    assert low[0, 1] == 5.0 * 3.0
+    t = components(dim, 4, 7)
+    g = np.diag([2.0, 5.0])
+    low = lowered(t, g)
+    for i, j, k, w in np.ndindex(low.shape):
+        assert low[i, j, k, w] == sum(g[l, w] * t[l, i, j, k] for l in range(dim))
 
 
 def test_norms():
-    t = Tensor(2, "dd", [[3.0, 0.0], [0.0, -4.0]])
-    assert norm_max(t) == 4.0
+    assert norm_max(np.array([[3.0, 0.0], [0.0, -4.0]])) == 4.0
     assert norm_max(np.zeros((2, 2))) == 0.0
 
 
