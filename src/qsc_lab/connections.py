@@ -15,26 +15,27 @@ Everything computed from the fields is algebra on two immutable records:
 * ``PointJets`` (``point_jets``): g with its first and second partials, g^-1,
   A and its partials, F = g(A., .), Gamma and its partials, R^g and Ric^g, at
   one point or a batch of P points.  The metric and the structure are
-  differentiated, and the metric inverted, once per point; Gamma, R^g and
-  Ric^g are then computed once on the stacked arrays.
+  differentiated, and the metric inverted, once per job, on all points at
+  once; Gamma, R^g and Ric^g follow on the same arrays.
 * ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
   one generator, or of G generators stacked on an axis after the point axes;
-  each generator is differentiated once per point.
+  each generator is differentiated once per job.
 
 F, G = g + F and their partials follow from the product rule, not from
 differencing F and G again.
 
 Batch convention: arrays carry batch axes first and tensor slots last, and
 every function here takes any leading axes; with none, it returns its
-single-point value.  Transpose with ``swapaxes(-1, -2)``: ``.T`` would reverse
-the batch axes too.  Contract with ``@`` on moved trailing axes (``einsum``
-with ``...`` only below n^5).  ``along_generators`` gives point data the unit
-generator axis that lets them broadcast against generator data.
+single-point value.  The points of a batch sit on a unit generator axis,
+(P, 1, n), so point data (P, 1, ...) broadcast against the generator data
+(P, G, ...) as they are.  Transpose with ``swapaxes(-1, -2)``: ``.T`` would
+reverse the batch axes too.  Contract with ``@`` on moved trailing axes
+(``einsum`` with ``...`` only below n^5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +68,8 @@ def _freeze_arrays(record) -> None:
 @dataclass(frozen=True)
 class PointJets:
     """Metric and structure data at one point, or at a batch of points on
-    the leading axes (point shape (n,) or (P, n)).
+    the leading axes (point shape (n,) or (P, 1, n); the unit axis is the
+    generator axis of ``GeneratorJets``).
 
     Derivative directions lead the slots: dg[..., a, i, j] = d_a g_ij,
     d2g[..., a, b, i, j] = d_a d_b g_ij, da[..., a, i, j] = d_a A^i_j,
@@ -101,8 +103,9 @@ class PointJets:
 class GeneratorJets:
     """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j
     and nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j.  One generator has the
-    point axes of its PointJets; a stack of G adds a generator axis after
-    them, and `label` is then the tuple of their labels."""
+    point axes of its PointJets; a stack of G fills the generator axis,
+    (P, G, ...) or (G, ...) at one point, and `label` is then the tuple of
+    their labels."""
 
     label: str | tuple[str, ...]
     pi: np.ndarray
@@ -111,16 +114,6 @@ class GeneratorJets:
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
-
-
-def along_generators(pj: PointJets, pi: np.ndarray) -> PointJets:
-    """`pj` with a unit axis after its point axes when the generator array
-    `pi` stacks generators there, so that point and generator data broadcast."""
-    if pi.ndim == pj.point.ndim:
-        return pj
-    at = pj.point.ndim - 1
-    arrays = vars(pj).items()
-    return replace(pj, **{k: np.expand_dims(v, at) for k, v in arrays if isinstance(v, np.ndarray)})
 
 
 def levi_civita_jets(g_inv: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
@@ -150,57 +143,36 @@ def curvature_from_coefficients(l: np.ndarray, dl: np.ndarray) -> np.ndarray:
 
 
 def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
-    """Differentiate the metric and the structure of `m` once at each point,
-    one point (n,) or a batch (P, n); invert the metric once per point."""
-    single = np.ndim(points) == 1
-    rows = []
-    for p in np.atleast_2d(np.asarray(points, dtype=np.float64)):
-        p = as_point(p, m.n)
-        g, dg, d2g = m.metric_jets(p, cfg)
-        g_inv = metric_inverse(g)
-        a, da = m.structure_jets(p, cfg)
-        rows.append((p, g, dg, d2g, g_inv, a, da))
-    point, g, dg, d2g, g_inv, a, da = (
-        np.stack(column)[0] if single else np.stack(column) for column in zip(*rows)
-    )
+    """Differentiate the metric and the structure of `m` once, at one point
+    (n,) or at all points of a batch (P, n), which gain the unit generator
+    axis (P, 1, n); invert the metric once per point."""
+    point = as_point(points, m.n)
+    if point.ndim > 1:
+        point = point.reshape(-1, 1, m.n)
+    g, dg, d2g = m.metric_jets(point, cfg)
+    g_inv = metric_inverse(g)
+    a, da = m.structure_jets(point, cfg)
     gamma, dgamma = levi_civita_jets(g_inv, dg, d2g)
     r_g = curvature_from_coefficients(gamma, dgamma)
-    return PointJets(
-        chart=m.chart,
-        cfg=cfg,
-        point=point,
-        g=g,
-        dg=dg,
-        d2g=d2g,
-        g_inv=g_inv,
-        a=a,
-        da=da,
-        f=a.swapaxes(-1, -2) @ g,
-        gamma=gamma,
-        dgamma=dgamma,
-        r_g=r_g,
-        ric_g=np.trace(r_g, axis1=-4, axis2=-3),
-    )
+    f, ric_g = a.swapaxes(-1, -2) @ g, np.trace(r_g, axis1=-4, axis2=-3)
+    return PointJets(m.chart, cfg, point, g, dg, d2g, g_inv, a, da, f, gamma, dgamma, r_g, ric_g)
 
 
 def generator_jets(
     pj: PointJets, gens: GeneratorField | Sequence[GeneratorField]
 ) -> GeneratorJets:
-    """Differentiate each generator once at each point of `pj`: one generator
-    keeps the point axes, a list of G stacks them on a generator axis."""
-    stacked = not isinstance(gens, GeneratorField)
-    gen_list = list(gens) if stacked else [gens]
-    jets = [[gen.jets(p, pj.cfg) for gen in gen_list] for p in pj.point.reshape(-1, pj.n)]
-    lead = pj.point.shape[:-1] + ((len(gen_list),) if stacked else ())
-    pi = np.array([[jet[0] for jet in row] for row in jets]).reshape(lead + (pj.n,))
-    dpi = np.array([[jet[1] for jet in row] for row in jets]).reshape(lead + (pj.n,) * 2)
-    conn = levi_civita(along_generators(pj, pi))
-    return GeneratorJets(
-        tuple(gen.label for gen in gen_list) if stacked else gens.label,
-        pi,
-        dpi,
-        covariant_derivative(conn, pi, dpi, "d"),
-    )
+    """Differentiate each generator once, at all points of `pj`: one
+    generator keeps the point axes, a list of G stacks them on the generator
+    axis, (P, G, n), or (G, n) at one point."""
+    if isinstance(gens, GeneratorField):
+        label, (pi, dpi) = gens.label, gens.jets(pj.point, pj.cfg)
+    else:
+        # one point gets a unit generator axis too; the jets join along it
+        point = pj.point.reshape(pj.point.shape[:-2] + (1, pj.n))
+        jets = [gen.jets(point, pj.cfg) for gen in gens]
+        label = tuple(gen.label for gen in gens)
+        pi, dpi = (np.concatenate(part, axis=point.ndim - 2) for part in zip(*jets))
+    return GeneratorJets(label, pi, dpi, covariant_derivative(levi_civita(pj), pi, dpi, "d"))
 
 
 def levi_civita(pj: PointJets) -> ConnectionCoefficients:
@@ -208,7 +180,6 @@ def levi_civita(pj: PointJets) -> ConnectionCoefficients:
 
 
 def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> ConnectionCoefficients:
-    pj = along_generators(pj, gj.pi)
     gamma = pj.gamma - gj.pi[..., None, :, None] * pj.a[..., :, None, :]
     return ConnectionCoefficients(pj.n, "quarter_symmetric", gamma)
 
@@ -216,7 +187,6 @@ def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> ConnectionCoefficient
 def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets):
     """(L, dL) of the quarter-symmetric connection."""
     l = quarter_symmetric(pj, gj).gamma
-    pj = along_generators(pj, gj.pi)
     dl = (
         pj.dgamma
         - gj.dpi[..., :, None, :, None] * pj.a[..., None, :, None, :]
@@ -265,7 +235,6 @@ def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]
     the batch shape of pj's point axes (with gj's generator axis where the
     generator enters)."""
     conn = quarter_symmetric(pj, gj)
-    pj = along_generators(pj, gj.pi)
     # d_a F_ij = d_a A^m_i g_mj + A^m_i d_a g_mj; G = g + F
     df = pj.da.swapaxes(-1, -2) @ pj.g[..., None, :, :] + (
         pj.a.swapaxes(-1, -2)[..., None, :, :] @ pj.dg
@@ -284,7 +253,6 @@ def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]
 def nabla1_pi_defect(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Residual of (nabla^1_X pi)(Y) = (nabla^g_X pi)(Y) + pi(X) pi(A Y)."""
     conn = quarter_symmetric(pj, gj)
-    pj = along_generators(pj, gj.pi)
     lhs = covariant_derivative(conn, gj.pi, gj.dpi, "d")
     pa = (gj.pi[..., None, :] @ pj.a)[..., 0, :]  # pa_j = pi(A d_j)
     rhs = gj.nabla_pi + gj.pi[..., :, None] * pa[..., None, :]
@@ -301,7 +269,6 @@ def torsion_identities(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray
     lowered_reconstruction: T(X,Y,Z) = T(AX,AY,Z) + T(AX,Y,AZ) + T(X,AY,AZ)
     cyclic_sum: cyclic XYZ sums of T(X,Y,Z) and of T(AX,Y,AZ) + T(X,AY,AZ) agree
     """
-    pj = along_generators(pj, gj.pi)
     a = pj.a
     at = a.swapaxes(-1, -2)
     t = _torsion(gj.pi, a)  # t[..., i, x, y]

@@ -24,8 +24,8 @@ tensor.  The shapes are those specialized to A^2 = -I, which every catalog
 structure satisfies exactly.
 
 Batch convention (as in ``connections``): tensor slots trail, any leading
-axes are batch axes.  Transpose with ``swapaxes(-1, -2)``, never ``.T``,
-which would reverse the batch axes too.
+axes are batch axes; point data (P, 1, ...) broadcast against generator data
+(P, G, ...).  Transpose with ``swapaxes(-1, -2)``, never ``.T``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from .connections import (
     GeneratorJets,
     PointJets,
-    along_generators,
     curvature_from_coefficients,
     quarter_symmetric_jets,
 )
@@ -209,7 +208,6 @@ class CurvatureBundle:
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError."""
-    pj = along_generators(pj, gj.pi)
     n, a, pi = pj.n, pj.a, gj.pi
     pa = (pi[..., None, :] @ a)[..., 0, :]
     d = _d_blocks(gj.nabla_pi, pi, pa)

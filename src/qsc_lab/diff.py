@@ -6,15 +6,18 @@ with any leading axes of ``u`` in front.  Fields index coordinates as
 ``u[..., i]`` and contract them as ``u @ M`` (never ``M @ u``, which reads a
 batch of points as a matrix).  A constant field may return its constant
 array; both backends broadcast it.  Two interchangeable backends produce the
-first and second partial derivatives:
+first and second partials at one point (n,) or, in one call, at a batch of
+points with leading axes.  With a unit axis before the coordinates, (P, 1, n),
+every product runs once per point on one-point shapes, so a batch gives what
+P one-point calls give, bit for bit; (P, n) would make ``u @ M`` one gemm.
 
 * "analytic": ``fn`` is called once on one array-valued second-order Taylor
-  number (``Jet2``) seeded with the point, so its derivatives are exact to
-  rounding.
+  number (``Jet2``) seeded with all the points, so its derivatives are exact
+  to rounding.
 * "fd2" / "fd4": central finite-difference stencils of order two and four,
   with optional Richardson extrapolation.  ``fn`` is called once per stencil
-  level on all its points as a ``(m, n)`` batch; second derivatives use
-  direct two-dimensional stencils, nothing is differenced twice.
+  level on the stencils of all the points as one batch; second derivatives
+  use direct two-dimensional stencils, nothing is differenced twice.
 """
 
 from __future__ import annotations
@@ -198,9 +201,9 @@ FieldFn = Callable[[Any], Any]
 def eval_components(
     fn: FieldFn, coords: np.ndarray, shape: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """Field values at float coordinates: one point of shape (n,) or a batch
-    of points (m, n).  `shape`, the field's own shape, lets a constant field
-    return its constant array; it is broadcast over the batch."""
+    """Field values at float coordinates: one point of shape (n,) or points
+    with leading axes.  `shape`, the field's own shape, lets a constant field
+    return its constant array; it is broadcast over the leading axes."""
     arr = np.array(fn(coords), dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NumericError("non-finite field value")
@@ -212,20 +215,22 @@ def eval_components(
 def eval_jets(
     fn: FieldFn, point: np.ndarray, second: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Call `fn` once on a Taylor seed at `point`; returns (value, d1, d2)
-    with the derivative directions leading: d1[a, ...] = d_a(component ...)."""
-    n = point.shape[0]
-    out = fn(Jet2(point.copy(), np.eye(n), np.zeros((n, n, n))))
+    """Call `fn` once on a Taylor seed at the points; returns (value, d1, d2)
+    with the derivative directions after the point axes:
+    d1[..., a, i] = d_a(component i)."""
+    n, lead, at = point.shape[-1], point.shape[:-1], point.ndim - 1
+    seed = np.broadcast_to(np.eye(n), point.shape + (n,)).copy()
+    out = fn(Jet2(point.copy(), seed, np.zeros(point.shape + (n, n))))
     if isinstance(out, Jet2):
         val, g, h = np.asarray(out.val, dtype=np.float64), out.g, out.h
     else:  # a constant field
-        val = np.asarray(out, dtype=np.float64)
+        val = np.broadcast_to(np.asarray(out, dtype=np.float64), lead + np.shape(out))
         g, h = np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n))
     if not (np.isfinite(val).all() and np.isfinite(g).all() and np.isfinite(h).all()):
         raise NumericError("non-finite field value")
-    d1 = np.ascontiguousarray(np.moveaxis(g, -1, 0))
-    d2 = np.ascontiguousarray(np.moveaxis(h, (-2, -1), (0, 1))) if second else None
-    return val.copy(), d1, d2
+    d1 = np.ascontiguousarray(np.moveaxis(g, -1, at))
+    d2 = np.ascontiguousarray(np.moveaxis(h, (-2, -1), (at, at + 1))) if second else None
+    return np.array(val), d1, d2
 
 
 # Central stencils: offset -> coefficient, to be scaled by 1/step**order.
@@ -292,27 +297,32 @@ def _d2_stencil(n: int, scheme: str):
 
 
 def _check_domain(
-    points: np.ndarray, domain: Callable[[np.ndarray], Any] | None
+    points: np.ndarray, domain: Callable[[np.ndarray], Any] | None, message: str
 ) -> None:
+    """DomainError naming the first point outside `domain`, in batch order."""
     if domain is None:
         return
     inside = np.asarray(domain(points), dtype=bool)
     if not inside.all():
-        q = points[int(np.argmin(inside))]
-        raise DomainError(f"finite-difference stencil leaves the chart domain at {q.tolist()}")
+        q = points.reshape(-1, points.shape[-1])[int(np.argmin(inside))]
+        raise DomainError(message.format(q.tolist()))
 
 
 def _fd_level(stencil, order, fn, point, val, step, scheme, domain) -> np.ndarray:
-    """One stencil level: every stencil point sampled in one batch, the
-    samples contracted with the stencil coefficients.  The coefficients of
-    each slot sum to zero, so the samples are centred on ``val``, the value
-    at ``point``: on a constant field sum c_k (f_k - f_0) is exactly zero,
-    where sum c_k f_k leaves rounding of about eps |f| / step^order."""
-    offsets, coef = stencil(point.shape[0], scheme)
-    points = point + offsets * step
-    _check_domain(points, domain)
-    samples = eval_components(fn, points, val.shape) - val
-    return np.tensordot(coef, samples, 1) / (step if order == 1 else step * step)
+    """One stencil level: the stencils of all points sampled in one batch,
+    the samples contracted with the stencil coefficients by one matmul per
+    point.  The coefficients of each slot sum to zero, so the samples are
+    centred on ``val``, the value at ``point``: on a constant field
+    sum c_k (f_k - f_0) is exactly zero, where sum c_k f_k leaves rounding of
+    about eps |f| / step^order."""
+    offsets, coef = stencil(point.shape[-1], scheme)
+    lead, m = point.shape[:-1], len(offsets)
+    points = point[..., None, :] + offsets * step
+    _check_domain(points, domain, "finite-difference stencil leaves the chart domain at {}")
+    shape = val.shape[len(lead):]
+    samples = eval_components(fn, points, shape) - np.expand_dims(val, len(lead))
+    d = coef.reshape(-1, m) @ samples.reshape(lead + (m, -1))
+    return d.reshape(lead + coef.shape[:-1] + shape) / (step if order == 1 else step * step)
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray:
@@ -335,15 +345,16 @@ def field_jets(
     cfg: DiffConfig,
     domain=None,
     second: bool = False,
+    shape: tuple[int, ...] | None = None,
 ):
-    """(value, d1[, d2]) of a field under the configured scheme."""
+    """(value, d1[, d2]) of a field under the configured scheme, at one point
+    or a batch; `shape`, the field's own, broadcasts a constant field."""
     point = np.asarray(point, dtype=np.float64)
-    if domain is not None and not domain(point):
-        raise DomainError(f"point {point.tolist()} outside the chart domain")
+    _check_domain(point, domain, "point {} outside the chart domain")
     if cfg.scheme == "analytic":
         val, d1, d2 = eval_jets(fn, point, second)
     else:
-        val = eval_components(fn, point)
+        val = np.array(eval_components(fn, point, shape))
         d1 = _fd(_d1_stencil, 1, fn, point, val, cfg, domain)
         d2 = _fd(_d2_stencil, 2, fn, point, val, cfg, domain) if second else None
     if second:

@@ -14,9 +14,10 @@ structure A dx_a = dy_a, A dy_a = -dx_a:
 Every field is one numpy-style function of ``u``, whose last axis holds the
 coordinates: it indexes them as ``u[..., i]``, contracts them as ``u @ M``
 (never ``M @ u``) and returns an array of the field's shape.  The same
-function serves a whole finite-difference stencil (``u`` of shape (m, n)) and
-the analytic backend (``u`` one array-valued Taylor number); see ``diff``.
-Domain predicates likewise take a batch of points and answer per row.
+function serves the stencils of a batch of points (``u`` of shape
+(P, 1, m, n)) and the analytic backend (``u`` one array-valued Taylor number
+seeded with all the points); see ``diff``.  Domain predicates likewise take
+points with leading axes and answer per point.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
-from .tensor import Tensor
+from .tensor import MAX_DIM, Tensor
 
 __all__ = [
     "Chart",
@@ -60,8 +61,8 @@ class Chart:
     contains: Callable[[np.ndarray], Any]
 
     def __post_init__(self) -> None:
-        if self.dim % 2 != 0 or not 2 <= self.dim <= 16:
-            raise ValueError(f"chart dimension must be even and in [2, 16], got {self.dim}")
+        if self.dim % 2 != 0 or not 2 <= self.dim <= MAX_DIM:
+            raise ValueError(f"chart dimension must be even and in [2, {MAX_DIM}], got {self.dim}")
 
     def require(self, point: np.ndarray) -> None:
         if not self.contains(point):
@@ -69,9 +70,10 @@ class Chart:
 
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
-    p = np.asarray(coords, dtype=np.float64).reshape(-1)
-    if dim is not None and p.shape[0] != dim:
-        raise ValueError(f"point has {p.shape[0]} coordinates, chart needs {dim}")
+    """Float coordinates of one point (n,) or of points with leading axes."""
+    p = np.atleast_1d(np.asarray(coords, dtype=np.float64))
+    if dim is not None and p.shape[-1] != dim:
+        raise ValueError(f"point has {p.shape[-1]} coordinates, chart needs {dim}")
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite point coordinates")
     return p
@@ -95,12 +97,15 @@ class TensorField:
     def value(self, point) -> Tensor:
         point = as_point(point)
         comps = eval_components(self.fn, point)
-        return Tensor(point.shape[0], self.signature, comps)
+        return Tensor(point.shape[-1], self.signature, comps)
 
     def jets(self, point, cfg: DiffConfig, second: bool = False):
-        """Components plus derivative stacks, derivative directions leading."""
+        """Components plus derivative stacks at one point (n,) or at points
+        with leading axes, the derivative directions after those axes; a
+        constant field is broadcast over the points."""
         point = as_point(point)
-        return field_jets(self.fn, point, cfg, domain=self.domain, second=second)
+        shape = point.shape[-1:] * len(self.signature)
+        return field_jets(self.fn, point, cfg, self.domain, second, shape)
 
 
 @dataclass(frozen=True)
@@ -281,8 +286,10 @@ def manifold_by_name(name: str, k: int = 2) -> ManifoldSpec:
 
 
 def _check_pairs(k: int) -> int:
-    if not 1 <= k <= 8:
-        raise ValueError(f"complex dimension k must be in [1, 8] (n = 2k <= 16), got {k}")
+    if not 1 <= k <= MAX_DIM // 2:
+        raise ValueError(
+            f"complex dimension k must be in [1, {MAX_DIM // 2}] (n = 2k <= {MAX_DIM}), got {k}"
+        )
     return 2 * k
 
 

@@ -14,14 +14,15 @@ description, classification, scope and evaluator of one ID.  A linear
 relation among H0..H5, W, P and H0 written in R^g is one row of coefficients,
 a ``LinearRelation``; one evaluator computes the residual of every such row.
 
-One batched pass per job: ``identity_suite`` builds one ``PointJets`` for all
-P points, one ``GeneratorJets`` for all G generators and one
-``CurvatureBundle`` with batch axes (P, G), then calls ``h_tensor`` once per
-kind.  Each evaluator returns residuals and scales shaped (P, K), K the
-generators or, for an independence check, the generator pairs; a report row
-takes the per-point maxima.  H, W, P and the I-HYB-COND conditions are
-rank-one folds (``curvature.fold_rank_one``): n^3 diagonal adds for the
-identity blocks and one matmul with A per tensor for the structure blocks.
+One batched pass per job: ``identity_suite`` differentiates each field once,
+on all P points, into one ``PointJets`` (axes (P, 1)) and one
+``GeneratorJets`` (P, G), builds one ``CurvatureBundle`` with batch axes
+(P, G), then calls ``h_tensor`` once per kind.  Each evaluator returns
+residuals and scales shaped (P, K), K the generators or, for an independence
+check, the generator pairs; a report row takes the per-point maxima.  H, W, P
+and the I-HYB-COND conditions are rank-one folds (``curvature.fold_rank_one``):
+n^3 diagonal adds for the identity blocks and one matmul with A per tensor for
+the structure blocks.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -239,14 +240,14 @@ class _Job:
 
     def __init__(self, pj: PointJets, gj: GeneratorJets, b: CurvatureBundle, tol_audit: float):
         self.pj, self.gj, self.b, self.tol_audit = pj, gj, b, tol_audit
-        self.kahler = {k: v[:, None] for k, v in kahler_identities(pj).items()}
+        self.kahler = kahler_identities(pj)
         self.torsion = torsion_identities(pj, gj)
 
     @cached_property
     def tensors(self) -> dict[str, np.ndarray]:
         """H0..H5 per (point, generator), W and P per point."""
         t = {f"H{theta}": h_tensor(theta, self.b) for theta in THETAS}
-        t["W"], t["P"] = weyl_projective(self.pj)[:, None], hol_projective(self.pj)[:, None]
+        t["W"], t["P"] = weyl_projective(self.pj), hol_projective(self.pj)
         return t
 
     @cached_property
@@ -340,7 +341,7 @@ def _kahler_evaluator(key: str):
 
 def _richyb_evaluator(j: _Job):
     rep = hybrid_defect(j.pj.ric_g, j.pj.a)
-    return rep.defect[:, None], rep.scale[:, None], None
+    return rep.defect, rep.scale, None
 
 
 def _r1comm_evaluator(j: _Job):
@@ -567,8 +568,8 @@ def identity_suite(
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
     Per (identity, point) the worst generator (or generator pair) is reported.
-    Each point's metric, structure and generators are differentiated once;
-    everything after the jets runs once per call on (point, generator) batches.
+    The metric, the structure and each generator are differentiated once per
+    call, on all points; everything after runs on (point, generator) batches.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:

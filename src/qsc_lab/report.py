@@ -120,8 +120,10 @@ def parse_generator_spec(spec: str, dim: int):
     if name == "random_poly":
         try:
             seed = int(arg) if arg else 0
-        except ValueError as exc:
-            raise ConfigError(f"bad random_poly seed {arg!r}") from exc
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ConfigError(f"bad random_poly seed {arg!r}: expected a non-negative integer")
         return generator("random_poly", dim=dim, seed=seed)
     if arg:
         raise ConfigError(f"generator {name!r} takes no argument")

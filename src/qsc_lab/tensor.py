@@ -88,16 +88,19 @@ def contract_first(m: np.ndarray, arr: np.ndarray, rank: int) -> np.ndarray:
 
 
 def metric_inverse(g: np.ndarray, cond_bound: float = 1e12) -> np.ndarray:
-    """Invert the components of a (0,2) metric, rejecting near-singular input."""
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    """Invert a (0,2) metric, or each of a stack, rejecting near-singular
+    input; the error names the first such matrix's condition number."""
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"expected a square metric block, got shape {g.shape}")
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > cond_bound:
+    cond = np.linalg.cond(g)
+    bad = ~(cond <= cond_bound)  # also NaN
+    if bad.any():
+        worst = float(np.ravel(cond)[np.argmax(bad)])
         raise SingularMetricError(
-            f"metric condition number {cond:.3e} exceeds bound {cond_bound:.1e}"
+            f"metric condition number {worst:.3e} exceeds bound {cond_bound:.1e}"
         )
     inv = np.linalg.inv(g)
-    return 0.5 * (inv + inv.T)  # symmetrize away inversion rounding
+    return 0.5 * (inv + inv.swapaxes(-1, -2))  # symmetrize away inversion rounding
 
 
 def relative_residual(residual, scales: Iterable):

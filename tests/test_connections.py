@@ -35,6 +35,28 @@ def records(m, p, gen, cfg=CFG):
     return pj, generator_jets(pj, gen)
 
 
+def test_generator_jets_stack_a_list_on_one_point_and_on_a_batch():
+    """A list of G generators gives (G, n) at one point and (P, G, n) on a
+    batch, each slice what that generator alone gives at that point."""
+    m = manifold_by_name("fs", k=2)
+    gens = [generator("linear_j", dim=4), generator("random_poly", dim=4, seed=2)]
+    pts = sample_points(m, 3, seed=8)
+    one = point_jets(m, pts[0], CFG)
+    batch = point_jets(m, pts, CFG)
+    stacked, stacked_batch = generator_jets(one, gens), generator_jets(batch, gens)
+    assert stacked.label == ("linear_j", "random_poly:2")
+    assert stacked.pi.shape == (2, 4) and stacked.nabla_pi.shape == (2, 4, 4)
+    assert stacked_batch.pi.shape == (3, 2, 4) and stacked_batch.dpi.shape == (3, 2, 4, 4)
+    for j, gen in enumerate(gens):
+        alone = generator_jets(one, gen)
+        assert alone.pi.shape == (4,)
+        for key in ("pi", "dpi", "nabla_pi"):
+            np.testing.assert_array_equal(getattr(stacked, key)[j], getattr(alone, key))
+            for i, p in enumerate(pts):
+                want = getattr(generator_jets(point_jets(m, p, CFG), gen), key)
+                np.testing.assert_array_equal(getattr(stacked_batch, key)[i, j], want)
+
+
 def test_flat_christoffel_vanishes():
     m = manifold_by_name("flat", k=2)
     lc = levi_civita(point_jets(m, [0.3, -0.8, 1.0, 2.0], CFG))

@@ -439,6 +439,6 @@ def test_space_forms_have_constant_holomorphic_curvature(name, c):
     for k in (1, 2, 4):
         m = manifold_by_name(name, k=k)
         pj = point_jets(m, sample_points(m, 3, seed=20), CFG)
-        for i in range(3):
-            want = c / 4 * _bracket(pj.g[i], pj.f[i], pj.a[i])
-            assert norm_max(pj.r_g[i] - want) < 1e-12 * norm_max(want)
+        for i in range(3):  # batch point data are (P, 1, ...)
+            want = c / 4 * _bracket(pj.g[i, 0], pj.f[i, 0], pj.a[i, 0])
+            assert norm_max(pj.r_g[i, 0] - want) < 1e-12 * norm_max(want)

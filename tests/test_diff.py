@@ -228,6 +228,22 @@ def test_domain_blocks_stencil_and_point():
     assert d1[0] == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("scheme", ["analytic", "fd4"])
+def test_domain_error_on_a_batch_names_the_first_offending_point(scheme):
+    """Points and stencils are checked for the whole batch at once; the
+    error names the first point, in batch order, that leaves the domain."""
+    ball = lambda u: (u * u).sum(-1) < 1.0
+    f = lambda u: u[..., 0] * u[..., 0]
+    cfg = DiffConfig(scheme=scheme, step=1e-2) if scheme != "analytic" else DiffConfig()
+    outside = np.array([[0.5, 0.0], [1.5, 0.0], [0.0, 2.0]])[:, None]
+    with pytest.raises(DomainError, match=r"point \[1\.5, 0\.0\] outside"):
+        field_jets(f, outside, cfg, domain=ball)
+    if scheme == "fd4":
+        near = np.array([[0.5, 0.0], [0.0, 0.985], [0.9999, 0.0]])[:, None]
+        with pytest.raises(DomainError, match=r"at \[0\.0, 1\.00"):
+            field_jets(f, near, cfg, domain=ball)
+
+
 def test_non_finite_values_rejected():
     f = lambda u: math.inf * (u[..., 0] + 1.0)
     with pytest.raises(NumericError):

@@ -11,7 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from qsc_lab.diff import DiffConfig, DomainError, eval_components, eval_jets
+from qsc_lab.diff import (
+    DiffConfig,
+    DomainError,
+    eval_components,
+    eval_jets,
+    field_jets,
+)
 from qsc_lab.geometry import (
     Chart,
     generator,
@@ -334,6 +340,29 @@ def test_batched_fields_equal_single_point_calls(k, rows):
         got = eval_components(field.fn, batch, single[0].shape)
         assert got.shape == (m,) + single[0].shape, name
         np.testing.assert_allclose(got, np.stack(single), rtol=1e-14, atol=1e-15, err_msg=name)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize(
+    "cfg",
+    [DiffConfig(), DiffConfig("fd2"), DiffConfig("fd4"), DiffConfig("fd2", 1e-3, True),
+     DiffConfig("fd4", 1e-3, True)],
+    ids=["analytic", "fd2", "fd4", "fd2r", "fd4r"],
+)
+def test_field_jets_on_a_batch_equal_one_point_calls(k, cfg):
+    """field_jets on (P, 1, n) points gives what P one-point calls give, bit
+    for bit, for every catalog field; the constant ones (the structure, the
+    flat metric, zero and const) broadcast over the batch."""
+    n = 2 * k
+    pts = sample_points(manifold_by_name("hyperbolic", k=k), 3, seed=6)
+    for name, field in _catalog_fields(k):
+        shape = (n,) * len(field.signature)
+        got = field_jets(field.fn, pts[:, None], cfg, field.domain, True, shape)
+        for i, p in enumerate(pts):
+            want = field_jets(field.fn, p, cfg, field.domain, True)
+            for part, x, y in zip(("value", "d1", "d2"), got, want):
+                assert x.shape == (3, 1) + y.shape, (name, part)
+                np.testing.assert_array_equal(x[i, 0], y, err_msg=f"{name} {part}")
 
 
 def test_domain_predicates_answer_per_row():

@@ -302,9 +302,20 @@ def test_conditional_hybrid_details_non_vacuous():
     assert cond["I-HYB-COND-2"].details["part1_satisfied"] == 1.0
 
 
-def test_suite_differentiates_each_field_once_per_point(monkeypatch):
-    """One metric jet, one structure jet and one jet per generator at each
-    point; F and G come from the product rule, never from differencing."""
+SCHEMES = {
+    "analytic": CFG,
+    "fd2": DiffConfig(scheme="fd2"),
+    "fd4": DiffConfig(scheme="fd4"),
+    "fd4r": DiffConfig(scheme="fd4", richardson=True),
+}
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd4"])
+@pytest.mark.parametrize("points", [1, 2, 5])
+def test_suite_differentiates_each_field_once_per_job(monkeypatch, points, scheme):
+    """One metric jet, one structure jet and one jet per generator for all
+    points of an identity_suite call; F and G come from the product rule,
+    never from differencing."""
     calls = Counter()
     original = TensorField.jets
 
@@ -319,9 +330,10 @@ def test_suite_differentiates_each_field_once_per_point(monkeypatch):
         generator("linear_j", dim=4),
         generator("random_poly", dim=4, seed=3),
     ]
-    results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
+    results = identity_suite(m, sample_points(m, points, seed=0), gens, SCHEMES[scheme])
+    assert len({r.point_index for r in results}) == points
     assert all(r.passed for r in results)
-    assert calls == {"g": 2, "A": 2, "zero": 2, "linear_j": 2, "random_poly:3": 2}
+    assert calls == {"g": 1, "A": 1, "zero": 1, "linear_j": 1, "random_poly:3": 1}
 
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
@@ -375,19 +387,28 @@ SEVEN = [
 ]
 
 
-@pytest.mark.parametrize("name", ["flat", "fs", "hyperbolic", "conformal-nonkahler"])
-def test_batched_suite_equals_single_point_runs(name):
-    """One call over P points gives, row by row, what P one-point calls give."""
-    m = manifold_by_name(name, k=2)
+@pytest.mark.parametrize(
+    "name,scheme",
+    [
+        # the analytic cases keep the bare chart name as their id
+        pytest.param(name, scheme, id=name if scheme == "analytic" else f"{name}-{scheme}")
+        for scheme in SCHEMES
+        for name in ("flat", "fs", "hyperbolic", "conformal-nonkahler")
+    ],
+)
+def test_batched_suite_equals_single_point_runs(name, scheme):
+    """One call over P points gives, row by row and bit for bit, what P
+    one-point calls give, under every derivative scheme."""
+    m, cfg = manifold_by_name(name, k=2), SCHEMES[scheme]
     pts = sample_points(m, 4, seed=21)
-    batched = identity_suite(m, pts, SEVEN, CFG)
+    batched = identity_suite(m, pts, SEVEN, cfg)
     assert len({r.point_index for r in batched}) == 4
     for index, p in enumerate(pts):
-        single = identity_suite(m, p[None, :], SEVEN, CFG)
+        single = identity_suite(m, p[None, :], SEVEN, cfg)
         rows = [r for r in batched if r.point_index == index]
         assert len(rows) == len(single)
         for got, want in zip(rows, single):
-            _rows_close(got, want)
+            assert got == dataclasses.replace(want, point_index=index)
 
 
 @pytest.mark.parametrize("name", ["fs", "conformal-nonkahler"])

@@ -77,6 +77,7 @@ def test_generator_spec_round_trips():
         ("const:a,b,c,d", "bad const components"),
         ("const:1,0", "4 components"),
         ("random_poly:xyz", "bad random_poly seed"),
+        ("random_poly:-1", "bad random_poly seed"),
         ("zero:3", "takes no argument"),
     ],
 )

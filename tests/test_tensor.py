@@ -131,6 +131,19 @@ def test_metric_inverse_rejects_singular():
         metric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_metric_inverse_of_a_stack_inverts_each_matrix():
+    """A (P, 1, n, n) stack gives the one-matrix inverses bit for bit, and
+    one singular matrix anywhere in it rejects the stack."""
+    stack = np.stack([spd_metric(4, seed).components for seed in range(5)])[:, None]
+    got = metric_inverse(stack)
+    assert got.shape == (5, 1, 4, 4)
+    for i in range(5):
+        np.testing.assert_array_equal(got[i, 0], metric_inverse(stack[i, 0]))
+    stack[3, 0] = np.ones((4, 4))
+    with pytest.raises(SingularMetricError, match="condition number"):
+        metric_inverse(stack)
+
+
 def test_relative_residual_guard():
     assert relative_residual(0.0, [0.0]) == 0.0
     assert relative_residual(1e-15, [0.0]) <= 1e-3

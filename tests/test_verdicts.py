@@ -8,16 +8,32 @@ included since finite differences centre their stencil sums; a change that
 moves a verdict updates the file and says so.  Regenerate it with
 
     PYTHONPATH=src python tests/test_verdicts.py
+
+A refactor that promises byte-identical reports checks it with
+
+    PYTHONPATH=src python tests/test_verdicts.py --digest --rotations 3
+
+which prints one line per benchmark job (rotations 0..N-1 at seed 1): its
+name, exit code and the sha256 of its report with ``generated_at`` blanked.
+The report goes to one fixed path, since ``config_echo`` records it; run the
+same command on the two trees and ``diff`` the outputs.
 """
 
+import argparse
+import contextlib
+import hashlib
+import io
 import json
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 from qsc_lab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verdicts.json"
 ROOT = Path(__file__).resolve().parent.parent
+DIGEST_REPORT = Path(tempfile.gettempdir()) / "qsc-lab-digest-report.json"
 
 
 def verdict(argv: list[str], report: Path) -> dict:
@@ -40,16 +56,30 @@ def test_verdicts_match_golden(tmp_path, capsys):
             assert got[key] == job[key], (job["name"], key)
 
 
-def _regenerate(out: Path, tmp: Path) -> None:
+def benchmark_jobs(rotations: int = 1):
+    """(name, argv without --report) of the benchmark's verify jobs at seed 1."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    jobs = []
     for name, w in workloads.WORKLOADS.items():
-        for j in workloads.rotation(w, 1, 0, "unused"):
-            argv = list(j.argv[: j.argv.index("--report")])
-            jobs.append({"name": f"{name}-{j.index}-{j.chart}", "argv": argv}
-                        | verdict(argv, tmp / "report.json"))
+        for number in range(rotations):
+            for j in workloads.rotation(w, 1, number, "unused"):
+                yield f"{name}-{j.index}-{j.chart}", list(j.argv[: j.argv.index("--report")])
+
+
+def digest(argv: list[str], report: Path = DIGEST_REPORT) -> tuple[int, str]:
+    """Exit code and sha256 of the report of one job, `generated_at` blanked."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--report", str(report)])
+    text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', report.read_text())
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def _regenerate(out: Path, tmp: Path) -> None:
+    jobs = [
+        {"name": name, "argv": argv} | verdict(argv, tmp / "report.json")
+        for name, argv in benchmark_jobs()
+    ]
     out.parent.mkdir(exist_ok=True)
     out.write_text(_render(jobs))
 
@@ -65,7 +95,14 @@ def _render(jobs: list[dict]) -> str:
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        _regenerate(GOLDEN, Path(tmp))
+    parser = argparse.ArgumentParser(description="regenerate the golden verdicts")
+    parser.add_argument("--digest", action="store_true", help="print report digests instead")
+    parser.add_argument("--rotations", type=int, default=1, help="rotations per workload")
+    args = parser.parse_args()
+    if args.digest:
+        for name, argv in benchmark_jobs(args.rotations):
+            code, sha = digest(argv)
+            print(name, code, sha)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            _regenerate(GOLDEN, Path(tmp))
