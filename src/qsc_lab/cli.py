@@ -180,11 +180,9 @@ def cmd_tensor(args) -> int:
         raise ConfigError(
             f"unknown tensor {args.what!r}; options: {', '.join(_WHAT_CHOICES)}"
         )
-    gen = None
-    if what not in _PI_FREE:
-        if args.generator is None:
-            raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
-        gen = parse_generator_spec(args.generator, m.n)
+    gen = None if args.generator is None else parse_generator_spec(args.generator, m.n)
+    if gen is None and what not in _PI_FREE:
+        raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
     # g, f, a, pi and torsion need no derivatives, so no stencil can leave the chart
     if what == "g":
         t = m.metric(point)

@@ -16,7 +16,10 @@ them, their traces and the D blocks once per job, from the two records of
 and ``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a
 field itself.  For P points and G generators every bundle array has the batch
 axes (P, G) in front of its tensor slots; the kind-indexed arrays carry the
-kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.
+kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
+``hand_over_r`` the R^theta stack belongs to its consumer (which overwrites it
+with H^theta): the bundle then holds the traces, the D blocks, R^g and the
+per-kind max-norms, and reading ``b.r`` raises.
 
 Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
 ``fold_rank_one`` adds them through n^3 diagonal views and applies A once per
@@ -96,10 +99,11 @@ def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray) -> np.ndarra
 _DIAGONALS = {"k": "...lijl->...lij", "j": "...lilk->...lik", "i": "...lljk->...ljk"}
 
 
-def fold_rank_one(base, a: np.ndarray, terms) -> np.ndarray:
+def fold_rank_one(base, a: np.ndarray, terms, out: np.ndarray | None = None) -> np.ndarray:
     """base + sum of c * s(., .) V(.) over terms (c, s, V, pattern), V "I" or
     "A"; pattern "ij,lk" means out[..., l,i,j,k] += s[..., i,j] V[..., l,k],
-    and "ji,lk" reads s transposed.
+    and "ji,lk" reads s transposed.  A base of None adds no base; out=base
+    folds the terms onto base in place, the same IEEE sums as a new array.
 
     Terms sharing (V, vector slot) are summed first.  An I-group is added
     through an n^3 diagonal view of the output.  s(., .) A(slot) is A applied
@@ -121,10 +125,13 @@ def fold_rank_one(base, a: np.ndarray, terms) -> np.ndarray:
             diagonal += s[..., None, :, :]
         return out
 
-    out = add_diagonals(np.zeros(np.broadcast_shapes(np.shape(base), *blocks)), "A")
+    acc = add_diagonals(np.zeros(np.broadcast_shapes(np.shape(base), *blocks)), "A")
     if groups["A"]:
-        out = contract_first(a, out, 4)  # rebinding frees the buffer
-    out += base
+        acc = contract_first(a, acc, 4)  # rebinding frees the buffer
+    if out is None:
+        out = acc if base is None else np.add(acc, base, out=acc)
+    else:
+        out += acc
     return add_diagonals(out, "I")
 
 
@@ -170,8 +177,8 @@ def assemble_r_theta(
 class CurvatureBundle:
     """The curvature kinds, their traces and the D blocks of the generators
     at the points of one job.  g, a, r_g and ric_g are point data with a unit
-    generator axis; r (6, ..., n^4), ric (6, ..., n, n) and d (4, ..., n, n)
-    lead with the kind."""
+    generator axis; r (6, ..., n^4), r_norms (6, ...), ric (6, ..., n, n) and
+    d (4, ..., n, n) lead with the kind.  ``r`` raises once handed over."""
 
     n: int
     g: np.ndarray
@@ -181,11 +188,23 @@ class CurvatureBundle:
     nabla_pi: np.ndarray
     d: np.ndarray
     r_g: np.ndarray
-    r: np.ndarray
+    r_stack: np.ndarray | None
+    r_norms: np.ndarray  # the max-norm of each kind, taken at assembly
     ric_g: np.ndarray
     ric: np.ndarray
     prime_r3: np.ndarray
     prime_r4: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        if self.r_stack is None:
+            raise RuntimeError("R^theta was handed over and now holds H^theta")
+        return self.r_stack
+
+    def hand_over_r(self) -> np.ndarray:
+        r = self.r
+        object.__setattr__(self, "r_stack", None)
+        return r
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -196,7 +215,7 @@ class CurvatureBundle:
             np.maximum,
             (
                 norm_max(self.r_g, 4),
-                norm_max(self.r, 4).max(0),
+                self.r_norms.max(0),
                 norm_max(self.ric, 2).max(0),
                 norm_max(self.ric_g, 2),
                 norm_max(self.prime_r3, 2),
@@ -207,7 +226,8 @@ class CurvatureBundle:
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
-    that overflowed anywhere in the stack is a NumericError."""
+    that overflowed anywhere in the stack is a NumericError, found from the
+    max-norms (NaN and inf survive max and min)."""
     n, a, pi = pj.n, pj.a, gj.pi
     pa = (pi[..., None, :] @ a)[..., 0, :]
     d = _d_blocks(gj.nabla_pi, pi, pa)
@@ -215,7 +235,8 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
     for theta in THETAS:
         r[theta] = assemble_r_theta(theta, pj.r_g, a, pi, d)
-    if not np.isfinite(r).all():
+    r_norms = norm_max(r, 4)
+    if not np.isfinite(r_norms).all():
         raise NumericError("non-finite curvature components")
     return CurvatureBundle(
         n=n,
@@ -226,7 +247,8 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         nabla_pi=gj.nabla_pi,
         d=d,
         r_g=pj.r_g,
-        r=r,
+        r_stack=r,
+        r_norms=r_norms,
         ric_g=pj.ric_g,
         ric=np.trace(r, axis1=-4, axis2=-3),
         prime_r3=np.trace(r[3], axis1=-4, axis2=-1),

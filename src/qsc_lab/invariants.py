@@ -14,15 +14,18 @@ description, classification, scope and evaluator of one ID.  A linear
 relation among H0..H5, W, P and H0 written in R^g is one row of coefficients,
 a ``LinearRelation``; one evaluator computes the residual of every such row.
 
-One batched pass per job: ``identity_suite`` differentiates each field once,
-on all P points, into one ``PointJets`` (axes (P, 1)) and one
+``identity_suite`` runs whole points in blocks sized by a byte budget, so a
+job's n^4 working set is bounded in P.  Per block of P points it
+differentiates each field once into one ``PointJets`` (axes (P, 1)) and one
 ``GeneratorJets`` (P, G), builds one ``CurvatureBundle`` with batch axes
-(P, G), then calls ``h_tensor`` once per kind.  Each evaluator returns
-residuals and scales shaped (P, K), K the generators or, for an independence
-check, the generator pairs; a report row takes the per-point maxima.  H, W, P
-and the I-HYB-COND conditions are rank-one folds (``curvature.fold_rank_one``):
-n^3 diagonal adds for the identity blocks and one matmul with A per tensor for
-the structure blocks.
+(P, G), runs the identities that read R^theta, then calls ``h_tensor`` once
+per kind, folding H^theta onto R^theta in the bundle's stack (the R -> H
+handover: one n^4 stack per kind family, and R^theta unreadable after).
+Each evaluator returns residuals and scales shaped (P, K), K the generators
+or, for an independence check, the generator pairs; a report row takes the
+per-point maxima.  H, W, P and the I-HYB-COND conditions are rank-one folds
+(``curvature.fold_rank_one``): n^3 diagonal adds for the identity blocks and
+one matmul with A per tensor for the structure blocks.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -73,6 +76,11 @@ from .tensor import norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 
+# The working-set budget of one block of points, and the n^4 arrays per
+# (point, generator) live at a block's peak, measured at n=16 and G=1..5
+_BLOCK_BYTES = 16 << 20
+_LIVE_BLOCKS = 16
+
 
 def _emax(*arrays):
     """Elementwise maximum of arrays that broadcast together."""
@@ -114,9 +122,10 @@ def hol_projective(pj: PointJets) -> np.ndarray:
     return fold_rank_one(pj.r_g, pj.a, terms)
 
 
-def h_tensor(theta: int, b: CurvatureBundle) -> np.ndarray:
+def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> np.ndarray:
     """Generator-invariant tensor of kind theta, built from the kind-theta
-    curvature and its traces, for every (point, generator) of the bundle."""
+    curvature and its traces, for every (point, generator) of the bundle:
+    a new array, or, given R^theta's buffer as `out`, in place over it."""
     if theta not in THETAS:
         raise ValueError(f"h_tensor kind must be 0..5, got {theta}")
     a, ric, pr3, pr4 = b.a, b.ric, b.prime_r3, b.prime_r4
@@ -159,7 +168,7 @@ def h_tensor(theta: int, b: CurvatureBundle) -> np.ndarray:
             (0.25, ric[3] @ a, "A", "ki,lj"), (-0.25, ric[3] @ a, "A", "kj,li"),
             (-0.25, sp, "A", "ki,lj"), (0.25, sp, "A", "kj,li"),
         ]
-    return fold_rank_one(b.r[theta], a, terms)
+    return fold_rank_one(b.r[theta] if out is None else out, a, terms, out)
 
 
 def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
@@ -214,7 +223,7 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
             (1.0, d3, "I", "ik,lj"), (1.0, d3 @ a, "A", "ik,lj"),
             (-1.0, d2 + _outer(pi, pa), "I", "jk,li"), (-1.0, d2 @ a - pipi, "A", "jk,li"),
         ]
-    return norm_max(fold_rank_one(0.0, a, terms), 4)
+    return norm_max(fold_rank_one(None, a, terms), 4)
 
 
 def _hyb_hypotheses(b: CurvatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,8 +254,11 @@ class _Job:
 
     @cached_property
     def tensors(self) -> dict[str, np.ndarray]:
-        """H0..H5 per (point, generator), W and P per point."""
-        t = {f"H{theta}": h_tensor(theta, self.b) for theta in THETAS}
+        """H0..H5 per (point, generator), each built over R^theta in the
+        bundle's stack (so R^theta is unreadable from then on), W and P per
+        point."""
+        r = self.b.hand_over_r()
+        t = {f"H{theta}": h_tensor(theta, self.b, r[theta]) for theta in THETAS}
         t["W"], t["P"] = weyl_projective(self.pj), hol_projective(self.pj)
         return t
 
@@ -270,29 +282,22 @@ def _hyb_cond_evaluator(theta: int):
         h1 = hyp1_kind1_rel if theta == 1 else hyp1_rel
         h2 = relative_residual(_part2_condition(theta, b), [hyp2_scale])
         held = (h1 < tol, h2 < tol)
-        # a conclusion says something only where its hypothesis holds
-        rows = held[0] | held[1]
-        batch = rows.shape
-        r = b.r[theta][rows]
-        a = np.broadcast_to(b.a, batch + b.a.shape[-2:])[rows]
-        rl = lowered(r, np.broadcast_to(b.g, batch + b.g.shape[-2:])[rows])
-        scale = np.maximum(b.scale[rows], norm_max(rl, 4))
+        batch = h1.shape
         res = np.zeros(batch + (2,))
         sc = np.zeros(batch + (2,))
-        # the conclusions are the Kahler rules on R^theta: k2..k4, then k1 and k5
+        # the conclusions are the Kahler rules on R^theta: k2..k4, then k1 and
+        # k5, computed only on the rows where their hypothesis holds
         for part, mask in enumerate(held):
-            sub = mask[rows]
-            if sub.any():
-                rules = (
-                    rotation_rules(rl[sub], a[sub])
-                    if part == 0
-                    else commutation_rules(r[sub], rl[sub], a[sub])
-                )
+            if mask.any():
+                r = b.r[theta][mask]
+                a = np.broadcast_to(b.a, batch + b.a.shape[-2:])[mask]
+                rl = lowered(r, np.broadcast_to(b.g, batch + b.g.shape[-2:])[mask])
+                rules = commutation_rules(r, rl, a) if part else rotation_rules(rl, a)
                 res[mask, part] = _emax(*rules.values())
-                sc[mask, part] = scale[sub]
+                sc[mask, part] = np.maximum(b.scale[mask], norm_max(rl, 4))
         rel = relative_residual(res, [sc])
         res, sc = res.reshape(batch[0], -1), sc.reshape(batch[0], -1)
-        sc[~rows.any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
+        sc[~(held[0] | held[1]).any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
         details = {
             "part1_hypothesis_rel_min": h1.min(-1),
             "part1_satisfied": held[0].sum(-1).astype(float),
@@ -568,19 +573,31 @@ def identity_suite(
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
     Per (identity, point) the worst generator (or generator pair) is reported.
-    The metric, the structure and each generator are differentiated once per
-    call, on all points; everything after runs on (point, generator) batches.
+    The points run in blocks whose estimated working set fits
+    ``_BLOCK_BYTES``; one block is freed before the next is built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
         raise ValueError("identity suite needs at least one generator")
+    size = max(1, _BLOCK_BYTES // (_LIVE_BLOCKS * len(generators) * m.n**4 * 8))
+    results: list[IdentityResult] = []
+    for first in range(0, len(points), size):
+        block = points[first : first + size]
+        results += _block_results(m, block, first, generators, cfg, tol_core, tol_audit)
+    results.sort(key=lambda r: (r.id, r.point_index))
+    return results
+
+
+def _block_results(m, points, first, generators, cfg, tol_core, tol_audit):
+    """The rows of one block of points, numbered from `first`.  The metric,
+    the structure and each generator are differentiated once, on all the
+    block's points; everything after runs on (point, generator) batches."""
     pj = point_jets(m, points, cfg)
     gj = generator_jets(pj, generators)
     job = _Job(pj, gj, curvature_bundle(pj, gj), tol_audit)
     results: list[IdentityResult] = []
-    # I-HYB-COND reads no H^theta: run before the six H^theta exist, its
-    # masked rotations never share memory with them (rows are sorted below)
-    order = sorted(IDENTITY_CATALOG, key=lambda ident: not ident.startswith("I-HYB-COND"))
+    # the readers of R^theta run before the H^theta are built over it
+    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
     for ident in order:
         info = IDENTITY_CATALOG[ident]
         if info.scope == "kahler_only" and not m.kahler_expected:
@@ -602,7 +619,7 @@ def identity_suite(
             results.append(
                 IdentityResult(
                     id=ident,
-                    point_index=point_index,
+                    point_index=first + point_index,
                     max_residual=float(r),
                     scale=float(s),
                     relative=float(q),
@@ -613,5 +630,4 @@ def identity_suite(
                     else {k: float(v[point_index]) for k, v in details.items()},
                 )
             )
-    results.sort(key=lambda r: (r.id, r.point_index))
     return results

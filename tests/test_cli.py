@@ -396,9 +396,11 @@ def test_tensor_header_gives_the_slots_of_every_tensor(capsys, what):
 
 
 def test_tensor_unknown_what(capsys):
-    for what in ("q9", "d5"):
+    """An unknown tensor, or an unknown generator even for a tensor that
+    needs none, is a configuration error naming the options."""
+    for what in (["q9"], ["d5"], ["g", "--generator", "bogus:7"]):
         code, _, err = run(
-            capsys, "tensor", "--what", what, "--manifold", "flat", "--point", "0,0,0,0",
+            capsys, "tensor", "--what", *what, "--manifold", "flat", "--point", "0,0,0,0",
         )
         assert code == 2
         assert "options" in err

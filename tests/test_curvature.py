@@ -3,6 +3,7 @@
 The commutator-of-coefficients curvature is the oracle for every assembled
 kind; flat space and hand values at (1,0,0,0) pin the conventions."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
-from qsc_lab.tensor import norm_max, relative_residual
+from qsc_lab.tensor import NumericError, norm_max, relative_residual
 from qsc_lab.connections import generator_jets, point_jets
 from qsc_lab.curvature import (
     assemble_r_theta,
@@ -238,7 +239,8 @@ PATTERN_SLOTS = (("lk", "ij"), ("lj", "ik"), ("li", "jk"))
 def test_fold_rank_one_matches_einsum():
     """Every V in {I, A}, vector slot and orientation of s, alone and all at
     once, against einsum: dense A, batch axes (P, G) = (2, 3), and a base
-    with a unit generator axis or the scalar 0."""
+    with a unit generator axis, the scalar 0, none, or a full one that
+    out=base folds onto in place, bit for bit the new array's sums."""
     rng = np.random.default_rng(0)
     n = 4
     a = rng.normal(size=(2, 1, n, n))
@@ -251,15 +253,32 @@ def test_fold_rank_one_matches_einsum():
         for lhs in (pair, pair[::-1])
     ]
     cases.append([term for case in cases for term in case])
-    for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0):
+    full = rng.normal(size=(2, 3) + (n,) * 4)
+    for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0, None, full):
         for terms in cases:
-            want = base + sum(
+            want = (0.0 if base is None else base) + sum(
                 c * np.einsum(f"...{pattern.replace(',', ',...')}->...lijk", x, vectors[v])
                 for c, x, v, pattern in terms
             )
             got = fold_rank_one(base, a, terms)
             assert got.shape == (2, 3) + (n,) * 4
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * norm_max(want))
+            if base is full:
+                out = full.copy()
+                assert fold_rank_one(out, a, terms, out) is out
+                np.testing.assert_array_equal(out, got)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_levi_civita_curvature_raises_at_assembly(bad):
+    """A non-finite R^g entry reaches every kind, and the max-norms taken at
+    assembly catch it: NaN and inf survive max and min."""
+    m = manifold_by_name("fs", k=2)
+    pj, gj = records(m, sample_points(m, 2, seed=3), [generator("zero", dim=4)] * 2)
+    r_g = pj.r_g.copy()
+    r_g[1, 0, 2, 0, 1, 3] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        curvature_bundle(dataclasses.replace(pj, r_g=r_g), gj)
 
 
 def test_fold_rank_one_builds_no_n4_temporary():

@@ -1,6 +1,8 @@
 """H tensors, projective invariants, hybridity, and the identity suite."""
 
 import dataclasses
+import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -387,28 +389,76 @@ SEVEN = [
 ]
 
 
+K8_GENS = [generator("zero", dim=16), generator("random_poly", dim=16, seed=3)]
+
+
+@functools.cache
+def _one_point_rows(name, scheme, k, index):
+    """The rows of point `index` of sample_points(seed=21) alone; a sample
+    is a prefix of every larger one, so runs of several sizes share them."""
+    m = manifold_by_name(name, k=k)
+    point = sample_points(m, index + 1, seed=21)[index]
+    return identity_suite(m, point[None, :], SEVEN if k == 2 else K8_GENS, SCHEMES[scheme])
+
+
 @pytest.mark.parametrize(
-    "name,scheme",
+    "name,scheme,k,points",
     [
-        # the analytic cases keep the bare chart name as their id
-        pytest.param(name, scheme, id=name if scheme == "analytic" else f"{name}-{scheme}")
+        # the k=2 cases keep their ids: the bare chart name when analytic
+        pytest.param(name, scheme, 2, 4, id=name if scheme == "analytic" else f"{name}-{scheme}")
         for scheme in SCHEMES
         for name in ("flat", "fs", "hyperbolic", "conformal-nonkahler")
-    ],
+    ]
+    # n=16 batches large enough that one batched jet differs from one-point jets
+    + [pytest.param("fs", "analytic", 8, p, id=f"fs-k8-P{p}") for p in (8, 10, 20)],
 )
-def test_batched_suite_equals_single_point_runs(name, scheme):
+def test_batched_suite_equals_single_point_runs(name, scheme, k, points):
     """One call over P points gives, row by row and bit for bit, what P
-    one-point calls give, under every derivative scheme."""
-    m, cfg = manifold_by_name(name, k=2), SCHEMES[scheme]
-    pts = sample_points(m, 4, seed=21)
-    batched = identity_suite(m, pts, SEVEN, cfg)
-    assert len({r.point_index for r in batched}) == 4
-    for index, p in enumerate(pts):
-        single = identity_suite(m, p[None, :], SEVEN, cfg)
+    one-point calls give, under every derivative scheme and at n=16."""
+    m, cfg = manifold_by_name(name, k=k), SCHEMES[scheme]
+    pts = sample_points(m, points, seed=21)
+    batched = identity_suite(m, pts, SEVEN if k == 2 else K8_GENS, cfg)
+    assert len({r.point_index for r in batched}) == points
+    for index in range(points):
+        single = _one_point_rows(name, scheme, k, index)
         rows = [r for r in batched if r.point_index == index]
         assert len(rows) == len(single)
         for got, want in zip(rows, single):
             assert got == dataclasses.replace(want, point_index=index)
+
+
+def test_traced_peak_is_bounded_in_the_number_of_points():
+    """Points run in blocks sized by the byte budget: at n=16, ten points
+    peak within 1.2 times one point (one batch of ten peaks near ten times)."""
+    m = manifold_by_name("fs", k=8)
+    pts = sample_points(m, 10, seed=21)
+    peaks = []
+    for count in (1, 10):
+        tracemalloc.start()
+        try:
+            identity_suite(m, pts[:count], K8_GENS, CFG)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_h_tensors_take_over_the_curvature_stack():
+    """_Job builds each H^theta over R^theta, bit for bit the H^theta of a
+    new array; a later read of R^theta raises, never returning H^theta,
+    while the bundle scale, first taken after the handover, reads only the
+    norms of assembly."""
+    m = manifold_by_name("fs", k=2)
+    pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
+    gj = generator_jets(pj, SEVEN[:3])
+    b = curvature_bundle(pj, gj)
+    want = [h_tensor(theta, b) for theta in range(6)]
+    job = invariants._Job(pj, gj, b, tol_audit=1e-6)
+    for theta in range(6):
+        np.testing.assert_array_equal(job.tensors[f"H{theta}"], want[theta])
+    with pytest.raises(RuntimeError, match="handed over"):
+        b.r
+    np.testing.assert_array_equal(b.scale, curvature_bundle(pj, gj).scale)
 
 
 @pytest.mark.parametrize("name", ["fs", "conformal-nonkahler"])
@@ -444,7 +494,8 @@ def test_stacked_h_tensor_equals_the_per_bundle_one(k):
 
 @pytest.mark.parametrize("points,gens", [(1, 1), (2, 3), (4, 7)])
 def test_suite_builds_one_bundle_and_six_h_tensors_per_call(monkeypatch, points, gens):
-    """Everything after the jets runs once per call, whatever P and G."""
+    """Everything after the jets runs once per block of points, and at n=4
+    every (P, G) here fits one block."""
     calls = Counter()
     for name in ("curvature_bundle", "h_tensor"):
 
