@@ -13,6 +13,7 @@ undefined).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -249,7 +250,10 @@ def _add_common_flags(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later
+    ``main`` in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qsc-lab",
         description="residual verification for quarter-symmetric connection geometry",

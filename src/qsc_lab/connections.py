@@ -145,7 +145,8 @@ def curvature_from_coefficients(l: np.ndarray, dl: np.ndarray) -> np.ndarray:
 def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
     """Differentiate the metric and the structure of `m` once, at one point
     (n,) or at all points of a batch (P, n), which gain the unit generator
-    axis (P, 1, n); invert the metric once per point."""
+    axis (P, 1, n); invert the metric once per point.  Past about
+    P n^3 = 3e4 a batch may differ from one-point calls in the last digits."""
     point = as_point(points, m.n)
     if point.ndim > 1:
         point = point.reshape(-1, 1, m.n)
@@ -163,7 +164,8 @@ def generator_jets(
 ) -> GeneratorJets:
     """Differentiate each generator once, at all points of `pj`: one
     generator keeps the point axes, a list of G stacks them on the generator
-    axis, (P, G, n), or (G, n) at one point."""
+    axis, (P, G, n), or (G, n) at one point.  As in ``point_jets``, past about
+    P n^3 = 3e4 a batch may differ from one-point calls in the last digits."""
     if isinstance(gens, GeneratorField):
         label, (pi, dpi) = gens.label, gens.jets(pj.point, pj.cfg)
     else:

@@ -23,7 +23,10 @@ per kind, folding H^theta onto R^theta in the bundle's stack (the R -> H
 handover: one n^4 stack per kind family, and R^theta unreadable after).
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; a report row takes the
-per-point maxima.  H, W, P and the I-HYB-COND conditions are rank-one folds
+per-point maxima.  I-HYB-COND runs all six kinds in one pass: it gathers the
+held (kind, point, generator) rows of the R stack and applies the Kahler
+rules to chunks of them, at most ``_HYB_CHUNK_BYTES`` (128 KiB) of R rows
+each.  H, W, P and the I-HYB-COND conditions are rank-one folds
 (``curvature.fold_rank_one``): n^3 diagonal adds for the identity blocks and
 one matmul with A per tensor for the structure blocks.
 
@@ -80,6 +83,8 @@ EXPECTED_FAIL_FLOOR = 1e-3
 # (point, generator) live at a block's peak, measured at n=16 and G=1..5
 _BLOCK_BYTES = 16 << 20
 _LIVE_BLOCKS = 16
+# The R rows one I-HYB-COND chunk gathers, in bytes
+_HYB_CHUNK_BYTES = 128 << 10
 
 
 def _emax(*arrays):
@@ -185,7 +190,7 @@ def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
 
 # -- identity suite ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityResult:
     id: str
     point_index: int
@@ -226,21 +231,6 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
     return norm_max(fold_rank_one(None, a, terms), 4)
 
 
-def _hyb_hypotheses(b: CurvatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kind-independent parts of the I-HYB-COND hypotheses: the relative
-    part-1 defect for kind 1 (nabla^g pi hybrid), the one for the other kinds
-    (nabla^g pi and pi (x) pi hybrid), and the part-2 scale."""
-    nabla = hybrid_defect(b.nabla_pi, b.a)
-    pipi = hybrid_defect(_outer(b.pi, b.pi), b.a)
-    return (
-        relative_residual(nabla.defect, [nabla.scale]),
-        relative_residual(
-            np.maximum(nabla.defect, pipi.defect), [np.maximum(nabla.scale, pipi.scale)]
-        ),
-        _emax(norm_max(b.d, 2).max(0), nabla.scale, pipi.scale),
-    )
-
-
 class _Job:
     """What the evaluators of one ``identity_suite`` call read: the records
     of all points and generators, the bundle, and the tensors built from them
@@ -268,35 +258,37 @@ class _Job:
         return {name: norm_max(t, 4) for name, t in self.tensors.items()}
 
     @cached_property
-    def hyb(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _hyb_hypotheses(self.b)
-
-
-# An evaluator maps a _Job to (residuals, scales, details): residuals and
-# scales broadcast to (P, K); details, if any, map a key to one value per point.
-
-def _hyb_cond_evaluator(theta: int):
-    def evaluate(j: _Job):
-        b, tol = j.b, j.tol_audit
-        hyp1_kind1_rel, hyp1_rel, hyp2_scale = j.hyb
-        h1 = hyp1_kind1_rel if theta == 1 else hyp1_rel
-        h2 = relative_residual(_part2_condition(theta, b), [hyp2_scale])
+    def hyb_cond(self) -> list[tuple]:
+        """(residuals, scales, details) of I-HYB-COND for each kind, from one
+        pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
+        the Kahler rules on the held (kind, point, generator) rows of the R
+        stack (k2..k4, then k1 and k5), in chunks of ``_HYB_CHUNK_BYTES``."""
+        b, tol = self.b, self.tol_audit
+        # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
+        nabla, pipi = hybrid_defect(b.nabla_pi, b.a), hybrid_defect(_outer(b.pi, b.pi), b.a)
+        kind1 = relative_residual(nabla.defect, [nabla.scale])
+        other = relative_residual(
+            np.maximum(nabla.defect, pipi.defect), [np.maximum(nabla.scale, pipi.scale)]
+        )
+        h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
+        hyp2_scale = _emax(norm_max(b.d, 2).max(0), nabla.scale, pipi.scale)
+        h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), [hyp2_scale])
         held = (h1 < tol, h2 < tol)
-        batch = h1.shape
-        res = np.zeros(batch + (2,))
-        sc = np.zeros(batch + (2,))
-        # the conclusions are the Kahler rules on R^theta: k2..k4, then k1 and
-        # k5, computed only on the rows where their hypothesis holds
+        batch = h1.shape[1:]
+        a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (b.a, b.g))
+        res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
+        size = max(1, _HYB_CHUNK_BYTES // (8 * b.n**4))
         for part, mask in enumerate(held):
-            if mask.any():
-                r = b.r[theta][mask]
-                a = np.broadcast_to(b.a, batch + b.a.shape[-2:])[mask]
-                rl = lowered(r, np.broadcast_to(b.g, batch + b.g.shape[-2:])[mask])
-                rules = commutation_rules(r, rl, a) if part else rotation_rules(rl, a)
-                res[mask, part] = _emax(*rules.values())
-                sc[mask, part] = np.maximum(b.scale[mask], norm_max(rl, 4))
+            rows = np.nonzero(mask)
+            for first in range(0, len(rows[0]), size):
+                kind, point, gen = (i[first : first + size] for i in rows)
+                r, ar = b.r[kind, point, gen], a[point, gen]
+                rl = lowered(r, g[point, gen])
+                rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
+                res[kind, point, gen, part] = _emax(*rules.values())
+                sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
         rel = relative_residual(res, [sc])
-        res, sc = res.reshape(batch[0], -1), sc.reshape(batch[0], -1)
+        res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
         sc[~(held[0] | held[1]).any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
         details = {
             "part1_hypothesis_rel_min": h1.min(-1),
@@ -307,9 +299,14 @@ def _hyb_cond_evaluator(theta: int):
             "part2_conclusion_rel_max": rel[..., 1].max(-1),
             "violated": (rel >= tol).any((-2, -1)).astype(float),
         }
-        return res, sc, details
+        return [(res[t], sc[t], {k: v[t] for k, v in details.items()}) for t in THETAS]
 
-    return evaluate
+
+# An evaluator maps a _Job to (residuals, scales, details): residuals and
+# scales broadcast to (P, K); details, if any, map a key to one value per point.
+
+def _hyb_cond_evaluator(theta: int):
+    return lambda j: j.hyb_cond[theta]
 
 
 def _torsion_evaluator(key: str):

@@ -1,7 +1,8 @@
 """Run configuration, verification orchestration and JSON report assembly.
 
 A report is a plain dict rendered with sorted keys so that two runs with the
-same configuration produce byte-identical output except for the timestamp.
+same configuration produce byte-identical output except for the timestamp,
+which sits alone on its line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .geometry import (
 from .invariants import IdentityResult, identity_suite
 
 REPORT_VERSION = "qsc-report/1"
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # no indent: the C encoder
 
 
 class ConfigError(ValueError):
@@ -222,4 +225,15 @@ def exit_code(report: dict, audit_soft: bool) -> int:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Each top-level key on its own line and each result row on its own
+    line, every value written by the C encoder; the layout is not part of
+    the schema, but ``generated_at`` keeps a line to itself."""
+    lines = []
+    for key in sorted(report):
+        head = f"  {_ENCODER.encode(key)}: "
+        if key == "results":
+            rows = ",\n".join("    " + _ENCODER.encode(row) for row in report[key])
+            lines.append(f"{head}[\n{rows}\n  ]")
+        else:
+            lines.append(head + _ENCODER.encode(report[key]))
+    return "{\n" + ",\n".join(lines) + "\n}\n"

@@ -416,3 +416,28 @@ def test_list_catalogs(capsys):
     assert len([l for l in out.splitlines() if l.strip()]) == 4
     code, out, _ = run(capsys, "list", "generators")
     assert len([l for l in out.splitlines() if l.strip()]) == 5
+
+
+def test_main_builds_the_parser_once_and_keeps_no_flag_between_calls(
+    capsys, monkeypatch, tmp_path
+):
+    """Every main() in a process shares one argument tree; a flag given to
+    one call does not carry over to the next."""
+    import qsc_lab.cli as cli
+
+    built = []
+
+    def counted(sub, _original=cli._add_common_flags):
+        built.append(sub.prog)
+        _original(sub)
+
+    monkeypatch.setattr(cli, "_add_common_flags", counted)
+    cli.build_parser.cache_clear()
+    report = tmp_path / "report.json"
+    argv = ["verify", "--manifold", "flat", "--points", "1", "--report", str(report)]
+    echoes = []
+    for extra in (["--audit-soft"], []):
+        assert run(capsys, *argv, *extra)[0] == 0
+        echoes.append(json.loads(report.read_text())["config_echo"]["audit_soft"])
+    assert built == ["qsc-lab verify", "qsc-lab tensor"]
+    assert echoes == [True, False]

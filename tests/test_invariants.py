@@ -508,3 +508,32 @@ def test_suite_builds_one_bundle_and_six_h_tensors_per_call(monkeypatch, points,
     results = identity_suite(m, sample_points(m, points, seed=24), SEVEN[:gens], CFG)
     assert all(r.passed for r in results)
     assert calls == {"curvature_bundle": 1, "h_tensor": 6}
+
+
+@functools.cache
+def _chunk_case(name):
+    """(chart, points, generators, scheme) of one I-HYB-COND chunking case."""
+    if name == "fs-k2":
+        m = manifold_by_name("fs", k=2)
+        return m, sample_points(m, 5, seed=26), SEVEN, CFG
+    if name == "hyperbolic-k4-fd4":
+        m = manifold_by_name("hyperbolic", k=4)
+        gens = [generator(g, dim=8) for g in ("zero", "linear_j")]
+        gens.append(generator("random_poly", dim=8, seed=3))
+        return m, sample_points(m, 2, seed=26), gens, SCHEMES["fd4"]
+    m = manifold_by_name("fs", k=8)
+    gens = [generator("zero", dim=16), generator("linear_j", dim=16), K8_GENS[1]]
+    return m, sample_points(m, 1, seed=26), gens, CFG
+
+
+@pytest.mark.parametrize("name", ["fs-k2", "hyperbolic-k4-fd4", "fs-k8"])
+@pytest.mark.parametrize("budget", [1, 1 << 60], ids=["one-row", "unlimited"])
+def test_hybrid_rows_do_not_depend_on_the_chunk_size(monkeypatch, name, budget):
+    """I-HYB-COND gathers the held rows of all six kinds in chunks: one row
+    per chunk and every row in one chunk give the shipped rows bit for bit."""
+    m, pts, gens, cfg = _chunk_case(name)
+    want = identity_suite(m, pts, gens, cfg)
+    monkeypatch.setattr(invariants, "_HYB_CHUNK_BYTES", budget)
+    got = identity_suite(m, pts, gens, cfg)
+    assert any(r.details and r.details["part2_satisfied"] for r in got)
+    assert got == want

@@ -169,6 +169,27 @@ def test_render_is_deterministic_and_sorted():
     assert a == b
 
 
+def test_render_writes_one_line_per_key_and_per_result_row():
+    """The layout the report keeps inside its one schema: every top-level key
+    and every result row on a line of its own, `generated_at` alone on its."""
+    rep = run_verification(RunConfig(manifold="fs", num_points=2))
+    text = render_report(rep)
+    assert json.loads(text) == json.loads(json.dumps(rep, sort_keys=True, indent=2))
+    lines = text.splitlines()
+    start = lines.index('  "results": [')
+    rows = lines[start + 1 : start + 1 + len(rep["results"])]
+    assert [json.loads(line.rstrip(",")) for line in rows] == rep["results"]
+    assert lines[start + 1 + len(rep["results"])].rstrip(",") == "  ]"
+    keyed = [line for line in lines if line.startswith('  "')]
+    assert [line.split('"')[1] for line in keyed] == sorted(rep)
+    for line, key in zip(keyed, sorted(rep)):
+        if key != "results":
+            value = json.loads("{" + line.rstrip(",") + "}")
+            assert value == {key: rep[key]}
+    stamp = [line for line in lines if "generated_at" in line]
+    assert stamp == [f'  "generated_at": "{rep["generated_at"]}",']
+
+
 def test_expected_fail_entries_reported_for_non_kahler():
     rep = run_verification(
         RunConfig(manifold="conformal-nonkahler", num_points=1,

@@ -14,17 +14,18 @@ A refactor that promises byte-identical reports checks it with
     PYTHONPATH=src python tests/test_verdicts.py --digest --rotations 3
 
 which prints one line per benchmark job (rotations 0..N-1 at seed 1): its
-name, exit code and the sha256 of its report with ``generated_at`` blanked.
-The report goes to one fixed path, since ``config_echo`` records it; run the
-same command on the two trees and ``diff`` the outputs.
+name, exit code and the digest of its parsed report without
+``generated_at``, the canonical one of ``perfbench/jobs.report_digest``, so
+the comparison holds across a change of the report's layout.  The report
+goes to one fixed path, since ``config_echo`` records it; run the same
+command on the two trees and ``diff`` the outputs.
 """
 
 import argparse
 import contextlib
-import hashlib
+import importlib
 import io
 import json
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -56,10 +57,16 @@ def test_verdicts_match_golden(tmp_path, capsys):
             assert got[key] == job[key], (job["name"], key)
 
 
+def _perfbench(module: str):
+    """One of the benchmark's own modules (its workloads, its digest)."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module(module)
+
+
 def benchmark_jobs(rotations: int = 1):
     """(name, argv without --report) of the benchmark's verify jobs at seed 1."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+    workloads = _perfbench("workloads")
 
     for name, w in workloads.WORKLOADS.items():
         for number in range(rotations):
@@ -68,11 +75,11 @@ def benchmark_jobs(rotations: int = 1):
 
 
 def digest(argv: list[str], report: Path = DIGEST_REPORT) -> tuple[int, str]:
-    """Exit code and sha256 of the report of one job, `generated_at` blanked."""
+    """Exit code and canonical digest of the report of one job, without
+    `generated_at`."""
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--report", str(report)])
-    text = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', report.read_text())
-    return code, hashlib.sha256(text.encode()).hexdigest()
+    return code, _perfbench("jobs").report_digest(json.loads(report.read_text()))
 
 
 def _regenerate(out: Path, tmp: Path) -> None:
