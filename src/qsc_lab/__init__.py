@@ -10,7 +10,6 @@ residual at sampled chart points.
 from .diff import DiffConfig, DomainError
 from .geometry import (
     Chart,
-    GeneratorField,
     ManifoldSpec,
     TensorField,
     generator,
@@ -20,7 +19,6 @@ from .geometry import (
     sample_points,
 )
 from .connections import (
-    ConnectionCoefficients,
     GeneratorJets,
     PointJets,
     covariant_derivative,
@@ -34,7 +32,6 @@ from .curvature import CurvatureBundle, curvature_bundle, riemann_g
 from .invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
-    HybridReport,
     IdentityResult,
     h_tensor,
     hol_projective,
@@ -48,14 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chart",
-    "ConnectionCoefficients",
     "CurvatureBundle",
     "DiffConfig",
     "DomainError",
     "EXPECTED_FAIL_FLOOR",
-    "GeneratorField",
     "GeneratorJets",
-    "HybridReport",
     "IDENTITY_CATALOG",
     "IdentityResult",
     "ManifoldSpec",

@@ -55,15 +55,20 @@ _GENERATOR_DESCRIPTIONS = {
     "random_poly": "seeded random polynomial of degree two, random_poly:SEED",
 }
 
-_PI_FREE = {"g", "f", "a", "rg", "ric_g", "w", "p"}
-_WHAT_CHOICES = sorted(
-    _PI_FREE
-    | {"pi", "torsion", "prime_r3", "prime_r4"}
-    | {f"d{t}" for t in range(4)}
-    | {f"r{t}" for t in range(6)}
-    | {f"ric{t}" for t in range(6)}
-    | {f"h{t}" for t in range(6)}
-)
+# --what -> (the slots of the tensor it prints, whether it reads the generator)
+_TENSORS = {
+    "g": ("dd", False), "f": ("dd", False), "a": ("ud", False),
+    "rg": ("uddd", False), "ric_g": ("dd", False), "w": ("uddd", False), "p": ("uddd", False),
+    "pi": ("d", True), "torsion": ("udd", True),
+    "prime_r3": ("dd", True), "prime_r4": ("dd", True),
+    **{f"d{t}": ("dd", True) for t in range(4)},
+    **{
+        f"{name}{t}": (slots, True)
+        for name, slots in (("r", "uddd"), ("ric", "dd"), ("h", "uddd"))
+        for t in range(6)
+    },
+}
+_WHAT_CHOICES = sorted(_TENSORS)
 
 def split_generator_list(value: str) -> list[str]:
     """Split a comma list of generator specs; const components keep their
@@ -99,14 +104,12 @@ def _coord_labels(n: int) -> list[str]:
     return [("x" if i % 2 == 0 else "y") + str(i // 2 + 1) for i in range(n)]
 
 
-def _print_tensor(name: str, t) -> None:
-    comps = t.components if isinstance(t, Tensor) else np.asarray(t)
-    labels = _coord_labels(comps.shape[0])
-    sig = t.signature if isinstance(t, Tensor) else "d" * comps.ndim
-    print(f"{name}  slots={sig}  (entries with |value| > {PRINT_EPS:g})")
+def _print_tensor(name: str, t: Tensor) -> None:
+    labels = _coord_labels(t.dim)
+    print(f"{name}  slots={t.signature}  (entries with |value| > {PRINT_EPS:g})")
     shown = 0
-    for idx in np.ndindex(comps.shape):
-        v = float(comps[idx])
+    for idx in np.ndindex(t.components.shape):
+        v = float(t.components[idx])
         if abs(v) > PRINT_EPS:
             lab = ",".join(labels[i] for i in idx)
             print(f"  [{lab}] = {v:.12g}")
@@ -177,49 +180,46 @@ def cmd_tensor(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(DiffConfig)}
     cfg = DiffConfig(**{k: v for k, v in given.items() if v is not None})
     what = args.what.lower()
-    if what not in _WHAT_CHOICES:
+    if what not in _TENSORS:
         raise ConfigError(
             f"unknown tensor {args.what!r}; options: {', '.join(_WHAT_CHOICES)}"
         )
+    slots, reads_pi = _TENSORS[what]
     gen = None if args.generator is None else parse_generator_spec(args.generator, m.n)
-    if gen is None and what not in _PI_FREE:
+    if gen is None and reads_pi:
         raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
+    _print_tensor(what, Tensor(m.n, slots, _tensor_array(what, m, point, cfg, gen)))
+    return 0
+
+
+def _tensor_array(what: str, m, point: np.ndarray, cfg: DiffConfig, gen) -> np.ndarray:
+    """The components of the tensor `what` at `point`, from the arrays and
+    formulas that ``verify`` uses."""
     # g, f, a, pi and torsion need no derivatives, so no stencil can leave the chart
     if what == "g":
-        t = m.metric(point)
-    elif what == "f":
-        t = m.fundamental(point)
-    elif what == "a":
-        t = m.structure(point)
-    elif what == "pi":
-        t = gen.pi(point)
-    elif what == "torsion":
-        t = torsion(m, point, gen)
-    else:
-        pj = point_jets(m, point, cfg)
-        operator = lambda comps: Tensor(m.n, "uddd", comps)
-        if what == "rg":
-            t = riemann_g(pj)
-        elif what == "ric_g":
-            t = pj.ric_g
-        elif what == "w":
-            t = operator(weyl_projective(pj))
-        elif what == "p":
-            t = operator(hol_projective(pj))
-        else:
-            b = curvature_bundle(pj, generator_jets(pj, gen))
-            if what.startswith("d"):
-                t = b.d[int(what[1])]
-            elif what.startswith("ric"):
-                t = b.ric[int(what[3])]
-            elif what.startswith("prime_r"):
-                t = b.prime_r3 if what == "prime_r3" else b.prime_r4
-            elif what.startswith("h"):
-                t = operator(h_tensor(int(what[1]), b))
-            else:
-                t = operator(b.r[int(what[1])])
-    _print_tensor(what, t)
-    return 0
+        return m.metric_field.value(point)
+    if what == "f":
+        return m.structure_field.value(point).T @ m.metric_field.value(point)
+    if what == "a":
+        return m.structure_field.value(point)
+    if what == "pi":
+        return gen.value(point)
+    if what == "torsion":
+        return torsion(gen.value(point), m.structure_field.value(point))
+    pj = point_jets(m, point, cfg)
+    if what == "rg":
+        return riemann_g(pj)
+    if what == "ric_g":
+        return pj.ric_g
+    if what == "w":
+        return weyl_projective(pj)
+    if what == "p":
+        return hol_projective(pj)
+    b = curvature_bundle(pj, generator_jets(pj, gen))
+    if what.startswith("prime_r"):
+        return getattr(b, what)
+    name, kind = what[:-1], int(what[-1])  # d, r, ric or h, then the kind
+    return h_tensor(kind, b) if name == "h" else getattr(b, name)[kind]
 
 
 def cmd_list(args) -> int:

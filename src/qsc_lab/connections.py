@@ -8,7 +8,9 @@ structure A and generator one-form pi is
     L^i_{jk} = Gamma^i_{jk} - pi_j A^i_k,
 
 the coordinate form of nabla^1_X Y = nabla^g_X Y - pi(X) A Y.  Its torsion is
-T(X, Y) = pi(Y) A X - pi(X) A Y.
+T(X, Y) = pi(Y) A X - pi(X) A Y.  ``levi_civita`` and ``quarter_symmetric``
+return the coefficient array, which ``covariant_derivative`` takes, and
+``torsion`` builds T from the arrays pi and A.
 
 Everything computed from the fields is algebra on two immutable records:
 
@@ -41,22 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .diff import DiffConfig
-from .geometry import Chart, GeneratorField, ManifoldSpec, as_point
-from .tensor import Tensor, contract_first, metric_inverse, norm_max
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    dim: int
-    kind: str
-    gamma: np.ndarray  # gamma[..., i, j, k] = L^i_{jk}, j the direction slot
-
-    def __post_init__(self) -> None:
-        g = np.ascontiguousarray(self.gamma, dtype=np.float64)
-        if g.shape[-3:] != (self.dim,) * 3 or g.ndim < 3:
-            raise ValueError(f"coefficient block must be cubic, got {g.shape}")
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
+from .geometry import Chart, ManifoldSpec, TensorField, as_point
+from .tensor import contract_first, metric_inverse, norm_max
 
 
 def _freeze_arrays(record) -> None:
@@ -103,9 +91,8 @@ class PointJets:
 class GeneratorJets:
     """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j
     and nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j.  One generator has the
-    point axes of its PointJets; a stack of G fills the generator axis,
-    (P, G, ...) or (G, ...) at one point, and `label` is then the tuple of
-    their labels."""
+    point axes of its PointJets; a stack of G fills the generator axis of a
+    batch, (P, G, ...), and `label` is then the tuple of their labels."""
 
     label: str | tuple[str, ...]
     pi: np.ndarray
@@ -159,36 +146,38 @@ def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
     return PointJets(m.chart, cfg, point, g, dg, d2g, g_inv, a, da, f, gamma, dgamma, r_g, ric_g)
 
 
-def generator_jets(
-    pj: PointJets, gens: GeneratorField | Sequence[GeneratorField]
-) -> GeneratorJets:
+def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> GeneratorJets:
     """Differentiate each generator once, at all points of `pj`: one
     generator keeps the point axes, a list of G stacks them on the generator
-    axis, (P, G, n), or (G, n) at one point.  As in ``point_jets``, past about
-    P n^3 = 3e4 a batch may differ from one-point calls in the last digits."""
-    if isinstance(gens, GeneratorField):
+    axis, (P, G, n), and needs `pj` at a batch of points.  As in
+    ``point_jets``, past about P n^3 = 3e4 a batch may differ from one-point
+    calls in the last digits."""
+    if isinstance(gens, TensorField):
         label, (pi, dpi) = gens.label, gens.jets(pj.point, pj.cfg)
+    elif pj.point.ndim == 1:
+        raise ValueError(
+            "a generator list needs a batch of points; pass point_jets a (P, n) batch"
+        )
     else:
-        # one point gets a unit generator axis too; the jets join along it
-        point = pj.point.reshape(pj.point.shape[:-2] + (1, pj.n))
-        jets = [gen.jets(point, pj.cfg) for gen in gens]
+        jets = [gen.jets(pj.point, pj.cfg) for gen in gens]
         label = tuple(gen.label for gen in gens)
-        pi, dpi = (np.concatenate(part, axis=point.ndim - 2) for part in zip(*jets))
+        pi, dpi = (np.concatenate(part, axis=pj.point.ndim - 2) for part in zip(*jets))
     return GeneratorJets(label, pi, dpi, covariant_derivative(levi_civita(pj), pi, dpi, "d"))
 
 
-def levi_civita(pj: PointJets) -> ConnectionCoefficients:
-    return ConnectionCoefficients(pj.n, "levi_civita", pj.gamma)
+def levi_civita(pj: PointJets) -> np.ndarray:
+    """Coefficients Gamma[..., i, j, k] of the Levi-Civita connection."""
+    return pj.gamma
 
 
-def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> ConnectionCoefficients:
-    gamma = pj.gamma - gj.pi[..., None, :, None] * pj.a[..., :, None, :]
-    return ConnectionCoefficients(pj.n, "quarter_symmetric", gamma)
+def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
+    """Coefficients L[..., i, j, k] = Gamma^i_jk - pi_j A^i_k."""
+    return pj.gamma - gj.pi[..., None, :, None] * pj.a[..., :, None, :]
 
 
 def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets):
     """(L, dL) of the quarter-symmetric connection."""
-    l = quarter_symmetric(pj, gj).gamma
+    l = quarter_symmetric(pj, gj)
     dl = (
         pj.dgamma
         - gj.dpi[..., :, None, :, None] * pj.a[..., None, :, None, :]
@@ -198,10 +187,11 @@ def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets):
 
 
 def covariant_derivative(
-    conn: ConnectionCoefficients, value: np.ndarray, d1: np.ndarray, slots: str
+    gamma: np.ndarray, value: np.ndarray, d1: np.ndarray, slots: str
 ) -> np.ndarray:
-    """nabla of a field given its value and partials d1 (direction first) and
-    its slot kinds; the derivative direction is the new leading slot."""
+    """nabla of a field, under the connection of coefficients gamma, given
+    its value, its partials d1 (direction first) and its slot kinds; the
+    derivative direction is the new leading slot."""
     out = d1
     letters = "bcdefghi"
     sub = letters[: len(slots)]
@@ -209,26 +199,21 @@ def covariant_derivative(
         t_sub = sub[:slot] + "m" + sub[slot + 1 :]
         spec = f"...{t_sub}->...a{sub}"
         if kind == "u":
-            out = out + np.einsum(f"...{sub[slot]}am,{spec}", conn.gamma, value)
+            out = out + np.einsum(f"...{sub[slot]}am,{spec}", gamma, value)
         else:
-            out = out - np.einsum(f"...ma{sub[slot]},{spec}", conn.gamma, value)
+            out = out - np.einsum(f"...ma{sub[slot]},{spec}", gamma, value)
     return out
 
 
-def _torsion(pi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """t[..., i, j, k] = pi_k A^i_j - pi_j A^i_k."""
+def torsion(pi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T(X, Y) = pi(Y) A X - pi(X) A Y as a (1,2) tensor, slots (out; X, Y):
+    t[..., i, j, k] = pi_k A^i_j - pi_j A^i_k."""
     return a[..., :, :, None] * pi[..., None, None, :] - a[..., :, None, :] * pi[..., None, :, None]
 
 
 def _torsion_lowered(pi: np.ndarray, f: np.ndarray) -> np.ndarray:
     """tl[..., j, k, l] = pi_k F_jl - pi_j F_kl."""
     return pi[..., None, :, None] * f[..., :, None, :] - pi[..., :, None, None] * f[..., None, :, :]
-
-
-def torsion(m: ManifoldSpec, point, gen: GeneratorField) -> Tensor:
-    """T(X, Y) = pi(Y) A X - pi(X) A Y as a (1,2) tensor, slots (out; X, Y)."""
-    comps = _torsion(gen.pi(point).components, m.structure(point).components)
-    return Tensor(m.n, "udd", comps)
 
 
 def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
@@ -273,7 +258,7 @@ def torsion_identities(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray
     """
     a = pj.a
     at = a.swapaxes(-1, -2)
-    t = _torsion(gj.pi, a)  # t[..., i, x, y]
+    t = torsion(gj.pi, a)  # t[..., i, x, y]
     tl = _torsion_lowered(gj.pi, pj.f)  # tl[..., x, y, z]
 
     # pairwise contractions only; `at3 @ arr @ a3` feeds the last two slots

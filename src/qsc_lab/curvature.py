@@ -44,14 +44,14 @@ from .connections import (
     curvature_from_coefficients,
     quarter_symmetric_jets,
 )
-from .tensor import NumericError, Tensor, contract_first, norm_max
+from .tensor import NumericError, contract_first, norm_max
 
 THETAS = (0, 1, 2, 3, 4, 5)
 
 
-def riemann_g(pj: PointJets) -> Tensor:
-    """Curvature of the Levi-Civita connection at one point, as a (1,3) tensor."""
-    return Tensor(pj.n, "uddd", pj.r_g)
+def riemann_g(pj: PointJets) -> np.ndarray:
+    """Curvature R^g[..., l, i, j, k] of the Levi-Civita connection."""
+    return pj.r_g
 
 
 def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> np.ndarray:

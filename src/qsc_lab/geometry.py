@@ -18,6 +18,11 @@ function serves the stencils of a batch of points (``u`` of shape
 (P, 1, m, n)) and the analytic backend (``u`` one array-valued Taylor number
 seeded with all the points); see ``diff``.  Domain predicates likewise take
 points with leading axes and answer per point.
+
+A field is read as arrays only: ``TensorField.jets`` gives its components
+with their partials, ``TensorField.value`` its components alone.  A
+manifold is its chart plus the metric and structure fields; a generator
+one-form is a one-slot field labelled with its catalog name.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
-from .tensor import MAX_DIM, Tensor
+from .tensor import MAX_DIM
 
 __all__ = [
     "Chart",
     "TensorField",
     "ManifoldSpec",
-    "GeneratorField",
     "DiffConfig",
     "DomainError",
     "flat_complex",
@@ -94,10 +98,10 @@ class TensorField:
     domain: Callable[[np.ndarray], Any] | None = None
     label: str = ""
 
-    def value(self, point) -> Tensor:
-        point = as_point(point)
-        comps = eval_components(self.fn, point)
-        return Tensor(point.shape[-1], self.signature, comps)
+    def value(self, point) -> np.ndarray:
+        """Components at one point (n,) or at points with leading axes,
+        without derivatives, so no stencil point can leave the chart."""
+        return eval_components(self.fn, as_point(point))
 
     def jets(self, point, cfg: DiffConfig, second: bool = False):
         """Components plus derivative stacks at one point (n,) or at points
@@ -121,17 +125,6 @@ class ManifoldSpec:
     def n(self) -> int:
         return self.chart.dim
 
-    def metric(self, point) -> Tensor:
-        return self.metric_field.value(point)
-
-    def structure(self, point) -> Tensor:
-        return self.structure_field.value(point)
-
-    def fundamental(self, point) -> Tensor:
-        """F(X, Y) = g(AX, Y), the skew form of the pair (g, A)."""
-        a = self.structure(point).components
-        return Tensor(self.n, "dd", a.T @ self.metric(point).components)
-
     def metric_jets(self, point, cfg: DiffConfig):
         """(g, dg, d2g) with dg[a,i,j] = (d_a g)_ij, d2g[a,b,i,j] = d_a d_b g_ij."""
         return self.metric_field.jets(point, cfg, second=True)
@@ -139,21 +132,6 @@ class ManifoldSpec:
     def structure_jets(self, point, cfg: DiffConfig):
         """(A, dA) with dA[a,i,j] = d_a A^i_j."""
         return self.structure_field.jets(point, cfg, second=False)
-
-
-@dataclass(frozen=True)
-class GeneratorField:
-    """A one-form pi on the chart; the torsion of the connection is built from it."""
-
-    label: str
-    field: TensorField
-
-    def pi(self, point) -> Tensor:
-        return self.field.value(point)
-
-    def jets(self, point, cfg: DiffConfig):
-        """(pi, dpi) with dpi[a,j] = d_a pi_j."""
-        return self.field.jets(point, cfg, second=False)
 
 
 def _standard_matrix(n: int) -> np.ndarray:
@@ -312,8 +290,9 @@ def generator(
     dim: int | None = None,
     components: Sequence[float] | None = None,
     seed: int = 0,
-) -> GeneratorField:
-    """Build a catalog one-form.
+) -> TensorField:
+    """Build a catalog one-form pi, a "d" field labelled with its name; the
+    torsion of the connection is built from it.
 
     Labels: ``zero``, ``const`` (takes ``components``), ``linear_j`` (the
     rotation form sum x_a dy_a - y_a dx_a), ``grad`` (differential of
@@ -358,7 +337,7 @@ def generator(
         raise ValueError(
             f"unknown generator {label!r}; choose from {', '.join(generator_names())}"
         )
-    return GeneratorField(name, TensorField("d", fn, label=name))
+    return TensorField("d", fn, label=name)
 
 
 def generator_names() -> list[str]:

@@ -74,7 +74,7 @@ from .curvature import (
     rotation_rules,
 )
 from .diff import DiffConfig
-from .geometry import GeneratorField, ManifoldSpec
+from .geometry import ManifoldSpec, TensorField
 from .tensor import norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
@@ -96,17 +96,10 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-@dataclass(frozen=True)
-class HybridReport:
-    """Hybridity defects of a (0,2) tensor, one value per leading index."""
-
-    defect: np.ndarray          # max |B(AX, Y) + B(X, AY)|
-    scale: np.ndarray
-
-
-def hybrid_defect(b: np.ndarray, a: np.ndarray) -> HybridReport:
-    """Hybridity of a (0,2) tensor: B(AX, Y) = -B(X, AY)."""
-    return HybridReport(defect=norm_max(a.swapaxes(-1, -2) @ b + b @ a, 2), scale=norm_max(b, 2))
+def hybrid_defect(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hybridity of a (0,2) tensor, B(AX, Y) = -B(X, AY): the defect
+    max |B(AX, Y) + B(X, AY)| and the scale max |B|, per leading index."""
+    return norm_max(a.swapaxes(-1, -2) @ b + b @ a, 2), norm_max(b, 2)
 
 
 def weyl_projective(pj: PointJets) -> np.ndarray:
@@ -265,14 +258,13 @@ class _Job:
         stack (k2..k4, then k1 and k5), in chunks of ``_HYB_CHUNK_BYTES``."""
         b, tol = self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
-        nabla, pipi = hybrid_defect(b.nabla_pi, b.a), hybrid_defect(_outer(b.pi, b.pi), b.a)
-        kind1 = relative_residual(nabla.defect, [nabla.scale])
-        other = relative_residual(
-            np.maximum(nabla.defect, pipi.defect), [np.maximum(nabla.scale, pipi.scale)]
-        )
+        nabla, nabla_scale = hybrid_defect(b.nabla_pi, b.a)
+        pipi, pipi_scale = hybrid_defect(_outer(b.pi, b.pi), b.a)
+        kind1 = relative_residual(nabla, nabla_scale)
+        other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
         h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
-        hyp2_scale = _emax(norm_max(b.d, 2).max(0), nabla.scale, pipi.scale)
-        h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), [hyp2_scale])
+        hyp2_scale = _emax(norm_max(b.d, 2).max(0), nabla_scale, pipi_scale)
+        h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), hyp2_scale)
         held = (h1 < tol, h2 < tol)
         batch = h1.shape[1:]
         a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (b.a, b.g))
@@ -287,7 +279,7 @@ class _Job:
                 rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
                 res[kind, point, gen, part] = _emax(*rules.values())
                 sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
-        rel = relative_residual(res, [sc])
+        rel = relative_residual(res, sc)
         res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
         sc[~(held[0] | held[1]).any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
         details = {
@@ -342,8 +334,7 @@ def _kahler_evaluator(key: str):
 
 
 def _richyb_evaluator(j: _Job):
-    rep = hybrid_defect(j.pj.ric_g, j.pj.a)
-    return rep.defect, rep.scale, None
+    return (*hybrid_defect(j.pj.ric_g, j.pj.a), None)
 
 
 def _r1comm_evaluator(j: _Job):
@@ -559,7 +550,7 @@ IDENTITY_CATALOG: dict[str, Identity] = {
 def identity_suite(
     m: ManifoldSpec,
     points,
-    generators: list[GeneratorField],
+    generators: list[TensorField],
     cfg: DiffConfig,
     tol_core: float = 1e-6,
     tol_audit: float = 1e-6,
@@ -605,7 +596,7 @@ def _block_results(m, points, first, generators, cfg, tol_core, tol_audit):
         tol = tol_core if classification == "core" else tol_audit
         res, scale, details = info.evaluate(job)
         res, scale = np.broadcast_arrays(res, scale)
-        rel = relative_residual(res, [scale]).max(-1)
+        rel = relative_residual(res, scale).max(-1)
         if classification == "expected-fail":
             passed = rel >= EXPECTED_FAIL_FLOOR
         else:

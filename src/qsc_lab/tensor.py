@@ -7,18 +7,16 @@ first, so a curvature operator R(X, Y)Z is stored as R[..., l, i, j, k] with
 slots (out; X, Y, Z).  Contractions are numpy traces, einsums and matmuls on
 those axes; ``norm_max(x, rank)`` takes one max-norm per leading index.
 
-``Tensor`` is only the validated record of one tensor at one point that the
-value API and ``qsc-lab tensor`` return and print: its components, frozen
-and checked finite, and a ``signature`` string with one "u" (contravariant)
-or "d" (covariant) per slot.
+``Tensor`` is only the record that ``qsc-lab tensor`` prints: the array of
+one tensor at one point, frozen and checked finite, with a ``signature``
+string of one "u" (contravariant) or "d" (covariant) per slot.  Nothing in
+the pipeline returns one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
-from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +37,7 @@ class NumericError(ValueError, ArithmeticError):
 @dataclass(frozen=True)
 class Tensor:
     """Immutable dense tensor of float64 components at a single point, with
-    one "u" or "d" per slot in `signature`."""
+    one "u" or "d" per slot in `signature`; the printed form of an array."""
 
     dim: int
     signature: str
@@ -103,9 +101,8 @@ def metric_inverse(g: np.ndarray, cond_bound: float = 1e12) -> np.ndarray:
     return 0.5 * (inv + inv.swapaxes(-1, -2))  # symmetrize away inversion rounding
 
 
-def relative_residual(residual, scales: Iterable):
+def relative_residual(residual, scale):
     """residual / max(scale, guard), elementwise over arrays; the guard keeps
     all-zero identities exact."""
-    scale = reduce(np.maximum, scales, 0.0)
     return residual / np.maximum(scale, _SCALE_GUARD)
 

@@ -69,7 +69,7 @@ def test_criterion_01_flat_baseline(capsys):
     ok &= all(abs(got - want) < 1e-12 for got, want in spots)
     from qsc_lab.connections import torsion
 
-    t = torsion(m, P0, gens[1]).components
+    t = torsion(gens[1].value(P0), m.structure_field.value(P0))
     ok &= bool(np.all(np.abs(t[:, 0, 1] - [0, 1, 0, 0]) < 1e-12))
     ok &= bool(np.all(np.abs(b.r[1][:, 0, 1, 0] - [0, -2, 0, 0]) < 1e-12))
     ok &= abs(b.ric[1][0, 0] - 2.0) < 1e-12
@@ -142,7 +142,7 @@ def test_criterion_05_projective_flatness(capsys):
         m = manifold_by_name(name, k=2)
         for p in sample_points(m, 5, seed=4):
             pj = point_jets(m, p, CFG)
-            ratio = norm_max(hol_projective(pj)) / norm_max(riemann_g(pj).components)
+            ratio = norm_max(hol_projective(pj)) / norm_max(riemann_g(pj))
             worst = max(worst, ratio)
     _verdict(
         capsys, 5, worst < 1e-6,
@@ -216,15 +216,15 @@ def test_criterion_08_hybridity_cascade(capsys):
     ok = True
     for p in pts:
         b = _bundle(m, p, gen)
-        rep = hybrid_defect(b.d[1], b.a)
-        ok &= rep.defect < 1e-10 * max(rep.scale, 1.0)
+        defect, scale = hybrid_defect(b.d[1], b.a)
+        ok &= defect < 1e-10 * max(scale, 1.0)
         rl = lowered(b.r[1], b.g)
         scale = max(norm_max(rl), 1.0)
         ok &= max(rotation_rules(rl, b.a).values()) < 1e-9 * scale
     for p in sample_points(m, 50, seed=9):
-        pi = gen.pi(p).components
-        rep = hybrid_defect(np.outer(pi, pi), m.structure(p).components)
-        degenerate = rep.defect < 1e-10 * max(rep.scale, 1.0) and norm_max(pi) >= 1e-5
+        pi = gen.value(p)
+        defect, scale = hybrid_defect(np.outer(pi, pi), m.structure_field.value(p))
+        degenerate = defect < 1e-10 * max(scale, 1.0) and norm_max(pi) >= 1e-5
         ok &= not degenerate
     _verdict(capsys, 8, ok, "hybrid generator derivative propagates to curvature")
 
@@ -234,8 +234,8 @@ def test_criterion_09_dual_path_differentiation(capsys):
     fd = DiffConfig(scheme="fd4", step=1e-4)
     worst = 0.0
     for p in sample_points(m, 20, seed=10):
-        exact = riemann_g(point_jets(m, p, CFG)).components
-        approx = riemann_g(point_jets(m, p, fd)).components
+        exact = riemann_g(point_jets(m, p, CFG))
+        approx = riemann_g(point_jets(m, p, fd))
         worst = max(worst, _rel(norm_max(approx - exact), norm_max(exact)))
     _verdict(
         capsys, 9, worst < 1e-5,

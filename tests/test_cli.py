@@ -387,7 +387,7 @@ def test_tensor_header_gives_the_slots_of_every_tensor(capsys, what):
     assert out.splitlines()[0].split()[:2] == [what, f"slots={_expected_slots(what)}"]
     if what == "f":
         m, p = manifold_by_name("fs", k=2), [0.1, 0.2, -0.15, 0.3]
-        want = m.structure(p).components.T @ m.metric(p).components
+        want = m.structure_field.value(p).T @ m.metric_field.value(p)
         np.testing.assert_allclose(_printed_components(out), want, rtol=1e-11, atol=1e-12)
     elif what == "ric_g":
         _, rg, _ = run(capsys, "tensor", "--what", "rg", *FS_TENSOR)

@@ -12,7 +12,6 @@ import pytest
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.connections import (
-    ConnectionCoefficients,
     _torsion_lowered,
     covariant_derivative,
     generator_jets,
@@ -35,41 +34,47 @@ def records(m, p, gen, cfg=CFG):
     return pj, generator_jets(pj, gen)
 
 
-def test_generator_jets_stack_a_list_on_one_point_and_on_a_batch():
-    """A list of G generators gives (G, n) at one point and (P, G, n) on a
-    batch, each slice what that generator alone gives at that point."""
+def test_generator_jets_stack_a_list_on_a_batch():
+    """A list of G generators gives (P, G, n) on a batch, each slice what
+    that generator alone gives at that point."""
     m = manifold_by_name("fs", k=2)
     gens = [generator("linear_j", dim=4), generator("random_poly", dim=4, seed=2)]
     pts = sample_points(m, 3, seed=8)
-    one = point_jets(m, pts[0], CFG)
-    batch = point_jets(m, pts, CFG)
-    stacked, stacked_batch = generator_jets(one, gens), generator_jets(batch, gens)
+    stacked = generator_jets(point_jets(m, pts, CFG), gens)
     assert stacked.label == ("linear_j", "random_poly:2")
-    assert stacked.pi.shape == (2, 4) and stacked.nabla_pi.shape == (2, 4, 4)
-    assert stacked_batch.pi.shape == (3, 2, 4) and stacked_batch.dpi.shape == (3, 2, 4, 4)
+    assert stacked.pi.shape == (3, 2, 4) and stacked.dpi.shape == (3, 2, 4, 4)
     for j, gen in enumerate(gens):
-        alone = generator_jets(one, gen)
-        assert alone.pi.shape == (4,)
-        for key in ("pi", "dpi", "nabla_pi"):
-            np.testing.assert_array_equal(getattr(stacked, key)[j], getattr(alone, key))
-            for i, p in enumerate(pts):
-                want = getattr(generator_jets(point_jets(m, p, CFG), gen), key)
-                np.testing.assert_array_equal(getattr(stacked_batch, key)[i, j], want)
+        for i, p in enumerate(pts):
+            alone = generator_jets(point_jets(m, p, CFG), gen)
+            assert alone.pi.shape == (4,)
+            for key in ("pi", "dpi", "nabla_pi"):
+                np.testing.assert_array_equal(getattr(stacked, key)[i, j], getattr(alone, key))
+
+
+@pytest.mark.parametrize("k, count", [(1, 2), (2, 4), (2, 2)], ids=["G==n-k1", "G==n-k2", "G!=n"])
+def test_generator_list_at_one_point_is_rejected(k, count):
+    """At one point a stack of generators has no axis of its own to sit on,
+    and a later slot rotation would read it as a tensor slot: a list needs
+    a (P, n) batch, even of one point."""
+    m = manifold_by_name("fs", k=k)
+    gens = [generator("random_poly", dim=m.n, seed=s) for s in range(count)]
+    p = sample_points(m, 1, seed=8)
+    with pytest.raises(ValueError, match=r"\(P, n\) batch"):
+        generator_jets(point_jets(m, p[0], CFG), gens)
+    assert generator_jets(point_jets(m, p, CFG), gens).pi.shape == (1, count, m.n)
 
 
 def test_flat_christoffel_vanishes():
     m = manifold_by_name("flat", k=2)
-    lc = levi_civita(point_jets(m, [0.3, -0.8, 1.0, 2.0], CFG))
-    assert np.max(np.abs(lc.gamma)) == 0.0
-    assert lc.kind == "levi_civita"
+    gamma = levi_civita(point_jets(m, [0.3, -0.8, 1.0, 2.0], CFG))
+    assert np.max(np.abs(gamma)) == 0.0
 
 
 def test_conformal_christoffel_hand_values():
     """g = exp(2 x1) I: Gamma^i_{jk} = d_j s delta_ik + d_k s delta_ij
     - d_i s delta_jk with s = x1, so the only derivative is along slot 0."""
     m = manifold_by_name("conformal-nonkahler")
-    lc = levi_civita(point_jets(m, np.zeros(4), CFG))
-    gamma = lc.gamma
+    gamma = levi_civita(point_jets(m, np.zeros(4), CFG))
     want = np.zeros((4, 4, 4))
     for i in range(4):
         for j in range(4):
@@ -87,13 +92,12 @@ def test_quarter_symmetric_coefficients_flat():
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    conn = quarter_symmetric(*records(m, p, gen))
-    pi = gen.pi(p).components
-    a = m.structure(p).components
-    np.testing.assert_allclose(conn.gamma, -np.einsum("j,ik->ijk", pi, a), atol=0)
-    assert conn.gamma[1, 1, 0] == pytest.approx(-1.0)
-    assert conn.gamma[0, 1, 1] == pytest.approx(1.0)
-    assert conn.kind == "quarter_symmetric"
+    gamma = quarter_symmetric(*records(m, p, gen))
+    pi = gen.value(p)
+    a = m.structure_field.value(p)
+    np.testing.assert_allclose(gamma, -np.einsum("j,ik->ijk", pi, a), atol=0)
+    assert gamma[1, 1, 0] == pytest.approx(-1.0)
+    assert gamma[0, 1, 1] == pytest.approx(1.0)
 
 
 def test_coefficient_antisymmetry_equals_torsion():
@@ -102,8 +106,8 @@ def test_coefficient_antisymmetry_equals_torsion():
         m = manifold_by_name(name, k=2)
         gen = generator("random_poly", dim=m.n, seed=5)
         for p in sample_points(m, 3, seed=1):
-            l = quarter_symmetric(*records(m, p, gen)).gamma
-            t = torsion(m, p, gen).components
+            l = quarter_symmetric(*records(m, p, gen))
+            t = torsion(gen.value(p), m.structure_field.value(p))
             assert np.max(np.abs((l - np.swapaxes(l, 1, 2)) - t)) < EXACT
 
 
@@ -133,10 +137,9 @@ def test_covariant_derivative_mixed_tensor_slots():
     m = manifold_by_name("conformal-nonkahler")
     p = np.array([0.1, 0.2, 0.3, 0.4])
     pj = point_jets(m, p, CFG)
-    lc = levi_civita(pj)
-    got = covariant_derivative(lc, pj.a, pj.da, "ud")
-    a = m.structure(p).components
-    gamma = lc.gamma
+    gamma = levi_civita(pj)
+    got = covariant_derivative(gamma, pj.a, pj.da, "ud")
+    a = m.structure_field.value(p)
     want = (
         np.einsum("iam,mj->aij", gamma, a) - np.einsum("maj,im->aij", gamma, a)
     )
@@ -155,8 +158,8 @@ def test_quarter_symmetric_jets_match_fd():
         pp = p.copy(); pm = p.copy()
         pp[a_dir] += h; pm[a_dir] -= h
         fd = (
-            quarter_symmetric(*records(m, pp, gen)).gamma
-            - quarter_symmetric(*records(m, pm, gen)).gamma
+            quarter_symmetric(*records(m, pp, gen))
+            - quarter_symmetric(*records(m, pm, gen))
         ) / (2 * h)
         assert np.max(np.abs(dl[a_dir] - fd)) < 1e-7
 
@@ -166,7 +169,7 @@ def test_levi_civita_jets_consistency():
     p = np.array([0.2, 0.1, -0.15, 0.05])
     pj = point_jets(m, p, CFG)
     gamma, dgamma = pj.gamma, pj.dgamma
-    np.testing.assert_allclose(gamma, levi_civita(pj).gamma, atol=0)
+    np.testing.assert_allclose(gamma, levi_civita(pj), atol=0)
     h = 1e-4
     pp = p.copy(); pm = p.copy()
     pp[1] += h; pm[1] -= h
@@ -178,7 +181,8 @@ def test_torsion_hand_value():
     """T(dx1, dy1) = pi(dy1) A dx1 - pi(dx1) A dy1 = dy1 at (1,0,0,0)."""
     m = manifold_by_name("flat", k=2)
     gen = generator("linear_j", dim=4)
-    t = torsion(m, np.array([1.0, 0.0, 0.0, 0.0]), gen).components
+    p = np.array([1.0, 0.0, 0.0, 0.0])
+    t = torsion(gen.value(p), m.structure_field.value(p))
     np.testing.assert_allclose(t[:, 0, 1], [0.0, 1.0, 0.0, 0.0], atol=0)
     assert np.max(np.abs(t + np.swapaxes(t, 1, 2))) == 0.0
 
@@ -187,9 +191,9 @@ def test_torsion_lowered_matches_metric_pairing():
     m = manifold_by_name("fs", k=2)
     gen = generator("grad", dim=4)
     p = sample_points(m, 1, seed=3)[0]
-    t = torsion(m, p, gen).components
-    tl = _torsion_lowered(gen.pi(p).components, m.fundamental(p).components)
-    g = m.metric(p).components
+    pi, a, g = gen.value(p), m.structure_field.value(p), m.metric_field.value(p)
+    t = torsion(pi, a)
+    tl = _torsion_lowered(pi, a.T @ g)
     np.testing.assert_allclose(tl, np.einsum("mxy,mz->xyz", t, g), atol=1e-14)
 
 
@@ -274,8 +278,3 @@ def test_nabla1_pi_closed_form(name):
         for p in sample_points(m, 2, seed=5):
             res = nabla1_pi_defect(*records(m, p, gen))
             assert res["residual"] < 1e-13 * max(res["scale"], 1.0)
-
-
-def test_coefficients_validate_shape():
-    with pytest.raises(ValueError):
-        ConnectionCoefficients(3, "test", np.zeros((3, 3)))

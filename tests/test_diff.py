@@ -210,7 +210,7 @@ def test_batched_stencils_match_the_pointwise_loop(scheme):
     point, step = np.array([0.2, -0.1, 0.05, 0.3]), 1e-3
     want1, want2 = _pointwise_fd(m.metric_field.fn, point, step, scheme)
     _, got1, got2 = field_jets(m.metric_field.fn, point, DiffConfig(scheme, step), second=True)
-    scale = 16 * np.finfo(float).eps * np.abs(m.metric(point).components).max()
+    scale = 16 * np.finfo(float).eps * np.abs(m.metric_field.value(point)).max()
     np.testing.assert_allclose(got1, want1, rtol=0, atol=scale / step)
     np.testing.assert_allclose(got2, want2, rtol=0, atol=scale / step**2)
 

@@ -45,11 +45,10 @@ def _std_structure(n=4):
 def test_hybrid_defect_metric_and_form():
     m = manifold_by_name("fs", k=2)
     p = sample_points(m, 1, seed=1)[0]
-    a = m.structure(p).components
-    rep_g = hybrid_defect(m.metric(p).components, a)
-    rep_f = hybrid_defect(m.fundamental(p).components, a)
-    assert rep_g.defect < 1e-13 * rep_g.scale
-    assert rep_f.defect < 1e-13 * rep_f.scale
+    a = m.structure_field.value(p)
+    g = m.metric_field.value(p)
+    for defect, scale in (hybrid_defect(g, a), hybrid_defect(a.T @ g, a)):
+        assert defect < 1e-13 * scale
 
 
 def test_hybrid_defect_rank_one_hand_value():
@@ -57,9 +56,9 @@ def test_hybrid_defect_rank_one_hand_value():
     picks up two unit entries, so the defect is exactly one."""
     a = _std_structure()
     pi = np.array([0.0, 1.0, 0.0, 0.0])
-    rep = hybrid_defect(np.outer(pi, pi), a)
-    assert rep.defect == pytest.approx(1.0)
-    assert rep.scale == pytest.approx(1.0)
+    defect, scale = hybrid_defect(np.outer(pi, pi), a)
+    assert defect == pytest.approx(1.0)
+    assert scale == pytest.approx(1.0)
 
 
 def test_h_tensor_rejects_bad_kind():
@@ -142,11 +141,11 @@ def test_degeneracy_probe_reports_obstruction():
     """Hybrid pi (x) pi forces pi ~ 0: a sizable generator is never hybrid."""
     m = manifold_by_name("flat", k=2)
     for p in sample_points(m, 5, seed=7):
-        a = m.structure(p).components
-        pi = generator("linear_j", dim=4).pi(p).components
+        a = m.structure_field.value(p)
+        pi = generator("linear_j", dim=4).value(p)
         if norm_max(pi) >= 1e-5:
-            assert hybrid_defect(np.outer(pi, pi), a).defect > 1e-10
-        assert norm_max(generator("zero", dim=4).pi(p).components) == 0.0
+            assert hybrid_defect(np.outer(pi, pi), a)[0] > 1e-10
+        assert norm_max(generator("zero", dim=4).value(p)) == 0.0
 
 
 def test_catalog_shape():

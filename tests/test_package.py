@@ -1,7 +1,14 @@
-"""The package's public names."""
+"""The package's public names, and the names the benchmark's tracer wraps."""
+
+import importlib
+import operator
+import types
+from pathlib import Path
 
 import qsc_lab
 import qsc_lab.geometry
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +17,41 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from qsc_lab import *", namespace)
     assert set(qsc_lab.__all__) <= namespace.keys()
+
+
+def _load_tracer() -> types.ModuleType:
+    """The benchmark's tracer, compiled from its source: nothing is written
+    next to it and nothing is imported from its directory."""
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def _binding(span: str):
+    """The function that the span of this name is recorded around."""
+    layer, _, name = span.partition(".")
+    module = importlib.import_module(f"qsc_lab.{layer}")
+    if name.startswith("jets."):
+        return module.TensorField.jets
+    if span == "tensor.Tensor":
+        return module.Tensor.__post_init__
+    return operator.attrgetter(name)(module)
+
+
+def test_every_traced_name_is_wrapped_and_the_install_undone():
+    """Each span of the tracer names a function the package still has: a
+    deleted one makes ``install`` raise, so the benchmark's traced runs
+    would crash."""
+    tracer = _load_tracer()
+    before = {span: _binding(span) for span in tracer.SPANS}
+    undo = tracer.install(tracer.Tracer())
+    try:
+        unwrapped = [
+            span for span in tracer.SPANS
+            if getattr(_binding(span), "__wrapped__", None) is not before[span]
+        ]
+    finally:
+        undo()
+    assert unwrapped == []
+    assert {span: _binding(span) for span in tracer.SPANS} == before

@@ -63,7 +63,7 @@ def test_config_rejects_other_types_naming_the_key(key, value):
 def test_generator_spec_round_trips():
     g = parse_generator_spec("const:1,0,0.5,0", dim=4)
     assert g.label == "const"
-    assert list(g.pi([0.0, 0.0, 0.0, 0.0]).components) == [1.0, 0.0, 0.5, 0.0]
+    assert list(g.value([0.0, 0.0, 0.0, 0.0])) == [1.0, 0.0, 0.5, 0.0]
     r = parse_generator_spec("random_poly:7", dim=4)
     assert r.label == "random_poly:7"
     assert parse_generator_spec("zero", dim=4).label == "zero"
