@@ -288,12 +288,15 @@ def commutation_rules(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> dict[str,
 def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
     """Residuals of the five structure/curvature exchange rules k1..k5 of
     ``rotation_rules`` and ``commutation_rules`` for R^g, one per point,
-    with the residual scale."""
+    with the residual scale and the max-norm of the lowered R^g, the part of
+    that scale an I-HYB-COND row equal to R^g reuses."""
     rl = lowered(pj.r_g, pj.g)
+    rl_norm = norm_max(rl, 4)
     return {
         **commutation_rules(pj.r_g, rl, pj.a),
         **rotation_rules(rl, pj.a),
-        "scale": np.maximum(norm_max(pj.r_g, 4), norm_max(rl, 4)),
+        "lowered_norm": rl_norm,
+        "scale": np.maximum(norm_max(pj.r_g, 4), rl_norm),
     }
 
 

@@ -23,10 +23,11 @@ per kind, folding H^theta onto R^theta in the bundle's stack (the R -> H
 handover: one n^4 stack per kind family, and R^theta unreadable after).
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; a report row takes the
-per-point maxima.  I-HYB-COND runs all six kinds in one pass: it gathers the
-held (kind, point, generator) rows of the R stack and applies the Kahler
-rules to chunks of them, at most ``_HYB_CHUNK_BYTES`` (128 KiB) of R rows
-each.  H, W, P and the I-HYB-COND conditions are rank-one folds
+per-point maxima.  I-HYB-COND runs all six kinds in one pass over the held
+(kind, point, generator) rows of the R stack.  A held row equal to R^g at
+its point takes the Kahler rules of R^g from ``kahler_identities``; the rules
+run on the others, gathered in chunks of at most ``_HYB_CHUNK_BYTES``
+(128 KiB) of R rows.  H, W, P and the I-HYB-COND conditions are rank-one folds
 (``curvature.fold_rank_one``): n^3 diagonal adds for the identity blocks and
 one matmul with A per tensor for the structure blocks.
 
@@ -255,7 +256,11 @@ class _Job:
         """(residuals, scales, details) of I-HYB-COND for each kind, from one
         pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
         the Kahler rules on the held (kind, point, generator) rows of the R
-        stack (k2..k4, then k1 and k5), in chunks of ``_HYB_CHUNK_BYTES``."""
+        stack (k2..k4, then k1 and k5).  A held row equal to R^g at its point
+        (its rank-one blocks vanish there) takes R^g's rules from ``kahler``;
+        the others run in chunks of ``_HYB_CHUNK_BYTES``.  The rules are
+        per-row functions, and equal rows differ at most in the sign of a
+        zero, which no sum, product or max-norm carries: the same bits."""
         b, tol = self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
         nabla, nabla_scale = hybrid_defect(b.nabla_pi, b.a)
@@ -266,12 +271,26 @@ class _Job:
         hyp2_scale = _emax(norm_max(b.d, 2).max(0), nabla_scale, pipi_scale)
         h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), hyp2_scale)
         held = (h1 < tol, h2 < tol)
+        either = held[0] | held[1]
         batch = h1.shape[1:]
         a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (b.a, b.g))
+        r_g = np.broadcast_to(b.r_g, batch + b.r_g.shape[-4:])
+        same = np.zeros(h1.shape, dtype=bool)
+        rows = np.nonzero(either)
+        same[rows] = [np.array_equal(b.r[row], r_g[row[1:]]) for row in zip(*rows)]
+        k = self.kahler
+        from_g = (
+            _emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
+            _emax(k["k1_operator"], k["k5_last_pair"]),
+        )
+        g_scale = np.maximum(b.scale, k["lowered_norm"])
         res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
         size = max(1, _HYB_CHUNK_BYTES // (8 * b.n**4))
         for part, mask in enumerate(held):
-            rows = np.nonzero(mask)
+            reuse = mask & same
+            res[..., part] = np.where(reuse, from_g[part], 0.0)
+            sc[..., part] = np.where(reuse, g_scale, 0.0)
+            rows = np.nonzero(mask & ~same)
             for first in range(0, len(rows[0]), size):
                 kind, point, gen = (i[first : first + size] for i in rows)
                 r, ar = b.r[kind, point, gen], a[point, gen]
@@ -281,7 +300,7 @@ class _Job:
                 sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
         rel = relative_residual(res, sc)
         res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
-        sc[~(held[0] | held[1]).any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
+        sc[~either.any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
         details = {
             "part1_hypothesis_rel_min": h1.min(-1),
             "part1_satisfied": held[0].sum(-1).astype(float),

@@ -115,6 +115,8 @@ def parse_generator_spec(spec: str, dim: int):
             comps = [float(v) for v in arg.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad const components {arg!r}") from exc
+        if not all(math.isfinite(c) for c in comps):
+            raise ConfigError(f"bad const components {arg!r}: expected finite numbers")
         if len(comps) != dim:
             raise ConfigError(
                 f"const generator needs {dim} components, got {len(comps)}"

@@ -48,7 +48,8 @@ class Tensor:
             raise ValueError(f"signature slots must be 'u' or 'd', got {self.signature!r}")
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dimension {self.dim} outside [1, {MAX_DIM}]")
-        comps = np.ascontiguousarray(self.components, dtype=np.float64)
+        # a copy, so freezing it leaves the caller's array writable
+        comps = np.array(self.components, dtype=np.float64, order="C")
         expected = (self.dim,) * len(self.signature)
         if comps.shape != expected:
             raise ValueError(

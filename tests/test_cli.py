@@ -90,6 +90,17 @@ def test_verify_numeric_blow_up_is_a_numeric_failure(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("spec", ["const:nan,0,0,0", "const:1e400,0,0,0"])
+def test_verify_non_finite_const_component_is_a_configuration_error(capsys, spec):
+    """A const component that is already nan or inf is a bad spec (exit 2,
+    naming it), not a numeric failure of the run."""
+    code, out, err = run(
+        capsys, "verify", "--manifold", "fs", "--generators", spec, "--points", "1"
+    )
+    assert code == 2 and not out
+    assert spec.partition(":")[2] in err and "finite" in err
+
+
 def test_verify_numeric_blow_up_in_a_stacked_job_is_a_numeric_failure(capsys):
     """An overflowing generator among others, at several points: the one
     finiteness check on the stacked curvature still exits 3, quietly."""

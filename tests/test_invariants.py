@@ -12,7 +12,7 @@ from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max
 from qsc_lab.connections import generator_jets, point_jets
-from qsc_lab.curvature import curvature_bundle
+from qsc_lab.curvature import commutation_rules, curvature_bundle, lowered, rotation_rules
 import qsc_lab.invariants as invariants
 from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
@@ -338,14 +338,16 @@ def test_suite_differentiates_each_field_once_per_job(monkeypatch, points, schem
 
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
-    """An I-HYB-COND conclusion is computed only where its hypothesis holds:
-    the masked rows handed to the conclusions, summed over the kinds, are the
-    (point, generator) pairs the report rows count as satisfied."""
-    calls = Counter()
-    for name in ("rotation_rules", "commutation_rules"):
+    """An I-HYB-COND conclusion is computed only where its hypothesis holds,
+    and the rules run only on rows that differ from R^g: per part, the rows
+    handed to the rules plus the rows of the R stack equal to R^g (those of
+    the zero generator, all held) are the (point, generator) pairs the
+    report rows count as satisfied, and no row handed over equals R^g."""
+    received = {"rotation_rules": [], "commutation_rules": []}
+    for name in received:
 
         def counted(*args, _name=name, _original=getattr(invariants, name)):
-            calls[_name] += len(args[0])
+            received[_name].extend(args[0])
             return _original(*args)
 
         monkeypatch.setattr(invariants, name, counted)
@@ -355,13 +357,110 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
         generator("linear_j", dim=4),
         generator("random_poly", dim=4, seed=3),
     ]
-    results = identity_suite(m, sample_points(m, 2, seed=0), gens, CFG)
+    pts = sample_points(m, 2, seed=0)
+    results = identity_suite(m, pts, gens, CFG)
+    b = bundle(m, pts, gens)
+    from_g = int((b.r == b.r_g).all((-4, -3, -2, -1)).sum())
+    # rotation_rules receives lowered rows, commutation_rules the (1,3) rows
+    r_g = {"rotation_rules": lowered(b.r_g, b.g), "commutation_rules": b.r_g}
     rows = [r for r in results if r.id.startswith("I-HYB-COND")]
     assert len(rows) == 12
     for part, rules in (("part1", "rotation_rules"), ("part2", "commutation_rules")):
         satisfied = sum(r.details[f"{part}_satisfied"] for r in rows)
-        assert calls[rules] == satisfied
+        assert len(received[rules]) + from_g == satisfied
         assert 0 < satisfied < len(rows) * len(gens)
+        for row in received[rules]:
+            assert not any(np.array_equal(row, rg) for rg in r_g[rules][:, 0])
+    assert from_g > 0
+    assert sum(len(v) for v in received.values()) > 0
+
+
+def _direct_rules(b, row):
+    """(residual, scale) of both I-HYB-COND parts for one (kind, point,
+    generator) row, from the rules called on that row of the R stack alone."""
+    _, point, gen = row
+    r, a = b.r[row], b.a[point, 0]
+    rl = lowered(r, b.g[point, 0])
+    scale = np.maximum(b.scale[point, gen], norm_max(rl, 4))
+    return [
+        (functools.reduce(np.maximum, rules.values()), scale)
+        for rules in (rotation_rules(rl, a), commutation_rules(r, rl, a))
+    ]
+
+
+FD2R = DiffConfig(scheme="fd2", richardson=True)
+
+
+def _r_g_rows_case(name):
+    """(chart, generators, scheme) of one I-HYB-COND row case, by id, and
+    the kinds whose held rows equal R^g: every kind under the zero
+    generator; kind 1 alone under a closed pi (grad, const), whose D1 = 0."""
+    if name == "fs-k8":
+        gens = [generator(g, dim=16) for g in ("zero", "linear_j")] + K8_GENS[1:]
+        return manifold_by_name("fs", k=8), gens, CFG, set(range(6))
+    if name == "fs-no-zero":
+        gens = [generator("random_poly", dim=4, seed=s) for s in (1, 2)]
+        return manifold_by_name("fs", k=2), gens, CFG, set()
+    if name == "fs-closed-pi":
+        return manifold_by_name("fs", k=2), SEVEN[2:4], CFG, {1}
+    chart, scheme = name.rsplit("-", 1)
+    cfg = {"analytic": CFG, "fd4": SCHEMES["fd4"], "fd2r": FD2R}[scheme]
+    return manifold_by_name(chart, k=2), SEVEN, cfg, set(range(6))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"{c}-{s}" for c in ("flat", "fs", "hyperbolic") for s in ("analytic", "fd4", "fd2r")]
+    + ["fs-k8", "fs-no-zero", "fs-closed-pi"],
+)
+def test_every_hybrid_row_equals_the_rules_on_its_own_curvature(monkeypatch, name):
+    m, gens, cfg, equal_kinds = _r_g_rows_case(name)
+    held, got_equal_kinds = _check_hybrid_rows(monkeypatch, m, gens, cfg)
+    assert held > 0
+    assert got_equal_kinds == equal_kinds
+
+
+def _held_rows(monkeypatch, pj, gj):
+    """The held (kind, point, generator, part) rows of I-HYB-COND, as a
+    boolean (6, P, G, 2) array: the rows that read NaN when every rule, of
+    R^theta or of R^g, returns NaN."""
+    with monkeypatch.context() as patch:
+        for name in ("rotation_rules", "commutation_rules"):
+            patch.setattr(invariants, name, lambda *args: {"nan": np.full(len(args[0]), np.nan)})
+        probe = invariants._Job(pj, gj, curvature_bundle(pj, gj), tol_audit=1e-6)
+        probe.kahler = {k: np.full_like(v, np.nan) for k, v in probe.kahler.items()}
+        res = np.stack([res for res, _, _ in probe.hyb_cond])
+    return np.isnan(res).reshape(res.shape[:2] + (-1, 2))
+
+
+def _check_hybrid_rows(monkeypatch, m, gens, cfg):
+    """Every held I-HYB-COND row's (residual, scale) is, bit for bit, the
+    rules called on that row's own R^theta; every other row reads (0, 0),
+    but for the (0, 1) of a (kind, point) with no conclusion.  Returns the
+    number of held rows and the kinds of those whose R^theta equals R^g."""
+    pts = sample_points(m, 2, seed=27)
+    pj = point_jets(m, pts, cfg)
+    gj = generator_jets(pj, gens)
+    b = curvature_bundle(pj, gj)
+    held = _held_rows(monkeypatch, pj, gj)
+    got = invariants._Job(pj, gj, b, tol_audit=1e-6).hyb_cond
+    equal_kinds = set()
+    for kind, (res, sc, details) in enumerate(got):
+        res, sc = (x.reshape(held.shape[1:]) for x in (res, sc))
+        for point in range(len(pts)):
+            assert list(held[kind, point].sum(0)) == [
+                details["part1_satisfied"][point], details["part2_satisfied"][point]
+            ]
+            for gen in range(len(gens)):
+                row = (kind, point, gen)
+                for part, want in enumerate(_direct_rules(b, row)):
+                    if not held[row + (part,)]:
+                        empty = (gen, part) == (0, 0) and not held[kind, point].any()
+                        want = (0.0, float(empty))
+                    assert (res[point, gen, part], sc[point, gen, part]) == want, (row, part)
+                if held[row].any() and np.array_equal(b.r[row], b.r_g[point, 0]):
+                    equal_kinds.add(kind)
+    return int(held.sum()), equal_kinds
 
 
 def _rows_close(got, want, rtol=1e-12):

@@ -76,6 +76,9 @@ def test_generator_spec_round_trips():
         ("const", "needs components"),
         ("const:a,b,c,d", "bad const components"),
         ("const:1,0", "4 components"),
+        ("const:nan,0,0,0", r"bad const components 'nan,0,0,0': expected finite"),
+        ("const:1e400,0,0,0", r"bad const components '1e400,0,0,0': expected finite"),
+        ("const:0,-inf,0,0", "expected finite"),
         ("random_poly:xyz", "bad random_poly seed"),
         ("random_poly:-1", "bad random_poly seed"),
         ("zero:3", "takes no argument"),

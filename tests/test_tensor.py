@@ -58,6 +58,14 @@ def test_tensor_components_frozen():
         t.components[0, 0] = 5.0
 
 
+def test_tensor_leaves_the_callers_array_writable():
+    x = np.eye(2)
+    t = Tensor(2, "dd", x)
+    assert x.flags.writeable
+    x[0, 0] = 5.0
+    assert t.components[0, 0] == 1.0
+
+
 def test_zeros_and_getitem():
     t = Tensor(3, "ud", np.zeros((3, 3)))
     assert t.components.shape == (3, 3)

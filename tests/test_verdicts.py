@@ -13,12 +13,13 @@ A refactor that promises byte-identical reports checks it with
 
     PYTHONPATH=src python tests/test_verdicts.py --digest --rotations 3
 
-which prints one line per benchmark job (rotations 0..N-1 at seed 1): its
-name, exit code and the digest of its parsed report without
-``generated_at``, the canonical one of ``perfbench/jobs.report_digest``, so
-the comparison holds across a change of the report's layout.  The report
-goes to one fixed path, since ``config_echo`` records it; run the same
-command on the two trees and ``diff`` the outputs.
+which prints one line per benchmark job (rotations 0..N-1 at seed 1), then
+one per job of ``multi_point_jobs``: its name, exit code and the digest of
+its parsed report without ``generated_at``, the canonical one of
+``perfbench/jobs.report_digest``, so the comparison holds across a change of
+the report's layout.  The report goes to one fixed path, since
+``config_echo`` records it; run the same command on the two trees and
+``diff`` the outputs.
 """
 
 import argparse
@@ -74,6 +75,35 @@ def benchmark_jobs(rotations: int = 1):
                 yield f"{name}-{j.index}-{j.chart}", list(j.argv[: j.argv.index("--report")])
 
 
+SCHEME_FLAGS = {
+    "analytic": [],
+    "fd2": ["--diff", "fd2"],
+    "fd4": ["--diff", "fd4"],
+    "fd2r": ["--diff", "fd2", "--richardson"],
+    "fd4r": ["--diff", "fd4", "--richardson"],
+}
+
+
+def multi_point_jobs():
+    """(name, argv without --report) of the multi-point jobs the benchmark
+    does not run: every k=2 chart under every scheme, fs at k=8, hyperbolic
+    at k=4 with fd4, and a generator list without `zero`."""
+    common = ["--generators", "zero,linear_j,grad,random_poly:3", "--seed", "7"]
+    for chart in ("flat", "fs", "hyperbolic", "conformal-nonkahler"):
+        for scheme, flags in SCHEME_FLAGS.items():
+            argv = ["verify", "--manifold", chart, "--k", "2", "--points", "3", *flags]
+            yield f"multi-{chart}-k2-{scheme}", argv + common
+    yield "multi-fs-k8", ["verify", "--manifold", "fs", "--k", "8", "--points", "5", *common]
+    yield "multi-hyperbolic-k4-fd4", [
+        "verify", "--manifold", "hyperbolic", "--k", "4", "--points", "4", "--diff", "fd4",
+        *common,
+    ]
+    yield "multi-fs-k2-no-zero", [
+        "verify", "--manifold", "fs", "--k", "2", "--points", "3",
+        "--generators", "linear_j,grad,random_poly:1,random_poly:2", "--seed", "7",
+    ]
+
+
 def digest(argv: list[str], report: Path = DIGEST_REPORT) -> tuple[int, str]:
     """Exit code and canonical digest of the report of one job, without
     `generated_at`."""
@@ -107,7 +137,7 @@ if __name__ == "__main__":
     parser.add_argument("--rotations", type=int, default=1, help="rotations per workload")
     args = parser.parse_args()
     if args.digest:
-        for name, argv in benchmark_jobs(args.rotations):
+        for name, argv in [*benchmark_jobs(args.rotations), *multi_point_jobs()]:
             code, sha = digest(argv)
             print(name, code, sha)
     else:
