@@ -32,7 +32,7 @@ from .curvature import CurvatureBundle, curvature_bundle, riemann_g
 from .invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
-    IdentityResult,
+    IdentityRows,
     h_tensor,
     hol_projective,
     hybrid_defect,
@@ -51,7 +51,7 @@ __all__ = [
     "EXPECTED_FAIL_FLOOR",
     "GeneratorJets",
     "IDENTITY_CATALOG",
-    "IdentityResult",
+    "IdentityRows",
     "ManifoldSpec",
     "NumericError",
     "PointJets",

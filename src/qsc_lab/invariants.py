@@ -22,8 +22,9 @@ differentiates each field once into one ``PointJets`` (axes (P, 1)) and one
 per kind, folding H^theta onto R^theta in the bundle's stack (the R -> H
 handover: one n^4 stack per kind family, and R^theta unreadable after).
 Each evaluator returns residuals and scales shaped (P, K), K the generators
-or, for an independence check, the generator pairs; a report row takes the
-per-point maxima.  I-HYB-COND runs all six kinds in one pass over the held
+or, for an independence check, the generator pairs; their maxima over K make
+one ``IdentityRows`` of (P,) arrays per identity, never an object per
+(identity, point).  I-HYB-COND runs all six kinds in one pass over the held
 (kind, point, generator) rows of the R stack.  A held row equal to R^g at
 its point takes the Kahler rules of R^g from ``kahler_identities``; the rules
 run on the others, gathered in chunks of at most ``_HYB_CHUNK_BYTES``
@@ -184,16 +185,19 @@ def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
 
 # -- identity suite ----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class IdentityResult:
+@dataclass(frozen=True, eq=False)
+class IdentityRows:
+    """The rows of one identity as (P,) arrays: per point, the largest
+    residual, scale and relative residual over the generators (each taken on
+    its own) and the verdict; `details`, if any, maps a key to a (P,) array."""
+
     id: str
-    point_index: int
-    max_residual: float
-    scale: float
-    relative: float
-    passed: bool
     classification: str  # core | audit | expected-fail
-    details: dict[str, float] | None = None
+    max_residual: np.ndarray
+    scale: np.ndarray
+    relative: np.ndarray
+    passed: np.ndarray
+    details: dict[str, np.ndarray] | None = None
 
 
 def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
@@ -573,68 +577,64 @@ def identity_suite(
     cfg: DiffConfig,
     tol_core: float = 1e-6,
     tol_audit: float = 1e-6,
-) -> list[IdentityResult]:
-    """Evaluate every applicable identity at every point.
+) -> list[IdentityRows]:
+    """Evaluate every applicable identity at every point: one
+    ``IdentityRows`` per identity, sorted by id, whose arrays hold the
+    worst generator (or generator pair) of each point.
 
     On a Kahler-expected manifold the full catalog runs.  Otherwise only the
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
-    Per (identity, point) the worst generator (or generator pair) is reported.
     The points run in blocks whose estimated working set fits
     ``_BLOCK_BYTES``; one block is freed before the next is built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
         raise ValueError("identity suite needs at least one generator")
+    if not len(points):
+        raise ValueError("identity suite needs at least one point")
+    # the readers of R^theta run before the H^theta are built over it
+    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
+    plan = []  # (id, classification, evaluator)
+    for ident in order:
+        info = IDENTITY_CATALOG[ident]
+        if m.kahler_expected or info.scope == "hermitian":
+            plan.append((ident, info.classification, info.evaluate))
+        elif info.scope == "kahler_hypothesis":  # kahler_only does not run
+            plan.append((ident, "expected-fail", info.evaluate))
     size = max(1, _BLOCK_BYTES // (_LIVE_BLOCKS * len(generators) * m.n**4 * 8))
-    results: list[IdentityResult] = []
-    for first in range(0, len(points), size):
-        block = points[first : first + size]
-        results += _block_results(m, block, first, generators, cfg, tol_core, tol_audit)
-    results.sort(key=lambda r: (r.id, r.point_index))
-    return results
+    blocks = [
+        _block_results(m, points[first : first + size], generators, cfg, plan, tol_audit)
+        for first in range(0, len(points), size)
+    ]
+    stats = np.concatenate([s for s, _ in blocks], axis=-1)  # max_residual, scale, relative
+    details = {
+        i: {key: np.concatenate([d[i][key] for _, d in blocks]) for key in keys}
+        for i, keys in blocks[0][1].items()
+    }
+    classes = np.array([cls for _, cls, _ in plan])[:, None]
+    tol = np.where(classes == "core", tol_core, tol_audit)
+    passed = np.where(classes == "expected-fail", stats[2] >= EXPECTED_FAIL_FLOOR, stats[2] < tol)
+    rows = [
+        IdentityRows(ident, cls, *stats[:, i], passed[i], details.get(i))
+        for i, (ident, cls, _) in enumerate(plan)
+    ]
+    return sorted(rows, key=lambda r: r.id)
 
 
-def _block_results(m, points, first, generators, cfg, tol_core, tol_audit):
-    """The rows of one block of points, numbered from `first`.  The metric,
-    the structure and each generator are differentiated once, on all the
-    block's points; everything after runs on (point, generator) batches."""
+def _block_results(m, points, generators, cfg, plan, tol_audit):
+    """The (3, identities, points) maxima (residual, scale, relative) of one
+    block of points, in the order of `plan`, and the details by identity
+    index.  Each field is differentiated once, on all the block's points;
+    everything after runs on (point, generator) batches."""
     pj = point_jets(m, points, cfg)
     gj = generator_jets(pj, generators)
     job = _Job(pj, gj, curvature_bundle(pj, gj), tol_audit)
-    results: list[IdentityResult] = []
-    # the readers of R^theta run before the H^theta are built over it
-    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
-    for ident in order:
-        info = IDENTITY_CATALOG[ident]
-        if info.scope == "kahler_only" and not m.kahler_expected:
-            continue
-        classification = info.classification
-        if info.scope == "kahler_hypothesis" and not m.kahler_expected:
-            classification = "expected-fail"
-        tol = tol_core if classification == "core" else tol_audit
-        res, scale, details = info.evaluate(job)
+    stats, details = np.empty((3, len(plan), len(points))), {}
+    for i, (_, _, evaluate) in enumerate(plan):
+        res, scale, extra = evaluate(job)
         res, scale = np.broadcast_arrays(res, scale)
-        rel = relative_residual(res, scale).max(-1)
-        if classification == "expected-fail":
-            passed = rel >= EXPECTED_FAIL_FLOOR
-        else:
-            passed = rel < tol
-        for point_index, (r, s, q, ok) in enumerate(
-            zip(res.max(-1), scale.max(-1), rel, passed)
-        ):
-            results.append(
-                IdentityResult(
-                    id=ident,
-                    point_index=first + point_index,
-                    max_residual=float(r),
-                    scale=float(s),
-                    relative=float(q),
-                    passed=bool(ok),
-                    classification=classification,
-                    details=None
-                    if details is None
-                    else {k: float(v[point_index]) for k, v in details.items()},
-                )
-            )
-    return results
+        stats[:, i] = np.array((res, scale, relative_residual(res, scale))).max(-1)
+        if extra is not None:
+            details[i] = extra
+    return stats, details

@@ -22,7 +22,7 @@ from .geometry import (
     manifold_names,
     sample_points,
 )
-from .invariants import IdentityResult, identity_suite
+from .invariants import IdentityRows, identity_suite
 
 REPORT_VERSION = "qsc-report/1"
 
@@ -176,21 +176,20 @@ def _notes(m) -> list[str]:
     return notes
 
 
-def build_report(cfg: RunConfig, m, points: np.ndarray, results: list[IdentityResult]) -> dict:
+def build_report(cfg: RunConfig, m, points: np.ndarray, results: list[IdentityRows]) -> dict:
+    """The report of a run: one row per (identity, point), in the order of
+    `results` and then of the points, written from the records' arrays
+    (``tolist`` gives the doubles and bools of their entries)."""
     out_results = []
     for r in results:
-        entry = {
-            "id": r.id,
-            "point_index": r.point_index,
-            "max_residual": float(r.max_residual),
-            "scale": float(r.scale),
-            "relative": float(r.relative),
-            "pass": bool(r.passed),
-            "classification": r.classification,
-        }
-        if r.details is not None:
-            entry["details"] = {k: float(v) for k, v in r.details.items()}
-        out_results.append(entry)
+        details = None if r.details is None else {k: v.tolist() for k, v in r.details.items()}
+        columns = r.max_residual.tolist(), r.scale.tolist(), r.relative.tolist(), r.passed.tolist()
+        for point, (res, scale, rel, ok) in enumerate(zip(*columns)):
+            entry = {"id": r.id, "point_index": point, "max_residual": res, "scale": scale,
+                     "relative": rel, "pass": ok, "classification": r.classification}
+            if details is not None:
+                entry["details"] = {k: v[point] for k, v in details.items()}
+            out_results.append(entry)
     return {
         "version": REPORT_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -209,9 +208,10 @@ def build_report(cfg: RunConfig, m, points: np.ndarray, results: list[IdentityRe
     }
 
 
-def summarize(results: list[IdentityResult]) -> dict:
+def summarize(results: list[IdentityRows]) -> dict:
     def block_ok(cls: str) -> bool:
-        return all(r.passed for r in results if r.classification == cls)
+        # all() of a list: a numpy reduction costs more on a job's few points
+        return all(all(r.passed.tolist()) for r in results if r.classification == cls)
 
     return {
         "core_pass": block_ok("core"),

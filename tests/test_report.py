@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from qsc_lab.geometry import sample_points
 from qsc_lab.report import (
     REPORT_VERSION,
     ConfigError,
     RunConfig,
+    build_report,
     exit_code,
     parse_generator_spec,
     render_report,
@@ -15,7 +18,7 @@ from qsc_lab.report import (
     run_verification,
     summarize,
 )
-from qsc_lab.invariants import IdentityResult
+from qsc_lab.invariants import IdentityRows
 
 
 def test_config_defaults_and_diff_config():
@@ -135,10 +138,12 @@ def test_notes_flag_convention_and_low_dimension():
     assert any("n = 2" in n for n in low["notes"])
 
 
-def _result(cls: str, passed: bool) -> IdentityResult:
-    return IdentityResult(
-        id="I-X", point_index=0, max_residual=0.0, scale=1.0,
-        relative=0.0, passed=passed, classification=cls,
+def _result(cls: str, *passed: bool) -> IdentityRows:
+    """One identity's rows, with the verdict `passed[i]` at point i."""
+    count = len(passed)
+    return IdentityRows(
+        id="I-X", classification=cls, max_residual=np.zeros(count), scale=np.ones(count),
+        relative=np.zeros(count), passed=np.array(passed),
     )
 
 
@@ -156,6 +161,49 @@ def test_summary_and_exit_code_matrix():
         "summary": summarize([_result("core", True), _result("expected-fail", False)])
     }
     assert exit_code(ef_bad, audit_soft=True) == 1
+    # a record whose second point fails: every entry is read, not the first
+    for cls, key in (("core", "core_pass"), ("audit", "audit_pass"),
+                     ("expected-fail", "expected_fail_ok")):
+        assert summarize([_result(cls, True, True)])[key] is True
+        assert summarize([_result(cls, True, False)])[key] is False
+
+
+def test_report_rows_are_written_from_the_arrays():
+    """One row per (identity, point), in (id, point_index) order, each float
+    bit-equal to its array entry, each verdict a bool, the details under
+    their own keys and no details key where a record has none."""
+    rng = np.random.default_rng(5)
+    cfg = RunConfig(manifold="flat", num_points=3)
+    m = resolve_manifold("flat", 2)
+
+    def record(ident, cls, details=None):
+        stats = np.abs(rng.standard_normal((3, 3))) * 10.0 ** rng.integers(-300, 300, (3, 3))
+        return IdentityRows(ident, cls, *stats, rng.random(3) < 0.5, details)
+
+    results = [
+        record("I-A", "core"),
+        record("I-B", "audit", {"x": rng.random(3) / 3, "y": np.array([-0.0, 2.0, 1 + 2**-52])}),
+    ]
+    rows = build_report(cfg, m, sample_points(m, 3, seed=0), results)["results"]
+    assert len(rows) == sum(len(r.passed) for r in results)
+    assert [(row["id"], row["point_index"]) for row in rows] == [
+        (r.id, p) for r in results for p in range(len(r.passed))
+    ]
+
+    def same_bits(value, array, p):
+        return type(value) is float and np.float64(value).tobytes() == array[p].tobytes()
+
+    for row in rows:
+        r, p = {r.id: r for r in results}[row["id"]], row["point_index"]
+        assert row["classification"] == r.classification
+        assert row["pass"] is bool(r.passed[p])
+        for key in ("max_residual", "scale", "relative"):
+            assert same_bits(row[key], getattr(r, key), p), (row["id"], p, key)
+        if r.details is None:
+            assert "details" not in row
+        else:
+            assert row["details"].keys() == r.details.keys()
+            assert all(same_bits(v, r.details[k], p) for k, v in row["details"].items())
 
 
 def test_render_is_deterministic_and_sorted():
