@@ -1,9 +1,12 @@
 """Command-line harness: run the identity suite, print tensors, list catalogs.
 
+Catalog names, their ``list`` lines and the generator spec grammar live in
+``geometry``; this module only splits a ``--generators`` list into specs.
 Each ``verify`` setting is a field of ``report.RunConfig``, which holds its
 default and checks its value; the field name is the ``dest`` of its flag
 and its key in a ``--config`` file.  ``tensor`` hands the derivative flags
-it was given to ``DiffConfig``, which holds their defaults.
+it was given to ``DiffConfig``, which holds their defaults, and rejects a
+``--generator`` that the tensor does not read.
 
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
 2 configuration error, 3 numeric failure (a value overflowed or became
@@ -25,35 +28,12 @@ from . import __version__
 from .connections import generator_jets, point_jets, torsion
 from .curvature import curvature_bundle, riemann_g
 from .diff import DiffConfig, MAX_STEP, MIN_STEP, SCHEMES
-from .geometry import generator_names, manifold_names
+from .geometry import GENERATORS, MANIFOLDS, lookup, manifold_by_name, parse_generator_spec
 from .invariants import IDENTITY_CATALOG, h_tensor, hol_projective, weyl_projective
-from .report import (
-    ConfigError,
-    RunConfig,
-    exit_code,
-    parse_generator_spec,
-    render_report,
-    resolve_manifold,
-    run_verification,
-)
+from .report import ConfigError, RunConfig, exit_code, render_report, run_verification
 from .tensor import NumericError, Tensor
 
 PRINT_EPS = 1e-12
-
-_MANIFOLD_DESCRIPTIONS = {
-    "flat": "flat complex space, zero curvature baseline",
-    "fs": "Fubini-Study type metric, positive holomorphic curvature",
-    "hyperbolic": "complex hyperbolic ball, negative holomorphic curvature",
-    "conformal-nonkahler": "conformally flat Hermitian counterexample, not parallel",
-}
-
-_GENERATOR_DESCRIPTIONS = {
-    "zero": "identically zero one-form",
-    "const": "constant components, const:v1,...,vn",
-    "linear_j": "rotational linear form, x_a dy_a - y_a dx_a summed over pairs",
-    "grad": "differential of |z_1|^2",
-    "random_poly": "seeded random polynomial of degree two, random_poly:SEED",
-}
 
 # --what -> (the slots of the tensor it prints, whether it reads the generator)
 _TENSORS = {
@@ -70,23 +50,18 @@ _TENSORS = {
 }
 _WHAT_CHOICES = sorted(_TENSORS)
 
+
 def split_generator_list(value: str) -> list[str]:
     """Split a comma list of generator specs; const components keep their
-    commas by re-attaching bare numeric items to the preceding spec."""
-    names = set(generator_names())
+    commas by re-attaching items without a generator name to the preceding
+    spec.  An unknown first name fails here, before the other settings."""
     out: list[str] = []
     for item in value.split(","):
-        head = item.partition(":")[0]
-        if head in names:
-            out.append(item)
-        elif out:
+        if out and item.partition(":")[0] not in GENERATORS:
             out[-1] += "," + item
         else:
-            raise ConfigError(
-                f"unknown generator {head!r}; options: {', '.join(generator_names())}"
-            )
-    if not out:
-        raise ConfigError("empty generator list")
+            out.append(item)
+    lookup(GENERATORS, "generator", out[0].partition(":")[0])
     return out
 
 
@@ -174,7 +149,7 @@ def cmd_verify(args) -> int:
 def cmd_tensor(args) -> int:
     if args.manifold is None:
         raise ConfigError("--manifold is required")
-    m = resolve_manifold(args.manifold, args.k if args.k is not None else RunConfig.k)
+    m = manifold_by_name(args.manifold, args.k if args.k is not None else RunConfig.k)
     point = _parse_point(args.point, m.n)
     m.chart.require(point)
     given = {f.name: getattr(args, f.name) for f in fields(DiffConfig)}
@@ -188,6 +163,8 @@ def cmd_tensor(args) -> int:
     gen = None if args.generator is None else parse_generator_spec(args.generator, m.n)
     if gen is None and reads_pi:
         raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
+    if gen is not None and not reads_pi:
+        raise ConfigError(f"tensor {what!r} does not read the generator; drop --generator")
     _print_tensor(what, Tensor(m.n, slots, _tensor_array(what, m, point, cfg, gen)))
     return 0
 
@@ -227,12 +204,9 @@ def cmd_list(args) -> int:
     if kind == "identities":
         for ident, info in IDENTITY_CATALOG.items():
             print(f"{ident:16s} {info.classification:6s} {info.description}")
-    elif kind == "manifolds":
-        for name in manifold_names():
-            print(f"{name:22s} {_MANIFOLD_DESCRIPTIONS[name]}")
     else:
-        for name in generator_names():
-            print(f"{name:22s} {_GENERATOR_DESCRIPTIONS[name]}")
+        for name, entry in (MANIFOLDS if kind == "manifolds" else GENERATORS).items():
+            print(f"{name:22s} {entry[-1]}")
     return 0
 
 

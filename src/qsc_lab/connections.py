@@ -14,11 +14,12 @@ return the coefficient array, which ``covariant_derivative`` takes, and
 
 Everything computed from the fields is algebra on two immutable records:
 
-* ``PointJets`` (``point_jets``): g with its first and second partials, g^-1,
-  A and its partials, F = g(A., .), Gamma and its partials, R^g and Ric^g, at
-  one point or a batch of P points.  The metric and the structure are
-  differentiated, and the metric inverted, once per job, on all points at
-  once; Gamma, R^g and Ric^g follow on the same arrays.
+* ``PointJets`` (``point_jets``): g and its first partials, A and its
+  partials, F = g(A., .), Gamma and its partials (which consume the second
+  partials of g and g^-1), R^g and Ric^g, at one point or a batch of P
+  points.  The metric and the structure are differentiated, and the metric
+  inverted, once per job, on all points at once; Gamma, R^g and Ric^g follow
+  on the same arrays.
 * ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
   one generator, or of G generators stacked on an axis after the point axes;
   each generator is differentiated once per job.
@@ -60,8 +61,7 @@ class PointJets:
     generator axis of ``GeneratorJets``).
 
     Derivative directions lead the slots: dg[..., a, i, j] = d_a g_ij,
-    d2g[..., a, b, i, j] = d_a d_b g_ij, da[..., a, i, j] = d_a A^i_j,
-    dgamma[..., a, i, j, k] = d_a Gamma^i_jk.
+    da[..., a, i, j] = d_a A^i_j, dgamma[..., a, i, j, k] = d_a Gamma^i_jk.
     """
 
     chart: Chart
@@ -69,8 +69,6 @@ class PointJets:
     point: np.ndarray
     g: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
-    g_inv: np.ndarray
     a: np.ndarray
     da: np.ndarray
     f: np.ndarray  # F_ij = A^m_i g_mj
@@ -138,12 +136,11 @@ def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
     if point.ndim > 1:
         point = point.reshape(-1, 1, m.n)
     g, dg, d2g = m.metric_jets(point, cfg)
-    g_inv = metric_inverse(g)
     a, da = m.structure_jets(point, cfg)
-    gamma, dgamma = levi_civita_jets(g_inv, dg, d2g)
+    gamma, dgamma = levi_civita_jets(metric_inverse(g), dg, d2g)
     r_g = curvature_from_coefficients(gamma, dgamma)
     f, ric_g = a.swapaxes(-1, -2) @ g, np.trace(r_g, axis1=-4, axis2=-3)
-    return PointJets(m.chart, cfg, point, g, dg, d2g, g_inv, a, da, f, gamma, dgamma, r_g, ric_g)
+    return PointJets(m.chart, cfg, point, g, dg, a, da, f, gamma, dgamma, r_g, ric_g)
 
 
 def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> GeneratorJets:

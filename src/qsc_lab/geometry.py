@@ -23,17 +23,25 @@ A field is read as arrays only: ``TensorField.jets`` gives its components
 with their partials, ``TensorField.value`` its components alone.  A
 manifold is its chart plus the metric and structure fields; a generator
 one-form is a one-slot field labelled with its catalog name.
+
+Each catalog is one table, the only place its names are written:
+``MANIFOLDS`` maps a chart name to its builder and its ``qsc-lab list``
+line, ``GENERATORS`` a generator name to its builder, its spec argument and
+its line.  ``parse_generator_spec`` reads a spec, ``NAME`` or
+``const:v1,...,vn`` or ``random_poly:SEED``; ``lookup`` raises the one
+``ConfigError`` for an unknown name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
-from .tensor import MAX_DIM
+from .tensor import MAX_DIM, ConfigError
 
 __all__ = [
     "Chart",
@@ -45,10 +53,14 @@ __all__ = [
     "fubini_study",
     "complex_hyperbolic",
     "conformal_nonkahler",
+    "MANIFOLDS",
+    "GENERATORS",
+    "lookup",
     "manifold_names",
     "manifold_by_name",
     "generator",
     "generator_names",
+    "parse_generator_spec",
     "sample_points",
 ]
 
@@ -224,7 +236,7 @@ def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
     The chart exists for k = 2 only; any other k is rejected, not ignored.
     """
     if k != 2:
-        raise ValueError(
+        raise ConfigError(
             f"conformal_nonkahler is defined for k = 2 (n = 4) only, got k = {k}"
         )
     n = 4
@@ -243,29 +255,37 @@ def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
     )
 
 
-_MANIFOLDS = {
-    "flat": flat_complex,
-    "fs": fubini_study,
-    "hyperbolic": complex_hyperbolic,
-    "conformal-nonkahler": conformal_nonkahler,
+# name -> (builder of the chart at complex dimension k, the line that
+# `qsc-lab list manifolds` prints)
+MANIFOLDS = {
+    "flat": (flat_complex, "flat complex space, zero curvature baseline"),
+    "fs": (fubini_study, "Fubini-Study type metric, positive holomorphic curvature"),
+    "hyperbolic": (complex_hyperbolic, "complex hyperbolic ball, negative holomorphic curvature"),
+    "conformal-nonkahler": (
+        conformal_nonkahler, "conformally flat Hermitian counterexample, not parallel"
+    ),
 }
 
 
+def lookup(table: dict, kind: str, name: str):
+    """The entry of `name` in a catalog table; an unknown name is a
+    ``ConfigError`` that names the table's options."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; options: {', '.join(table)}")
+    return table[name]
+
+
 def manifold_names() -> list[str]:
-    return list(_MANIFOLDS)
+    return list(MANIFOLDS)
 
 
 def manifold_by_name(name: str, k: int = 2) -> ManifoldSpec:
-    if name not in _MANIFOLDS:
-        raise ValueError(
-            f"unknown manifold {name!r}; choose from {', '.join(_MANIFOLDS)}"
-        )
-    return _MANIFOLDS[name](k)
+    return lookup(MANIFOLDS, "manifold", name)[0](k)
 
 
 def _check_pairs(k: int) -> int:
     if not 1 <= k <= MAX_DIM // 2:
-        raise ValueError(
+        raise ConfigError(
             f"complex dimension k must be in [1, {MAX_DIM // 2}] (n = 2k <= {MAX_DIM}), got {k}"
         )
     return 2 * k
@@ -273,16 +293,68 @@ def _check_pairs(k: int) -> int:
 
 # -- generator catalog -------------------------------------------------------
 
-def _linear_j_fn(u):
+def _zero(dim, components, seed):
+    return lambda u: np.zeros(u.shape[-1])
+
+
+def _const(dim, components, seed):
+    if components is None:
+        raise ValueError("const generator needs `components`")
+    comps = np.array([float(c) for c in components])
+
+    def fn(u):
+        n = u.shape[-1]
+        if len(comps) != n:
+            raise ValueError(f"const generator has {len(comps)} components, chart needs {n}")
+        return comps
+
+    return fn
+
+
+def _linear_j(dim, components, seed):
     # pi = sum_a (x_a dy_a - y_a dx_a) = -(u @ A): pi_{2a} = -y_a, pi_{2a+1} = x_a
-    return -(u @ _standard_matrix(u.shape[-1]))
+    return lambda u: -(u @ _standard_matrix(u.shape[-1]))
 
 
-def _grad_fn(u):
+def _grad(dim, components, seed):
     # pi = d(x1^2 + y1^2) = u @ diag(2, 2, 0, ..., 0)
-    scale = np.zeros(u.shape[-1])
-    scale[:2] = 2.0
-    return u @ np.diag(scale)
+    return lambda u: u @ np.diag(np.r_[2.0, 2.0, np.zeros(u.shape[-1] - 2)])
+
+
+def _random_poly(dim, components, seed):
+    """Components of degree at most two, coefficients uniform in [-1, 1]."""
+    if dim is None:
+        raise ValueError("random_poly generator needs `dim`")
+    rng = np.random.default_rng(seed)
+    c0 = rng.uniform(-1.0, 1.0, size=dim)
+    c1 = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    c2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
+    c2 = 0.5 * (c2 + np.transpose(c2, (0, 2, 1)))  # only the symmetric part acts
+    # pi_j = c0_j + c1_ji u_i + c2_jil u_i u_l; rows of c2 flattened over (j, i)
+    c2_rows = c2.reshape(dim * dim, dim).T
+
+    def fn(u):
+        m = u.shape[-1]
+        if m != dim:
+            raise ValueError(f"random_poly built for dim {dim}, point has {m}")
+        c2u = (u @ c2_rows).reshape(u.shape[:-1] + (dim, dim))  # [..., j, i] = c2_jil u_l
+        return c0 + u @ c1.T + (c2u * u[..., None, :]).sum(-1)
+
+    return fn
+
+
+# name -> (builder of pi's components from the keywords of `generator`, what
+# the argument after ":" in a spec gives: None, "components" or "seed", the
+# line that `qsc-lab list generators` prints)
+GENERATORS = {
+    "zero": (_zero, None, "identically zero one-form"),
+    "const": (_const, "components", "constant components, const:v1,...,vn"),
+    "linear_j": (_linear_j, None, "rotational linear form, x_a dy_a - y_a dx_a summed over pairs"),
+    "grad": (_grad, None, "differential of |z_1|^2"),
+    "random_poly": (
+        _random_poly, "seed", "seeded random polynomial of degree two, random_poly:SEED"
+    ),
+}
 
 
 def generator(
@@ -291,63 +363,49 @@ def generator(
     components: Sequence[float] | None = None,
     seed: int = 0,
 ) -> TensorField:
-    """Build a catalog one-form pi, a "d" field labelled with its name; the
-    torsion of the connection is built from it.
+    """Build the one-form pi of ``GENERATORS[label]``, a "d" field labelled
+    with its name (and its seed, if it takes one); the torsion of the
+    connection is built from it.  ``const`` takes ``components``,
+    ``random_poly`` takes ``dim`` and ``seed``."""
+    build, arg, _ = lookup(GENERATORS, "generator", label)
+    name = f"{label}:{seed}" if arg == "seed" else label
+    return TensorField("d", build(dim, components, seed), label=name)
 
-    Labels: ``zero``, ``const`` (takes ``components``), ``linear_j`` (the
-    rotation form sum x_a dy_a - y_a dx_a), ``grad`` (differential of
-    x1^2 + y1^2) and ``random_poly`` (seeded polynomial components of degree
-    at most two, coefficients uniform in [-1, 1]; takes ``dim`` and ``seed``).
-    """
-    if label == "zero":
-        fn = lambda u: np.zeros(u.shape[-1])
-        name = "zero"
-    elif label == "const":
-        if components is None:
-            raise ValueError("const generator needs `components`")
-        comps = np.array([float(c) for c in components])
-        fn = lambda u: _require_len(comps, u.shape[-1])
-        name = "const"
-    elif label == "linear_j":
-        fn = _linear_j_fn
-        name = "linear_j"
-    elif label == "grad":
-        fn = _grad_fn
-        name = "grad"
-    elif label == "random_poly":
-        if dim is None:
-            raise ValueError("random_poly generator needs `dim`")
-        rng = np.random.default_rng(seed)
-        c0 = rng.uniform(-1.0, 1.0, size=dim)
-        c1 = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        c2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
-        c2 = 0.5 * (c2 + np.transpose(c2, (0, 2, 1)))  # only the symmetric part acts
-        # pi_j = c0_j + c1_ji u_i + c2_jil u_i u_l; rows of c2 flattened over (j, i)
-        c2_rows = c2.reshape(dim * dim, dim).T
 
-        def fn(u):
-            m = u.shape[-1]
-            if m != dim:
-                raise ValueError(f"random_poly built for dim {dim}, point has {m}")
-            c2u = (u @ c2_rows).reshape(u.shape[:-1] + (dim, dim))  # [..., j, i] = c2_jil u_l
-            return c0 + u @ c1.T + (c2u * u[..., None, :]).sum(-1)
-
-        name = f"random_poly:{seed}"
-    else:
-        raise ValueError(
-            f"unknown generator {label!r}; choose from {', '.join(generator_names())}"
-        )
-    return TensorField("d", fn, label=name)
+def parse_generator_spec(spec: str, dim: int) -> TensorField:
+    """Build a generator field from its spec: ``NAME``, or ``NAME:ARG`` for a
+    generator that takes an argument, ``const:v1,...,vn`` (exactly `dim`
+    finite components) or ``random_poly:SEED`` (a non-negative integer, 0 if
+    left out)."""
+    name, _, text = spec.partition(":")
+    _, arg, _ = lookup(GENERATORS, "generator", name)
+    if arg == "components":
+        if not text:
+            raise ConfigError(f"{name} generator needs components, e.g. {name}:1,0,0,0")
+        try:
+            comps = [float(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} components {text!r}") from exc
+        if not all(math.isfinite(c) for c in comps):
+            raise ConfigError(f"bad {name} components {text!r}: expected finite numbers")
+        if len(comps) != dim:
+            raise ConfigError(f"{name} generator needs {dim} components, got {len(comps)}")
+        return generator(name, dim=dim, components=comps)
+    if arg == "seed":
+        try:
+            seed = int(text) if text else 0
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ConfigError(f"bad {name} seed {text!r}: expected a non-negative integer")
+        return generator(name, dim=dim, seed=seed)
+    if text:
+        raise ConfigError(f"generator {name!r} takes no argument")
+    return generator(name, dim=dim)
 
 
 def generator_names() -> list[str]:
-    return ["zero", "const", "linear_j", "grad", "random_poly"]
-
-
-def _require_len(comps: np.ndarray, n: int) -> np.ndarray:
-    if len(comps) != n:
-        raise ValueError(f"const generator has {len(comps)} components, chart needs {n}")
-    return comps
+    return list(GENERATORS)
 
 
 def sample_points(m: ManifoldSpec, count: int, seed: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 A report is a plain dict rendered with sorted keys so that two runs with the
 same configuration produce byte-identical output except for the timestamp,
-which sits alone on its line.
+which sits alone on its line.  ``geometry`` reads chart names and generator specs.
 """
 
 from __future__ import annotations
@@ -15,22 +15,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .diff import DEFAULT_STEP, DiffConfig
-from .geometry import (
-    generator,
-    generator_names,
-    manifold_by_name,
-    manifold_names,
-    sample_points,
-)
+from .geometry import manifold_by_name, parse_generator_spec, sample_points
 from .invariants import IdentityRows, identity_suite
+from .tensor import ConfigError
 
 REPORT_VERSION = "qsc-report/1"
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # no indent: the C encoder
 
-
-class ConfigError(ValueError):
-    """Invalid run configuration; maps to exit code 2."""
+# the name that the set-up probe of perfbench/run.py looks a chart up by
+resolve_manifold = manifold_by_name
 
 
 def _is_strings(value) -> bool:
@@ -98,57 +92,9 @@ class RunConfig:
         return DiffConfig(self.scheme, self.step, self.richardson)
 
 
-def parse_generator_spec(spec: str, dim: int):
-    """Build a generator field from its CLI spec string.
-
-    Forms: zero | linear_j | grad | const:v1,...,vn | random_poly:SEED
-    """
-    name, _, arg = spec.partition(":")
-    if name not in generator_names():
-        raise ConfigError(
-            f"unknown generator {name!r}; options: {', '.join(generator_names())}"
-        )
-    if name == "const":
-        if not arg:
-            raise ConfigError("const generator needs components, e.g. const:1,0,0,0")
-        try:
-            comps = [float(v) for v in arg.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad const components {arg!r}") from exc
-        if not all(math.isfinite(c) for c in comps):
-            raise ConfigError(f"bad const components {arg!r}: expected finite numbers")
-        if len(comps) != dim:
-            raise ConfigError(
-                f"const generator needs {dim} components, got {len(comps)}"
-            )
-        return generator("const", dim=dim, components=comps)
-    if name == "random_poly":
-        try:
-            seed = int(arg) if arg else 0
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise ConfigError(f"bad random_poly seed {arg!r}: expected a non-negative integer")
-        return generator("random_poly", dim=dim, seed=seed)
-    if arg:
-        raise ConfigError(f"generator {name!r} takes no argument")
-    return generator(name, dim=dim)
-
-
-def resolve_manifold(name: str, k: int):
-    try:
-        return manifold_by_name(name, k=k)
-    except (KeyError, ValueError) as exc:
-        if name not in manifold_names():
-            raise ConfigError(
-                f"unknown manifold {name!r}; options: {', '.join(manifold_names())}"
-            ) from exc
-        raise ConfigError(str(exc)) from exc
-
-
 def run_verification(cfg: RunConfig) -> dict:
     """Run the identity suite for a configuration and assemble the report."""
-    m = resolve_manifold(cfg.manifold, cfg.k)
+    m = manifold_by_name(cfg.manifold, cfg.k)
     gens = [parse_generator_spec(s, m.n) for s in cfg.generators]
     points = sample_points(m, cfg.num_points, seed=cfg.seed)
     results = identity_suite(

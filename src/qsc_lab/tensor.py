@@ -29,6 +29,10 @@ class SingularMetricError(ValueError):
     """Metric inversion rejected: condition number above the configured bound."""
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration, such as an unknown catalog name; exit code 2."""
+
+
 class NumericError(ValueError, ArithmeticError):
     """A computed value overflowed or became undefined (inf or nan); maps to
     exit code 3, apart from the configuration errors of exit code 2."""

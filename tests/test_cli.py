@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsc_lab.cli import _WHAT_CHOICES, main, split_generator_list
-from qsc_lab.geometry import manifold_by_name
+from qsc_lab.geometry import GENERATORS, MANIFOLDS, manifold_by_name
 
 try:
     import jsonschema
@@ -331,12 +331,20 @@ def test_tensor_metric_needs_no_generator(capsys):
 
 
 def test_tensor_generator_required_for_pi_dependent(capsys):
+    """A tensor built from pi needs --generator; one that does not read pi
+    rejects it, naming both, rather than printing as if it were not there."""
     code, _, err = run(
         capsys, "tensor", "--what", "d1", "--manifold", "flat",
         "--point", "1,0,0,0",
     )
     assert code == 2
     assert "--generator" in err
+    for what in PI_FREE:
+        code, out, err = run(
+            capsys, "tensor", "--what", what, *FS_TENSOR, "--generator", "random_poly:3"
+        )
+        assert code == 2 and not out
+        assert err == f"error: tensor {what!r} does not read the generator; drop --generator\n"
 
 
 @pytest.mark.parametrize(
@@ -355,9 +363,10 @@ def test_tensor_values_print_where_stencils_leave_the_chart(capsys):
     """g, f, a, pi and torsion need no derivatives: at a hyperbolic point whose
     fd4 stencil crosses the boundary they still print, while rg fails cleanly."""
     common = ["--manifold", "hyperbolic", "--diff", "fd4", "--step", "1e-2",
-              "--generator", "linear_j", "--point", "0.99,0,0,0"]
+              "--point", "0.99,0,0,0"]
     for what in ("g", "f", "a", "pi", "torsion"):
-        code, out, err = run(capsys, "tensor", "--what", what, *common)
+        gen = ["--generator", "linear_j"] if what in ("pi", "torsion") else []
+        code, out, err = run(capsys, "tensor", "--what", what, *common, *gen)
         assert code == 0, (what, err)
         assert out.startswith(what)
     code, _, err = run(capsys, "tensor", "--what", "rg", *common)
@@ -365,8 +374,13 @@ def test_tensor_values_print_where_stencils_leave_the_chart(capsys):
     assert "stencil leaves the chart domain" in err
 
 
-FS_TENSOR = ["--manifold", "fs", "--k", "2", "--generator", "random_poly:3",
-             "--point", "0.1,0.2,-0.15,0.3"]
+FS_TENSOR = ["--manifold", "fs", "--k", "2", "--point", "0.1,0.2,-0.15,0.3"]
+PI_FREE = ("a", "f", "g", "p", "ric_g", "rg", "w")
+
+
+def _generator_flag(what: str) -> list[str]:
+    """--generator for the tensors that read it, nothing for the others."""
+    return [] if what in PI_FREE else ["--generator", "random_poly:3"]
 
 
 def _expected_slots(what: str) -> str:
@@ -393,7 +407,7 @@ def _printed_components(out: str) -> np.ndarray:
 def test_tensor_header_gives_the_slots_of_every_tensor(capsys, what):
     """The header line names the tensor and its up/down slots; f is A^T g
     and ric_g the (out, X) trace of rg, to the 12 printed digits."""
-    code, out, err = run(capsys, "tensor", "--what", what, *FS_TENSOR)
+    code, out, err = run(capsys, "tensor", "--what", what, *FS_TENSOR, *_generator_flag(what))
     assert code == 0, err
     assert out.splitlines()[0].split()[:2] == [what, f"slots={_expected_slots(what)}"]
     if what == "f":
@@ -417,16 +431,45 @@ def test_tensor_unknown_what(capsys):
         assert "options" in err
 
 
+@pytest.mark.parametrize(
+    "argv,kind,name",
+    [
+        (["verify", "--manifold", "torus"], "manifold", "torus"),
+        (["verify", "--manifold", "fs", "--generators", "bogus"], "generator", "bogus"),
+        (["verify", "--generators", "bogus"], "generator", "bogus"),
+        (["verify", "--manifold", "fs", "--generators", "zero,bogus:2"], "generator", "zero,bogus"),
+        (["verify", "--manifold", "fs", "--generators", ",zero"], "generator", ""),
+        (["tensor", "--what", "pi", "--manifold", "fs", "--point", "0,0,0,0",
+          "--generator", "bogus:7"], "generator", "bogus"),
+        (["tensor", "--what", "g", "--manifold", "torus", "--point", "0,0,0,0"],
+         "manifold", "torus"),
+    ],
+    ids=["verify-manifold", "verify-generators", "verify-generators-first",
+         "verify-generators-later", "verify-generators-empty", "tensor-generator",
+         "tensor-manifold"],
+)
+def test_every_command_rejects_an_unknown_name_with_one_text(capsys, argv, kind, name):
+    """An unknown chart or generator is exit 2 with the one catalog message;
+    an unknown name after a known one is read as part of the spec before it."""
+    code, out, err = run(capsys, *argv)
+    options = ", ".join(MANIFOLDS if kind == "manifold" else GENERATORS)
+    assert code == 2 and not out
+    assert err == f"error: unknown {kind} {name!r}; options: {options}\n"
+
+
 def test_list_catalogs(capsys):
     code, out, _ = run(capsys, "list", "identities")
     assert code == 0
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 38
     assert any("I-H4W" in l and "Weyl projective" in l for l in lines)
-    code, out, _ = run(capsys, "list", "manifolds")
-    assert len([l for l in out.splitlines() if l.strip()]) == 4
-    code, out, _ = run(capsys, "list", "generators")
-    assert len([l for l in out.splitlines() if l.strip()]) == 5
+    # one line per table entry, in table order: the name in 22 columns, then
+    # the description the table holds for it
+    for kind, table, count in (("manifolds", MANIFOLDS, 4), ("generators", GENERATORS, 5)):
+        code, out, err = run(capsys, "list", kind)
+        assert code == 0 and not err
+        assert out.splitlines() == [f"{name:22s} {entry[-1]}" for name, entry in table.items()]
+        assert len(table) == count
 
 
 def test_main_builds_the_parser_once_and_keeps_no_flag_between_calls(

@@ -19,13 +19,17 @@ from qsc_lab.diff import (
     field_jets,
 )
 from qsc_lab.geometry import (
+    GENERATORS,
+    MANIFOLDS,
     Chart,
     generator,
     generator_names,
     manifold_by_name,
     manifold_names,
+    parse_generator_spec,
     sample_points,
 )
+from qsc_lab.tensor import ConfigError
 
 ORACLE_TOL = 1e-6
 STRUCTURE_TOL = 1e-13
@@ -122,12 +126,18 @@ def test_structure_jets_constant():
 
 
 def test_manifold_by_name_errors():
-    with pytest.raises(ValueError, match="unknown manifold"):
+    """An unknown chart, or a k outside the chart's range, is a ConfigError."""
+    with pytest.raises(ConfigError, match="unknown manifold"):
         manifold_by_name("torus")
-    with pytest.raises(ValueError, match="complex dimension"):
+    with pytest.raises(ConfigError, match="complex dimension"):
         manifold_by_name("fs", k=9)
-    with pytest.raises(ValueError, match="complex dimension"):
+    with pytest.raises(ConfigError, match="complex dimension"):
         manifold_by_name("flat", k=0)
+    with pytest.raises(ConfigError, match="k = 2"):
+        manifold_by_name("conformal-nonkahler", k=3)
+    with pytest.raises(ConfigError):
+        manifold_by_name("fs", k=9999)
+    assert manifold_by_name("hyperbolic", k=3).n == 6
 
 
 def test_chart_validation_and_domain():
@@ -182,6 +192,48 @@ def test_generator_unknown_label():
     with pytest.raises(ValueError, match="unknown generator"):
         generator("swirl", dim=4)
     assert set(generator_names()) == {"zero", "const", "linear_j", "grad", "random_poly"}
+
+
+@pytest.mark.parametrize(
+    "kind,build",
+    [
+        ("manifold", lambda name: manifold_by_name(name, k=2)),
+        ("generator", lambda name: generator(name, dim=4)),
+        ("generator", lambda name: parse_generator_spec(name, dim=4)),
+        ("generator", lambda name: parse_generator_spec(f"{name}:1", dim=4)),
+    ],
+    ids=["manifold_by_name", "generator", "parse_generator_spec", "parse_generator_spec-arg"],
+)
+@pytest.mark.parametrize("name", ["torus", "swirl", "", "FS", "zero,grad"])
+def test_every_entry_point_rejects_an_unknown_name_with_one_text(kind, build, name):
+    """One ConfigError text, naming the table's options in order."""
+    options = ", ".join(MANIFOLDS if kind == "manifold" else GENERATORS)
+    with pytest.raises(ConfigError) as info:
+        build(name)
+    assert str(info.value) == f"unknown {kind} {name!r}; options: {options}"
+
+
+@pytest.mark.parametrize("name", list(GENERATORS))
+def test_every_generator_builds_from_its_keywords_and_from_its_spec(name):
+    """No name sits in the table without a builder and a spec grammar: each
+    builds through `generator` and through `parse_generator_spec`, to the
+    same label and the same components."""
+    arg = GENERATORS[name][1]
+    comps = [0.5, -1.0, 0.25, 2.0]
+    if arg == "components":
+        keywords, spec = {"components": comps}, f"{name}:{','.join(map(str, comps))}"
+    elif arg == "seed":
+        keywords, spec = {"seed": 4}, f"{name}:4"
+    else:
+        assert arg is None
+        keywords, spec = {}, name
+    by_keywords = generator(name, dim=4, **keywords)
+    by_spec = parse_generator_spec(spec, dim=4)
+    assert by_spec.label == by_keywords.label
+    assert by_spec.label.partition(":")[0] == name
+    p = [0.1, 0.2, -0.3, 0.05]
+    np.testing.assert_array_equal(by_spec.value(p), by_keywords.value(p))
+    assert by_spec.value(p).shape == (4,)
 
 
 def test_sample_points_deterministic_and_in_domain():

@@ -551,6 +551,30 @@ def test_batched_suite_equals_single_point_runs(name, scheme, k, points):
         _assert_same_rows(batched, _one_point_rows(name, scheme, k, index), point=index)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_the_largest_block_of_the_budget_equals_one_point_jets(k):
+    """identity_suite's largest block, one generator's, holds
+    _BLOCK_BYTES // (_LIVE_BLOCKS n^4 8) points (8192 at k=1, so P n^3 =
+    65536).  At 16 evenly spaced points of it, every PointJets and
+    GeneratorJets array is bit for bit the one-point call's; a budget that
+    builds blocks past that regime fails here."""
+    m = manifold_by_name("fs", k=k)
+    size = max(1, invariants._BLOCK_BYTES // (invariants._LIVE_BLOCKS * m.n**4 * 8))
+    gens = [generator("random_poly", dim=m.n, seed=3)]
+    pts = sample_points(m, size, seed=21)
+    pj = point_jets(m, pts, CFG)
+    records = (pj, generator_jets(pj, gens))
+    for index in sorted(set(np.linspace(0, size - 1, 16).astype(int))):
+        one = point_jets(m, pts[index : index + 1], CFG)  # a one-point job's block
+        for batched, single in zip(records, (one, generator_jets(one, gens))):
+            for f in dataclasses.fields(single):
+                want = getattr(single, f.name)
+                if isinstance(want, np.ndarray):
+                    got = getattr(batched, f.name)[index : index + 1]
+                    assert got.shape == want.shape, (f.name, index)
+                    assert got.tobytes() == want.tobytes(), (f.name, index)
+
+
 def test_traced_peak_is_bounded_in_the_number_of_points():
     """Points run in blocks sized by the byte budget: at n=16, ten points
     peak within 1.2 times one point (one batch of ten peaks near ten times)."""

@@ -5,16 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from qsc_lab.geometry import sample_points
+from qsc_lab.geometry import manifold_by_name, parse_generator_spec, sample_points
 from qsc_lab.report import (
     REPORT_VERSION,
     ConfigError,
     RunConfig,
     build_report,
     exit_code,
-    parse_generator_spec,
     render_report,
-    resolve_manifold,
     run_verification,
     summarize,
 )
@@ -92,14 +90,6 @@ def test_generator_spec_errors(spec, msg):
         parse_generator_spec(spec, dim=4)
 
 
-def test_resolve_manifold_errors():
-    with pytest.raises(ConfigError, match="unknown manifold"):
-        resolve_manifold("torus", k=2)
-    with pytest.raises(ConfigError):
-        resolve_manifold("fs", k=9999)
-    assert resolve_manifold("hyperbolic", k=3).n == 6
-
-
 def _tiny_report(**overrides):
     cfg = RunConfig(
         manifold="flat", num_points=1, generators=("zero", "linear_j"), **overrides
@@ -174,7 +164,7 @@ def test_report_rows_are_written_from_the_arrays():
     their own keys and no details key where a record has none."""
     rng = np.random.default_rng(5)
     cfg = RunConfig(manifold="flat", num_points=3)
-    m = resolve_manifold("flat", 2)
+    m = manifold_by_name("flat", 2)
 
     def record(ident, cls, details=None):
         stats = np.abs(rng.standard_normal((3, 3))) * 10.0 ** rng.integers(-300, 300, (3, 3))

@@ -4,7 +4,8 @@
 digests of its stdout and stderr.  The calls are every ``--what`` on fs,
 flat and hyperbolic at k=2, with analytic and fd4 derivatives, at one point
 inside all three charts, with ``--generator random_poly:3``; the tensors
-that need no generator are also called without one.  A change that moves
+that need no generator are also called without one, which is how they
+print: with one they exit 2.  A change that moves
 a printed value updates the file and says so.  Regenerate it with
 
     PYTHONPATH=src python tests/test_tensor_output.py
