@@ -13,6 +13,7 @@ from qsc_lab.report import (
     build_report,
     exit_code,
     render_report,
+    resolve_manifold,
     run_verification,
     summarize,
 )
@@ -88,6 +89,16 @@ def test_generator_spec_round_trips():
 def test_generator_spec_errors(spec, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_generator_spec(spec, dim=4)
+
+
+def test_resolve_manifold_errors():
+    """report.resolve_manifold, the name the benchmark's set-up probe calls,
+    raises manifold_by_name's ConfigErrors."""
+    with pytest.raises(ConfigError, match="unknown manifold"):
+        resolve_manifold("torus", k=2)
+    with pytest.raises(ConfigError):
+        resolve_manifold("fs", k=9999)
+    assert resolve_manifold("hyperbolic", k=3).n == 6
 
 
 def _tiny_report(**overrides):
