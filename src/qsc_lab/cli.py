@@ -9,8 +9,8 @@ it was given to ``DiffConfig``, which holds their defaults, and rejects a
 ``--generator`` that the tensor does not read.
 
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
-2 configuration error, 3 numeric failure (a value overflowed or became
-undefined).
+2 configuration error (a ``--report`` path that cannot be written among
+them), 3 numeric failure (a value overflowed or became undefined).
 """
 
 from __future__ import annotations
@@ -139,9 +139,15 @@ def _print_table(report: dict) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
+    path = Path(cfg.report) if cfg.report else None
+    if path and (path.is_dir() or not path.parent.is_dir()):  # checked before the suite runs
+        raise ConfigError(f"cannot write report {cfg.report}: not a file in an existing directory")
     report = run_verification(cfg)
-    if cfg.report:
-        Path(cfg.report).write_text(render_report(report))
+    if path:
+        try:
+            path.write_text(render_report(report))
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {cfg.report}: {exc.strerror or exc}") from exc
     _print_table(report)
     return exit_code(report, cfg.audit_soft)
 

@@ -15,11 +15,12 @@ return the coefficient array, which ``covariant_derivative`` takes, and
 Everything computed from the fields is algebra on two immutable records:
 
 * ``PointJets`` (``point_jets``): g and its first partials, A and its
-  partials, F = g(A., .), Gamma and its partials (which consume the second
-  partials of g and g^-1), R^g and Ric^g, at one point or a batch of P
-  points.  The metric and the structure are differentiated, and the metric
-  inverted, once per job, on all points at once; Gamma, R^g and Ric^g follow
-  on the same arrays.
+  partials, the nonzero entries of A (``a_support``, which the rank-one folds
+  of ``curvature`` write through), F = g(A., .), Gamma and its partials
+  (which consume the second partials of g and g^-1), R^g and Ric^g, at one
+  point or a batch of P points.  The metric and the structure are
+  differentiated, and the metric inverted, once per job, on all points at
+  once; Gamma, R^g and Ric^g follow on the same arrays.
 * ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
   one generator, or of G generators stacked on an axis after the point axes;
   each generator is differentiated once per job.
@@ -50,8 +51,9 @@ from .tensor import contract_first, metric_inverse, norm_max
 
 def _freeze_arrays(record) -> None:
     for value in vars(record).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,7 @@ class PointJets:
     g: np.ndarray
     dg: np.ndarray
     a: np.ndarray
+    a_support: tuple[np.ndarray, np.ndarray, np.ndarray]  # support(a)
     da: np.ndarray
     f: np.ndarray  # F_ij = A^m_i g_mj
     gamma: np.ndarray
@@ -99,6 +102,15 @@ class GeneratorJets:
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
+
+
+def support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the entries of A[..., l, m] that are nonzero
+    at any of its leading indices: values[q] = a[..., rows[q], cols[q]].
+    One pair (l, m) per row l for a signed permutation such as the standard J."""
+    n = a.shape[-1]
+    rows, cols = np.nonzero((a != 0).reshape(-1, n, n).any(0))
+    return rows, cols, np.moveaxis(a[..., rows, cols], -1, 0)
 
 
 def levi_civita_jets(g_inv: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
@@ -140,7 +152,7 @@ def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
     gamma, dgamma = levi_civita_jets(metric_inverse(g), dg, d2g)
     r_g = curvature_from_coefficients(gamma, dgamma)
     f, ric_g = a.swapaxes(-1, -2) @ g, np.trace(r_g, axis1=-4, axis2=-3)
-    return PointJets(m.chart, cfg, point, g, dg, a, da, f, gamma, dgamma, r_g, ric_g)
+    return PointJets(m.chart, cfg, point, g, dg, a, support(a), da, f, gamma, dgamma, r_g, ric_g)
 
 
 def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> GeneratorJets:

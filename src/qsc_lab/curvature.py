@@ -22,8 +22,9 @@ with H^theta): the bundle then holds the traces, the D blocks, R^g and the
 per-kind max-norms, and reading ``b.r`` raises.
 
 Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
-``fold_rank_one`` adds them through n^3 diagonal views and applies A once per
-tensor.  The shapes are those specialized to A^2 = -I, which every catalog
+``fold_rank_one`` adds the identity blocks through n^3 diagonal views and
+writes the A blocks through the nonzero entries of A, n^2 components per
+entry.  The shapes are those specialized to A^2 = -I, which every catalog
 structure satisfies exactly.
 
 Batch convention (as in ``connections``): tensor slots trail, any leading
@@ -97,18 +98,22 @@ def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray) -> np.ndarra
 
 # writable n^3 views out[..., l, i, j, k] with l equal to the vector slot
 _DIAGONALS = {"k": "...lijl->...lij", "j": "...lilk->...lik", "i": "...lljk->...ljk"}
+# out[..., l, i, j, k] transposed to l, the vector slot, the other two in order
+_SLOT_SECOND = {"i": (-4, -3, -2, -1), "j": (-4, -2, -3, -1), "k": (-4, -1, -3, -2)}
 
 
-def fold_rank_one(base, a: np.ndarray, terms, out: np.ndarray | None = None) -> np.ndarray:
+def fold_rank_one(base, a_support, terms, out: np.ndarray | None = None) -> np.ndarray:
     """base + sum of c * s(., .) V(.) over terms (c, s, V, pattern), V "I" or
     "A"; pattern "ij,lk" means out[..., l,i,j,k] += s[..., i,j] V[..., l,k],
-    and "ji,lk" reads s transposed.  A base of None adds no base; out=base
-    folds the terms onto base in place, the same IEEE sums as a new array.
+    and "ji,lk" reads s transposed; A comes as ``connections.support(A)``.  A
+    base of None adds no base; out=base folds the terms onto base in place,
+    any other out takes the result (its contents unread), the same IEEE sums
+    as a new array.
 
     Terms sharing (V, vector slot) are summed first.  An I-group is added
-    through an n^3 diagonal view of the output.  s(., .) A(slot) is A applied
-    to the output slot of s(., .) I(slot), so the A-groups go into the
-    diagonals of one zeroed buffer that A is then applied to once.
+    through an n^3 diagonal view of the output.  An A-group goes into one
+    zeroed buffer: A[l, m] s at row l with the vector slot set to m, for the
+    nonzero A[l, m], n at a time (exact products for a signed permutation A).
     """
     groups: dict[str, dict[str, np.ndarray]] = {"A": {}, "I": {}}
     for c, s, v, pattern in terms:
@@ -117,29 +122,37 @@ def fold_rank_one(base, a: np.ndarray, terms, out: np.ndarray | None = None) -> 
             s = s.swapaxes(-1, -2)
         slot, group = rhs[1], groups[v]
         group[slot] = group[slot] + c * s if slot in group else c * s
-    blocks = [s.shape[:-2] + (a.shape[-1],) * 4 for g in groups.values() for s in g.values()]
-
-    def add_diagonals(out: np.ndarray, v: str) -> np.ndarray:
-        for slot, s in groups[v].items():
-            diagonal = np.einsum(_DIAGONALS[slot], out)
-            diagonal += s[..., None, :, :]
-        return out
-
-    acc = add_diagonals(np.zeros(np.broadcast_shapes(np.shape(base), *blocks)), "A")
-    if groups["A"]:
-        acc = contract_first(a, acc, 4)  # rebinding frees the buffer
-    if out is None:
-        out = acc if base is None else np.add(acc, base, out=acc)
-    else:
+    n = s.shape[-1]
+    blocks = [s.shape[:-2] + (n,) * 4 for g in groups.values() for s in g.values()]
+    onto_base = out is not None and out is base
+    if out is None or onto_base:
+        acc = np.zeros(np.broadcast_shapes(np.shape(base), *blocks))
+    else:  # out is the buffer
+        acc = out
+        acc.fill(0.0)
+    rows, cols, vals = a_support
+    batches = [(rows[q : q + n], cols[q : q + n], vals[q : q + n]) for q in range(0, len(rows), n)]
+    for index, (slot, s) in enumerate(groups["A"].items()):
+        view = acc.transpose(*range(acc.ndim - 4), *_SLOT_SECOND[slot])
+        for l, m, v in batches:
+            prod = v[..., None, None] * s
+            # zero under the first group; numpy lays the gathered entries out entry first, as prod
+            before = view[..., l, m, :, :] if index else 0.0
+            view[..., l, m, :, :] = before + prod.transpose(*range(1, prod.ndim - 2), 0, -2, -1)
+    if onto_base:
         out += acc
-    return add_diagonals(out, "I")
+    else:
+        out = acc if base is None else np.add(acc, base, out=acc)
+    for slot, s in groups["I"].items():
+        diagonal = np.einsum(_DIAGONALS[slot], out)
+        diagonal += s[..., None, :, :]
+    return out
 
 
-def assemble_r_theta(
-    theta: int, r_g: np.ndarray, a: np.ndarray, pi: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Curvature of kind theta from the Levi-Civita curvature, A, pi and the
-    D blocks d[0..3], in the shapes specialized to A^2 = -I."""
+def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, pi, d, out=None) -> np.ndarray:
+    """Curvature of kind theta from the Levi-Civita curvature, the support of
+    A, pi and the D blocks d[0..3], in the shapes specialized to A^2 = -I: a
+    new array, or written into `out`."""
     if theta not in THETAS:
         raise ValueError(f"curvature kind must be one of {THETAS}, got {theta}")
     pp = pi[..., :, None] * pi[..., None, :]  # pp[i, j] = pi_i pi_j
@@ -170,7 +183,7 @@ def assemble_r_theta(
             # -pi(Y)(pi(X) Z - pi(Z) X) / 2
             (-0.5, pp, "I", "ij,lk"), (0.5, pp, "I", "jk,li"),
         ]
-    return fold_rank_one(r_g, a, terms)
+    return fold_rank_one(r_g, a_support, terms, out)
 
 
 @dataclass(frozen=True)
@@ -183,6 +196,7 @@ class CurvatureBundle:
     n: int
     g: np.ndarray
     a: np.ndarray
+    a_support: tuple[np.ndarray, np.ndarray, np.ndarray]
     pi: np.ndarray
     pa: np.ndarray  # pi o A
     nabla_pi: np.ndarray
@@ -234,7 +248,7 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
     for theta in THETAS:
-        r[theta] = assemble_r_theta(theta, pj.r_g, a, pi, d)
+        assemble_r_theta(theta, pj.r_g, pj.a_support, pi, d, out=r[theta])
     r_norms = norm_max(r, 4)
     if not np.isfinite(r_norms).all():
         raise NumericError("non-finite curvature components")
@@ -242,6 +256,7 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         n=n,
         g=pj.g,
         a=a,
+        a_support=pj.a_support,
         pi=pi,
         pa=pa,
         nabla_pi=gj.nabla_pi,

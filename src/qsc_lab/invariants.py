@@ -29,8 +29,9 @@ one ``IdentityRows`` of (P,) arrays per identity, never an object per
 its point takes the Kahler rules of R^g from ``kahler_identities``; the rules
 run on the others, gathered in chunks of at most ``_HYB_CHUNK_BYTES``
 (128 KiB) of R rows.  H, W, P and the I-HYB-COND conditions are rank-one folds
-(``curvature.fold_rank_one``): n^3 diagonal adds for the identity blocks and
-one matmul with A per tensor for the structure blocks.
+(``curvature.fold_rank_one``): n^3 adds per group, through diagonal views for
+the identity blocks, through the nonzero entries of A for the structure
+blocks.  The linear-relation rows sum in cache-sized slabs (``_SLAB_BYTES``).
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -87,6 +89,8 @@ _BLOCK_BYTES = 16 << 20
 _LIVE_BLOCKS = 16
 # The R rows one I-HYB-COND chunk gathers, in bytes
 _HYB_CHUNK_BYTES = 128 << 10
+# The largest slab of output rows a linear-relation row sums at once, in bytes
+_SLAB_BYTES = 512 << 10
 
 
 def _emax(*arrays):
@@ -107,7 +111,8 @@ def hybrid_defect(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def weyl_projective(pj: PointJets) -> np.ndarray:
     """W = R^g + (Ric(X,Z)Y - Ric(Y,Z)X) / (n-1); zero iff constant curvature."""
     c, ric = 1.0 / (pj.n - 1), pj.ric_g
-    return fold_rank_one(pj.r_g, pj.a, [(c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li")])
+    terms = [(c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li")]
+    return fold_rank_one(pj.r_g, pj.a_support, terms)
 
 
 def hol_projective(pj: PointJets) -> np.ndarray:
@@ -119,7 +124,7 @@ def hol_projective(pj: PointJets) -> np.ndarray:
         (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
         (-c, ric_a, "A", "ik,lj"), (c, ric_a, "A", "jk,li"), (-2 * c, ric_a, "A", "ij,lk"),
     ]
-    return fold_rank_one(pj.r_g, pj.a, terms)
+    return fold_rank_one(pj.r_g, pj.a_support, terms)
 
 
 def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> np.ndarray:
@@ -168,7 +173,7 @@ def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> n
             (0.25, ric[3] @ a, "A", "ki,lj"), (-0.25, ric[3] @ a, "A", "kj,li"),
             (-0.25, sp, "A", "ki,lj"), (0.25, sp, "A", "kj,li"),
         ]
-    return fold_rank_one(b.r[theta] if out is None else out, a, terms, out)
+    return fold_rank_one(b.r[theta] if out is None else out, b.a_support, terms, out)
 
 
 def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
@@ -180,7 +185,7 @@ def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
         (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
         (0.5, s, "A", "ij,lk"), (0.25, s, "A", "ik,lj"), (-0.25, s, "A", "jk,li"),
     ]
-    return fold_rank_one(b.r_g, a, terms)
+    return fold_rank_one(b.r_g, b.a_support, terms)
 
 
 # -- identity suite ----------------------------------------------------------
@@ -226,7 +231,7 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
             (1.0, d3, "I", "ik,lj"), (1.0, d3 @ a, "A", "ik,lj"),
             (-1.0, d2 + _outer(pi, pa), "I", "jk,li"), (-1.0, d2 @ a - pipi, "A", "jk,li"),
         ]
-    return norm_max(fold_rank_one(None, a, terms), 4)
+    return norm_max(fold_rank_one(None, b.a_support, terms), 4)
 
 
 class _Job:
@@ -408,33 +413,43 @@ class LinearRelation:
     n.  name is a key of ``_Job.tensors`` or "H0RG", H0 written in R^g, which
     is built for its row alone (kept for the whole job, it would raise the
     peak memory).  slots names the arguments of T: "YZX" is T(Y, Z)X.  The
-    scale is the bundle scale and the max-norm of every T_i in the row."""
+    scale is the bundle scale and the max-norm of every T_i in the row.  The
+    sum runs in slabs of the output slot, at most ``_SLAB_BYTES`` each, in
+    two reused buffers: the first term is written, the others added (c T in
+    the second buffer unless c = +-1); the residual is the largest slab's."""
 
     def __init__(self, *terms):
         self.terms = terms
 
     def __call__(self, j: _Job):
-        tensors, norms = [], [j.b.scale]
-        for _, name, *_ in self.terms:
-            if name == "H0RG":
-                tensors.append(_h0_from_levi_civita(j.b))
-                norms.append(norm_max(tensors[-1], 4))
-            else:
-                tensors.append(j.tensors[name])
-                norms.append(j.norms[name])
-        # allocated once the tensors exist, so building them does not peak on top of it
-        total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
-        for (c, _, *slots), t in zip(self.terms, tensors):
-            c = c(j.pj.n) if callable(c) else c
+        terms, norms = [], [j.b.scale]
+        for c, name, *slots in self.terms:
+            t = _h0_from_levi_civita(j.b) if name == "H0RG" else j.tensors[name]
+            norms.append(norm_max(t, 4) if name == "H0RG" else j.norms[name])
             if slots:
                 t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
-            if c == 1:  # unit terms in place: no temporary as large as H
-                total += t
-            elif c == -1:
-                total -= t
-            else:
-                total += c * t
-        return norm_max(total, 4), _emax(*norms), None
+            terms.append((c(j.pj.n) if callable(c) else c, t))
+        shape = np.broadcast_shapes(*(t.shape for _, t in terms))
+        n = shape[-1]
+        # as few slabs as fit the budget, of rows as equal as they can be
+        count = -(-n // max(1, _SLAB_BYTES // (8 * prod(shape[:-4]) * n**3)))
+        rows = -(-n // count)
+        total, scaled, residual = np.empty(shape[:-4] + (rows,) + shape[-3:]), None, []
+        for first in range(0, n, rows):
+            slab = total if n - first >= rows else total[..., : n - first, :, :, :]
+            for i, (c, t) in enumerate(terms):
+                t = t[..., first : first + rows, :, :, :] if count > 1 else t
+                if i == 0:  # c T, a copy of T for c = 1
+                    np.multiply(t, c, out=slab)
+                elif c == 1:
+                    slab += t
+                elif c == -1:
+                    slab -= t
+                else:  # c T at T's own batch shape, in the second buffer
+                    scaled = np.empty(total.size) if scaled is None else scaled
+                    slab += np.multiply(t, c, out=scaled[: t.size].reshape(t.shape))
+            residual.append(norm_max(slab, 4))
+        return _emax(*residual), _emax(*norms), None
 
 
 @dataclass(frozen=True)

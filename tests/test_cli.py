@@ -495,3 +495,51 @@ def test_main_builds_the_parser_once_and_keeps_no_flag_between_calls(
         echoes.append(json.loads(report.read_text())["config_echo"]["audit_soft"])
     assert built == ["qsc-lab verify", "qsc-lab tensor"]
     assert echoes == [True, False]
+
+
+def _report_path_case(tmp_path, case):
+    """(the verify flags, the report path they name) of one case."""
+    path = tmp_path if case == "a directory" else tmp_path / "missing" / "x.json"
+    if case != "config key":
+        return ["--report", str(path)], path
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"manifold": "flat", "report": str(path)}))
+    return ["--config", str(config)], path
+
+
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "config key"])
+def test_verify_rejects_an_unwritable_report_path_before_the_suite(
+    capsys, monkeypatch, tmp_path, case
+):
+    """A report path whose directory is missing, or that is a directory,
+    from a flag or a config key, is a configuration error (exit 2) with one
+    `error:` line naming it, and the suite never starts."""
+    import qsc_lab.cli as cli
+
+    def never(cfg):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_verification", never)
+    extra, path = _report_path_case(tmp_path, case)
+    code, out, err = run(capsys, "verify", "--manifold", "flat", *extra)
+    assert code == 2 and not out
+    assert err.startswith("error: cannot write report ") and str(path) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_verify_maps_an_error_on_writing_the_report_to_exit_2(capsys, monkeypatch, tmp_path):
+    """An OSError while writing the report (after the path checks passed) is
+    exit 2 with one `error:` line naming the path, not a traceback."""
+    import qsc_lab.cli as cli
+
+    target = tmp_path / "report.json"
+
+    def refuse(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.Path, "write_text", refuse)
+    code, out, err = run(
+        capsys, "verify", "--manifold", "flat", "--points", "1", "--report", str(target)
+    )
+    assert code == 2 and not out
+    assert err == f"error: cannot write report {target}: No space left on device\n"

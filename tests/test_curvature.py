@@ -11,8 +11,8 @@ import pytest
 
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
-from qsc_lab.tensor import NumericError, norm_max, relative_residual
-from qsc_lab.connections import generator_jets, point_jets
+from qsc_lab.tensor import NumericError, contract_first, norm_max, relative_residual
+from qsc_lab.connections import generator_jets, point_jets, support
 from qsc_lab.curvature import (
     assemble_r_theta,
     closed_form_residuals,
@@ -192,7 +192,7 @@ def test_general_and_reduced_assemblies_coincide():
             general = _general_assembly(theta, bk.r_g, bk.a, bk.pi, bk.d)
             diff = norm_max(bk.r[theta] - general)
             assert diff < 1e-12 * max(norm_max(bk.r[theta]), 1.0)
-            reduced = assemble_r_theta(theta, bk.r_g, bk.a, bk.pi, bk.d)
+            reduced = assemble_r_theta(theta, bk.r_g, bk.a_support, bk.pi, bk.d)
             np.testing.assert_array_equal(reduced, bk.r[theta])
 
 
@@ -238,17 +238,95 @@ PATTERN_SLOTS = (("lk", "ij"), ("lj", "ik"), ("li", "jk"))
 
 def test_fold_rank_one_matches_einsum():
     """Every V in {I, A}, vector slot and orientation of s, alone and all at
-    once, against einsum: dense A, batch axes (P, G) = (2, 3), and a base
-    with a unit generator axis, the scalar 0, none, or a full one that
-    out=base folds onto in place, bit for bit the new array's sums."""
+    once, against einsum: a dense A and a block-diagonal rotation (cos/sin
+    entries, a support that is no permutation), batch axes (P, G) = (2, 3),
+    and a base with a unit generator axis, the scalar 0, none, or a full one
+    that out=base folds onto in place, bit for bit the new array's sums."""
     rng = np.random.default_rng(0)
     n = 4
     a = rng.normal(size=(2, 1, n, n))
-    vectors = {"I": np.broadcast_to(np.eye(n), a.shape), "A": a}
     s = rng.normal(size=(2, 3, n, n))
     cases = [
         [(rng.normal(), s, v, f"{lhs},{rhs}")]
-        for v in vectors
+        for v in ("I", "A")
+        for rhs, pair in PATTERN_SLOTS
+        for lhs in (pair, pair[::-1])
+    ]
+    cases.append([term for case in cases for term in case])
+    full = rng.normal(size=(2, 3) + (n,) * 4)
+    bases = (rng.normal(size=(2, 1) + (n,) * 4), 0.0, None, full)
+    for a in (a, _block_rotation(rng.uniform(0, 2 * np.pi, size=(2, 1, n // 2)))):
+        vectors, a_support = {"I": np.broadcast_to(np.eye(n), a.shape), "A": a}, support(a)
+        for base in bases:
+            for terms in cases:
+                want = (0.0 if base is None else base) + sum(
+                    c * np.einsum(f"...{pattern.replace(',', ',...')}->...lijk", x, vectors[v])
+                    for c, x, v, pattern in terms
+                )
+                got = fold_rank_one(base, a_support, terms)
+                assert got.shape == (2, 3) + (n,) * 4
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * norm_max(want))
+                if base is full:
+                    out = full.copy()
+                    assert fold_rank_one(out, a_support, terms, out) is out
+                    np.testing.assert_array_equal(out, got)
+
+
+def _block_rotation(angle: np.ndarray) -> np.ndarray:
+    """The block-diagonal rotation by angle[..., p] in the plane (2p, 2p+1)."""
+    n = 2 * angle.shape[-1]
+    rot = np.zeros(angle.shape[:-1] + (n, n))
+    even = np.arange(0, n, 2)
+    rot[..., even, even] = rot[..., even + 1, even + 1] = np.cos(angle)
+    rot[..., even + 1, even] = np.sin(angle)
+    rot[..., even, even + 1] = -np.sin(angle)
+    return rot
+
+
+def _fold_by_matmul(base, a, terms, out=None):
+    """The rank-one fold as an n^5 matmul: the A-groups go into the n^3
+    diagonals of a zeroed buffer that A is applied to as a whole, the
+    reference the fold through the support of A is held to."""
+    groups = {"A": {}, "I": {}}
+    for c, s, v, pattern in terms:
+        lhs, rhs = pattern.split(",")
+        s = s.swapaxes(-1, -2) if lhs[0] > lhs[1] else s
+        slot, group = rhs[1], groups[v]
+        group[slot] = group[slot] + c * s if slot in group else c * s
+    blocks = [s.shape[:-2] + (a.shape[-1],) * 4 for g in groups.values() for s in g.values()]
+    diagonals = {"k": "...lijl->...lij", "j": "...lilk->...lik", "i": "...lljk->...ljk"}
+
+    def add_diagonals(out, v):
+        for slot, s in groups[v].items():
+            diagonal = np.einsum(diagonals[slot], out)
+            diagonal += s[..., None, :, :]
+        return out
+
+    acc = add_diagonals(np.zeros(np.broadcast_shapes(np.shape(base), *blocks)), "A")
+    if groups["A"]:
+        acc = contract_first(a, acc, 4)
+    if out is None:
+        out = acc if base is None else np.add(acc, base, out=acc)
+    else:
+        out += acc
+    return add_diagonals(out, "I")
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_fold_through_the_support_of_the_catalog_j_equals_the_matmul_bit_for_bit(k):
+    """For the standard J, a signed permutation, every product of the fold
+    is exact, so writing each block through the nonzero entries of A gives
+    the matmul's bytes: every (V, vector slot, orientation) alone and all at
+    once, batch axes (P, G) = (2, 3), each kind of base, into a new array,
+    onto the base in place, or into a given buffer whose contents it never
+    reads."""
+    m = manifold_by_name("fs", k=k)
+    pj = point_jets(m, sample_points(m, 2, seed=11), CFG)
+    n, rng = m.n, np.random.default_rng(k)
+    s = rng.normal(size=(2, 3, n, n))
+    cases = [
+        [(rng.normal(), s, v, f"{lhs},{rhs}")]
+        for v in ("I", "A")
         for rhs, pair in PATTERN_SLOTS
         for lhs in (pair, pair[::-1])
     ]
@@ -256,17 +334,15 @@ def test_fold_rank_one_matches_einsum():
     full = rng.normal(size=(2, 3) + (n,) * 4)
     for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0, None, full):
         for terms in cases:
-            want = (0.0 if base is None else base) + sum(
-                c * np.einsum(f"...{pattern.replace(',', ',...')}->...lijk", x, vectors[v])
-                for c, x, v, pattern in terms
-            )
-            got = fold_rank_one(base, a, terms)
-            assert got.shape == (2, 3) + (n,) * 4
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * norm_max(want))
+            want = _fold_by_matmul(base, pj.a, terms)
+            assert fold_rank_one(base, pj.a_support, terms).tobytes() == want.tobytes()
+            into = np.full_like(want, np.nan)
+            assert fold_rank_one(base, pj.a_support, terms, into) is into
+            assert into.tobytes() == want.tobytes()
             if base is full:
                 out = full.copy()
-                assert fold_rank_one(out, a, terms, out) is out
-                np.testing.assert_array_equal(out, got)
+                fold_rank_one(out, pj.a_support, terms, out)
+                assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -297,9 +373,10 @@ def test_fold_rank_one_builds_no_n4_temporary():
         for lhs in (pair, pair[::-1])
     ]
     block = p * g * n**4 * 8
+    a_support = support(a)
     tracemalloc.start()
     try:
-        out = fold_rank_one(base, a, terms)
+        out = fold_rank_one(base, a_support, terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -704,3 +704,90 @@ def test_hybrid_rows_do_not_depend_on_the_chunk_size(monkeypatch, name, budget):
     got = identity_suite(m, pts, gens, cfg)
     assert any(r.details is not None and r.details["part2_satisfied"].any() for r in got)
     _assert_same_rows(got, want)
+
+
+def _whole_array_row(relation, job):
+    """A linear relation summed as one array, the reference of the slab
+    sums: a zeroed total, each term added in turn (as a c T temporary unless
+    c is +-1), then the max-norm; with the scale of the row."""
+    tensors, norms = [], [job.b.scale]
+    for _, name, *_ in relation.terms:
+        tensors.append(_h0_from_levi_civita(job.b) if name == "H0RG" else job.tensors[name])
+        norms.append(norm_max(tensors[-1], 4))
+    total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
+    for (c, _, *slots), t in zip(relation.terms, tensors):
+        c = c(job.pj.n) if callable(c) else c
+        if slots:
+            t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
+        if c == 1:
+            total += t
+        elif c == -1:
+            total -= t
+        else:
+            total += c * t
+    return norm_max(total, 4), functools.reduce(np.maximum, norms)
+
+
+@functools.cache
+def _slab_job(k):
+    """A _Job with its tensors built: fs at k=8 with (P, G) = (1, 3), a row
+    of several slabs, or at k=2 with (5, 7), a row of one slab."""
+    m = manifold_by_name("fs", k=k)
+    if k == 2:
+        pts, gens = sample_points(m, 5, seed=27), SEVEN
+    else:
+        pts = sample_points(m, 1, seed=27)
+        gens = [generator("zero", dim=16), generator("linear_j", dim=16), K8_GENS[1]]
+    pj = point_jets(m, pts, CFG)
+    gj = generator_jets(pj, gens)
+    job = invariants._Job(pj, gj, curvature_bundle(pj, gj), tol_audit=1e-6)
+    job.tensors, job.norms, job.b.scale
+    return job
+
+
+@pytest.mark.parametrize(
+    "k,rows", [(8, None), (8, 6), (2, None), (2, 1)], ids=["k8", "k8-6rows", "k2", "k2-1row"]
+)
+def test_linear_relation_rows_in_slabs_equal_the_whole_array_sum(monkeypatch, k, rows):
+    """Every linear-relation row, I-LIN2 and I-PCOMB3 with their
+    slot-permuted views among them, summed slab by slab gives the residual
+    and scale of the whole-array sum bit for bit: at k=8 over several slabs
+    (the shipped budget, and 6-row slabs, which leave a shorter last one), at
+    k=2 in one slab, and one output row per slab."""
+    job = _slab_job(k)
+    n, batch = job.pj.n, job.b.pi.shape[:-1]
+    row_bytes = 8 * int(np.prod(batch)) * n**3
+    assert (n * row_bytes > invariants._SLAB_BYTES) == (k == 8)
+    if rows is not None:
+        monkeypatch.setattr(invariants, "_SLAB_BYTES", rows * row_bytes)
+    relations = {
+        ident: entry.evaluate
+        for ident, entry in IDENTITY_CATALOG.items()
+        if isinstance(entry.evaluate, LinearRelation)
+    }
+    assert {"I-LIN2", "I-PCOMB3", "I-H0RG"} <= set(relations)
+    for ident, relation in relations.items():
+        res, scale, details = relation(job)
+        want_res, want_scale = _whole_array_row(relation, job)
+        assert res.tobytes() == want_res.tobytes(), ident
+        assert scale.tobytes() == want_scale.tobytes(), ident
+        assert details is None
+
+
+def test_a_linear_relation_row_peaks_at_its_two_slab_buffers():
+    """At n=16 with (P, G) = (1, 3), I-PCOMB3 (non-unit coefficients and
+    slot-permuted views) peaks at its two slab buffers plus O(n^3) per
+    (point, generator), under one n^4 block: no zeroed total and no c T
+    temporary as large as H."""
+    job = _slab_job(8)
+    n, (p, g) = job.pj.n, job.b.pi.shape[:-1]
+    block = p * g * n**4 * 8
+    relation = IDENTITY_CATALOG["I-PCOMB3"].evaluate
+    tracemalloc.start()
+    try:
+        relation(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * invariants._SLAB_BYTES + 4 * p * g * n**3 * 8, peak
+    assert peak < block, (peak, block)
