@@ -13,7 +13,9 @@ P one-point calls give, bit for bit; (P, n) would make ``u @ M`` one gemm.
 
 * "analytic": ``fn`` is called once on one array-valued second-order Taylor
   number (``Jet2``) seeded with all the points, so its derivatives are exact
-  to rounding.
+  to rounding.  Without second partials the seed is first order, a ``Jet2``
+  whose Hessian ``h`` is None, so ``fn`` reads derivatives only through the
+  operators, never through ``.g`` or ``.h``.
 * "fd2" / "fd4": central finite-difference stencils of order two and four,
   with optional Richardson extrapolation.  ``fn`` is called once per stencil
   level on the stencils of all the points as one batch; second derivatives
@@ -79,13 +81,14 @@ class Jet2:
 
     ``val`` has the value shape S, the gradient ``g`` shape S + (n,) and the
     symmetric Hessian ``h`` shape S + (n, n): derivative axes trail, so numpy
-    broadcasting lines up the value axes.
+    broadcasting lines up the value axes.  A first-order jet has ``h`` None,
+    and every operation on it gives a first-order jet.
     """
 
     __slots__ = ("val", "g", "h")
     __array_ufunc__ = None  # `ndarray op Jet2` dispatches to the jet
 
-    def __init__(self, val, g: np.ndarray, h: np.ndarray):
+    def __init__(self, val, g: np.ndarray, h: np.ndarray | None):
         self.val = np.asarray(val)
         self.g = g
         self.h = h
@@ -94,26 +97,25 @@ class Jet2:
     def shape(self) -> tuple[int, ...]:
         return self.val.shape
 
-    def _spread(self, shape) -> tuple[np.ndarray, np.ndarray]:
+    def _spread(self, shape) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradient and Hessian broadcast to the value shape `shape`."""
         if shape == self.val.shape:
             return self.g, self.h
         n = self.g.shape[-1]
-        return (
-            np.broadcast_to(self.g, shape + (n,)),
-            np.broadcast_to(self.h, shape + (n, n)),
-        )
+        h = None if self.h is None else np.broadcast_to(self.h, shape + (n, n))
+        return np.broadcast_to(self.g, shape + (n,)), h
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.val + other.val, self.g + other.g, self.h + other.h)
+            h = None if self.h is None or other.h is None else self.h + other.h
+            return Jet2(self.val + other.val, self.g + other.g, h)
         val = self.val + other
         return Jet2(val, *self._spread(np.shape(val)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val, -self.g, -self.h)
+        return Jet2(-self.val, -self.g, None if self.h is None else -self.h)
 
     def __sub__(self, other):
         return self + (-other)
@@ -124,37 +126,42 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             c = np.asarray(other)
-            return Jet2(self.val * c, self.g * c[..., None], self.h * c[..., None, None])
+            h = None if self.h is None else self.h * c[..., None, None]
+            return Jet2(self.val * c, self.g * c[..., None], h)
         o = other
-        return Jet2(
-            self.val * o.val,
-            self.g * o.val[..., None] + self.val[..., None] * o.g,
+        h = None if self.h is None or o.h is None else (
             self.h * o.val[..., None, None]
             + _cross(self.g, o.g)
-            + self.val[..., None, None] * o.h,
+            + self.val[..., None, None] * o.h
         )
+        return Jet2(self.val * o.val, self.g * o.val[..., None] + self.val[..., None] * o.g, h)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
             c = np.asarray(other)
-            return Jet2(self.val / c, self.g / c[..., None], self.h / c[..., None, None])
+            h = None if self.h is None else self.h / c[..., None, None]
+            return Jet2(self.val / c, self.g / c[..., None], h)
         o = other
         val = self.val / o.val
         g = (self.g - val[..., None] * o.g) / o.val[..., None]
-        h = (self.h - _cross(g, o.g) - val[..., None, None] * o.h) / o.val[..., None, None]
+        h = None if self.h is None or o.h is None else (
+            (self.h - _cross(g, o.g) - val[..., None, None] * o.h) / o.val[..., None, None]
+        )
         return Jet2(val, g, h)
 
     def __rtruediv__(self, other):
         c = np.asarray(other, dtype=np.float64)
         n = self.g.shape[-1]
-        return Jet2(c, np.zeros(c.shape + (n,)), np.zeros(c.shape + (n, n))) / self
+        h = None if self.h is None else np.zeros(c.shape + (n, n))
+        return Jet2(c, np.zeros(c.shape + (n,)), h) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Jet2 powers are non-negative integers")
-        out = Jet2(np.ones(self.shape), np.zeros_like(self.g), np.zeros_like(self.h))
+        h = None if self.h is None else np.zeros_like(self.h)
+        out = Jet2(np.ones(self.shape), np.zeros_like(self.g), h)
         for _ in range(exponent):
             out = out * self
         return out
@@ -165,31 +172,35 @@ class Jet2:
         if m.ndim not in (1, 2):
             raise ValueError("a Jet2 contracts with a constant vector or matrix only")
         g = np.swapaxes(self.g, -1, -2) @ m
-        h = np.moveaxis(self.h, -3, -1) @ m
+        h = None if self.h is None else np.moveaxis(self.h, -3, -1) @ m
         if m.ndim == 2:
-            g, h = np.swapaxes(g, -1, -2), np.moveaxis(h, -1, -3)
+            g = np.swapaxes(g, -1, -2)
+            h = None if h is None else np.moveaxis(h, -1, -3)
         return Jet2(self.val @ m, g, h)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
         every = slice(None)
-        return Jet2(self.val[key], self.g[key + (every,)], self.h[key + (every, every)])
+        h = None if self.h is None else self.h[key + (every, every)]
+        return Jet2(self.val[key], self.g[key + (every,)], h)
 
     def reshape(self, shape):
         shape = tuple(shape)
         n = self.g.shape[-1]
-        return Jet2(
-            self.val.reshape(shape), self.g.reshape(shape + (n,)), self.h.reshape(shape + (n, n))
-        )
+        h = None if self.h is None else self.h.reshape(shape + (n, n))
+        return Jet2(self.val.reshape(shape), self.g.reshape(shape + (n,)), h)
 
     def sum(self, axis: int):
         axis %= self.val.ndim
-        return Jet2(self.val.sum(axis), self.g.sum(axis), self.h.sum(axis))
+        h = None if self.h is None else self.h.sum(axis)
+        return Jet2(self.val.sum(axis), self.g.sum(axis), h)
 
 
 def jet_exp(x):
     if isinstance(x, Jet2):
         e = np.exp(x.val)
+        if x.h is None:
+            return Jet2(e, e[..., None] * x.g, None)
         gg = x.g[..., :, None] * x.g[..., None, :]
         return Jet2(e, e[..., None] * x.g, e[..., None, None] * (x.h + gg))
     return np.exp(x)
@@ -220,13 +231,13 @@ def eval_jets(
     d1[..., a, i] = d_a(component i)."""
     n, lead, at = point.shape[-1], point.shape[:-1], point.ndim - 1
     seed = np.broadcast_to(np.eye(n), point.shape + (n,)).copy()
-    out = fn(Jet2(point.copy(), seed, np.zeros(point.shape + (n, n))))
+    out = fn(Jet2(point.copy(), seed, np.zeros(point.shape + (n, n)) if second else None))
     if isinstance(out, Jet2):
         val, g, h = np.asarray(out.val, dtype=np.float64), out.g, out.h
     else:  # a constant field
         val = np.broadcast_to(np.asarray(out, dtype=np.float64), lead + np.shape(out))
-        g, h = np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n))
-    if not (np.isfinite(val).all() and np.isfinite(g).all() and np.isfinite(h).all()):
+        g, h = np.zeros(val.shape + (n,)), np.zeros(val.shape + (n, n)) if second else None
+    if not all(np.isfinite(x).all() for x in (val, g, h) if x is not None):
         raise NumericError("non-finite field value")
     d1 = np.ascontiguousarray(np.moveaxis(g, -1, at))
     d2 = np.ascontiguousarray(np.moveaxis(h, (-2, -1), (at, at + 1))) if second else None

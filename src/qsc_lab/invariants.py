@@ -38,8 +38,9 @@ among the tensors entering it, including the curvature and trace blocks that
 composite tensors are assembled from; this keeps cancellation noise measured
 against the magnitude of what actually cancelled.  The part shared by every
 identity on one (point, generator), the max-norm over R^g, the six kinds,
-their traces and 'R3, 'R4, is ``CurvatureBundle.scale``.  The max-norms of
-each H^theta, W and P are taken once per job, next to the tensors.
+their traces and 'R3, 'R4, is ``CurvatureBundle.scale``.  The max-norm of
+each H^theta, W and P is taken once per job, as the tensor is built, while
+it is still in cache.
 
 Batch convention as in ``connections``: tensor slots trail, leading axes are
 batch axes, transposes are ``swapaxes(-1, -2)`` (never ``.T``, which would
@@ -176,6 +177,11 @@ def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> n
     return fold_rank_one(b.r[theta] if out is None else out, b.a_support, terms, out)
 
 
+def _with_norm(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tensor and its max-norm, taken while the tensor is in cache."""
+    return t, norm_max(t, 4)
+
+
 def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
     """H0 written directly in the curvature and Ricci tensor of g."""
     a, ric = b.a, b.ric_g
@@ -246,19 +252,19 @@ class _Job:
         self.torsion = torsion_identities(pj, gj)
 
     @cached_property
-    def tensors(self) -> dict[str, np.ndarray]:
+    def tensors(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """H0..H5 per (point, generator), each built over R^theta in the
         bundle's stack (so R^theta is unreadable from then on), W and P per
-        point."""
+        point; each with its max-norm, taken as it is built."""
         r = self.b.hand_over_r()
-        t = {f"H{theta}": h_tensor(theta, self.b, r[theta]) for theta in THETAS}
-        t["W"], t["P"] = weyl_projective(self.pj), hol_projective(self.pj)
+        t = {f"H{theta}": _with_norm(h_tensor(theta, self.b, r[theta])) for theta in THETAS}
+        t["W"], t["P"] = _with_norm(weyl_projective(self.pj)), _with_norm(hol_projective(self.pj))
         return t
 
     @cached_property
-    def norms(self) -> dict[str, np.ndarray]:
-        """The max-norm of each of ``tensors``."""
-        return {name: norm_max(t, 4) for name, t in self.tensors.items()}
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator pairs (i, j), i < j, that I-HIND compares, in row order."""
+        return np.triu_indices(self.b.pi.shape[-2], 1)
 
     @cached_property
     def hyb_cond(self) -> list[tuple]:
@@ -367,8 +373,7 @@ def _richyb_evaluator(j: _Job):
 
 def _r1comm_evaluator(j: _Job):
     comm = commutator_curvature(j.pj, j.gj)
-    r1 = j.b.r[1]
-    return norm_max(r1 - comm, 4), np.maximum(norm_max(r1, 4), norm_max(comm, 4)), None
+    return norm_max(j.b.r[1] - comm, 4), np.maximum(j.b.r_norms[1], norm_max(comm, 4)), None
 
 
 def _riccf_evaluator(j: _Job):
@@ -389,11 +394,11 @@ def _pr34_evaluator(j: _Job):
 
 def _hind_evaluator(theta: int):
     def evaluate(j: _Job):
-        first, second = np.triu_indices(j.b.pi.shape[-2], 1)
+        first, second = j.pairs
         if not first.size:  # single generator: nothing to compare
             return np.zeros((len(j.pj.point), 1)), 1.0, None
-        name, bs = f"H{theta}", j.b.scale
-        h, hn = j.tensors[name], j.norms[name]
+        bs = j.b.scale
+        h, hn = j.tensors[f"H{theta}"]
         # the pairs (i, i+1..G-1) of one triangle row at a time, in the order
         # of (first, second): no copy of H per pair
         res = np.concatenate(
@@ -415,8 +420,9 @@ class LinearRelation:
     peak memory).  slots names the arguments of T: "YZX" is T(Y, Z)X.  The
     scale is the bundle scale and the max-norm of every T_i in the row.  The
     sum runs in slabs of the output slot, at most ``_SLAB_BYTES`` each, in
-    two reused buffers: the first term is written, the others added (c T in
-    the second buffer unless c = +-1); the residual is the largest slab's."""
+    two reused buffers: the first term is read in place if c = 1 (1 T is T)
+    and written otherwise, the others added (c T in the second buffer unless
+    c = +-1); the residual is the largest slab's."""
 
     def __init__(self, *terms):
         self.terms = terms
@@ -424,8 +430,8 @@ class LinearRelation:
     def __call__(self, j: _Job):
         terms, norms = [], [j.b.scale]
         for c, name, *slots in self.terms:
-            t = _h0_from_levi_civita(j.b) if name == "H0RG" else j.tensors[name]
-            norms.append(norm_max(t, 4) if name == "H0RG" else j.norms[name])
+            t, norm = _with_norm(_h0_from_levi_civita(j.b)) if name == "H0RG" else j.tensors[name]
+            norms.append(norm)
             if slots:
                 t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
             terms.append((c(j.pj.n) if callable(c) else c, t))
@@ -439,16 +445,14 @@ class LinearRelation:
             slab = total if n - first >= rows else total[..., : n - first, :, :, :]
             for i, (c, t) in enumerate(terms):
                 t = t[..., first : first + rows, :, :, :] if count > 1 else t
-                if i == 0:  # c T, a copy of T for c = 1
-                    np.multiply(t, c, out=slab)
-                elif c == 1:
-                    slab += t
-                elif c == -1:
-                    slab -= t
-                else:  # c T at T's own batch shape, in the second buffer
+                if i == 0:  # 1 T is T: read in place, not copied into the slab
+                    acc = t if c == 1 else np.multiply(t, c, out=slab)
+                    continue
+                if c not in (1, -1):  # c T at T's own batch shape, in the second buffer
                     scaled = np.empty(total.size) if scaled is None else scaled
-                    slab += np.multiply(t, c, out=scaled[: t.size].reshape(t.shape))
-            residual.append(norm_max(slab, 4))
+                    t = np.multiply(t, c, out=scaled[: t.size].reshape(t.shape))
+                acc = (np.subtract if c == -1 else np.add)(acc, t, out=slab)
+            residual.append(norm_max(acc, 4))
         return _emax(*residual), _emax(*norms), None
 
 

@@ -23,6 +23,8 @@ import numpy as np
 MAX_DIM = 16
 
 _SCALE_GUARD = 1e-12
+# The largest array whose max-norms take |x| in one pass, in bytes
+_ABS_BYTES = 128 << 10
 
 
 class SingularMetricError(ValueError):
@@ -68,13 +70,17 @@ class Tensor:
 
 def norm_max(x: np.ndarray, rank: int | None = None):
     """Largest absolute component.  With `rank`, one max-norm per leading
-    index, taken over the trailing `rank` axes (the tensor slots)."""
+    index, taken over the trailing `rank` axes (the tensor slots), by one of
+    two kernels with the same bits but for the sign of a NaN: up to
+    ``_ABS_BYTES``, |x| and one max (the fewest numpy calls); above, max and
+    -min (no temporary the size of the input), where adding +0.0 turns the
+    -0.0 that -min gives on an all-zero block into +0.0, as abs does."""
     comps = np.asarray(x)
     if rank is not None:
-        # max and -min: no temporary the size of the input; adding +0.0
-        # turns the -0.0 that -min gives on an all-zero block into +0.0
         lead = comps.shape[: comps.ndim - rank]
         flat = comps.reshape(lead + (prod(comps.shape[len(lead):]),))
+        if comps.nbytes <= _ABS_BYTES:
+            return np.abs(flat).max(-1)
         return np.maximum(flat.max(-1), -flat.min(-1)) + 0.0
     if comps.size == 0:
         return 0.0

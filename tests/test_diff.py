@@ -3,6 +3,7 @@ against their stated convergence orders, and the dual-path agreement that the
 rest of the package relies on."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qsc_lab.diff import (
     field_jets,
     jet_exp,
 )
-from qsc_lab.geometry import manifold_by_name
+from qsc_lab.geometry import GENERATORS, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import NumericError
 
 
@@ -305,3 +306,58 @@ def test_analytic_jets_call_the_field_once():
 
     field_jets(counted, np.full(8, 0.1), DiffConfig(), second=True)
     assert len(calls) == 1 and isinstance(calls[0], Jet2)
+
+
+def _catalog_fields(k):
+    """Every catalog generator at dimension 2k, the structure field, and the
+    metric fields of the charts that exist at k."""
+    n = 2 * k
+    comps = np.linspace(-1.0, 1.0, n)
+    gens = [generator(name, dim=n, components=comps, seed=3) for name in GENERATORS]
+    charts = ["flat", "fs", "hyperbolic"] + (["conformal-nonkahler"] if k == 2 else [])
+    ms = [manifold_by_name(name, k) for name in charts]
+    return gens + [ms[0].structure_field] + [m.metric_field for m in ms]
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_first_order_jets_have_the_bits_of_second_order_jets(k):
+    """eval_jets(second=False) carries no Hessian, and its values and first
+    partials come from the same expressions: on a (P, 1, n) batch every
+    catalog field gives the bytes of second=True."""
+    pts = sample_points(manifold_by_name("hyperbolic", k), 3, seed=9)[:, None]
+    for field in _catalog_fields(k):
+        val, d1, d2 = eval_jets(field.fn, pts, second=False)
+        want = eval_jets(field.fn, pts, second=True)
+        assert d2 is None
+        assert val.tobytes() == want[0].tobytes() and val.shape == want[0].shape, field.label
+        assert d1.tobytes() == want[1].tobytes() and d1.shape == want[1].shape, field.label
+
+
+def test_first_order_jets_reach_the_field_without_a_hessian():
+    seen = []
+
+    def probe(u):
+        seen.append(u)
+        return u * u
+
+    field_jets(probe, np.array([[[0.2, 0.1]]]), DiffConfig())
+    assert len(seen) == 1 and isinstance(seen[0], Jet2) and seen[0].h is None
+    x = seen[0][..., 0]
+    for y in (x + x, x - 1.0, 2.0 / x, x * x / x, x**2, jet_exp(x), x.reshape((1, 1)).sum(-1)):
+        assert y.h is None
+
+
+def test_first_order_random_poly_jets_stay_below_one_n4_array():
+    """At n = 16 the first partials of random_poly:3 take O(n^3) memory: the
+    peak stays below one n^4 float64 array, the size of its Hessian."""
+    n = 16
+    fn = generator("random_poly", dim=n, seed=3).fn
+    pts = sample_points(manifold_by_name("fs", 8), 1, seed=9)[:, None]
+    eval_jets(fn, pts, second=False)  # first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        eval_jets(fn, pts, second=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**4, peak

@@ -612,7 +612,7 @@ def test_rows_hold_at_most_57_bytes_per_identity_and_point():
 
 def test_h_tensors_take_over_the_curvature_stack():
     """_Job builds each H^theta over R^theta, bit for bit the H^theta of a
-    new array; a later read of R^theta raises, never returning H^theta,
+    new array, with its max-norm; a later read of R^theta raises, never returning H^theta,
     while the bundle scale, first taken after the handover, reads only the
     norms of assembly."""
     m = manifold_by_name("fs", k=2)
@@ -622,7 +622,9 @@ def test_h_tensors_take_over_the_curvature_stack():
     want = [h_tensor(theta, b) for theta in range(6)]
     job = invariants._Job(pj, gj, b, tol_audit=1e-6)
     for theta in range(6):
-        np.testing.assert_array_equal(job.tensors[f"H{theta}"], want[theta])
+        h, norm = job.tensors[f"H{theta}"]
+        np.testing.assert_array_equal(h, want[theta])
+        assert norm.tobytes() == norm_max(want[theta], 4).tobytes()
     with pytest.raises(RuntimeError, match="handed over"):
         b.r
     np.testing.assert_array_equal(b.scale, curvature_bundle(pj, gj).scale)
@@ -712,7 +714,7 @@ def _whole_array_row(relation, job):
     c is +-1), then the max-norm; with the scale of the row."""
     tensors, norms = [], [job.b.scale]
     for _, name, *_ in relation.terms:
-        tensors.append(_h0_from_levi_civita(job.b) if name == "H0RG" else job.tensors[name])
+        tensors.append(_h0_from_levi_civita(job.b) if name == "H0RG" else job.tensors[name][0])
         norms.append(norm_max(tensors[-1], 4))
     total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
     for (c, _, *slots), t in zip(relation.terms, tensors):
@@ -741,7 +743,7 @@ def _slab_job(k):
     pj = point_jets(m, pts, CFG)
     gj = generator_jets(pj, gens)
     job = invariants._Job(pj, gj, curvature_bundle(pj, gj), tol_audit=1e-6)
-    job.tensors, job.norms, job.b.scale
+    job.tensors, job.b.scale
     return job
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsc_lab.curvature import lowered
 from qsc_lab.tensor import (
+    _ABS_BYTES,
     SingularMetricError,
     Tensor,
     metric_inverse,
@@ -107,6 +108,50 @@ def test_norm_of_an_all_zero_block_is_positive_zero():
         block = np.full((2, 3, 4, 4), zero)
         for norm in (*norm_max(block, 2).ravel(), norm_max(block)):
             assert math.copysign(1.0, norm) == 1.0
+
+
+def _max_min_norm(x, rank):
+    """The max/-min kernel written out: +0.0 turns the -0.0 of an all-zero
+    block into +0.0."""
+    if rank is None:
+        return 0.0 if x.size == 0 else float(np.maximum(x.max(), -x.min()) + 0.0)
+    lead = x.shape[: x.ndim - rank]
+    flat = x.reshape(lead + (math.prod(x.shape[len(lead):]),))
+    return np.maximum(flat.max(-1), -flat.min(-1)) + 0.0
+
+
+def _blocks_of(count, rank, seed):
+    """`count` blocks of 4^rank normal values, their first entries set to
+    NaN, +inf, -inf and a NaN of negative sign, then blocks of all -0.0, all
+    +0.0 and zeros of both signs."""
+    x = np.random.default_rng(seed).normal(size=(count, 4**rank))
+    for row, value in zip(x, (np.nan, np.inf, -np.inf, -np.nan)):
+        row[0] = value
+    for row, zeros in zip(x[4:], ((-0.0,), (0.0,), (0.0, -0.0))):
+        row[:] = np.resize(zeros, row.size)
+    return x.reshape((count,) + (4,) * rank)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4, None])
+def test_the_two_norm_kernels_agree_bit_for_bit(rank):
+    """norm_max takes |x| and one max up to _ABS_BYTES, max and -min above:
+    just below, at and just above the threshold and at 1.5 MiB both give the
+    bits of the max/-min formula, also on NaN, +-inf and blocks of zeros of
+    either sign (a +0.0 norm).  A NaN keeps its place but not its sign, which
+    abs clears and which no report prints."""
+    block = 8 * 4 ** (rank or 0)
+    counts = [n // block for n in (_ABS_BYTES - block, _ABS_BYTES, _ABS_BYTES + block)]
+    for count in counts + [(3 << 19) // block, 0]:
+        x = _blocks_of(count, rank or 0, seed=count)
+        got, want = norm_max(x, rank), _max_min_norm(x, rank)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float64
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert np.asarray(got)[~nan].tobytes() == np.asarray(want)[~nan].tobytes(), count
+        if rank is not None and count:
+            assert not np.signbit(got[4:7]).any()  # the blocks of zeros
+            assert got[0].tobytes() == want[0].tobytes()  # a NaN of positive sign
+    assert norm_max(np.zeros((0, 3, 4, 4, 4, 4)), 4).shape == (0, 3)
 
 
 def test_batched_norms_and_residuals_keep_leading_axes():
