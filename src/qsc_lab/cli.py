@@ -35,15 +35,17 @@ from .tensor import NumericError, Tensor
 
 PRINT_EPS = 1e-12
 
-# --what -> (the slots of the tensor it prints, whether it reads the generator)
+# --what -> (the slots of the tensor it prints, whether it reads the generator,
+# whether it reads derivatives, and so the scheme flags)
 _TENSORS = {
-    "g": ("dd", False), "f": ("dd", False), "a": ("ud", False),
-    "rg": ("uddd", False), "ric_g": ("dd", False), "w": ("uddd", False), "p": ("uddd", False),
-    "pi": ("d", True), "torsion": ("udd", True),
-    "prime_r3": ("dd", True), "prime_r4": ("dd", True),
-    **{f"d{t}": ("dd", True) for t in range(4)},
+    "g": ("dd", False, False), "f": ("dd", False, False), "a": ("ud", False, False),
+    "rg": ("uddd", False, True), "ric_g": ("dd", False, True),
+    "w": ("uddd", False, True), "p": ("uddd", False, True),
+    "pi": ("d", True, False), "torsion": ("udd", True, False),
+    "prime_r3": ("dd", True, True), "prime_r4": ("dd", True, True),
+    **{f"d{t}": ("dd", True, True) for t in range(4)},
     **{
-        f"{name}{t}": (slots, True)
+        f"{name}{t}": (slots, True, True)
         for name, slots in (("r", "uddd"), ("ric", "dd"), ("h", "uddd"))
         for t in range(6)
     },
@@ -159,18 +161,22 @@ def cmd_tensor(args) -> int:
     point = _parse_point(args.point, m.n)
     m.chart.require(point)
     given = {f.name: getattr(args, f.name) for f in fields(DiffConfig)}
-    cfg = DiffConfig(**{k: v for k, v in given.items() if v is not None})
+    given = {k: v for k, v in given.items() if v is not None}
     what = args.what.lower()
     if what not in _TENSORS:
         raise ConfigError(
             f"unknown tensor {args.what!r}; options: {', '.join(_WHAT_CHOICES)}"
         )
-    slots, reads_pi = _TENSORS[what]
+    slots, reads_pi, differentiated = _TENSORS[what]
     gen = None if args.generator is None else parse_generator_spec(args.generator, m.n)
     if gen is None and reads_pi:
         raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
     if gen is not None and not reads_pi:
         raise ConfigError(f"tensor {what!r} does not read the generator; drop --generator")
+    if given and not differentiated:
+        flags = ", ".join(f"--{'diff' if k == 'scheme' else k}" for k in given)
+        raise ConfigError(f"tensor {what!r} takes no derivatives; drop {flags}")
+    cfg = DiffConfig(**given)
     _print_tensor(what, Tensor(m.n, slots, _tensor_array(what, m, point, cfg, gen)))
     return 0
 

@@ -129,14 +129,21 @@ def levi_civita_jets(g_inv: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
     return gamma, dgamma
 
 
-def curvature_from_coefficients(l: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """R^l_{ijk} = d_i L^l_{jk} - d_j L^l_{ik} + L^l_{im} L^m_{jk} - L^l_{jm} L^m_{ik}."""
+def curvature_from_coefficients(
+    l: np.ndarray, dl: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """R^l_{ijk} = d_i L^l_{jk} - d_j L^l_{ik} + L^l_{im} L^m_{jk} - L^l_{jm} L^m_{ik}:
+    a new array, or written into `out`, which may be dl's own buffer (dl is
+    read before out is written).  `work`, a contiguous buffer of R's shape,
+    holds the intermediate sum in place of a new array."""
     n = l.shape[-1]
     lead = l.shape[:-3]
     # half[l, i, j, k] = d_i L^l_{jk} + L^l_{im} L^m_{jk}; R is its (i, j) skew part
-    quad = l.reshape(lead + (n * n, n)) @ l.reshape(lead + (n, n * n))
-    half = dl.swapaxes(-4, -3) + quad.reshape(lead + (n,) * 4)
-    return half - half.swapaxes(-3, -2)
+    quad = None if work is None else work.reshape(lead + (n * n, n * n))
+    quad = np.matmul(l.reshape(lead + (n * n, n)), l.reshape(lead + (n, n * n)), out=quad)
+    half = quad.reshape(lead + (n,) * 4)
+    np.add(dl.swapaxes(-4, -3), half, out=half)
+    return np.subtract(half, half.swapaxes(-3, -2), out=out)
 
 
 def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
@@ -184,15 +191,14 @@ def quarter_symmetric(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
     return pj.gamma - gj.pi[..., None, :, None] * pj.a[..., :, None, :]
 
 
-def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets):
-    """(L, dL) of the quarter-symmetric connection."""
+def quarter_symmetric_jets(pj: PointJets, gj: GeneratorJets, out=None, work=None):
+    """(L, dL) of the quarter-symmetric connection; dL a new array, or
+    written into `out`, with `work`, of the same shape, for its products."""
     l = quarter_symmetric(pj, gj)
-    dl = (
-        pj.dgamma
-        - gj.dpi[..., :, None, :, None] * pj.a[..., None, :, None, :]
-        - gj.pi[..., None, None, :, None] * pj.da[..., :, :, None, :]
-    )
-    return l, dl
+    dpi_a = np.multiply(gj.dpi[..., :, None, :, None], pj.a[..., None, :, None, :], out=work)
+    dl = np.subtract(pj.dgamma, dpi_a, out=out)
+    pi_da = np.multiply(gj.pi[..., None, None, :, None], pj.da[..., :, :, None, :], out=work)
+    return l, np.subtract(dl, pi_da, out=dl)
 
 
 def covariant_derivative(

@@ -21,6 +21,12 @@ kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
 with H^theta): the bundle then holds the traces, the D blocks, R^g and the
 per-kind max-norms, and reading ``b.r`` raises.
 
+``commutator_curvature`` builds the curvature of nabla^1 from its
+coefficients instead, the oracle of the kind-1 shape; given two buffers it
+writes dL and then the curvature into one and its intermediates into the
+other, so I-R1COMM can run it on a few generators at a time.  The Kahler
+rules of R^g (``kahler_identities``) are per point and read no bundle.
+
 Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
 ``fold_rank_one`` adds the identity blocks through n^3 diagonal views and
 writes the A blocks through the nonzero entries of A, n^2 components per
@@ -55,11 +61,13 @@ def riemann_g(pj: PointJets) -> np.ndarray:
     return pj.r_g
 
 
-def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
+def commutator_curvature(pj: PointJets, gj: GeneratorJets, out=None, work=None) -> np.ndarray:
     """Curvature of the quarter-symmetric connection straight from its
-    coefficients; the oracle every kind-1 closed shape is checked against."""
-    l, dl = quarter_symmetric_jets(pj, gj)
-    return curvature_from_coefficients(l, dl)
+    coefficients; the oracle every kind-1 closed shape is checked against.
+    A new array, or written into `out`, which first holds dL, with `work`,
+    a second contiguous buffer of the same shape, for the intermediates."""
+    l, dl = quarter_symmetric_jets(pj, gj, out, work)
+    return curvature_from_coefficients(l, dl, out=dl, work=work)
 
 
 def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:

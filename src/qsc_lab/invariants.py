@@ -17,10 +17,15 @@ a ``LinearRelation``; one evaluator computes the residual of every such row.
 ``identity_suite`` runs whole points in blocks sized by a byte budget, so a
 job's n^4 working set is bounded in P.  Per block of P points it
 differentiates each field once into one ``PointJets`` (axes (P, 1)) and one
-``GeneratorJets`` (P, G), builds one ``CurvatureBundle`` with batch axes
-(P, G), runs the identities that read R^theta, then calls ``h_tensor`` once
-per kind, folding H^theta onto R^theta in the bundle's stack (the R -> H
-handover: one n^4 stack per kind family, and R^theta unreadable after).
+``GeneratorJets`` (P, G), takes the Kahler rules of R^g (per point, so
+their n^4 temporaries are freed before the stack exists), builds one
+``CurvatureBundle`` with batch axes (P, G), runs the identities that read
+R^theta, then calls ``h_tensor`` once per kind, folding H^theta onto R^theta
+in the bundle's stack (the R -> H handover: one n^4 stack per kind family,
+and R^theta unreadable after).  Beside that stack a block holds a constant
+number of n^4 arrays per (point, generator): I-R1COMM builds its commutator
+curvature in chunks of generators, through two buffers of at most
+``_SLAB_BYTES``, and the linear rows sum in slabs of the same size.
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
@@ -85,12 +90,15 @@ from .tensor import norm_max, relative_residual
 EXPECTED_FAIL_FLOOR = 1e-3
 
 # The working-set budget of one block of points, and the n^4 arrays per
-# (point, generator) live at a block's peak, measured at n=16 and G=1..5
+# (point, generator) live at a block's peak: a tracemalloc peak of 12.4 at
+# n=16 and G=1, falling to 7.8 at G=5 (13.3 to 10.6 before I-R1COMM ran in
+# chunks); kept at 16, so the block sizes stay in the bit-equal regime
 _BLOCK_BYTES = 16 << 20
 _LIVE_BLOCKS = 16
 # The R rows one I-HYB-COND chunk gathers, in bytes
 _HYB_CHUNK_BYTES = 128 << 10
-# The largest slab of output rows a linear-relation row sums at once, in bytes
+# The largest slab of output rows a linear-relation row sums at once, and of
+# generators an I-R1COMM chunk holds per buffer, in bytes
 _SLAB_BYTES = 512 << 10
 
 
@@ -242,13 +250,15 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
 
 class _Job:
     """What the evaluators of one ``identity_suite`` call read: the records
-    of all points and generators, the bundle, and the tensors built from them
+    of all points and generators, the Kahler rules of R^g (taken before the
+    bundle), the bundle, and the tensors built from them
     (on first use, so only on Kahler charts).  Point-level results carry a
     unit generator axis."""
 
-    def __init__(self, pj: PointJets, gj: GeneratorJets, b: CurvatureBundle, tol_audit: float):
-        self.pj, self.gj, self.b, self.tol_audit = pj, gj, b, tol_audit
-        self.kahler = kahler_identities(pj)
+    def __init__(
+        self, pj: PointJets, gj: GeneratorJets, kahler: dict, b: CurvatureBundle, tol_audit: float
+    ):
+        self.pj, self.gj, self.kahler, self.b, self.tol_audit = pj, gj, kahler, b, tol_audit
         self.torsion = torsion_identities(pj, gj)
 
     @cached_property
@@ -372,8 +382,26 @@ def _richyb_evaluator(j: _Job):
 
 
 def _r1comm_evaluator(j: _Job):
-    comm = commutator_curvature(j.pj, j.gj)
-    return norm_max(j.b.r[1] - comm, 4), np.maximum(j.b.r_norms[1], norm_max(comm, 4)), None
+    """R^1 against the commutator curvature, in chunks of generators of at
+    most ``_SLAB_BYTES`` per buffer: one buffer takes dL, then the
+    commutator; the other the products of dL, L L and the sum of half of R,
+    then R^1 minus the commutator."""
+    r1, gj = j.b.r[1], j.gj
+    points, gens = r1.shape[:-4]
+    block = points * j.b.n**4
+    size = min(gens, max(1, _SLAB_BYTES // (8 * block)))
+    buffers = np.empty((2, size * block))
+    res, comm_norms = [], []
+    for first in range(0, gens, size):
+        part = slice(first, first + size)
+        shape = (points, min(size, gens - first)) + r1.shape[-4:]
+        comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
+        chunk = GeneratorJets(gj.label[part], gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part])
+        commutator_curvature(j.pj, chunk, out=comm, work=diff)
+        comm_norms.append(norm_max(comm, 4))
+        res.append(norm_max(np.subtract(r1[:, part], comm, out=diff), 4))
+    comm_norm = np.concatenate(comm_norms, axis=-1)
+    return np.concatenate(res, axis=-1), np.maximum(j.b.r_norms[1], comm_norm), None
 
 
 def _riccf_evaluator(j: _Job):
@@ -648,7 +676,9 @@ def _block_results(m, points, generators, cfg, plan, tol_audit):
     everything after runs on (point, generator) batches."""
     pj = point_jets(m, points, cfg)
     gj = generator_jets(pj, generators)
-    job = _Job(pj, gj, curvature_bundle(pj, gj), tol_audit)
+    # the Kahler rules of R^g are per point: their n^4 temporaries go before the stack comes
+    kahler = kahler_identities(pj)
+    job = _Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit)
     stats, details = np.empty((3, len(plan), len(points))), {}
     for i, (_, _, evaluate) in enumerate(plan):
         res, scale, extra = evaluate(job)

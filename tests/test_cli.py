@@ -362,20 +362,42 @@ def test_tensor_bad_points(capsys, point):
 def test_tensor_values_print_where_stencils_leave_the_chart(capsys):
     """g, f, a, pi and torsion need no derivatives: at a hyperbolic point whose
     fd4 stencil crosses the boundary they still print, while rg fails cleanly."""
-    common = ["--manifold", "hyperbolic", "--diff", "fd4", "--step", "1e-2",
-              "--point", "0.99,0,0,0"]
-    for what in ("g", "f", "a", "pi", "torsion"):
-        gen = ["--generator", "linear_j"] if what in ("pi", "torsion") else []
-        code, out, err = run(capsys, "tensor", "--what", what, *common, *gen)
+    common = ["--manifold", "hyperbolic", "--point", "0.99,0,0,0"]
+    fd4 = ["--diff", "fd4", "--step", "1e-2"]
+    for what in VALUE_ONLY:
+        code, out, err = run(capsys, "tensor", "--what", what, *common, *_generator_flag(what))
         assert code == 0, (what, err)
         assert out.startswith(what)
-    code, _, err = run(capsys, "tensor", "--what", "rg", *common)
+    code, _, err = run(capsys, "tensor", "--what", "rg", *common, *fd4)
     assert code == 2
     assert "stencil leaves the chart domain" in err
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--diff", "fd4"], "--diff"),
+        (["--diff", "analytic"], "--diff"),
+        (["--diff", "fd2", "--step", "1e-3"], "--diff, --step"),
+        (["--step", "1e-3"], "--step"),
+        (["--richardson"], "--richardson"),
+        (["--diff", "fd4", "--step", "1e-2", "--richardson"], "--diff, --step, --richardson"),
+    ],
+    ids=["fd4", "analytic", "fd2-step", "step", "richardson", "all"],
+)
+def test_value_tensors_reject_the_scheme_flags(capsys, flags, named):
+    """A tensor read as a value takes no derivative scheme: every scheme flag
+    given to it is an error that names it, rather than dropped unread."""
+    for what in VALUE_ONLY:
+        gen = _generator_flag(what)
+        code, out, err = run(capsys, "tensor", "--what", what, *FS_TENSOR, *gen, *flags)
+        assert code == 2 and not out, what
+        assert err == f"error: tensor {what!r} takes no derivatives; drop {named}\n"
+
+
 FS_TENSOR = ["--manifold", "fs", "--k", "2", "--point", "0.1,0.2,-0.15,0.3"]
 PI_FREE = ("a", "f", "g", "p", "ric_g", "rg", "w")
+VALUE_ONLY = ("a", "f", "g", "pi", "torsion")
 
 
 def _generator_flag(what: str) -> list[str]:

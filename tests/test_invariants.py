@@ -11,8 +11,15 @@ import pytest
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max
-from qsc_lab.connections import generator_jets, point_jets
-from qsc_lab.curvature import commutation_rules, curvature_bundle, lowered, rotation_rules
+from qsc_lab.connections import GeneratorJets, generator_jets, point_jets
+from qsc_lab.curvature import (
+    commutation_rules,
+    commutator_curvature,
+    curvature_bundle,
+    kahler_identities,
+    lowered,
+    rotation_rules,
+)
 import qsc_lab.invariants as invariants
 from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
@@ -425,8 +432,7 @@ def _r_g_rows_case(name):
     the kinds whose held rows equal R^g: every kind under the zero
     generator; kind 1 alone under a closed pi (grad, const), whose D1 = 0."""
     if name == "fs-k8":
-        gens = [generator(g, dim=16) for g in ("zero", "linear_j")] + K8_GENS[1:]
-        return manifold_by_name("fs", k=8), gens, CFG, set(range(6))
+        return manifold_by_name("fs", k=8), K8_THREE, CFG, set(range(6))
     if name == "fs-no-zero":
         gens = [generator("random_poly", dim=4, seed=s) for s in (1, 2)]
         return manifold_by_name("fs", k=2), gens, CFG, set()
@@ -456,7 +462,8 @@ def _held_rows(monkeypatch, pj, gj):
     with monkeypatch.context() as patch:
         for name in ("rotation_rules", "commutation_rules"):
             patch.setattr(invariants, name, lambda *args: {"nan": np.full(len(args[0]), np.nan)})
-        probe = invariants._Job(pj, gj, curvature_bundle(pj, gj), tol_audit=1e-6)
+        b = curvature_bundle(pj, gj)
+        probe = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6)
         probe.kahler = {k: np.full_like(v, np.nan) for k, v in probe.kahler.items()}
         res = np.stack([res for res, _, _ in probe.hyb_cond])
     return np.isnan(res).reshape(res.shape[:2] + (-1, 2))
@@ -472,7 +479,7 @@ def _check_hybrid_rows(monkeypatch, m, gens, cfg):
     gj = generator_jets(pj, gens)
     b = curvature_bundle(pj, gj)
     held = _held_rows(monkeypatch, pj, gj)
-    got = invariants._Job(pj, gj, b, tol_audit=1e-6).hyb_cond
+    got = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6).hyb_cond
     equal_kinds = set()
     for kind, (res, sc, details) in enumerate(got):
         res, sc = (x.reshape(held.shape[1:]) for x in (res, sc))
@@ -518,6 +525,7 @@ SEVEN = [
 
 
 K8_GENS = [generator("zero", dim=16), generator("random_poly", dim=16, seed=3)]
+K8_THREE = [K8_GENS[0], generator("linear_j", dim=16), K8_GENS[1]]
 
 
 @functools.cache
@@ -620,7 +628,7 @@ def test_h_tensors_take_over_the_curvature_stack():
     gj = generator_jets(pj, SEVEN[:3])
     b = curvature_bundle(pj, gj)
     want = [h_tensor(theta, b) for theta in range(6)]
-    job = invariants._Job(pj, gj, b, tol_audit=1e-6)
+    job = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6)
     for theta in range(6):
         h, norm = job.tensors[f"H{theta}"]
         np.testing.assert_array_equal(h, want[theta])
@@ -691,8 +699,7 @@ def _chunk_case(name):
         gens.append(generator("random_poly", dim=8, seed=3))
         return m, sample_points(m, 2, seed=26), gens, SCHEMES["fd4"]
     m = manifold_by_name("fs", k=8)
-    gens = [generator("zero", dim=16), generator("linear_j", dim=16), K8_GENS[1]]
-    return m, sample_points(m, 1, seed=26), gens, CFG
+    return m, sample_points(m, 1, seed=26), K8_THREE, CFG
 
 
 @pytest.mark.parametrize("name", ["fs-k2", "hyperbolic-k4-fd4", "fs-k8"])
@@ -739,10 +746,11 @@ def _slab_job(k):
         pts, gens = sample_points(m, 5, seed=27), SEVEN
     else:
         pts = sample_points(m, 1, seed=27)
-        gens = [generator("zero", dim=16), generator("linear_j", dim=16), K8_GENS[1]]
+        gens = K8_THREE
     pj = point_jets(m, pts, CFG)
     gj = generator_jets(pj, gens)
-    job = invariants._Job(pj, gj, curvature_bundle(pj, gj), tol_audit=1e-6)
+    kahler = kahler_identities(pj)
+    job = invariants._Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit=1e-6)
     job.tensors, job.b.scale
     return job
 
@@ -793,3 +801,76 @@ def test_a_linear_relation_row_peaks_at_its_two_slab_buffers():
         tracemalloc.stop()
     assert peak <= 2 * invariants._SLAB_BYTES + 4 * p * g * n**3 * 8, peak
     assert peak < block, (peak, block)
+
+
+def _fresh_job(k, points):
+    """A _Job whose R stack is still readable: fs at k=8 with the three
+    K8_THREE generators, or at k=2 with SEVEN."""
+    m = manifold_by_name("fs", k=k)
+    pj = point_jets(m, sample_points(m, points, seed=27), CFG)
+    gj = generator_jets(pj, SEVEN if k == 2 else K8_THREE)
+    return invariants._Job(pj, gj, kahler_identities(pj), curvature_bundle(pj, gj), tol_audit=1e-6)
+
+
+@pytest.mark.parametrize("k,points", [(2, 2), (8, 1)])
+def test_commutator_curvature_into_buffers_equals_a_new_array(monkeypatch, k, points):
+    """commutator_curvature written into given buffers, all generators at
+    once or one generator at a time, is the new array bit for bit, whatever
+    the buffers held; I-R1COMM gives the whole-array residual and scale
+    with one generator per chunk, the shipped chunks and one chunk."""
+    job = _fresh_job(k, points)
+    pj, gj = job.pj, job.gj
+    want = commutator_curvature(pj, gj)
+    out, work = np.full_like(want, np.nan), np.full_like(want, np.inf)
+    assert commutator_curvature(pj, gj, out=out, work=work) is out
+    assert out.tobytes() == want.tobytes()
+    for g in range(want.shape[1]):
+        one = GeneratorJets(gj.label[g], *(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi)))
+        out, work = np.full_like(want[:, :1], np.nan), np.full_like(want[:, :1], -1.0)
+        commutator_curvature(pj, one, out=out, work=work)
+        assert out.tobytes() == want[:, g : g + 1].tobytes(), g
+    r1 = job.b.r[1]
+    want_res = norm_max(r1 - want, 4).tobytes()
+    want_scale = np.maximum(job.b.r_norms[1], norm_max(want, 4)).tobytes()
+    evaluate = IDENTITY_CATALOG["I-R1COMM"].evaluate
+    for budget in (1, invariants._SLAB_BYTES, 1 << 60):
+        monkeypatch.setattr(invariants, "_SLAB_BYTES", budget)
+        res, scale, details = evaluate(job)
+        assert (res.tobytes(), scale.tobytes(), details) == (want_res, want_scale, None), budget
+
+
+def test_r1comm_peaks_at_its_two_chunk_buffers():
+    """At n=16 with (P, G) = (1, 3), I-R1COMM runs one generator per chunk
+    through two buffers of one n^4 block each: its peak is those two plus
+    O(n^3) per (point, generator), under the G n^4 of one whole curvature."""
+    job = _fresh_job(8, 1)
+    n, (p, g) = job.pj.n, job.b.pi.shape[:-1]
+    evaluate = IDENTITY_CATALOG["I-R1COMM"].evaluate
+    evaluate(job)  # first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        evaluate(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * p * n**4 == invariants._SLAB_BYTES
+    assert peak <= 2 * invariants._SLAB_BYTES + 4 * p * g * n**3 * 8, peak
+    assert peak < p * g * n**4 * 8, peak
+
+
+def test_an_n16_suite_call_peaks_within_1_4_times_its_stack():
+    """fs at k=8, one point, three generators: one identity_suite call peaks
+    at no more than 1.4 times its R/H stack of 6 G n^4 doubles (about 1.36;
+    1.82 when I-R1COMM built whole-array temporaries and the Kahler rules of
+    R^g ran beside the stack)."""
+    m = manifold_by_name("fs", k=8)
+    pts = sample_points(m, 1, seed=21)
+    identity_suite(m, pts, K8_THREE, CFG)  # first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        identity_suite(m, pts, K8_THREE, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 6 * len(K8_THREE) * m.n**4 * 8
+    assert peak <= 1.4 * stack, peak / stack

@@ -2,11 +2,14 @@
 
 ``golden/tensor.json`` holds, for each call, its exit code and the sha256
 digests of its stdout and stderr.  The calls are every ``--what`` on fs,
-flat and hyperbolic at k=2, with analytic and fd4 derivatives, at one point
-inside all three charts, with ``--generator random_poly:3``; the tensors
-that need no generator are also called without one, which is how they
-print: with one they exit 2.  A change that moves
-a printed value updates the file and says so.  Regenerate it with
+flat and hyperbolic at k=2, at one point inside all three charts, with
+``--generator random_poly:3``; the tensors that need no generator are also
+called without one, which is how they print: with one they exit 2.  The
+tensors built from derivatives are called with analytic and with fd4
+derivatives; those read as values (g, f, a, pi, torsion) without a scheme
+flag, which is how they print, and once each with ``--diff fd4``, which
+exits 2.  A change that moves a printed value updates the file and says so.
+Regenerate it with
 
     PYTHONPATH=src python tests/test_tensor_output.py
 """
@@ -25,6 +28,7 @@ MANIFOLDS = ("fs", "flat", "hyperbolic")
 SCHEMES = ("analytic", "fd4")
 GENERATOR = "random_poly:3"
 PI_FREE = ("a", "f", "g", "p", "ric_g", "rg", "w")
+VALUE_ONLY = ("a", "f", "g", "pi", "torsion")
 WHATS = (
     PI_FREE
     + ("pi", "prime_r3", "prime_r4", "torsion")
@@ -33,16 +37,35 @@ WHATS = (
 )
 
 
+def _calls(prefix: str, what: str, argv: list[str]):
+    """(name, argv) of `what` with the generator, and without it if it reads none."""
+    yield f"{prefix}-{what}-{GENERATOR}", [*argv, "--generator", GENERATOR]
+    if what in PI_FREE:
+        yield f"{prefix}-{what}", argv
+
+
 def cases():
     """(name, argv) of every pinned call."""
     for manifold in MANIFOLDS:
+        common = ["--manifold", manifold, "--k", "2", "--point", POINT]
+        for what in VALUE_ONLY:
+            yield from _calls(manifold, what, ["tensor", "--what", what, *common])
         for scheme in SCHEMES:
-            common = ["--manifold", manifold, "--k", "2", "--diff", scheme, "--point", POINT]
-            for what in sorted(WHATS):
-                argv = ["tensor", "--what", what, *common]
-                yield f"{manifold}-{scheme}-{what}-{GENERATOR}", [*argv, "--generator", GENERATOR]
-                if what in PI_FREE:
-                    yield f"{manifold}-{scheme}-{what}", argv
+            for what in sorted(set(WHATS) - set(VALUE_ONLY)):
+                argv = ["tensor", "--what", what, *common, "--diff", scheme]
+                yield from _calls(f"{manifold}-{scheme}", what, argv)
+    yield from rejected_cases()
+
+
+def rejected_cases():
+    """(name, argv) of one ``--diff fd4`` call per value-only tensor."""
+    common = ["--manifold", "fs", "--k", "2", "--point", POINT, "--diff", "fd4"]
+    for what in VALUE_ONLY:
+        argv = ["tensor", "--what", what, *common]
+        if what in PI_FREE:
+            yield f"fs-fd4-{what}", argv
+        else:
+            yield f"fs-fd4-{what}-{GENERATOR}", [*argv, "--generator", GENERATOR]
 
 
 def outcome(argv: list[str]) -> list:
@@ -56,6 +79,11 @@ def outcome(argv: list[str]) -> list:
 
 def test_every_what_is_pinned():
     assert sorted(WHATS) == sorted(_WHAT_CHOICES)
+
+
+def test_value_tensors_exit_2_under_a_scheme():
+    for name, argv in rejected_cases():
+        assert outcome(argv)[0] == 2, name
 
 
 def test_tensor_output_matches_golden():

@@ -19,7 +19,11 @@ its parsed report without ``generated_at``, the canonical one of
 ``perfbench/jobs.report_digest``, so the comparison holds across a change of
 the report's layout.  The report goes to one fixed path, since
 ``config_echo`` records it; run the same command on the two trees and
-``diff`` the outputs.
+``diff`` the outputs.  With ``--peak`` each line ends with the job's
+tracemalloc peak in MiB (the report's rendering included), so a change to
+the working set diffs across two trees the same way:
+
+    PYTHONPATH=src python tests/test_verdicts.py --digest --peak
 """
 
 import argparse
@@ -29,6 +33,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from qsc_lab.cli import main
@@ -135,11 +140,22 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="regenerate the golden verdicts")
     parser.add_argument("--digest", action="store_true", help="print report digests instead")
     parser.add_argument("--rotations", type=int, default=1, help="rotations per workload")
+    parser.add_argument(
+        "--peak", action="store_true", help="with --digest, each job's tracemalloc peak too"
+    )
     args = parser.parse_args()
+    if args.peak and not args.digest:
+        parser.error("--peak needs --digest")
     if args.digest:
         for name, argv in [*benchmark_jobs(args.rotations), *multi_point_jobs()]:
+            if args.peak:
+                tracemalloc.start()
             code, sha = digest(argv)
-            print(name, code, sha)
+            peak = []
+            if args.peak:
+                peak = [f"{tracemalloc.get_traced_memory()[1] / 2**20:.2f}"]
+                tracemalloc.stop()
+            print(name, code, sha, *peak)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             _regenerate(GOLDEN, Path(tmp))
