@@ -27,11 +27,12 @@ writes dL and then the curvature into one and its intermediates into the
 other, so I-R1COMM can run it on a few generators at a time.  The Kahler
 rules of R^g (``kahler_identities``) are per point and read no bundle.
 
-Every kind is R^g plus rank-one blocks s(., .) V(.), V the identity or A.
-``fold_rank_one`` adds the identity blocks through n^3 diagonal views and
-writes the A blocks through the nonzero entries of A, n^2 components per
-entry.  The shapes are those specialized to A^2 = -I, which every catalog
-structure satisfies exactly.
+Every kind is R^g plus signed rank-one terms c s(., .) V(.), V the identity
+or A, in the shapes specialized to A^2 = -I, which every catalog structure
+satisfies exactly.  The terms are data, rows (c, block, V, pattern) of
+``R_TERMS`` by kind, like those of H, W, P and I-HYB-COND in ``invariants``:
+``table_terms`` looks up a row's blocks and ``fold_rank_one`` adds them.
+The order of the rows in a (V, vector slot) group fixes the bits of a report.
 
 Batch convention (as in ``connections``): tensor slots trail, any leading
 axes are batch axes; point data (P, 1, ...) broadcast against generator data
@@ -41,7 +42,7 @@ axes are batch axes; point data (P, 1, ...) broadcast against generator data
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .connections import (
     curvature_from_coefficients,
     quarter_symmetric_jets,
 )
-from .tensor import NumericError, contract_first, norm_max
+from .tensor import NumericError, contract_first, emax, norm_max
 
 THETAS = (0, 1, 2, 3, 4, 5)
 
@@ -94,14 +95,6 @@ def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.n
 def lowered(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(0,4) form R(X,Y,Z,W) = g(R(X,Y)Z, W) of a (1,3) operator."""
     return np.moveaxis(r, -4, -1) @ g[..., None, None, :, :]
-
-
-def _d_blocks(nabla_pi: np.ndarray, pi: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    """D0..D3 stacked on a leading kind axis."""
-    p_q = pi[..., :, None] * pa[..., None, :]
-    q_p = pa[..., :, None] * pi[..., None, :]
-    b, b_t = nabla_pi, nabla_pi.swapaxes(-1, -2)
-    return np.stack([b + 0.5 * (p_q + q_p), b - b_t, b + q_p, b + p_q])
 
 
 # writable n^3 views out[..., l, i, j, k] with l equal to the vector slot
@@ -157,41 +150,40 @@ def fold_rank_one(base, a_support, terms, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, pi, d, out=None) -> np.ndarray:
-    """Curvature of kind theta from the Levi-Civita curvature, the support of
-    A, pi and the D blocks d[0..3], in the shapes specialized to A^2 = -I: a
-    new array, or written into `out`."""
-    if theta not in THETAS:
-        raise ValueError(f"curvature kind must be one of {THETAS}, got {theta}")
-    pp = pi[..., :, None] * pi[..., None, :]  # pp[i, j] = pi_i pi_j
-    if theta == 0:
-        half_sum = 0.5 * (d[2] + d[3])
-        terms = [
-            (-0.5, d[1], "A", "ij,lk"), (-0.5, half_sum, "A", "ik,lj"),
-            (0.5, half_sum, "A", "jk,li"),
-            # pi(Z)(pi(Y) X - pi(X) Y) / 4
-            (0.25, pp, "I", "jk,li"), (-0.25, pp, "I", "ik,lj"),
-        ]
-    elif theta == 1:
-        terms = [(-1.0, d[1], "A", "ij,lk")]
-    elif theta == 2:
-        terms = [(-1.0, d[2], "A", "ik,lj"), (1.0, d[2], "A", "jk,li")]
-    elif theta == 3:
-        terms = [(-1.0, d[2], "A", "ij,lk"), (1.0, d[3], "A", "jk,li")]
-    elif theta == 4:
-        terms = [
-            (-1.0, d[3], "A", "ij,lk"), (1.0, d[3], "A", "jk,li"),
-            # pi(Z)(pi(Y) X - pi(X) Y)
-            (1.0, pp, "I", "jk,li"), (-1.0, pp, "I", "ik,lj"),
-        ]
-    else:
-        terms = [
-            (-0.5, d[1], "A", "ij,lk"), (-0.5, d[3], "A", "ik,lj"),
-            (0.5, d[2], "A", "jk,li"),
-            # -pi(Y)(pi(X) Z - pi(Z) X) / 2
-            (-0.5, pp, "I", "ij,lk"), (0.5, pp, "I", "jk,li"),
-        ]
-    return fold_rank_one(r_g, a_support, terms, out)
+def table_terms(table: dict, key, blocks: dict, n: int) -> list[tuple]:
+    """The ``fold_rank_one`` terms of the rows (c, block, V, pattern) of
+    table[key]: c, a number or a function of n, at n, the block from `blocks`."""
+    if key not in table:
+        raise ValueError(f"no rank-one terms for {key!r}: the table holds {tuple(table)}")
+    return [(c(n) if callable(c) else c, blocks[s], v, pattern) for c, s, v, pattern in table[key]]
+
+
+# The rank-one terms of R^theta - R^g by kind; blocks d1..d3, d23 = (D2 + D3) / 2, pp = pi (x) pi
+R_TERMS = {
+    0: (
+        (-0.5, "d1", "A", "ij,lk"), (-0.5, "d23", "A", "ik,lj"), (0.5, "d23", "A", "jk,li"),
+        # pi(Z)(pi(Y) X - pi(X) Y) / 4
+        (0.25, "pp", "I", "jk,li"), (-0.25, "pp", "I", "ik,lj"),
+    ),
+    1: ((-1.0, "d1", "A", "ij,lk"),),
+    2: ((-1.0, "d2", "A", "ik,lj"), (1.0, "d2", "A", "jk,li")),
+    3: ((-1.0, "d2", "A", "ij,lk"), (1.0, "d3", "A", "jk,li")),
+    4: (
+        (-1.0, "d3", "A", "ij,lk"), (1.0, "d3", "A", "jk,li"),
+        # pi(Z)(pi(Y) X - pi(X) Y)
+        (1.0, "pp", "I", "jk,li"), (-1.0, "pp", "I", "ik,lj"),
+    ),
+    5: (
+        (-0.5, "d1", "A", "ij,lk"), (-0.5, "d3", "A", "ik,lj"), (0.5, "d2", "A", "jk,li"),
+        # -pi(Y)(pi(X) Z - pi(Z) X) / 2
+        (-0.5, "pp", "I", "ij,lk"), (0.5, "pp", "I", "jk,li"),
+    ),
+}
+
+
+def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, blocks: dict, out=None) -> np.ndarray:
+    """R^theta, R^g plus the ``R_TERMS`` of kind theta: a new array, or written into `out`."""
+    return fold_rank_one(r_g, a_support, table_terms(R_TERMS, theta, blocks, r_g.shape[-1]), out)
 
 
 @dataclass(frozen=True)
@@ -233,30 +225,48 @@ class CurvatureBundle:
         """Largest max-norm among R^g, the six kinds, their Ricci traces,
         Ric^g, 'R3 and 'R4, per (point, generator): the residual scale every
         identity on this bundle starts from.  Computed on first use."""
-        return reduce(
-            np.maximum,
-            (
-                norm_max(self.r_g, 4),
-                self.r_norms.max(0),
-                norm_max(self.ric, 2).max(0),
-                norm_max(self.ric_g, 2),
-                norm_max(self.prime_r3, 2),
-                norm_max(self.prime_r4, 2),
-            ),
+        return emax(
+            norm_max(self.r_g, 4),
+            self.r_norms.max(0),
+            norm_max(self.ric, 2).max(0),
+            norm_max(self.ric_g, 2),
+            norm_max(self.prime_r3, 2),
+            norm_max(self.prime_r4, 2),
         )
+
+    @cached_property
+    def blocks(self) -> dict[str, np.ndarray]:
+        """The blocks that ``H_TERMS`` and ``PART2_TERMS`` of ``invariants`` name,
+        computed on first use: x_a = x A, a_x = A^T x = x(A., .), x_aa = x(A., A.),
+        pp = pi (x) pi, pq = pi (x) (pi o A), d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
+        a, ric, pr3, pr4, pi = self.a, self.ric, self.prime_r3, self.prime_r4, self.pi
+        at, d2, d3 = a.swapaxes(-1, -2), self.d[2], self.d[3]
+        pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * self.pa[..., None, :]
+        d2_a, d4 = d2 @ a, self.nabla_pi @ a - 2 * pp  # d4: the part-2 block of kind 4
+        return {
+            **{f"ric{theta}": ric[theta] for theta in THETAS},
+            "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
+            "a_pr3": at @ pr3, "a_pr4": at @ pr4,
+            "pr3_aa": rotate_slots(pr3, a, (0, 1)), "pr4_aa": rotate_slots(pr4, a, (0, 1)),
+            "d2": d2, "d3": d3, "pp": pp, "pq": pq, "pp_a": pp @ a, "d3_a": d3 @ a,
+            "d2_a": d2_a, "d2_pq": d2 + pq, "d2_a_pp": d2_a - pp, "d4": d4, "d4_a": d4 @ a,
+        }
 
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError, found from the
     max-norms (NaN and inf survive max and min)."""
-    n, a, pi = pj.n, pj.a, gj.pi
+    n, a, pi, nabla = pj.n, pj.a, gj.pi, gj.nabla_pi
     pa = (pi[..., None, :] @ a)[..., 0, :]
-    d = _d_blocks(gj.nabla_pi, pi, pa)
+    pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * pa[..., None, :]
+    qp, nabla_t = pq.swapaxes(-1, -2), nabla.swapaxes(-1, -2)  # qp[i, j] = (pi o A)_i pi_j
+    d = np.stack([nabla + 0.5 * (pq + qp), nabla - nabla_t, nabla + qp, nabla + pq])  # D0..D3
+    blocks = {"d1": d[1], "d2": d[2], "d3": d[3], "d23": 0.5 * (d[2] + d[3]), "pp": pp}
     batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
     for theta in THETAS:
-        assemble_r_theta(theta, pj.r_g, pj.a_support, pi, d, out=r[theta])
+        assemble_r_theta(theta, pj.r_g, pj.a_support, blocks, out=r[theta])
     r_norms = norm_max(r, 4)
     if not np.isfinite(r_norms).all():
         raise NumericError("non-finite curvature components")
@@ -267,7 +277,7 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         a_support=pj.a_support,
         pi=pi,
         pa=pa,
-        nabla_pi=gj.nabla_pi,
+        nabla_pi=nabla,
         d=d,
         r_g=pj.r_g,
         r_stack=r,
@@ -324,12 +334,12 @@ def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
 
 
 def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
-    n, a, pi = b.n, b.a, b.pi
+    n, a = b.n, b.a
     t = lambda x: x.swapaxes(-1, -2)
     at = t(a)
     ricg = b.ric_g
     d1, d2, d3 = b.d[1], b.d[2], b.d[3]
-    pipi = pi[..., :, None] * pi[..., None, :]
+    pipi, pr3_aa = b.blocks["pp"], b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
 
     def da(dblock: np.ndarray, first_rotated: bool) -> np.ndarray:
         # D(A d_k, d_j) -> [j, k] when first_rotated, else D(A d_j, d_k) -> [j, k]
@@ -351,7 +361,7 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
         f"closed_{name}": norm_max(b.ric[int(name[-1])] - val, 2)
         for name, val in closed.items()
     }
-    prime_closed = t(d3 @ a)  # 'R3(X,Y) = D3(Y, AX)
+    prime_closed = t(b.blocks["d3_a"])  # 'R3(X,Y) = D3(Y, AX)
     res["closed_prime_r3"] = norm_max(b.prime_r3 - prime_closed, 2)
     res["closed_prime_r4"] = norm_max(b.prime_r4 - prime_closed, 2)
 
@@ -364,26 +374,20 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
     # D2(Z, Y) = (Ric3 - Ricg)(Y, AZ)
     res["invert_d2_from_ric3"] = norm_max(d2 - t((ric3 - ricg) @ a), 2)
     # D3(Y, X) = -'R3(AX, Y)
-    res["invert_d3_from_prime"] = norm_max(t(d3) + at @ b.prime_r3, 2)
-    pr3_aa = rotate_slots(b.prime_r3, a, (0, 1))  # 'R3(A d_j, A d_k)
-    res["recover_pipi_4"] = norm_max(
-        pipi - (ric4 - ricg - rotate_slots(b.prime_r4, a, (0, 1))) / (n - 1), 2
-    )
+    res["invert_d3_from_prime"] = norm_max(t(d3) + b.blocks["a_pr3"], 2)
+    res["recover_pipi_4"] = norm_max(pipi - (ric4 - ricg - b.blocks["pr4_aa"]) / (n - 1), 2)
     res["recover_pipi_5"] = norm_max(
         pipi - (2 * ric5 - ric1 - t(pr3_aa) - ricg) / (n - 1), 2
     )
     res["recover_pipi_0"] = norm_max(
         pipi - (4 * ric0 - 2 * ric1 - t(ric3) - t(pr3_aa) - ricg) / (n - 1), 2
     )
-    res["scale"] = reduce(
-        np.maximum,
-        (
-            norm_max(ricg, 2),
-            norm_max(b.ric, 2).max(0),
-            norm_max(b.prime_r3, 2),
-            norm_max(b.prime_r4, 2),
-            (n - 1) * norm_max(pipi, 2),
-            norm_max(b.d, 2).max(0),
-        ),
+    res["scale"] = emax(
+        norm_max(ricg, 2),
+        norm_max(b.ric, 2).max(0),
+        norm_max(b.prime_r3, 2),
+        norm_max(b.prime_r4, 2),
+        (n - 1) * norm_max(pipi, 2),
+        norm_max(b.d, 2).max(0),
     )
     return res

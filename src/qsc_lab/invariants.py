@@ -33,10 +33,10 @@ one ``IdentityRows`` of (P,) arrays per identity, never an object per
 (kind, point, generator) rows of the R stack.  A held row equal to R^g at
 its point takes the Kahler rules of R^g from ``kahler_identities``; the rules
 run on the others, gathered in chunks of at most ``_HYB_CHUNK_BYTES``
-(128 KiB) of R rows.  H, W, P and the I-HYB-COND conditions are rank-one folds
-(``curvature.fold_rank_one``): n^3 adds per group, through diagonal views for
-the identity blocks, through the nonzero entries of A for the structure
-blocks.  The linear-relation rows sum in cache-sized slabs (``_SLAB_BYTES``).
+(128 KiB) of R rows.  The rank-one terms of H^theta, of W, P and H0 in R^g,
+and of the part-2 conditions of I-HYB-COND are the rows of ``H_TERMS``,
+``RG_TERMS`` and ``PART2_TERMS``, folded by ``curvature.fold_rank_one``; as
+in ``curvature``, their order inside a (V, vector slot) group fixes the bits.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -55,7 +55,7 @@ reverse the batch axes too).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import prod
 from typing import Callable
 
@@ -80,12 +80,12 @@ from .curvature import (
     fold_rank_one,
     kahler_identities,
     lowered,
-    rotate_slots,
     rotation_rules,
+    table_terms,
 )
 from .diff import DiffConfig
 from .geometry import ManifoldSpec, TensorField
-from .tensor import norm_max, relative_residual
+from .tensor import emax, norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 
@@ -102,104 +102,93 @@ _HYB_CHUNK_BYTES = 128 << 10
 _SLAB_BYTES = 512 << 10
 
 
-def _emax(*arrays):
-    """Elementwise maximum of arrays that broadcast together."""
-    return reduce(np.maximum, arrays)
-
-
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :]
-
-
 def hybrid_defect(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hybridity of a (0,2) tensor, B(AX, Y) = -B(X, AY): the defect
     max |B(AX, Y) + B(X, AY)| and the scale max |B|, per leading index."""
     return norm_max(a.swapaxes(-1, -2) @ b + b @ a, 2), norm_max(b, 2)
 
 
+def _trace(k: float):
+    """The coefficient k / (n - 1) of a trace correction, as a function of n."""
+    return lambda n: k / (n - 1)
+
+
+# The rank-one terms of W, P and H0 written in R^g and Ric^g; blocks from ``_on_r_g``
+RG_TERMS = {
+    "W": ((_trace(1), "ric_g", "I", "ik,lj"), (_trace(-1), "ric_g", "I", "jk,li")),
+    "P": (
+        (lambda n: 1 / (n + 2), "ric_g", "I", "ik,lj"),
+        (lambda n: -1 / (n + 2), "ric_g", "I", "jk,li"),
+        (lambda n: -1 / (n + 2), "ric_g_a", "A", "ik,lj"),
+        (lambda n: 1 / (n + 2), "ric_g_a", "A", "jk,li"),
+        (lambda n: -2 / (n + 2), "ric_g_a", "A", "ij,lk"),
+    ),
+    "H0RG": (
+        (_trace(0.25), "ric_g", "I", "ik,lj"), (_trace(-0.25), "ric_g", "I", "jk,li"),
+        (0.5, "a_ric_g", "A", "ij,lk"), (0.25, "a_ric_g", "A", "ik,lj"),
+        (-0.25, "a_ric_g", "A", "jk,li"),
+    ),
+}
+
+# The rank-one terms of H^theta - R^theta, by kind; blocks from ``CurvatureBundle.blocks``
+H_TERMS = {
+    0: (
+        # trace correction carries slots (X, Z), not (X, Y)
+        (_trace(1), "ric0", "I", "ik,lj"), (_trace(-1), "ric0", "I", "jk,li"),
+        (_trace(-0.5), "ric1", "I", "ik,lj"), (_trace(0.5), "ric1", "I", "jk,li"),
+        (_trace(-0.25), "ric3", "I", "ki,lj"), (_trace(0.25), "ric3", "I", "kj,li"),
+        (_trace(-0.25), "pr3_aa", "I", "ki,lj"), (_trace(0.25), "pr3_aa", "I", "kj,li"),
+        (0.5, "ric1_a", "A", "ji,lk"),
+        (0.25, "ric3_a", "A", "ki,lj"), (-0.25, "ric3_a", "A", "kj,li"),
+        (-0.25, "a_pr3", "A", "ki,lj"), (0.25, "a_pr3", "A", "kj,li"),
+    ),
+    1: ((1.0, "ric1_a", "A", "ji,lk"),),
+    2: ((1.0, "a_ric2", "A", "ik,lj"), (-1.0, "a_ric2", "A", "jk,li")),
+    3: ((1.0, "ric3_a", "A", "ji,lk"), (1.0, "a_pr3", "A", "kj,li")),
+    4: (
+        (-1.0, "a_pr4", "A", "ji,lk"), (1.0, "a_pr4", "A", "kj,li"),
+        (_trace(-1), "ric4", "I", "jk,li"), (_trace(1), "ric4", "I", "ik,lj"),
+        (_trace(1), "pr4_aa", "I", "jk,li"), (_trace(-1), "pr4_aa", "I", "ik,lj"),
+    ),
+    5: (
+        (_trace(1), "ric5", "I", "ij,lk"), (_trace(-1), "ric5", "I", "jk,li"),
+        (_trace(-0.5), "ric1", "I", "ij,lk"), (_trace(0.5), "ric1", "I", "jk,li"),
+        (_trace(-0.5), "pr3_aa", "I", "ji,lk"), (_trace(0.5), "pr3_aa", "I", "kj,li"),
+        (0.5, "ric1_a", "A", "ji,lk"), (-0.5, "ric3_a", "A", "kj,li"),
+        (-0.5, "a_pr3", "A", "ki,lj"),
+    ),
+}
+
+
+def _on_r_g(name: str, src) -> np.ndarray:
+    """R^g plus the ``RG_TERMS`` of `name`; `src`, PointJets or a bundle, holds R^g, Ric^g, A."""
+    ric, a = src.ric_g, src.a
+    blocks = {"ric_g": ric, "ric_g_a": ric @ a, "a_ric_g": a.swapaxes(-1, -2) @ ric}
+    return fold_rank_one(src.r_g, src.a_support, table_terms(RG_TERMS, name, blocks, src.n))
+
+
 def weyl_projective(pj: PointJets) -> np.ndarray:
     """W = R^g + (Ric(X,Z)Y - Ric(Y,Z)X) / (n-1); zero iff constant curvature."""
-    c, ric = 1.0 / (pj.n - 1), pj.ric_g
-    terms = [(c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li")]
-    return fold_rank_one(pj.r_g, pj.a_support, terms)
+    return _on_r_g("W", pj)
 
 
 def hol_projective(pj: PointJets) -> np.ndarray:
     """Structure-adapted projective tensor P; zero iff constant holomorphic
     sectional curvature (complex space form)."""
-    c, ric = 1.0 / (pj.n + 2), pj.ric_g
-    ric_a = ric @ pj.a  # Ric(., A .)
-    terms = [
-        (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
-        (-c, ric_a, "A", "ik,lj"), (c, ric_a, "A", "jk,li"), (-2 * c, ric_a, "A", "ij,lk"),
-    ]
-    return fold_rank_one(pj.r_g, pj.a_support, terms)
+    return _on_r_g("P", pj)
 
 
 def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> np.ndarray:
     """Generator-invariant tensor of kind theta, built from the kind-theta
     curvature and its traces, for every (point, generator) of the bundle:
     a new array, or, given R^theta's buffer as `out`, in place over it."""
-    if theta not in THETAS:
-        raise ValueError(f"h_tensor kind must be 0..5, got {theta}")
-    a, ric, pr3, pr4 = b.a, b.ric, b.prime_r3, b.prime_r4
-    at = a.swapaxes(-1, -2)
-    c = 1.0 / (b.n - 1)
-    if theta == 1:
-        terms = [(1.0, ric[1] @ a, "A", "ji,lk")]
-    elif theta == 2:
-        s = at @ ric[2]  # Ric2(A., .)
-        terms = [(1.0, s, "A", "ik,lj"), (-1.0, s, "A", "jk,li")]
-    elif theta == 3:
-        terms = [(1.0, ric[3] @ a, "A", "ji,lk"), (1.0, at @ pr3, "A", "kj,li")]
-    elif theta == 4:
-        s = at @ pr4  # 'R4(A., .)
-        s2 = rotate_slots(pr4, a, (0, 1))  # 'R4(A., A.)
-        terms = [
-            (-1.0, s, "A", "ji,lk"), (1.0, s, "A", "kj,li"),
-            (-c, ric[4], "I", "jk,li"), (c, ric[4], "I", "ik,lj"),
-            (c, s2, "I", "jk,li"), (-c, s2, "I", "ik,lj"),
-        ]
-    elif theta == 5:
-        s2 = rotate_slots(pr3, a, (0, 1))
-        terms = [
-            (c, ric[5], "I", "ij,lk"), (-c, ric[5], "I", "jk,li"),
-            (-c / 2, ric[1], "I", "ij,lk"), (c / 2, ric[1], "I", "jk,li"),
-            (-c / 2, s2, "I", "ji,lk"), (c / 2, s2, "I", "kj,li"),
-            (0.5, ric[1] @ a, "A", "ji,lk"), (-0.5, ric[3] @ a, "A", "kj,li"),
-            (-0.5, at @ pr3, "A", "ki,lj"),
-        ]
-    else:
-        s2 = rotate_slots(pr3, a, (0, 1))
-        sp = at @ pr3
-        terms = [
-            # trace correction carries slots (X, Z), not (X, Y)
-            (c, ric[0], "I", "ik,lj"), (-c, ric[0], "I", "jk,li"),
-            (-c / 2, ric[1], "I", "ik,lj"), (c / 2, ric[1], "I", "jk,li"),
-            (-c / 4, ric[3], "I", "ki,lj"), (c / 4, ric[3], "I", "kj,li"),
-            (-c / 4, s2, "I", "ki,lj"), (c / 4, s2, "I", "kj,li"),
-            (0.5, ric[1] @ a, "A", "ji,lk"),
-            (0.25, ric[3] @ a, "A", "ki,lj"), (-0.25, ric[3] @ a, "A", "kj,li"),
-            (-0.25, sp, "A", "ki,lj"), (0.25, sp, "A", "kj,li"),
-        ]
+    terms = table_terms(H_TERMS, theta, b.blocks, b.n)
     return fold_rank_one(b.r[theta] if out is None else out, b.a_support, terms, out)
 
 
 def _with_norm(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A tensor and its max-norm, taken while the tensor is in cache."""
     return t, norm_max(t, 4)
-
-
-def _h0_from_levi_civita(b: CurvatureBundle) -> np.ndarray:
-    """H0 written directly in the curvature and Ricci tensor of g."""
-    a, ric = b.a, b.ric_g
-    s = a.swapaxes(-1, -2) @ ric  # Ric(A., .)
-    c = 1.0 / (4 * (b.n - 1))
-    terms = [
-        (c, ric, "I", "ik,lj"), (-c, ric, "I", "jk,li"),
-        (0.5, s, "A", "ij,lk"), (0.25, s, "A", "ik,lj"), (-0.25, s, "A", "jk,li"),
-    ]
-    return fold_rank_one(b.r_g, b.a_support, terms)
 
 
 # -- identity suite ----------------------------------------------------------
@@ -219,32 +208,31 @@ class IdentityRows:
     details: dict[str, np.ndarray] | None = None
 
 
+# The rank-one terms of the part-2 conditions of I-HYB-COND, kinds 2..5 (0 and 1 are no folds)
+PART2_TERMS = {
+    2: (
+        (1.0, "d2", "I", "ik,lj"), (1.0, "d2_a", "A", "ik,lj"),
+        (-1.0, "d2", "I", "jk,li"), (-1.0, "d2_a", "A", "jk,li"),
+    ),
+    3: ((1.0, "d3", "I", "jk,li"), (1.0, "d3_a", "A", "jk,li")),
+    4: (
+        (1.0, "d4", "A", "jk,li"), (1.0, "pp", "A", "ik,lj"),
+        (1.0, "d4_a", "I", "jk,li"), (-1.0, "pp_a", "I", "ik,lj"),
+    ),
+    5: (
+        (1.0, "d3", "I", "ik,lj"), (1.0, "d3_a", "A", "ik,lj"),
+        (-1.0, "d2_pq", "I", "jk,li"), (-1.0, "d2_a_pp", "A", "jk,li"),
+    ),
+}
+
+
 def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
-    a, pi, pa = b.a, b.pi, b.pa
-    pipi = _outer(pi, pi)
-    d2, d3 = b.d[2], b.d[3]
     if theta == 1:
-        return np.zeros(pi.shape[:-1])
+        return np.zeros(b.pi.shape[:-1])
     if theta == 0:
-        return norm_max(b.nabla_pi + _outer(pi, pa) + 0.5 * _outer(pa, pi), 2)
-    if theta == 2:
-        terms = [
-            (1.0, d2, "I", "ik,lj"), (1.0, d2 @ a, "A", "ik,lj"),
-            (-1.0, d2, "I", "jk,li"), (-1.0, d2 @ a, "A", "jk,li"),
-        ]
-    elif theta == 3:
-        terms = [(1.0, d3, "I", "jk,li"), (1.0, d3 @ a, "A", "jk,li")]
-    elif theta == 4:
-        d4 = b.nabla_pi @ a - 2 * pipi
-        terms = [
-            (1.0, d4, "A", "jk,li"), (1.0, pipi, "A", "ik,lj"),
-            (1.0, d4 @ a, "I", "jk,li"), (-1.0, pipi @ a, "I", "ik,lj"),
-        ]
-    else:
-        terms = [
-            (1.0, d3, "I", "ik,lj"), (1.0, d3 @ a, "A", "ik,lj"),
-            (-1.0, d2 + _outer(pi, pa), "I", "jk,li"), (-1.0, d2 @ a - pipi, "A", "jk,li"),
-        ]
+        pq = b.blocks["pq"]
+        return norm_max(b.nabla_pi + pq + 0.5 * pq.swapaxes(-1, -2), 2)
+    terms = table_terms(PART2_TERMS, theta, b.blocks, b.n)
     return norm_max(fold_rank_one(None, b.a_support, terms), 4)
 
 
@@ -289,11 +277,11 @@ class _Job:
         b, tol = self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
         nabla, nabla_scale = hybrid_defect(b.nabla_pi, b.a)
-        pipi, pipi_scale = hybrid_defect(_outer(b.pi, b.pi), b.a)
+        pipi, pipi_scale = hybrid_defect(b.blocks["pp"], b.a)
         kind1 = relative_residual(nabla, nabla_scale)
         other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
         h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
-        hyp2_scale = _emax(norm_max(b.d, 2).max(0), nabla_scale, pipi_scale)
+        hyp2_scale = emax(norm_max(b.d, 2).max(0), nabla_scale, pipi_scale)
         h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), hyp2_scale)
         held = (h1 < tol, h2 < tol)
         either = held[0] | held[1]
@@ -305,8 +293,8 @@ class _Job:
         same[rows] = [np.array_equal(b.r[row], r_g[row[1:]]) for row in zip(*rows)]
         k = self.kahler
         from_g = (
-            _emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
-            _emax(k["k1_operator"], k["k5_last_pair"]),
+            emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
+            emax(k["k1_operator"], k["k5_last_pair"]),
         )
         g_scale = np.maximum(b.scale, k["lowered_norm"])
         res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
@@ -321,7 +309,7 @@ class _Job:
                 r, ar = b.r[kind, point, gen], a[point, gen]
                 rl = lowered(r, g[point, gen])
                 rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
-                res[kind, point, gen, part] = _emax(*rules.values())
+                res[kind, point, gen, part] = emax(*rules.values())
                 sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
         rel = relative_residual(res, sc)
         res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
@@ -354,7 +342,7 @@ def _metricity_evaluator(j: _Job):
     batch = j.b.pi.shape[:-1]
     worst = {k: np.broadcast_to(v, batch) for k, v in rec.items() if k != "scale"}
     details = {k: v.max(-1) for k, v in worst.items()}
-    return _emax(*worst.values()), rec["scale"], details
+    return emax(*worst.values()), rec["scale"], details
 
 
 def _nabla1pi_evaluator(j: _Job):
@@ -365,7 +353,7 @@ def _nabla1pi_evaluator(j: _Job):
 def _drel_evaluator(j: _Job):
     d0, d1, d2, d3 = j.b.d
     t = lambda x: x.swapaxes(-1, -2)
-    res = _emax(
+    res = emax(
         norm_max(d1 - (d2 - t(d3)), 2),
         norm_max(d1 - (d0 - t(d0)), 2),
         norm_max(2 * d0 - (d2 + d3), 2),
@@ -406,7 +394,7 @@ def _r1comm_evaluator(j: _Job):
 
 def _riccf_evaluator(j: _Job):
     rec = closed_form_residuals(j.b)
-    return _emax(*(v for k, v in rec.items() if k != "scale")), rec["scale"], None
+    return emax(*(v for k, v in rec.items() if k != "scale")), rec["scale"], None
 
 
 def _ric23_evaluator(j: _Job):
@@ -433,7 +421,7 @@ def _hind_evaluator(theta: int):
             [norm_max(h[:, i + 1 :] - h[:, i, None], 4) for i in range(h.shape[1] - 1)],
             axis=-1,
         )
-        scale = _emax(bs[:, first], bs[:, second], hn[:, first], hn[:, second])
+        scale = emax(bs[:, first], bs[:, second], hn[:, first], hn[:, second])
         return res, scale, None
 
     return evaluate
@@ -458,7 +446,7 @@ class LinearRelation:
     def __call__(self, j: _Job):
         terms, norms = [], [j.b.scale]
         for c, name, *slots in self.terms:
-            t, norm = _with_norm(_h0_from_levi_civita(j.b)) if name == "H0RG" else j.tensors[name]
+            t, norm = _with_norm(_on_r_g(name, j.b)) if name == "H0RG" else j.tensors[name]
             norms.append(norm)
             if slots:
                 t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
@@ -481,7 +469,7 @@ class LinearRelation:
                     t = np.multiply(t, c, out=scaled[: t.size].reshape(t.shape))
                 acc = (np.subtract if c == -1 else np.add)(acc, t, out=slab)
             residual.append(norm_max(acc, 4))
-        return _emax(*residual), _emax(*norms), None
+        return emax(*residual), emax(*norms), None
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ the pipeline returns one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -110,6 +111,11 @@ def metric_inverse(g: np.ndarray, cond_bound: float = 1e12) -> np.ndarray:
         )
     inv = np.linalg.inv(g)
     return 0.5 * (inv + inv.swapaxes(-1, -2))  # symmetrize away inversion rounding
+
+
+def emax(*arrays):
+    """Elementwise maximum of arrays that broadcast together."""
+    return reduce(np.maximum, arrays)
 
 
 def relative_residual(residual, scale):

@@ -188,11 +188,13 @@ def test_general_and_reduced_assemblies_coincide():
         gen = generator("random_poly", dim=4, seed=3)
         p = sample_points(m, 1, seed=7)[0]
         bk = bundle(m, p, gen)
+        d, pp = bk.d, bk.pi[..., :, None] * bk.pi[..., None, :]
+        blocks = {"d1": d[1], "d2": d[2], "d3": d[3], "d23": 0.5 * (d[2] + d[3]), "pp": pp}
         for theta in range(6):
             general = _general_assembly(theta, bk.r_g, bk.a, bk.pi, bk.d)
             diff = norm_max(bk.r[theta] - general)
             assert diff < 1e-12 * max(norm_max(bk.r[theta]), 1.0)
-            reduced = assemble_r_theta(theta, bk.r_g, bk.a_support, bk.pi, bk.d)
+            reduced = assemble_r_theta(theta, bk.r_g, bk.a_support, blocks)
             np.testing.assert_array_equal(reduced, bk.r[theta])
 
 

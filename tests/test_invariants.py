@@ -8,11 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from charts import cp1_times_ch1
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max
 from qsc_lab.connections import GeneratorJets, generator_jets, point_jets
 from qsc_lab.curvature import (
+    assemble_r_theta,
     commutation_rules,
     commutator_curvature,
     curvature_bundle,
@@ -25,7 +27,6 @@ from qsc_lab.invariants import (
     EXPECTED_FAIL_FLOOR,
     IDENTITY_CATALOG,
     LinearRelation,
-    _h0_from_levi_civita,
     h_tensor,
     hol_projective,
     hybrid_defect,
@@ -91,10 +92,18 @@ def test_hybrid_defect_rank_one_hand_value():
 
 
 def test_h_tensor_rejects_bad_kind():
+    """Every table keyed by kind raises the one ValueError of its lookup:
+    H^theta, R^theta and the part-2 condition of I-HYB-COND."""
     m = manifold_by_name("flat", k=2)
     b = bundle(m, np.zeros(4), generator("zero", dim=4))
-    with pytest.raises(ValueError):
-        h_tensor(7, b)
+    for build in (
+        lambda kind: h_tensor(kind, b),
+        lambda kind: assemble_r_theta(kind, b.r_g, b.a_support, b.blocks),
+        lambda kind: invariants._part2_condition(kind, b),
+    ):
+        for kind in (7, -1):
+            with pytest.raises(ValueError, match="no rank-one terms for"):
+                build(kind)
 
 
 def test_h_tensors_vanish_on_flat():
@@ -144,7 +153,7 @@ def test_h0_closed_form_matches_assembled():
     gen = generator("random_poly", dim=4, seed=5)
     p = sample_points(m, 1, seed=5)[0]
     b = bundle(m, p, gen)
-    direct = _h0_from_levi_civita(b)
+    direct = invariants._on_r_g("H0RG", b)
     assembled = h_tensor(0, b)
     assert norm_max(direct - assembled) < 1e-11 * max(norm_max(direct), 1.0)
 
@@ -197,26 +206,6 @@ def test_catalog_shape():
         assert callable(entry.evaluate) and ident in ran, ident
 
 
-def _cp1_times_ch1():
-    """CP^1 x CH^1, sampled near the origin (the CH^1 factor needs |z2| < 1):
-    Kahler, with holomorphic sectional curvature of opposite signs on the two
-    factors, so P != 0."""
-    blocks = np.diag([2.0, 2.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, 2.0])
-
-    def metric(u):
-        s1 = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
-        s2 = u[..., 2] * u[..., 2] + u[..., 3] * u[..., 3]
-        f, h = 1 / ((1 + s1) * (1 + s1)), 1 / ((1 - s2) * (1 - s2))
-        return f[..., None, None] * blocks[0] + h[..., None, None] * blocks[1]
-
-    return dataclasses.replace(
-        manifold_by_name("flat", k=2),
-        label="cp1xch1",
-        metric_field=TensorField("dd", metric, label="g"),
-        sample_radius=0.4,
-    )
-
-
 LINEAR_TERMS = [
     (ident, index)
     for ident, entry in IDENTITY_CATALOG.items()
@@ -234,7 +223,7 @@ def test_flipping_one_term_of_a_linear_relation_fails_it(monkeypatch, ident, ind
     terms = list(entry.evaluate.terms)
     c, name, *slots = terms[index]
     terms[index] = (lambda n: -(c(n) if callable(c) else c), name, *slots)
-    m = _cp1_times_ch1() if name == "P" else manifold_by_name("fs", k=2)
+    m = cp1_times_ch1() if name == "P" else manifold_by_name("fs", k=2)
     gens = [generator("linear_j", dim=4), generator("random_poly", dim=4, seed=3)]
     pts = sample_points(m, 1, seed=0)
 
@@ -721,7 +710,7 @@ def _whole_array_row(relation, job):
     c is +-1), then the max-norm; with the scale of the row."""
     tensors, norms = [], [job.b.scale]
     for _, name, *_ in relation.terms:
-        tensors.append(_h0_from_levi_civita(job.b) if name == "H0RG" else job.tensors[name][0])
+        tensors.append(invariants._on_r_g(name, job.b) if name == "H0RG" else job.tensors[name][0])
         norms.append(norm_max(tensors[-1], 4))
     total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
     for (c, _, *slots), t in zip(relation.terms, tensors):
