@@ -9,7 +9,6 @@ residual at sampled chart points.
 
 from .diff import DiffConfig, DomainError
 from .geometry import (
-    Chart,
     ManifoldSpec,
     TensorField,
     generator,
@@ -44,7 +43,6 @@ from .tensor import NumericError, SingularMetricError, Tensor, norm_max
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart",
     "CurvatureBundle",
     "DiffConfig",
     "DomainError",

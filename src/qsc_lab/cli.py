@@ -159,7 +159,7 @@ def cmd_tensor(args) -> int:
         raise ConfigError("--manifold is required")
     m = manifold_by_name(args.manifold, args.k if args.k is not None else RunConfig.k)
     point = _parse_point(args.point, m.n)
-    m.chart.require(point)
+    m.require(point)
     given = {f.name: getattr(args, f.name) for f in fields(DiffConfig)}
     given = {k: v for k, v in given.items() if v is not None}
     what = args.what.lower()

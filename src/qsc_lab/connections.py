@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .diff import DiffConfig
-from .geometry import Chart, ManifoldSpec, TensorField, as_point
+from .geometry import ManifoldSpec, TensorField, as_point
 from .tensor import contract_first, metric_inverse, norm_max
 
 
@@ -58,15 +58,15 @@ def _freeze_arrays(record) -> None:
 
 @dataclass(frozen=True)
 class PointJets:
-    """Metric and structure data at one point, or at a batch of points on
-    the leading axes (point shape (n,) or (P, 1, n); the unit axis is the
-    generator axis of ``GeneratorJets``).
+    """Metric and structure data of a chart of dimension n at one point, or
+    at a batch of points on the leading axes (point shape (n,) or (P, 1, n);
+    the unit axis is the generator axis of ``GeneratorJets``).
 
     Derivative directions lead the slots: dg[..., a, i, j] = d_a g_ij,
     da[..., a, i, j] = d_a A^i_j, dgamma[..., a, i, j, k] = d_a Gamma^i_jk.
     """
 
-    chart: Chart
+    n: int
     cfg: DiffConfig
     point: np.ndarray
     g: np.ndarray
@@ -82,10 +82,6 @@ class PointJets:
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
-
-    @property
-    def n(self) -> int:
-        return self.chart.dim
 
 
 @dataclass(frozen=True)
@@ -154,12 +150,12 @@ def point_jets(m: ManifoldSpec, points, cfg: DiffConfig) -> PointJets:
     point = as_point(points, m.n)
     if point.ndim > 1:
         point = point.reshape(-1, 1, m.n)
-    g, dg, d2g = m.metric_jets(point, cfg)
-    a, da = m.structure_jets(point, cfg)
+    g, dg, d2g = m.metric_field.jets(point, cfg, second=True, domain=m.contains)
+    a, da = m.structure_field.jets(point, cfg)
     gamma, dgamma = levi_civita_jets(metric_inverse(g), dg, d2g)
     r_g = curvature_from_coefficients(gamma, dgamma)
     f, ric_g = a.swapaxes(-1, -2) @ g, np.trace(r_g, axis1=-4, axis2=-3)
-    return PointJets(m.chart, cfg, point, g, dg, a, support(a), da, f, gamma, dgamma, r_g, ric_g)
+    return PointJets(m.n, cfg, point, g, dg, a, support(a), da, f, gamma, dgamma, r_g, ric_g)
 
 
 def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> GeneratorJets:

@@ -21,8 +21,13 @@ points with leading axes and answer per point.
 
 A field is read as arrays only: ``TensorField.jets`` gives its components
 with their partials, ``TensorField.value`` its components alone.  A
-manifold is its chart plus the metric and structure fields; a generator
-one-form is a one-slot field labelled with its catalog name.
+manifold is its chart plus the metric and structure fields, all in one
+record, ``ManifoldSpec``: its label, its dimension n, its domain predicate
+``contains``, the fields, and what the suite expects of it.  ``_chart``
+builds one from the metric's function, with the standard structure; the
+metric's jets take ``contains``, so a point or a stencil point outside the
+chart is a ``DomainError``.  A generator one-form is a one-slot field
+labelled with its catalog name.
 
 Each catalog is one table, the only place its names are written:
 ``MANIFOLDS`` maps a chart name to its builder and its ``qsc-lab list``
@@ -44,7 +49,6 @@ from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
 from .tensor import MAX_DIM, ConfigError
 
 __all__ = [
-    "Chart",
     "TensorField",
     "ManifoldSpec",
     "DiffConfig",
@@ -65,24 +69,6 @@ __all__ = [
 ]
 
 HYPERBOLIC_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class Chart:
-    """A coordinate domain: even dimension and a membership predicate that
-    answers for each row of a batch of points."""
-
-    dim: int
-    label: str
-    contains: Callable[[np.ndarray], Any]
-
-    def __post_init__(self) -> None:
-        if self.dim % 2 != 0 or not 2 <= self.dim <= MAX_DIM:
-            raise ValueError(f"chart dimension must be even and in [2, {MAX_DIM}], got {self.dim}")
-
-    def require(self, point: np.ndarray) -> None:
-        if not self.contains(point):
-            raise DomainError(f"point {point.tolist()} outside chart {self.label}")
 
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
@@ -107,7 +93,6 @@ class TensorField:
 
     signature: str  # one "u" or "d" per slot
     fn: Callable[[Any], Any]
-    domain: Callable[[np.ndarray], Any] | None = None
     label: str = ""
 
     def value(self, point) -> np.ndarray:
@@ -115,35 +100,37 @@ class TensorField:
         without derivatives, so no stencil point can leave the chart."""
         return eval_components(self.fn, as_point(point))
 
-    def jets(self, point, cfg: DiffConfig, second: bool = False):
+    def jets(self, point, cfg: DiffConfig, second: bool = False, domain=None):
         """Components plus derivative stacks at one point (n,) or at points
         with leading axes, the derivative directions after those axes; a
-        constant field is broadcast over the points."""
+        constant field is broadcast over the points.  With a `domain`
+        predicate, a point or a stencil point outside it is a DomainError."""
         point = as_point(point)
         shape = point.shape[-1:] * len(self.signature)
-        return field_jets(self.fn, point, cfg, self.domain, second, shape)
+        return field_jets(self.fn, point, cfg, domain, second, shape)
 
 
 @dataclass(frozen=True)
 class ManifoldSpec:
+    """A chart: its label, its even dimension n, a membership predicate that
+    answers for each row of a batch of points, and the metric and structure
+    fields on it."""
+
     label: str
-    chart: Chart
+    n: int
+    contains: Callable[[np.ndarray], Any]
     metric_field: TensorField
     structure_field: TensorField
     kahler_expected: bool = True
     sample_radius: float = 0.5
 
-    @property
-    def n(self) -> int:
-        return self.chart.dim
+    def __post_init__(self) -> None:
+        if self.n % 2 != 0 or not 2 <= self.n <= MAX_DIM:
+            raise ValueError(f"chart dimension must be even and in [2, {MAX_DIM}], got {self.n}")
 
-    def metric_jets(self, point, cfg: DiffConfig):
-        """(g, dg, d2g) with dg[a,i,j] = (d_a g)_ij, d2g[a,b,i,j] = d_a d_b g_ij."""
-        return self.metric_field.jets(point, cfg, second=True)
-
-    def structure_jets(self, point, cfg: DiffConfig):
-        """(A, dA) with dA[a,i,j] = d_a A^i_j."""
-        return self.structure_field.jets(point, cfg, second=False)
+    def require(self, point: np.ndarray) -> None:
+        if not self.contains(point):
+            raise DomainError(f"point {point.tolist()} outside chart {self.label}")
 
 
 def _standard_matrix(n: int) -> np.ndarray:
@@ -155,13 +142,19 @@ def _standard_matrix(n: int) -> np.ndarray:
     return a
 
 
-def _standard_structure(n: int):
-    a = _standard_matrix(n)
-    return lambda u: a
-
-
 def _everywhere(points: np.ndarray) -> np.ndarray:
     return np.isfinite(points).all(axis=-1)
+
+
+def _chart(label: str, n: int, metric_fn, contains=_everywhere, **kw) -> ManifoldSpec:
+    """The chart `label` of dimension n with the metric of `metric_fn`,
+    labelled "g", and the standard structure, labelled "A"; `kw` sets the
+    other fields of ``ManifoldSpec``."""
+    a = _standard_matrix(n)
+    return ManifoldSpec(
+        label, n, contains, TensorField("dd", metric_fn, label="g"),
+        TensorField("ud", lambda u: a, label="A"), **kw
+    )
 
 
 def _hermitian_pair_metric(k: int, c_fn: Callable[[Any], tuple[Any, Any]]):
@@ -183,13 +176,7 @@ def flat_complex(k: int = 2) -> ManifoldSpec:
     """Flat chart: identity metric, standard structure, zero curvature."""
     n = _check_pairs(k)
     eye = np.eye(n)
-    chart = Chart(n, f"flat_complex({k})", _everywhere)
-    return ManifoldSpec(
-        label=f"flat_complex({k})",
-        chart=chart,
-        metric_field=TensorField("dd", lambda u: eye, label="g"),
-        structure_field=TensorField("ud", _standard_structure(n), label="A"),
-    )
+    return _chart(f"flat_complex({k})", n, lambda u: eye)
 
 
 def fubini_study(k: int = 2) -> ManifoldSpec:
@@ -200,13 +187,7 @@ def fubini_study(k: int = 2) -> ManifoldSpec:
         c1 = 1 / (1 + s)
         return c1, -(c1 * c1)
 
-    chart = Chart(n, f"fubini_study({k})", _everywhere)
-    return ManifoldSpec(
-        label=f"fubini_study({k})",
-        chart=chart,
-        metric_field=TensorField("dd", _hermitian_pair_metric(k, c_fn), label="g"),
-        structure_field=TensorField("ud", _standard_structure(n), label="A"),
-    )
+    return _chart(f"fubini_study({k})", n, _hermitian_pair_metric(k, c_fn))
 
 
 def complex_hyperbolic(k: int = 2) -> ManifoldSpec:
@@ -220,14 +201,8 @@ def complex_hyperbolic(k: int = 2) -> ManifoldSpec:
     def inside(points: np.ndarray) -> np.ndarray:
         return _everywhere(points) & ((points * points).sum(-1) < 1.0 - HYPERBOLIC_MARGIN)
 
-    chart = Chart(n, f"complex_hyperbolic({k})", inside)
-    return ManifoldSpec(
-        label=f"complex_hyperbolic({k})",
-        chart=chart,
-        metric_field=TensorField("dd", _hermitian_pair_metric(k, c_fn), domain=inside, label="g"),
-        structure_field=TensorField("ud", _standard_structure(n), label="A"),
-        sample_radius=0.4,
-    )
+    metric = _hermitian_pair_metric(k, c_fn)
+    return _chart(f"complex_hyperbolic({k})", n, metric, inside, sample_radius=0.4)
 
 
 def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
@@ -239,20 +214,12 @@ def conformal_nonkahler(k: int = 2) -> ManifoldSpec:
         raise ConfigError(
             f"conformal_nonkahler is defined for k = 2 (n = 4) only, got k = {k}"
         )
-    n = 4
-    eye = np.eye(n)
+    eye = np.eye(4)
 
     def fn(u):
         return jet_exp(2 * u[..., 0])[..., None, None] * eye
 
-    chart = Chart(n, "conformal_nonkahler", _everywhere)
-    return ManifoldSpec(
-        label="conformal_nonkahler",
-        chart=chart,
-        metric_field=TensorField("dd", fn, label="g"),
-        structure_field=TensorField("ud", _standard_structure(n), label="A"),
-        kahler_expected=False,
-    )
+    return _chart("conformal_nonkahler", 4, fn, kahler_expected=False)
 
 
 # name -> (builder of the chart at complex dimension k, the line that
@@ -418,6 +385,6 @@ def sample_points(m: ManifoldSpec, count: int, seed: int) -> np.ndarray:
         v /= np.linalg.norm(v)
         r = m.sample_radius * rng.uniform() ** (1.0 / n)
         points[row] = r * v
-        m.chart.require(points[row])
+        m.require(points[row])
     return points
 

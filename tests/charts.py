@@ -1,16 +1,14 @@
 """Charts built for the tests alone, outside the catalog of ``geometry``."""
 
-import dataclasses
-
 import numpy as np
 
-from qsc_lab.geometry import TensorField, manifold_by_name
+from qsc_lab.geometry import HYPERBOLIC_MARGIN, _chart
 
 
 def cp1_times_ch1():
-    """CP^1 x CH^1, sampled near the origin (the CH^1 factor needs |z2| < 1):
-    Kahler, with holomorphic sectional curvature of opposite signs on the two
-    factors, so P != 0."""
+    """CP^1 x CH^1 on C x (unit disc), sampled near the origin: Kahler, with
+    holomorphic sectional curvature of opposite signs on the two factors,
+    so P != 0."""
     blocks = np.diag([2.0, 2.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, 2.0])
 
     def metric(u):
@@ -19,9 +17,8 @@ def cp1_times_ch1():
         f, h = 1 / ((1 + s1) * (1 + s1)), 1 / ((1 - s2) * (1 - s2))
         return f[..., None, None] * blocks[0] + h[..., None, None] * blocks[1]
 
-    return dataclasses.replace(
-        manifold_by_name("flat", k=2),
-        label="cp1xch1",
-        metric_field=TensorField("dd", metric, label="g"),
-        sample_radius=0.4,
-    )
+    def inside(points):
+        z2 = points[..., 2:]
+        return np.isfinite(points).all(-1) & ((z2 * z2).sum(-1) < 1.0 - HYPERBOLIC_MARGIN)
+
+    return _chart("cp1xch1", 4, metric, inside, sample_radius=0.4)

@@ -9,7 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qsc_lab.diff import DiffConfig
+from charts import cp1_times_ch1
+from qsc_lab.diff import DiffConfig, DomainError
 from qsc_lab.geometry import generator, manifold_by_name, sample_points
 from qsc_lab.connections import (
     _torsion_lowered,
@@ -62,6 +63,24 @@ def test_generator_list_at_one_point_is_rejected(k, count):
     with pytest.raises(ValueError, match=r"\(P, n\) batch"):
         generator_jets(point_jets(m, p[0], CFG), gens)
     assert generator_jets(point_jets(m, p, CFG), gens).pi.shape == (1, count, m.n)
+
+
+@pytest.mark.parametrize(
+    "point, cfg, message",
+    [
+        ([0.0, 0.0, 1.2, 0.0], CFG, "point .* outside"),
+        ([0.0, 0.0, 1.2, 0.0], DiffConfig("fd4"), "point .* outside"),
+        ([0.0, 0.0, 0.9999, 0.0], DiffConfig("fd4", 1e-3), "stencil leaves"),
+    ],
+    ids=["analytic", "fd4", "fd4-stencil"],
+)
+def test_point_jets_stay_in_the_chart(point, cfg, message):
+    """The metric is differentiated under its chart's predicate on every
+    chart: on CP^1 x CH^1, |z2| = 1.2 lies outside the CH^1 disc although
+    the metric there is finite, and a point just inside the disc has fd4
+    stencil points outside it."""
+    with pytest.raises(DomainError, match=message):
+        point_jets(cp1_times_ch1(), np.array(point), cfg)
 
 
 def test_flat_christoffel_vanishes():

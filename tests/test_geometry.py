@@ -6,6 +6,7 @@ symmetrized with the complex structure.  For a metric with potential phi,
 g_ij = (H_ij + (A^T H A)_ij) / 2 where H is the coordinate Hessian of phi.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,7 +22,6 @@ from qsc_lab.diff import (
 from qsc_lab.geometry import (
     GENERATORS,
     MANIFOLDS,
-    Chart,
     generator,
     generator_names,
     manifold_by_name,
@@ -29,7 +29,7 @@ from qsc_lab.geometry import (
     parse_generator_spec,
     sample_points,
 )
-from qsc_lab.tensor import ConfigError
+from qsc_lab.tensor import MAX_DIM, ConfigError
 
 ORACLE_TOL = 1e-6
 STRUCTURE_TOL = 1e-13
@@ -112,15 +112,15 @@ def test_fundamental_form_is_skew():
 def test_metric_jets_match_fd():
     m = manifold_by_name("fs", k=2)
     p = np.array([0.2, -0.1, 0.05, 0.3])
-    _, dg_a, d2g_a = m.metric_jets(p, DiffConfig(scheme="analytic"))
-    _, dg_f, d2g_f = m.metric_jets(p, DiffConfig(scheme="fd4", step=1e-3))
+    _, dg_a, d2g_a = m.metric_field.jets(p, DiffConfig(scheme="analytic"), second=True)
+    _, dg_f, d2g_f = m.metric_field.jets(p, DiffConfig(scheme="fd4", step=1e-3), second=True)
     assert np.max(np.abs(dg_a - dg_f)) < 1e-9
     assert np.max(np.abs(d2g_a - d2g_f)) < 1e-6
 
 
 def test_structure_jets_constant():
     m = manifold_by_name("hyperbolic", k=2)
-    a, da = m.structure_jets(np.zeros(4), DiffConfig())
+    a, da = m.structure_field.jets(np.zeros(4), DiffConfig())
     assert np.max(np.abs(da)) == 0.0
     np.testing.assert_allclose(a @ a, -np.eye(4), atol=0)
 
@@ -141,12 +141,12 @@ def test_manifold_by_name_errors():
 
 
 def test_chart_validation_and_domain():
-    with pytest.raises(ValueError):
-        Chart(3, "odd", lambda p: True)
     m = manifold_by_name("hyperbolic", k=1)
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, n=3)
     with pytest.raises(DomainError):
-        m.chart.require(np.array([0.8, 0.7]))
-    m.chart.require(np.array([0.5, 0.5]))
+        m.require(np.array([0.8, 0.7]))
+    m.require(np.array([0.5, 0.5]))
 
 
 def test_generator_zero_and_linear_j():
@@ -236,17 +236,34 @@ def test_every_generator_builds_from_its_keywords_and_from_its_spec(name):
     assert by_spec.value(p).shape == (4,)
 
 
+def _accepted_k():
+    """(name, k) of every catalog chart at every complex dimension it accepts."""
+    for name in MANIFOLDS:
+        for k in range(1, MAX_DIM // 2 + 1):
+            try:
+                manifold_by_name(name, k=k)
+            except ConfigError:
+                continue
+            yield name, k
+
+
+CATALOG_CHARTS = list(_accepted_k())
+
+
 def test_sample_points_deterministic_and_in_domain():
-    m = manifold_by_name("hyperbolic", k=2)
-    a = sample_points(m, 12, seed=42)
-    b = sample_points(m, 12, seed=42)
-    c = sample_points(m, 12, seed=43)
-    np.testing.assert_array_equal(a, b)
-    assert np.max(np.abs(a - c)) > 1e-3
-    assert a.shape == (12, 4)
-    for p in a:
-        assert m.chart.contains(p)
-        assert np.linalg.norm(p) <= m.sample_radius + 1e-12
+    for name, k in CATALOG_CHARTS:
+        m = manifold_by_name(name, k=k)
+        assert m.n == 2 * k, (name, k)
+        a = sample_points(m, 12, seed=42)
+        b = sample_points(m, 12, seed=42)
+        c = sample_points(m, 12, seed=43)
+        np.testing.assert_array_equal(a, b)
+        assert np.max(np.abs(a - c)) > 1e-3, (name, k)
+        assert a.shape == (12, m.n), (name, k)
+        for p in a:
+            assert m.contains(p), (name, k, p)
+            m.require(p)
+            assert np.linalg.norm(p) <= m.sample_radius + 1e-12, (name, k, p)
 
 
 # -- the array field protocol -------------------------------------------------
@@ -409,17 +426,24 @@ def test_field_jets_on_a_batch_equal_one_point_calls(k, cfg):
     pts = sample_points(manifold_by_name("hyperbolic", k=k), 3, seed=6)
     for name, field in _catalog_fields(k):
         shape = (n,) * len(field.signature)
-        got = field_jets(field.fn, pts[:, None], cfg, field.domain, True, shape)
+        got = field_jets(field.fn, pts[:, None], cfg, second=True, shape=shape)
         for i, p in enumerate(pts):
-            want = field_jets(field.fn, p, cfg, field.domain, True)
+            want = field_jets(field.fn, p, cfg, second=True)
             for part, x, y in zip(("value", "d1", "d2"), got, want):
                 assert x.shape == (3, 1) + y.shape, (name, part)
                 np.testing.assert_array_equal(x[i, 0], y, err_msg=f"{name} {part}")
 
 
 def test_domain_predicates_answer_per_row():
-    m = manifold_by_name("hyperbolic", k=1)
-    rows = np.array([[0.5, 0.5], [0.8, 0.7], [0.0, 0.0], [np.nan, 0.0]])
-    np.testing.assert_array_equal(m.chart.contains(rows), [True, False, True, False])
-    flat = manifold_by_name("flat", k=1)
-    np.testing.assert_array_equal(flat.chart.contains(rows), [True, True, True, False])
+    """Each chart's predicate answers for each row of a batch what it
+    answers for the row alone: sampled points and the origin are inside, a
+    NaN row is not, and (0.8, ..., 0.8) lies outside the unit ball only."""
+    for name, k in CATALOG_CHARTS:
+        m = manifold_by_name(name, k=k)
+        nan_row = np.r_[np.nan, np.zeros(m.n - 1)]
+        rows = np.vstack([sample_points(m, 2, seed=3), np.zeros(m.n), np.full(m.n, 0.8), nan_row])
+        want = [True, True, True, name != "hyperbolic", False]
+        np.testing.assert_array_equal(m.contains(rows), want, err_msg=f"{name} k={k}")
+        assert [bool(m.contains(row)) for row in rows] == want, (name, k)
+        with pytest.raises(DomainError):
+            m.require(nan_row)

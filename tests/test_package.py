@@ -8,7 +8,9 @@ from pathlib import Path
 import qsc_lab
 import qsc_lab.geometry
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+MAX_COLUMNS = 100
 
 
 def test_every_exported_name_resolves():
@@ -55,3 +57,14 @@ def test_every_traced_name_is_wrapped_and_the_install_undone():
         undo()
     assert unwrapped == []
     assert {span: _binding(span) for span in tracer.SPANS} == before
+
+
+def test_source_lines_fit_the_column_limit():
+    """No line of the package's modules is wider than MAX_COLUMNS."""
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "qsc_lab").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > MAX_COLUMNS
+    ]
+    assert wide == []
