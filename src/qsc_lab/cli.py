@@ -30,8 +30,8 @@ from .curvature import curvature_bundle, riemann_g
 from .diff import DiffConfig, MAX_STEP, MIN_STEP, SCHEMES
 from .geometry import GENERATORS, MANIFOLDS, lookup, manifold_by_name, parse_generator_spec
 from .invariants import IDENTITY_CATALOG, h_tensor, hol_projective, weyl_projective
-from .report import ConfigError, RunConfig, exit_code, render_report, run_verification
-from .tensor import NumericError, Tensor
+from .report import RunConfig, exit_code, render_report, run_verification, spelled_once
+from .tensor import ConfigError, NumericError, Tensor
 
 PRINT_EPS = 1e-12
 
@@ -56,9 +56,11 @@ _WHAT_CHOICES = sorted(_TENSORS)
 def split_generator_list(value: str) -> list[str]:
     """Split a comma list of generator specs; const components keep their
     commas by re-attaching items without a generator name to the preceding
-    spec.  An unknown first name fails here, before the other settings."""
+    spec.  An empty item after the first or an unknown first name fails here."""
     out: list[str] = []
     for item in value.split(","):
+        if out and not item:
+            raise ConfigError(f"generator list {value!r} has an empty item")
         if out and item.partition(":")[0] not in GENERATORS:
             out[-1] += "," + item
         else:
@@ -125,18 +127,20 @@ def _merge_config(args) -> RunConfig:
 
 
 def _print_table(report: dict) -> None:
-    print(f"{'identity':16s} {'pt':>3s} {'class':13s} {'relative':>10s} status")
-    for r in report["results"]:
-        status = "pass" if r["pass"] else "FAIL"
-        print(
-            f"{r['id']:16s} {r['point_index']:3d} {r['classification']:13s} "
-            f"{r['relative']:10.2e} {status}"
-        )
+    """The verdict table in one write, each distinct relative formatted once."""
+    relative = spelled_once("{:10.2e}".format)
+    lines = [f"{'identity':16s} {'pt':>3s} {'class':13s} {'relative':>10s} status"]
+    lines += [
+        f"{r['id']:16s} {r['point_index']:3d} {r['classification']:13s} "
+        f"{relative(r['relative'])} {'pass' if r['pass'] else 'FAIL'}"
+        for r in report["results"]
+    ]
     s = report["summary"]
-    print(
+    lines.append(
         f"summary: core_pass={s['core_pass']} audit_pass={s['audit_pass']} "
         f"expected_fail_ok={s['expected_fail_ok']}"
     )
+    print("\n".join(lines))
 
 
 def cmd_verify(args) -> int:

@@ -271,9 +271,10 @@ class _Job:
         the Kahler rules on the held (kind, point, generator) rows of the R
         stack (k2..k4, then k1 and k5).  A held row equal to R^g at its point
         (its rank-one blocks vanish there) takes R^g's rules from ``kahler``;
-        the others run in chunks of ``_HYB_CHUNK_BYTES``.  The rules are
-        per-row functions, and equal rows differ at most in the sign of a
-        zero, which no sum, product or max-norm carries: the same bits."""
+        the others run the rules.  The test against R^g and the rules run in
+        chunks of ``_HYB_CHUNK_BYTES``.  The rules are per-row functions, and
+        equal rows differ at most in the sign of a zero, which no sum, product
+        or max-norm carries: the same bits."""
         b, tol = self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
         nabla, nabla_scale = hybrid_defect(b.nabla_pi, b.a)
@@ -288,9 +289,12 @@ class _Job:
         batch = h1.shape[1:]
         a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (b.a, b.g))
         r_g = np.broadcast_to(b.r_g, batch + b.r_g.shape[-4:])
-        same = np.zeros(h1.shape, dtype=bool)
-        rows = np.nonzero(either)
-        same[rows] = [np.array_equal(b.r[row], r_g[row[1:]]) for row in zip(*rows)]
+        size = max(1, _HYB_CHUNK_BYTES // (8 * b.n**4))
+        same, rows = np.zeros(h1.shape, dtype=bool), np.nonzero(either)
+        for first in range(0, len(rows[0]), size):
+            # a row that fills a chunk is read as a view, not gathered
+            at = tuple(i[first] if size == 1 else i[first : first + size] for i in rows)
+            same[at] = (b.r[at] == r_g[at[1:]]).all((-4, -3, -2, -1))
         k = self.kahler
         from_g = (
             emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
@@ -298,7 +302,6 @@ class _Job:
         )
         g_scale = np.maximum(b.scale, k["lowered_norm"])
         res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
-        size = max(1, _HYB_CHUNK_BYTES // (8 * b.n**4))
         for part, mask in enumerate(held):
             reuse = mask & same
             res[..., part] = np.where(reuse, from_g[part], 0.0)
@@ -667,11 +670,11 @@ def _block_results(m, points, generators, cfg, plan, tol_audit):
     # the Kahler rules of R^g are per point: their n^4 temporaries go before the stack comes
     kahler = kahler_identities(pj)
     job = _Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit)
-    stats, details = np.empty((3, len(plan), len(points))), {}
-    for i, (_, _, evaluate) in enumerate(plan):
-        res, scale, extra = evaluate(job)
-        res, scale = np.broadcast_arrays(res, scale)
-        stats[:, i] = np.array((res, scale, relative_residual(res, scale))).max(-1)
-        if extra is not None:
-            details[i] = extra
-    return stats, details
+    evaluated = [evaluate(job) for _, _, evaluate in plan]
+    # zero-padded to the widest K: residuals and scales are >= 0, relative(0, 0) = 0
+    widths = [max(np.shape(res)[-1:] + np.shape(scale)[-1:]) for res, scale, _ in evaluated]
+    padded = np.zeros((2, len(plan), len(points), max(widths)))
+    for i, ((res, scale, _), k) in enumerate(zip(evaluated, widths)):
+        padded[0, i, :, :k], padded[1, i, :, :k] = res, scale
+    stats = np.concatenate([padded.max(-1), relative_residual(*padded).max(-1)[None]])
+    return stats, {i: extra for i, (_, _, extra) in enumerate(evaluated) if extra is not None}

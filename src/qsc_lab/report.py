@@ -2,11 +2,14 @@
 
 A report is a plain dict rendered with sorted keys so that two runs with the
 same configuration produce byte-identical output except for the timestamp,
-which sits alone on its line.  ``geometry`` reads chart names and generator specs.
+which sits alone on its line.  Result rows come from one template that writes
+each distinct value once, as the C encoder would; every other value goes
+through the encoder.  ``geometry`` reads chart names and generator specs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -172,16 +175,46 @@ def exit_code(report: dict, audit_soft: bool) -> int:
     return 0 if ok else 1
 
 
+def spelled_once(spell):
+    """`spell` with a memo that lives as long as the returned function: each
+    finite nonzero float is spelled once, a zero (0.0 == -0.0, so a memo key
+    would lose its sign), NaN or infinity on every call."""
+    memo = functools.cache(spell)
+    return lambda x: memo(x) if x and x - x == 0 else spell(x)
+
+
+def _result_rows(rows: list[dict]) -> str:
+    """The result rows, one line each, from one template whose keys are in
+    the encoder's sorted order; a float as the C encoder writes it, strings
+    by the encoder, each distinct value once."""
+    string = functools.cache(_ENCODER.encode)
+    number = spelled_once(lambda x: float.__repr__(x) if x - x == 0 else _ENCODER.encode(x))
+    lines = []
+    for row in rows:
+        details = row.get("details")
+        if details is not None:
+            pairs = ", ".join(f"{string(k)}: {number(details[k])}" for k in sorted(details))
+            details = f'"details": {{{pairs}}}, '
+        lines.append(
+            f'    {{"classification": {string(row["classification"])}, {details or ""}'
+            f'"id": {string(row["id"])}, "max_residual": {number(row["max_residual"])}, '
+            f'"pass": {"true" if row["pass"] else "false"}, '
+            f'"point_index": {row["point_index"]}, "relative": {number(row["relative"])}, '
+            f'"scale": {number(row["scale"])}}}'
+        )
+    return ",\n".join(lines)
+
+
 def render_report(report: dict) -> str:
     """Each top-level key on its own line and each result row on its own
-    line, every value written by the C encoder; the layout is not part of
-    the schema, but ``generated_at`` keeps a line to itself."""
+    line: the rows from ``_result_rows``' template, every other value by
+    the C encoder; the layout is not part of the schema, but
+    ``generated_at`` keeps a line to itself."""
     lines = []
     for key in sorted(report):
         head = f"  {_ENCODER.encode(key)}: "
         if key == "results":
-            rows = ",\n".join("    " + _ENCODER.encode(row) for row in report[key])
-            lines.append(f"{head}[\n{rows}\n  ]")
+            lines.append(f"{head}[\n{_result_rows(report[key])}\n  ]")
         else:
             lines.append(head + _ENCODER.encode(report[key]))
     return "{\n" + ",\n".join(lines) + "\n}\n"

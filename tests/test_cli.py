@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsc_lab.cli import _WHAT_CHOICES, main, split_generator_list
+from qsc_lab.cli import _WHAT_CHOICES, _print_table, main, split_generator_list
 from qsc_lab.geometry import GENERATORS, MANIFOLDS, manifold_by_name
 
 try:
@@ -292,6 +292,51 @@ def test_split_generator_list_reattaches_const_components():
     assert got == ["linear_j", "const:0.3,0,0.1,0", "random_poly:3"]
     assert split_generator_list("zero") == ["zero"]
     assert split_generator_list("const:1,0,0,0,zero") == ["const:1,0,0,0", "zero"]
+
+
+@pytest.mark.parametrize("listed", ["zero,linear_j,", "zero,,linear_j", "const:1,0,,0,0"])
+def test_verify_names_an_empty_generator_item(capsys, listed):
+    """An empty item after the first is named as such, with the list quoted,
+    not read as part of the spec before it."""
+    code, out, err = run(capsys, "verify", "--manifold", "fs", "--generators", listed)
+    assert code == 2 and not out
+    assert err == f"error: generator list {listed!r} has an empty item\n"
+
+
+def _per_row_table(report):
+    """The table as it was printed before, one print per line."""
+    print(f"{'identity':16s} {'pt':>3s} {'class':13s} {'relative':>10s} status")
+    for r in report["results"]:
+        status = "pass" if r["pass"] else "FAIL"
+        print(
+            f"{r['id']:16s} {r['point_index']:3d} {r['classification']:13s} "
+            f"{r['relative']:10.2e} {status}"
+        )
+    s = report["summary"]
+    print(
+        f"summary: core_pass={s['core_pass']} audit_pass={s['audit_pass']} "
+        f"expected_fail_ok={s['expected_fail_ok']}"
+    )
+
+
+def test_table_in_one_write_equals_the_per_row_prints(capsys):
+    """Each distinct relative is formatted once, yet 0.0 and -0.0 keep
+    their signs and NaN and infinities print as before, beside a FAIL row."""
+    relatives = [0.0, -0.0, 1 / 3, 0.0, 1 / 3, -0.0, float("nan"), float("inf"), 2.5e-17]
+    report = {
+        "results": [
+            {"id": f"I-X{i % 2}", "point_index": i, "classification": "core",
+             "relative": rel, "pass": i != 2}
+            for i, rel in enumerate(relatives)
+        ],
+        "summary": {"core_pass": False, "audit_pass": True, "expected_fail_ok": True},
+    }
+    _print_table(report)
+    got = capsys.readouterr().out
+    _per_row_table(report)
+    want = capsys.readouterr().out
+    assert got == want
+    assert "-0.00e+00" in got and " 0.00e+00" in got and "FAIL" in got
 
 
 def test_tensor_d1_hand_value(capsys):

@@ -11,7 +11,7 @@ import pytest
 from charts import cp1_times_ch1
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
-from qsc_lab.tensor import norm_max
+from qsc_lab.tensor import norm_max, relative_residual
 from qsc_lab.connections import GeneratorJets, generator_jets, point_jets
 from qsc_lab.curvature import (
     assemble_r_theta,
@@ -863,3 +863,59 @@ def test_an_n16_suite_call_peaks_within_1_4_times_its_stack():
         tracemalloc.stop()
     stack = 6 * len(K8_THREE) * m.n**4 * 8
     assert peak <= 1.4 * stack, peak / stack
+
+
+
+def _per_identity_block_results(m, points, generators, cfg, plan, tol_audit):
+    """The reference of ``_block_results``' one padded array: each
+    identity's residuals and scales broadcast together, stacked with their
+    relatives and reduced on their own; with the K of each identity by id."""
+    pj = point_jets(m, points, cfg)
+    gj = generator_jets(pj, generators)
+    kahler = kahler_identities(pj)
+    job = invariants._Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit)
+    stats, details, widths = np.empty((3, len(plan), len(points))), {}, {}
+    for i, (ident, _, evaluate) in enumerate(plan):
+        res, scale, extra = evaluate(job)
+        res, scale = np.broadcast_arrays(res, scale)
+        stats[:, i] = np.array((res, scale, relative_residual(res, scale))).max(-1)
+        widths[ident] = res.shape[-1]
+        if extra is not None:
+            details[i] = extra
+    return stats, details, widths
+
+
+@pytest.mark.parametrize(
+    "name,gens,hind_width",
+    [("fs", SEVEN[:1], 1), ("fs", SEVEN, 21), ("conformal-nonkahler", SEVEN, None)],
+    ids=["fs-one-generator", "fs-seven", "conformal-nonkahler"],
+)
+def test_block_maxima_from_one_padded_array_equal_the_per_identity_loop(
+    monkeypatch, name, gens, hind_width
+):
+    """The maxima of a block, taken from one zero-padded (2, identities, P,
+    K_max) array, equal the per-identity broadcast, stack and max bit for
+    bit, the details too: at k=2 with one generator (I-HIND's (P, 1) zeros
+    against the scalar scale 1.0), with seven (I-HIND's 21 pairs, wider than
+    G) and on a chart whose Kahler-hypothesis block is expected-fail."""
+    m = manifold_by_name(name, k=2)
+    pts = sample_points(m, 5, seed=28)
+    calls, block_results = [], invariants._block_results
+
+    def spy(*args):
+        calls.append((args, block_results(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(invariants, "_block_results", spy)
+    identity_suite(m, pts, gens, CFG)
+    assert calls
+    for args, (stats, details) in calls:
+        want_stats, want_details, widths = _per_identity_block_results(*args)
+        assert stats.shape == want_stats.shape and stats.tobytes() == want_stats.tobytes()
+        assert details.keys() == want_details.keys()
+        for i, extra in details.items():
+            assert extra.keys() == want_details[i].keys()
+            assert all(extra[key].tobytes() == want_details[i][key].tobytes() for key in extra)
+        assert widths.get("I-HIND-0") == hind_width
+        classes = {cls for _, cls, _ in args[4]}
+        assert ("expected-fail" in classes) == (hind_width is None)

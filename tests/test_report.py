@@ -1,6 +1,7 @@
 """Run configuration, generator spec parsing, and report assembly."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -240,6 +241,44 @@ def test_render_writes_one_line_per_key_and_per_result_row():
             assert value == {key: rep[key]}
     stamp = [line for line in lines if "generated_at" in line]
     assert stamp == [f'  "generated_at": "{rep["generated_at"]}",']
+
+
+# doubles whose spelling a result-row template could get wrong
+_EDGE_NUMBERS = (
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+    0.1 + 0.2, 1 / 3, float("nan"), float("inf"), float("-inf"),
+)
+
+
+def test_result_rows_are_written_as_the_encoder_writes_them():
+    """Every result row line is the C encoder's text of its row, whatever the
+    numbers: zeros of both signs (also as the `relative` of one report),
+    subnormal, extreme, whole, inexact and non-finite values, in a row
+    without details and under the detail keys of I-HYB-COND and
+    I-METRICITY; the other keys keep their encoder lines."""
+    rep = run_verification(RunConfig(manifold="fs", num_points=1, generators=("zero",)))
+    key_sets = [None] + [
+        sorted(next(r["details"] for r in rep["results"] if r["id"] == ident))
+        for ident in ("I-HYB-COND-0", "I-METRICITY")
+    ]
+    assert [len(keys) for keys in key_sets[1:]] == [7, 5]
+    count = len(_EDGE_NUMBERS)
+    rows = []
+    for i in range(3 * count):
+        x = lambda shift: _EDGE_NUMBERS[(i + shift) % count]
+        row = {"id": f"I-X{i % 4}", "point_index": i, "max_residual": x(0), "scale": x(3),
+               "relative": x(5), "pass": i % 3 == 0, "classification": "audit"}
+        keys = key_sets[i % 3]
+        if keys is not None:
+            row["details"] = {k: x(7 + j) for j, k in enumerate(reversed(keys))}
+        rows.append(row)
+    relatives = [row["relative"] for row in rows]
+    assert 0.0 in relatives and any(math.copysign(1, r) < 0 for r in relatives if r == 0)
+    text = render_report(rep | {"results": rows})
+    encoder = json.JSONEncoder(sort_keys=True)
+    head = render_report(rep | {"results": []}).split('  "results": [')
+    want = ",\n".join("    " + encoder.encode(row) for row in rows)
+    assert text == f'{head[0]}  "results": [\n{want}{head[1][1:]}'
 
 
 def test_expected_fail_entries_reported_for_non_kahler():
