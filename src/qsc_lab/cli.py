@@ -6,7 +6,8 @@ Each ``verify`` setting is a field of ``report.RunConfig``, which holds its
 default and checks its value; the field name is the ``dest`` of its flag
 and its key in a ``--config`` file.  ``tensor`` hands the derivative flags
 it was given to ``DiffConfig``, which holds their defaults, and rejects a
-``--generator`` that the tensor does not read.
+``--generator`` that the tensor does not read.  Both commands reject a
+``--step`` flag under the analytic scheme, even at the default step.
 
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
 2 configuration error (a ``--report`` path that cannot be written among
@@ -97,6 +98,17 @@ def _print_tensor(name: str, t: Tensor) -> None:
         print("  all components below threshold")
 
 
+def _reject_analytic_step(step: float | None, scheme: str) -> None:
+    """A --step flag under the analytic scheme is an error at any value: the
+    scheme takes the default step, which every analytic report echoes, only
+    so that a config file holding that echo reads back."""
+    if step is not None and scheme == "analytic":
+        raise ConfigError(
+            f"step {step:g} sizes finite-difference stencils; the analytic scheme takes none;"
+            " drop --step"
+        )
+
+
 def _merge_config(args) -> RunConfig:
     """The config file's settings, overlaid with the flags that were given."""
     keys = {f.name for f in fields(RunConfig)}
@@ -123,6 +135,7 @@ def _merge_config(args) -> RunConfig:
     merged.update({k: v for k, v in given.items() if v is not None})
     if merged.get("manifold") is None:
         raise ConfigError("--manifold is required (or set it in the config file)")
+    _reject_analytic_step(given["step"], merged.get("scheme", RunConfig.scheme))
     return RunConfig(**merged)
 
 
@@ -180,6 +193,7 @@ def cmd_tensor(args) -> int:
     if given and not differentiated:
         flags = ", ".join(f"--{'diff' if k == 'scheme' else k}" for k in given)
         raise ConfigError(f"tensor {what!r} takes no derivatives; drop {flags}")
+    _reject_analytic_step(given.get("step"), given.get("scheme", DiffConfig.scheme))
     cfg = DiffConfig(**given)
     _print_tensor(what, Tensor(m.n, slots, _tensor_array(what, m, point, cfg, gen)))
     return 0

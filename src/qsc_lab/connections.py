@@ -23,7 +23,8 @@ Everything computed from the fields is algebra on two immutable records:
   once; Gamma, R^g and Ric^g follow on the same arrays.
 * ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
   one generator, or of G generators stacked on an axis after the point axes;
-  each generator is differentiated once per job.
+  each generator is differentiated once per job.  The record holds arrays
+  only: a generator's name stays with its ``TensorField`` and its spec.
 
 F, G = g + F and their partials follow from the product rule, not from
 differencing F and G again.
@@ -89,9 +90,8 @@ class GeneratorJets:
     """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j
     and nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j.  One generator has the
     point axes of its PointJets; a stack of G fills the generator axis of a
-    batch, (P, G, ...), and `label` is then the tuple of their labels."""
+    batch, (P, G, ...), in the order of the list it was built from."""
 
-    label: str | tuple[str, ...]
     pi: np.ndarray
     dpi: np.ndarray
     nabla_pi: np.ndarray
@@ -165,16 +165,17 @@ def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> 
     ``point_jets``, past about P n^3 = 3e4 a batch may differ from one-point
     calls in the last digits."""
     if isinstance(gens, TensorField):
-        label, (pi, dpi) = gens.label, gens.jets(pj.point, pj.cfg)
+        pi, dpi = gens.jets(pj.point, pj.cfg)
+    elif not gens:
+        raise ValueError("generator_jets needs at least one generator; the list is empty")
     elif pj.point.ndim == 1:
         raise ValueError(
             "a generator list needs a batch of points; pass point_jets a (P, n) batch"
         )
     else:
         jets = [gen.jets(pj.point, pj.cfg) for gen in gens]
-        label = tuple(gen.label for gen in gens)
         pi, dpi = (np.concatenate(part, axis=pj.point.ndim - 2) for part in zip(*jets))
-    return GeneratorJets(label, pi, dpi, covariant_derivative(levi_civita(pj), pi, dpi, "d"))
+    return GeneratorJets(pi, dpi, covariant_derivative(levi_civita(pj), pi, dpi, "d"))
 
 
 def levi_civita(pj: PointJets) -> np.ndarray:

@@ -14,11 +14,13 @@ The six curvature kinds are linear in these.  ``curvature_bundle`` assembles
 them, their traces and the D blocks once per job, from the two records of
 ``connections``: ``PointJets`` (g, A, Gamma with their partials, R^g, Ric^g)
 and ``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a
-field itself.  For P points and G generators every bundle array has the batch
-axes (P, G) in front of its tensor slots; the kind-indexed arrays carry the
-kind first, so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
+field itself.  The bundle holds those two records as ``b.pj`` and ``b.gj`` and
+only what it derives from them, so each datum of a job lives in one record.
+For P points and G generators every derived array has the batch axes (P, G)
+in front of its tensor slots; the kind-indexed arrays carry the kind first,
+so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
 ``hand_over_r`` the R^theta stack belongs to its consumer (which overwrites it
-with H^theta): the bundle then holds the traces, the D blocks, R^g and the
+with H^theta): the bundle then holds the traces, the D blocks and the
 per-kind max-norms, and reading ``b.r`` raises.
 
 ``commutator_curvature`` builds the curvature of nabla^1 from its
@@ -189,22 +191,20 @@ def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, blocks: dict, out=N
 @dataclass(frozen=True)
 class CurvatureBundle:
     """The curvature kinds, their traces and the D blocks of the generators
-    at the points of one job.  g, a, r_g and ric_g are point data with a unit
-    generator axis; r (6, ..., n^4), r_norms (6, ...), ric (6, ..., n, n) and
-    d (4, ..., n, n) lead with the kind.  ``r`` raises once handed over."""
+    at the points of one job, beside the records they were built from: g, A,
+    R^g and Ric^g are read from ``pj`` (point data with a unit generator
+    axis), pi and nabla^g pi from ``gj``, never copied.  pp = pi (x) pi and
+    pq = pi (x) (pi o A) are (..., n, n); r (6, ..., n^4), r_norms (6, ...),
+    ric (6, ..., n, n) and d (4, ..., n, n) lead with the kind.  ``r`` raises
+    once handed over."""
 
-    n: int
-    g: np.ndarray
-    a: np.ndarray
-    a_support: tuple[np.ndarray, np.ndarray, np.ndarray]
-    pi: np.ndarray
-    pa: np.ndarray  # pi o A
-    nabla_pi: np.ndarray
+    pj: PointJets
+    gj: GeneratorJets
+    pp: np.ndarray
+    pq: np.ndarray
     d: np.ndarray
-    r_g: np.ndarray
     r_stack: np.ndarray | None
     r_norms: np.ndarray  # the max-norm of each kind, taken at assembly
-    ric_g: np.ndarray
     ric: np.ndarray
     prime_r3: np.ndarray
     prime_r4: np.ndarray
@@ -226,10 +226,10 @@ class CurvatureBundle:
         Ric^g, 'R3 and 'R4, per (point, generator): the residual scale every
         identity on this bundle starts from.  Computed on first use."""
         return emax(
-            norm_max(self.r_g, 4),
+            norm_max(self.pj.r_g, 4),
             self.r_norms.max(0),
             norm_max(self.ric, 2).max(0),
-            norm_max(self.ric_g, 2),
+            norm_max(self.pj.ric_g, 2),
             norm_max(self.prime_r3, 2),
             norm_max(self.prime_r4, 2),
         )
@@ -238,11 +238,10 @@ class CurvatureBundle:
     def blocks(self) -> dict[str, np.ndarray]:
         """The blocks that ``H_TERMS`` and ``PART2_TERMS`` of ``invariants`` name,
         computed on first use: x_a = x A, a_x = A^T x = x(A., .), x_aa = x(A., A.),
-        pp = pi (x) pi, pq = pi (x) (pi o A), d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
-        a, ric, pr3, pr4, pi = self.a, self.ric, self.prime_r3, self.prime_r4, self.pi
-        at, d2, d3 = a.swapaxes(-1, -2), self.d[2], self.d[3]
-        pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * self.pa[..., None, :]
-        d2_a, d4 = d2 @ a, self.nabla_pi @ a - 2 * pp  # d4: the part-2 block of kind 4
+        pp, pq, d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
+        a, ric, pr3, pr4 = self.pj.a, self.ric, self.prime_r3, self.prime_r4
+        at, d2, d3, pp, pq = a.swapaxes(-1, -2), self.d[2], self.d[3], self.pp, self.pq
+        d2_a, d4 = d2 @ a, self.gj.nabla_pi @ a - 2 * pp  # d4: the part-2 block of kind 4
         return {
             **{f"ric{theta}": ric[theta] for theta in THETAS},
             "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
@@ -257,8 +256,8 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError, found from the
     max-norms (NaN and inf survive max and min)."""
-    n, a, pi, nabla = pj.n, pj.a, gj.pi, gj.nabla_pi
-    pa = (pi[..., None, :] @ a)[..., 0, :]
+    n, pi, nabla = pj.n, gj.pi, gj.nabla_pi
+    pa = (pi[..., None, :] @ pj.a)[..., 0, :]
     pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * pa[..., None, :]
     qp, nabla_t = pq.swapaxes(-1, -2), nabla.swapaxes(-1, -2)  # qp[i, j] = (pi o A)_i pi_j
     d = np.stack([nabla + 0.5 * (pq + qp), nabla - nabla_t, nabla + qp, nabla + pq])  # D0..D3
@@ -270,23 +269,9 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     r_norms = norm_max(r, 4)
     if not np.isfinite(r_norms).all():
         raise NumericError("non-finite curvature components")
-    return CurvatureBundle(
-        n=n,
-        g=pj.g,
-        a=a,
-        a_support=pj.a_support,
-        pi=pi,
-        pa=pa,
-        nabla_pi=nabla,
-        d=d,
-        r_g=pj.r_g,
-        r_stack=r,
-        r_norms=r_norms,
-        ric_g=pj.ric_g,
-        ric=np.trace(r, axis1=-4, axis2=-3),
-        prime_r3=np.trace(r[3], axis1=-4, axis2=-1),
-        prime_r4=np.trace(r[4], axis1=-4, axis2=-1),
-    )
+    ric = np.trace(r, axis1=-4, axis2=-3)
+    prime_r3, prime_r4 = (np.trace(r[theta], axis1=-4, axis2=-1) for theta in (3, 4))
+    return CurvatureBundle(pj, gj, pp, pq, d, r, r_norms, ric, prime_r3, prime_r4)
 
 
 def rotation_rules(rl: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
@@ -334,12 +319,11 @@ def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
 
 
 def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
-    n, a = b.n, b.a
+    n, a, ricg = b.pj.n, b.pj.a, b.pj.ric_g
     t = lambda x: x.swapaxes(-1, -2)
     at = t(a)
-    ricg = b.ric_g
     d1, d2, d3 = b.d[1], b.d[2], b.d[3]
-    pipi, pr3_aa = b.blocks["pp"], b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
+    pipi, pr3_aa = b.pp, b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
 
     def da(dblock: np.ndarray, first_rotated: bool) -> np.ndarray:
         # D(A d_k, d_j) -> [j, k] when first_rotated, else D(A d_j, d_k) -> [j, k]

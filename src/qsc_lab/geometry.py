@@ -45,7 +45,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .diff import DiffConfig, DomainError, eval_components, field_jets, jet_exp
+from .diff import DiffConfig, DomainError, _check_domain, eval_components, field_jets, jet_exp
 from .tensor import MAX_DIM, ConfigError
 
 __all__ = [
@@ -129,8 +129,9 @@ class ManifoldSpec:
             raise ValueError(f"chart dimension must be even and in [2, {MAX_DIM}], got {self.n}")
 
     def require(self, point: np.ndarray) -> None:
-        if not self.contains(point):
-            raise DomainError(f"point {point.tolist()} outside chart {self.label}")
+        """DomainError naming the point (n,), or the first row of a batch
+        (P, n), outside the chart."""
+        _check_domain(np.asarray(point), self.contains, f"point {{}} outside chart {self.label}")
 
 
 def _standard_matrix(n: int) -> np.ndarray:

@@ -17,9 +17,10 @@ a ``LinearRelation``; one evaluator computes the residual of every such row.
 ``identity_suite`` runs whole points in blocks sized by a byte budget, so a
 job's n^4 working set is bounded in P.  Per block of P points it
 differentiates each field once into one ``PointJets`` (axes (P, 1)) and one
-``GeneratorJets`` (P, G), takes the Kahler rules of R^g (per point, so
-their n^4 temporaries are freed before the stack exists), builds one
-``CurvatureBundle`` with batch axes (P, G), runs the identities that read
+``GeneratorJets`` (P, G), from which one ``_Job`` takes the Kahler rules of
+R^g (per point, so their n^4 temporaries are freed before the stack exists)
+and builds one ``CurvatureBundle`` with batch axes (P, G) that reads both
+records rather than copying them; the block then runs the identities that read
 R^theta, then calls ``h_tensor`` once per kind, folding H^theta onto R^theta
 in the bundle's stack (the R -> H handover: one n^4 stack per kind family,
 and R^theta unreadable after).  Beside that stack a block holds a constant
@@ -160,11 +161,11 @@ H_TERMS = {
 }
 
 
-def _on_r_g(name: str, src) -> np.ndarray:
-    """R^g plus the ``RG_TERMS`` of `name`; `src`, PointJets or a bundle, holds R^g, Ric^g, A."""
-    ric, a = src.ric_g, src.a
+def _on_r_g(name: str, pj: PointJets) -> np.ndarray:
+    """R^g plus the ``RG_TERMS`` of `name`, from the R^g, Ric^g and A of `pj`."""
+    ric, a = pj.ric_g, pj.a
     blocks = {"ric_g": ric, "ric_g_a": ric @ a, "a_ric_g": a.swapaxes(-1, -2) @ ric}
-    return fold_rank_one(src.r_g, src.a_support, table_terms(RG_TERMS, name, blocks, src.n))
+    return fold_rank_one(pj.r_g, pj.a_support, table_terms(RG_TERMS, name, blocks, pj.n))
 
 
 def weyl_projective(pj: PointJets) -> np.ndarray:
@@ -182,8 +183,8 @@ def h_tensor(theta: int, b: CurvatureBundle, out: np.ndarray | None = None) -> n
     """Generator-invariant tensor of kind theta, built from the kind-theta
     curvature and its traces, for every (point, generator) of the bundle:
     a new array, or, given R^theta's buffer as `out`, in place over it."""
-    terms = table_terms(H_TERMS, theta, b.blocks, b.n)
-    return fold_rank_one(b.r[theta] if out is None else out, b.a_support, terms, out)
+    terms = table_terms(H_TERMS, theta, b.blocks, b.pj.n)
+    return fold_rank_one(b.r[theta] if out is None else out, b.pj.a_support, terms, out)
 
 
 def _with_norm(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,25 +229,25 @@ PART2_TERMS = {
 
 def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
     if theta == 1:
-        return np.zeros(b.pi.shape[:-1])
+        return np.zeros(b.gj.pi.shape[:-1])
     if theta == 0:
-        pq = b.blocks["pq"]
-        return norm_max(b.nabla_pi + pq + 0.5 * pq.swapaxes(-1, -2), 2)
-    terms = table_terms(PART2_TERMS, theta, b.blocks, b.n)
-    return norm_max(fold_rank_one(None, b.a_support, terms), 4)
+        return norm_max(b.gj.nabla_pi + b.pq + 0.5 * b.pq.swapaxes(-1, -2), 2)
+    terms = table_terms(PART2_TERMS, theta, b.blocks, b.pj.n)
+    return norm_max(fold_rank_one(None, b.pj.a_support, terms), 4)
 
 
 class _Job:
-    """What the evaluators of one ``identity_suite`` call read: the records
-    of all points and generators, the Kahler rules of R^g (taken before the
-    bundle), the bundle, and the tensors built from them
-    (on first use, so only on Kahler charts).  Point-level results carry a
-    unit generator axis."""
+    """What the evaluators of one ``identity_suite`` call read, built from
+    the records of all points and generators: the Kahler rules of R^g, then
+    the bundle, which holds `pj` and `gj` beside what it derives, the torsion
+    identities, and the tensors built from them (on first use, so only on
+    Kahler charts).  Point-level results carry a unit generator axis."""
 
-    def __init__(
-        self, pj: PointJets, gj: GeneratorJets, kahler: dict, b: CurvatureBundle, tol_audit: float
-    ):
-        self.pj, self.gj, self.kahler, self.b, self.tol_audit = pj, gj, kahler, b, tol_audit
+    def __init__(self, pj: PointJets, gj: GeneratorJets, tol_audit: float):
+        self.pj, self.gj, self.tol_audit = pj, gj, tol_audit
+        # the Kahler rules of R^g are per point: their n^4 temporaries go before the stack comes
+        self.kahler = kahler_identities(pj)
+        self.b = curvature_bundle(pj, gj)
         self.torsion = torsion_identities(pj, gj)
 
     @cached_property
@@ -262,7 +263,7 @@ class _Job:
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The generator pairs (i, j), i < j, that I-HIND compares, in row order."""
-        return np.triu_indices(self.b.pi.shape[-2], 1)
+        return np.triu_indices(self.gj.pi.shape[-2], 1)
 
     @cached_property
     def hyb_cond(self) -> list[tuple]:
@@ -275,10 +276,10 @@ class _Job:
         chunks of ``_HYB_CHUNK_BYTES``.  The rules are per-row functions, and
         equal rows differ at most in the sign of a zero, which no sum, product
         or max-norm carries: the same bits."""
-        b, tol = self.b, self.tol_audit
+        pj, b, tol = self.pj, self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
-        nabla, nabla_scale = hybrid_defect(b.nabla_pi, b.a)
-        pipi, pipi_scale = hybrid_defect(b.blocks["pp"], b.a)
+        nabla, nabla_scale = hybrid_defect(self.gj.nabla_pi, pj.a)
+        pipi, pipi_scale = hybrid_defect(b.pp, pj.a)
         kind1 = relative_residual(nabla, nabla_scale)
         other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
         h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
@@ -287,9 +288,9 @@ class _Job:
         held = (h1 < tol, h2 < tol)
         either = held[0] | held[1]
         batch = h1.shape[1:]
-        a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (b.a, b.g))
-        r_g = np.broadcast_to(b.r_g, batch + b.r_g.shape[-4:])
-        size = max(1, _HYB_CHUNK_BYTES // (8 * b.n**4))
+        a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (pj.a, pj.g))
+        r_g = np.broadcast_to(pj.r_g, batch + pj.r_g.shape[-4:])
+        size = max(1, _HYB_CHUNK_BYTES // (8 * pj.n**4))
         same, rows = np.zeros(h1.shape, dtype=bool), np.nonzero(either)
         for first in range(0, len(rows[0]), size):
             # a row that fills a chunk is read as a view, not gathered
@@ -342,7 +343,7 @@ def _torsion_evaluator(key: str):
 
 def _metricity_evaluator(j: _Job):
     rec = metricity_defects(j.pj, j.gj)
-    batch = j.b.pi.shape[:-1]
+    batch = j.gj.pi.shape[:-1]
     worst = {k: np.broadcast_to(v, batch) for k, v in rec.items() if k != "scale"}
     details = {k: v.max(-1) for k, v in worst.items()}
     return emax(*worst.values()), rec["scale"], details
@@ -379,7 +380,7 @@ def _r1comm_evaluator(j: _Job):
     then R^1 minus the commutator."""
     r1, gj = j.b.r[1], j.gj
     points, gens = r1.shape[:-4]
-    block = points * j.b.n**4
+    block = points * j.pj.n**4
     size = min(gens, max(1, _SLAB_BYTES // (8 * block)))
     buffers = np.empty((2, size * block))
     res, comm_norms = [], []
@@ -387,7 +388,7 @@ def _r1comm_evaluator(j: _Job):
         part = slice(first, first + size)
         shape = (points, min(size, gens - first)) + r1.shape[-4:]
         comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
-        chunk = GeneratorJets(gj.label[part], gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part])
+        chunk = GeneratorJets(gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part])
         commutator_curvature(j.pj, chunk, out=comm, work=diff)
         comm_norms.append(norm_max(comm, 4))
         res.append(norm_max(np.subtract(r1[:, part], comm, out=diff), 4))
@@ -449,7 +450,7 @@ class LinearRelation:
     def __call__(self, j: _Job):
         terms, norms = [], [j.b.scale]
         for c, name, *slots in self.terms:
-            t, norm = _with_norm(_on_r_g(name, j.b)) if name == "H0RG" else j.tensors[name]
+            t, norm = _with_norm(_on_r_g(name, j.pj)) if name == "H0RG" else j.tensors[name]
             norms.append(norm)
             if slots:
                 t = np.einsum(f"...l{slots[0]}->...lXYZ", t)
@@ -666,10 +667,7 @@ def _block_results(m, points, generators, cfg, plan, tol_audit):
     index.  Each field is differentiated once, on all the block's points;
     everything after runs on (point, generator) batches."""
     pj = point_jets(m, points, cfg)
-    gj = generator_jets(pj, generators)
-    # the Kahler rules of R^g are per point: their n^4 temporaries go before the stack comes
-    kahler = kahler_identities(pj)
-    job = _Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit)
+    job = _Job(pj, generator_jets(pj, generators), tol_audit)
     evaluated = [evaluate(job) for _, _, evaluate in plan]
     # zero-padded to the widest K: residuals and scales are >= 0, relative(0, 0) = 0
     widths = [max(np.shape(res)[-1:] + np.shape(scale)[-1:]) for res, scale, _ in evaluated]

@@ -217,11 +217,11 @@ def test_criterion_08_hybridity_cascade(capsys):
     ok = True
     for p in pts:
         b = _bundle(m, p, gen)
-        defect, scale = hybrid_defect(b.d[1], b.a)
+        defect, scale = hybrid_defect(b.d[1], b.pj.a)
         ok &= defect < 1e-10 * max(scale, 1.0)
-        rl = lowered(b.r[1], b.g)
+        rl = lowered(b.r[1], b.pj.g)
         scale = max(norm_max(rl), 1.0)
-        ok &= max(rotation_rules(rl, b.a).values()) < 1e-9 * scale
+        ok &= max(rotation_rules(rl, b.pj.a).values()) < 1e-9 * scale
     for p in sample_points(m, 50, seed=9):
         pi = gen.value(p)
         defect, scale = hybrid_defect(np.outer(pi, pi), m.structure_field.value(p))

@@ -238,13 +238,33 @@ def test_verify_rejects_a_tolerance_that_is_not_finite(tmp_path, capsys, value):
           "--richardson"], "richardson"),
         (["tensor", "--what", "rg", "--manifold", "fs", "--point", "0.1,0,0,0",
           "--step", "5e-3"], "step"),
+        (["verify", "--manifold", "flat", "--step", "1e-4"], "step"),
+        (["tensor", "--what", "rg", "--manifold", "flat", "--k", "1", "--point", "0,0",
+          "--step", "0.0001"], "step"),
     ],
-    ids=["verify-richardson", "verify-step", "tensor-richardson", "tensor-step"],
+    ids=[
+        "verify-richardson", "verify-step", "tensor-richardson", "tensor-step",
+        "verify-default-step", "tensor-default-step",
+    ],
 )
 def test_analytic_scheme_rejects_finite_difference_settings(capsys, argv, setting):
+    """A scheme flag the analytic scheme has no use for is an error, a
+    --step flag at the default step included: it names the flag."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith(f"error: {setting}") and "analytic" in err, err
+    assert setting != "step" or "--step" in err, err
+
+
+def test_a_config_file_may_hold_the_default_step_under_the_analytic_scheme(tmp_path, capsys):
+    """Every analytic report echoes step 1e-4, so a config file holding it
+    runs; the same value given as --step beside that file does not."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"manifold": "flat", "num_points": 1, "step": 1e-4}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and not err
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--step", "1e-4")
+    assert code == 2 and not out and "drop --step" in err, err
 
 
 @pytest.mark.parametrize(

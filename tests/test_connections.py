@@ -42,7 +42,6 @@ def test_generator_jets_stack_a_list_on_a_batch():
     gens = [generator("linear_j", dim=4), generator("random_poly", dim=4, seed=2)]
     pts = sample_points(m, 3, seed=8)
     stacked = generator_jets(point_jets(m, pts, CFG), gens)
-    assert stacked.label == ("linear_j", "random_poly:2")
     assert stacked.pi.shape == (3, 2, 4) and stacked.dpi.shape == (3, 2, 4, 4)
     for j, gen in enumerate(gens):
         for i, p in enumerate(pts):
@@ -50,6 +49,16 @@ def test_generator_jets_stack_a_list_on_a_batch():
             assert alone.pi.shape == (4,)
             for key in ("pi", "dpi", "nabla_pi"):
                 np.testing.assert_array_equal(getattr(stacked, key)[i, j], getattr(alone, key))
+
+
+def test_an_empty_generator_list_is_named():
+    """An empty list is a ValueError that asks for a generator, at a batch
+    or at one point, not numpy's failed unpacking of no jets."""
+    m = manifold_by_name("fs", k=2)
+    pts = sample_points(m, 2, seed=8)
+    for points in (pts, pts[0]):
+        with pytest.raises(ValueError, match="at least one generator"):
+            generator_jets(point_jets(m, points, CFG), [])
 
 
 @pytest.mark.parametrize("k, count", [(1, 2), (2, 4), (2, 2)], ids=["G==n-k1", "G==n-k2", "G!=n"])

@@ -50,7 +50,7 @@ def test_riemann_symmetries_on_curved_metric():
     gen = generator("zero", dim=4)
     for p in sample_points(m, 3, seed=11):
         b = bundle(m, p, gen)
-        rl = lowered(b.r_g, b.g)
+        rl = lowered(b.pj.r_g, b.pj.g)
         scale = norm_max(rl)
         assert scale > 0.1
         assert norm_max(rl + rl.transpose(1, 0, 2, 3)) < 1e-12 * scale
@@ -66,7 +66,7 @@ def test_model_spaces_are_einstein(name, lam):
     gen = generator("zero", dim=4)
     for p in sample_points(m, 3, seed=12):
         b = bundle(m, p, gen)
-        assert norm_max(b.ric_g - lam * b.g) < 1e-10 * norm_max(b.ric_g)
+        assert norm_max(b.pj.ric_g - lam * b.pj.g) < 1e-10 * norm_max(b.pj.ric_g)
 
 
 def test_d_blocks_hand_values():
@@ -129,8 +129,8 @@ def test_zero_generator_collapses_every_kind():
     p = sample_points(m, 1, seed=15)[0]
     b = bundle(m, p, gen)
     for theta in range(6):
-        assert norm_max(b.r[theta] - b.r_g) < 1e-13
-        assert norm_max(b.ric[theta] - b.ric_g) < 1e-13
+        assert norm_max(b.r[theta] - b.pj.r_g) < 1e-13
+        assert norm_max(b.ric[theta] - b.pj.ric_g) < 1e-13
 
 
 def _pi_triple(pi, vec, arrangement):
@@ -188,13 +188,14 @@ def test_general_and_reduced_assemblies_coincide():
         gen = generator("random_poly", dim=4, seed=3)
         p = sample_points(m, 1, seed=7)[0]
         bk = bundle(m, p, gen)
-        d, pp = bk.d, bk.pi[..., :, None] * bk.pi[..., None, :]
+        pj, pi, d = bk.pj, bk.gj.pi, bk.d
+        pp = pi[..., :, None] * pi[..., None, :]
         blocks = {"d1": d[1], "d2": d[2], "d3": d[3], "d23": 0.5 * (d[2] + d[3]), "pp": pp}
         for theta in range(6):
-            general = _general_assembly(theta, bk.r_g, bk.a, bk.pi, bk.d)
+            general = _general_assembly(theta, pj.r_g, pj.a, pi, d)
             diff = norm_max(bk.r[theta] - general)
             assert diff < 1e-12 * max(norm_max(bk.r[theta]), 1.0)
-            reduced = assemble_r_theta(theta, bk.r_g, bk.a_support, blocks)
+            reduced = assemble_r_theta(theta, pj.r_g, pj.a_support, blocks)
             np.testing.assert_array_equal(reduced, bk.r[theta])
 
 

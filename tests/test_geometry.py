@@ -8,6 +8,7 @@ g_ij = (H_ij + (A^T H A)_ij) / 2 where H is the coordinate Hessian of phi.
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -144,9 +145,21 @@ def test_chart_validation_and_domain():
     m = manifold_by_name("hyperbolic", k=1)
     with pytest.raises(ValueError):
         dataclasses.replace(m, n=3)
-    with pytest.raises(DomainError):
+    outside = rf"^point \[0.8, 0.7\] outside chart {re.escape(m.label)}$"
+    with pytest.raises(DomainError, match=outside):
         m.require(np.array([0.8, 0.7]))
     m.require(np.array([0.5, 0.5]))
+
+
+def test_require_names_the_first_point_of_a_batch_outside_the_chart():
+    """On a (P, n) batch require answers per row, as contains does, and
+    names the first row outside; a batch inside passes."""
+    m = manifold_by_name("hyperbolic", k=1)
+    m.require(np.array([[0.5, 0.5], [0.1, -0.2]]))
+    batch = np.array([[0.5, 0.5], [0.9, 0.9], [0.8, 0.7]])
+    outside = rf"^point \[0.9, 0.9\] outside chart {re.escape(m.label)}$"
+    with pytest.raises(DomainError, match=outside):
+        m.require(batch)
 
 
 def test_generator_zero_and_linear_j():

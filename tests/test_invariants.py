@@ -98,7 +98,7 @@ def test_h_tensor_rejects_bad_kind():
     b = bundle(m, np.zeros(4), generator("zero", dim=4))
     for build in (
         lambda kind: h_tensor(kind, b),
-        lambda kind: assemble_r_theta(kind, b.r_g, b.a_support, b.blocks),
+        lambda kind: assemble_r_theta(kind, b.pj.r_g, b.pj.a_support, b.blocks),
         lambda kind: invariants._part2_condition(kind, b),
     ):
         for kind in (7, -1):
@@ -153,7 +153,7 @@ def test_h0_closed_form_matches_assembled():
     gen = generator("random_poly", dim=4, seed=5)
     p = sample_points(m, 1, seed=5)[0]
     b = bundle(m, p, gen)
-    direct = invariants._on_r_g("H0RG", b)
+    direct = invariants._on_r_g("H0RG", b.pj)
     assembled = h_tensor(0, b)
     assert norm_max(direct - assembled) < 1e-11 * max(norm_max(direct), 1.0)
 
@@ -170,7 +170,7 @@ def test_projective_invariants_flat_and_model_spaces():
         mm = manifold_by_name(name, k=2)
         q = sample_points(mm, 1, seed=6)[0]
         qj = point_jets(mm, q, CFG)
-        r_scale = norm_max(bundle(mm, q, generator("zero", dim=4)).r_g)
+        r_scale = norm_max(qj.r_g)
         assert norm_max(hol_projective(qj)) < 1e-9 * r_scale
         assert norm_max(weyl_projective(qj)) > 0.1 * r_scale
 
@@ -385,9 +385,9 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
     pts = sample_points(m, 2, seed=0)
     results = identity_suite(m, pts, gens, CFG)
     b = bundle(m, pts, gens)
-    from_g = int((b.r == b.r_g).all((-4, -3, -2, -1)).sum())
+    from_g = int((b.r == b.pj.r_g).all((-4, -3, -2, -1)).sum())
     # rotation_rules receives lowered rows, commutation_rules the (1,3) rows
-    r_g = {"rotation_rules": lowered(b.r_g, b.g), "commutation_rules": b.r_g}
+    r_g = {"rotation_rules": lowered(b.pj.r_g, b.pj.g), "commutation_rules": b.pj.r_g}
     rows = [r for r in results if r.id.startswith("I-HYB-COND")]
     assert len(rows) == 6 and all(len(r.passed) == 2 for r in rows)
     for part, rules in (("part1", "rotation_rules"), ("part2", "commutation_rules")):
@@ -404,8 +404,8 @@ def _direct_rules(b, row):
     """(residual, scale) of both I-HYB-COND parts for one (kind, point,
     generator) row, from the rules called on that row of the R stack alone."""
     _, point, gen = row
-    r, a = b.r[row], b.a[point, 0]
-    rl = lowered(r, b.g[point, 0])
+    r, a = b.r[row], b.pj.a[point, 0]
+    rl = lowered(r, b.pj.g[point, 0])
     scale = np.maximum(b.scale[point, gen], norm_max(rl, 4))
     return [
         (functools.reduce(np.maximum, rules.values()), scale)
@@ -451,8 +451,7 @@ def _held_rows(monkeypatch, pj, gj):
     with monkeypatch.context() as patch:
         for name in ("rotation_rules", "commutation_rules"):
             patch.setattr(invariants, name, lambda *args: {"nan": np.full(len(args[0]), np.nan)})
-        b = curvature_bundle(pj, gj)
-        probe = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6)
+        probe = invariants._Job(pj, gj, tol_audit=1e-6)
         probe.kahler = {k: np.full_like(v, np.nan) for k, v in probe.kahler.items()}
         res = np.stack([res for res, _, _ in probe.hyb_cond])
     return np.isnan(res).reshape(res.shape[:2] + (-1, 2))
@@ -466,9 +465,9 @@ def _check_hybrid_rows(monkeypatch, m, gens, cfg):
     pts = sample_points(m, 2, seed=27)
     pj = point_jets(m, pts, cfg)
     gj = generator_jets(pj, gens)
-    b = curvature_bundle(pj, gj)
     held = _held_rows(monkeypatch, pj, gj)
-    got = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6).hyb_cond
+    job = invariants._Job(pj, gj, tol_audit=1e-6)
+    b, got = job.b, job.hyb_cond
     equal_kinds = set()
     for kind, (res, sc, details) in enumerate(got):
         res, sc = (x.reshape(held.shape[1:]) for x in (res, sc))
@@ -483,7 +482,7 @@ def _check_hybrid_rows(monkeypatch, m, gens, cfg):
                         empty = (gen, part) == (0, 0) and not held[kind, point].any()
                         want = (0.0, float(empty))
                     assert (res[point, gen, part], sc[point, gen, part]) == want, (row, part)
-                if held[row].any() and np.array_equal(b.r[row], b.r_g[point, 0]):
+                if held[row].any() and np.array_equal(b.r[row], b.pj.r_g[point, 0]):
                     equal_kinds.add(kind)
     return int(held.sum()), equal_kinds
 
@@ -615,16 +614,56 @@ def test_h_tensors_take_over_the_curvature_stack():
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     gj = generator_jets(pj, SEVEN[:3])
-    b = curvature_bundle(pj, gj)
-    want = [h_tensor(theta, b) for theta in range(6)]
-    job = invariants._Job(pj, gj, kahler_identities(pj), b, tol_audit=1e-6)
+    job = invariants._Job(pj, gj, tol_audit=1e-6)
+    want = [h_tensor(theta, job.b) for theta in range(6)]
     for theta in range(6):
         h, norm = job.tensors[f"H{theta}"]
         np.testing.assert_array_equal(h, want[theta])
         assert norm.tobytes() == norm_max(want[theta], 4).tobytes()
     with pytest.raises(RuntimeError, match="handed over"):
-        b.r
-    np.testing.assert_array_equal(b.scale, curvature_bundle(pj, gj).scale)
+        job.b.r
+    np.testing.assert_array_equal(job.b.scale, curvature_bundle(pj, gj).scale)
+
+
+def _bits(value):
+    """Shape, dtype and bytes of every array in a nest of dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    return arr.shape, arr.dtype.str, arr.tobytes()
+
+
+def test_a_job_holds_each_datum_in_one_record():
+    """The bundle reads g, A, R^g, pi and nabla^g pi from the PointJets and
+    GeneratorJets it was built from: no array field of it is, or views, an
+    array of those records.  _Job(pj, gj, tol) builds the Kahler rules and the
+    bundle itself, and its I-HYB-COND rows, tensors and every evaluator
+    result are bit for bit those of a job given a hand-made bundle."""
+    m = manifold_by_name("fs", k=2)
+    pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
+    gj = generator_jets(pj, SEVEN[:3])
+    built = invariants._Job(pj, gj, tol_audit=1e-6)
+    assert built.b.pj is pj and built.b.gj is gj
+    records = [
+        x for rec in (pj, gj) for v in vars(rec).values()
+        for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, np.ndarray)
+    ]
+    for field in dataclasses.fields(built.b):
+        value = getattr(built.b, field.name)
+        if isinstance(value, np.ndarray):
+            assert not any(np.may_share_memory(value, x) for x in records), field.name
+    by_hand = invariants._Job(pj, gj, tol_audit=1e-6)
+    by_hand.kahler, by_hand.b = kahler_identities(pj), curvature_bundle(pj, gj)
+    # the readers of R^theta first, as identity_suite runs them
+    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
+    got, want = ([IDENTITY_CATALOG[i].evaluate(job) for i in order] for job in (built, by_hand))
+    assert _bits(got) == _bits(want)
+    assert _bits(built.hyb_cond) == _bits(by_hand.hyb_cond)
+    assert _bits(built.tensors) == _bits(by_hand.tensors)
 
 
 @pytest.mark.parametrize("name", ["fs", "conformal-nonkahler"])
@@ -710,7 +749,7 @@ def _whole_array_row(relation, job):
     c is +-1), then the max-norm; with the scale of the row."""
     tensors, norms = [], [job.b.scale]
     for _, name, *_ in relation.terms:
-        tensors.append(invariants._on_r_g(name, job.b) if name == "H0RG" else job.tensors[name][0])
+        tensors.append(invariants._on_r_g(name, job.pj) if name == "H0RG" else job.tensors[name][0])
         norms.append(norm_max(tensors[-1], 4))
     total = np.zeros(np.broadcast_shapes(*(t.shape for t in tensors)))
     for (c, _, *slots), t in zip(relation.terms, tensors):
@@ -737,9 +776,7 @@ def _slab_job(k):
         pts = sample_points(m, 1, seed=27)
         gens = K8_THREE
     pj = point_jets(m, pts, CFG)
-    gj = generator_jets(pj, gens)
-    kahler = kahler_identities(pj)
-    job = invariants._Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit=1e-6)
+    job = invariants._Job(pj, generator_jets(pj, gens), tol_audit=1e-6)
     job.tensors, job.b.scale
     return job
 
@@ -754,7 +791,7 @@ def test_linear_relation_rows_in_slabs_equal_the_whole_array_sum(monkeypatch, k,
     (the shipped budget, and 6-row slabs, which leave a shorter last one), at
     k=2 in one slab, and one output row per slab."""
     job = _slab_job(k)
-    n, batch = job.pj.n, job.b.pi.shape[:-1]
+    n, batch = job.pj.n, job.gj.pi.shape[:-1]
     row_bytes = 8 * int(np.prod(batch)) * n**3
     assert (n * row_bytes > invariants._SLAB_BYTES) == (k == 8)
     if rows is not None:
@@ -779,7 +816,7 @@ def test_a_linear_relation_row_peaks_at_its_two_slab_buffers():
     (point, generator), under one n^4 block: no zeroed total and no c T
     temporary as large as H."""
     job = _slab_job(8)
-    n, (p, g) = job.pj.n, job.b.pi.shape[:-1]
+    n, (p, g) = job.pj.n, job.gj.pi.shape[:-1]
     block = p * g * n**4 * 8
     relation = IDENTITY_CATALOG["I-PCOMB3"].evaluate
     tracemalloc.start()
@@ -798,7 +835,7 @@ def _fresh_job(k, points):
     m = manifold_by_name("fs", k=k)
     pj = point_jets(m, sample_points(m, points, seed=27), CFG)
     gj = generator_jets(pj, SEVEN if k == 2 else K8_THREE)
-    return invariants._Job(pj, gj, kahler_identities(pj), curvature_bundle(pj, gj), tol_audit=1e-6)
+    return invariants._Job(pj, gj, tol_audit=1e-6)
 
 
 @pytest.mark.parametrize("k,points", [(2, 2), (8, 1)])
@@ -814,7 +851,7 @@ def test_commutator_curvature_into_buffers_equals_a_new_array(monkeypatch, k, po
     assert commutator_curvature(pj, gj, out=out, work=work) is out
     assert out.tobytes() == want.tobytes()
     for g in range(want.shape[1]):
-        one = GeneratorJets(gj.label[g], *(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi)))
+        one = GeneratorJets(*(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi)))
         out, work = np.full_like(want[:, :1], np.nan), np.full_like(want[:, :1], -1.0)
         commutator_curvature(pj, one, out=out, work=work)
         assert out.tobytes() == want[:, g : g + 1].tobytes(), g
@@ -833,7 +870,7 @@ def test_r1comm_peaks_at_its_two_chunk_buffers():
     through two buffers of one n^4 block each: its peak is those two plus
     O(n^3) per (point, generator), under the G n^4 of one whole curvature."""
     job = _fresh_job(8, 1)
-    n, (p, g) = job.pj.n, job.b.pi.shape[:-1]
+    n, (p, g) = job.pj.n, job.gj.pi.shape[:-1]
     evaluate = IDENTITY_CATALOG["I-R1COMM"].evaluate
     evaluate(job)  # first-call caches stay out of the trace
     tracemalloc.start()
@@ -871,9 +908,7 @@ def _per_identity_block_results(m, points, generators, cfg, plan, tol_audit):
     identity's residuals and scales broadcast together, stacked with their
     relatives and reduced on their own; with the K of each identity by id."""
     pj = point_jets(m, points, cfg)
-    gj = generator_jets(pj, generators)
-    kahler = kahler_identities(pj)
-    job = invariants._Job(pj, gj, kahler, curvature_bundle(pj, gj), tol_audit)
+    job = invariants._Job(pj, generator_jets(pj, generators), tol_audit)
     stats, details, widths = np.empty((3, len(plan), len(points))), {}, {}
     for i, (ident, _, evaluate) in enumerate(plan):
         res, scale, extra = evaluate(job)
