@@ -12,9 +12,7 @@ from .geometry import (
     ManifoldSpec,
     TensorField,
     generator,
-    generator_names,
     manifold_by_name,
-    manifold_names,
     sample_points,
 )
 from .connections import (
@@ -60,14 +58,12 @@ __all__ = [
     "curvature_bundle",
     "generator",
     "generator_jets",
-    "generator_names",
     "h_tensor",
     "hol_projective",
     "hybrid_defect",
     "identity_suite",
     "levi_civita",
     "manifold_by_name",
-    "manifold_names",
     "norm_max",
     "point_jets",
     "quarter_symmetric",

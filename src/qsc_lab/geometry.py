@@ -60,10 +60,8 @@ __all__ = [
     "MANIFOLDS",
     "GENERATORS",
     "lookup",
-    "manifold_names",
     "manifold_by_name",
     "generator",
-    "generator_names",
     "parse_generator_spec",
     "sample_points",
 ]
@@ -243,10 +241,6 @@ def lookup(table: dict, kind: str, name: str):
     return table[name]
 
 
-def manifold_names() -> list[str]:
-    return list(MANIFOLDS)
-
-
 def manifold_by_name(name: str, k: int = 2) -> ManifoldSpec:
     return lookup(MANIFOLDS, "manifold", name)[0](k)
 
@@ -370,10 +364,6 @@ def parse_generator_spec(spec: str, dim: int) -> TensorField:
     if text:
         raise ConfigError(f"generator {name!r} takes no argument")
     return generator(name, dim=dim)
-
-
-def generator_names() -> list[str]:
-    return list(GENERATORS)
 
 
 def sample_points(m: ManifoldSpec, count: int, seed: int) -> np.ndarray:

@@ -31,13 +31,14 @@ Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
 (identity, point).  I-HYB-COND runs all six kinds in one pass over the held
-(kind, point, generator) rows of the R stack.  A held row equal to R^g at
-its point takes the Kahler rules of R^g from ``kahler_identities``; the rules
-run on the others, gathered in chunks of at most ``_HYB_CHUNK_BYTES``
-(128 KiB) of R rows.  The rank-one terms of H^theta, of W, P and H0 in R^g,
-and of the part-2 conditions of I-HYB-COND are the rows of ``H_TERMS``,
-``RG_TERMS`` and ``PART2_TERMS``, folded by ``curvature.fold_rank_one``; as
-in ``curvature``, their order inside a (V, vector slot) group fixes the bits.
+(kind, point, generator) rows of the R stack.  A held row whose rank-one
+blocks vanish (D1 for kind 1, pi and nabla^g pi for the others) is R^g, and
+takes the Kahler rules of R^g from ``kahler_identities``; the rules run on
+the others, gathered in chunks of at most ``_SLAB_BYTES`` of R rows.  The
+rank-one terms of H^theta, of W, P and H0 in R^g, and of the part-2
+conditions of I-HYB-COND are the rows of ``H_TERMS``, ``RG_TERMS`` and
+``PART2_TERMS``, folded by ``curvature.fold_rank_one``; as in ``curvature``,
+their order inside a (V, vector slot) group fixes the bits.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -90,16 +91,14 @@ from .tensor import emax, norm_max, relative_residual
 
 EXPECTED_FAIL_FLOOR = 1e-3
 
-# The working-set budget of one block of points, and the n^4 arrays per
-# (point, generator) live at a block's peak: a tracemalloc peak of 12.4 at
-# n=16 and G=1, falling to 7.8 at G=5 (13.3 to 10.6 before I-R1COMM ran in
-# chunks); kept at 16, so the block sizes stay in the bit-equal regime
-_BLOCK_BYTES = 16 << 20
-_LIVE_BLOCKS = 16
-# The R rows one I-HYB-COND chunk gathers, in bytes
-_HYB_CHUNK_BYTES = 128 << 10
-# The largest slab of output rows a linear-relation row sums at once, and of
-# generators an I-R1COMM chunk holds per buffer, in bytes
+# The bytes of one n^4 array over a block's (point, generator) pairs: a block
+# peaks at about 16 such arrays (a tracemalloc peak of 12.4 at n=16 and G=1,
+# falling to 7.8 at G=5; 13.3 to 10.6 before I-R1COMM ran in chunks), so a
+# block holds about 16 MiB, and its sizes stay in the bit-equal regime
+_BLOCK_ARRAY_BYTES = 1 << 20
+# The largest slab of output rows a linear-relation row sums at once, of
+# generators an I-R1COMM chunk holds per buffer, and of R rows an I-HYB-COND
+# chunk gathers, in bytes
 _SLAB_BYTES = 512 << 10
 
 
@@ -270,15 +269,16 @@ class _Job:
         """(residuals, scales, details) of I-HYB-COND for each kind, from one
         pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
         the Kahler rules on the held (kind, point, generator) rows of the R
-        stack (k2..k4, then k1 and k5).  A held row equal to R^g at its point
-        (its rank-one blocks vanish there) takes R^g's rules from ``kahler``;
-        the others run the rules.  The test against R^g and the rules run in
-        chunks of ``_HYB_CHUNK_BYTES``.  The rules are per-row functions, and
-        equal rows differ at most in the sign of a zero, which no sum, product
-        or max-norm carries: the same bits."""
-        pj, b, tol = self.pj, self.b, self.tol_audit
+        stack (k2..k4, then k1 and k5).  A held row whose ``R_TERMS`` vanish
+        takes R^g's rules from ``kahler``: kind 1 where D1 = 0, the other
+        kinds where pi and nabla^g pi are 0 (so are D0..D3 and pi (x) pi).
+        The rules run on the others, in chunks of ``_SLAB_BYTES``.  Such a
+        row is R^g up to the sign of a zero, and the rules are per-row
+        functions in which no sum, product or max-norm carries that sign:
+        the same bits."""
+        pj, gj, b, tol = self.pj, self.gj, self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
-        nabla, nabla_scale = hybrid_defect(self.gj.nabla_pi, pj.a)
+        nabla, nabla_scale = hybrid_defect(gj.nabla_pi, pj.a)
         pipi, pipi_scale = hybrid_defect(b.pp, pj.a)
         kind1 = relative_residual(nabla, nabla_scale)
         other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
@@ -289,13 +289,10 @@ class _Job:
         either = held[0] | held[1]
         batch = h1.shape[1:]
         a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (pj.a, pj.g))
-        r_g = np.broadcast_to(pj.r_g, batch + pj.r_g.shape[-4:])
-        size = max(1, _HYB_CHUNK_BYTES // (8 * pj.n**4))
-        same, rows = np.zeros(h1.shape, dtype=bool), np.nonzero(either)
-        for first in range(0, len(rows[0]), size):
-            # a row that fills a chunk is read as a view, not gathered
-            at = tuple(i[first] if size == 1 else i[first : first + size] for i in rows)
-            same[at] = (b.r[at] == r_g[at[1:]]).all((-4, -3, -2, -1))
+        # the rows where R^theta is R^g: its rank-one blocks vanish
+        no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
+        same = np.stack([~b.d[1].any((-2, -1)) if t == 1 else no_pi for t in THETAS])
+        size = max(1, _SLAB_BYTES // (8 * pj.n**4))
         k = self.kahler
         from_g = (
             emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
@@ -350,7 +347,7 @@ def _metricity_evaluator(j: _Job):
 
 
 def _nabla1pi_evaluator(j: _Job):
-    rec = nabla1_pi_defect(j.pj, j.gj)
+    rec = nabla1_pi_defect(j.pj, j.gj, j.b.d[3])
     return rec["residual"], rec["scale"], None
 
 
@@ -624,8 +621,9 @@ def identity_suite(
     On a Kahler-expected manifold the full catalog runs.  Otherwise only the
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
-    The points run in blocks whose estimated working set fits
-    ``_BLOCK_BYTES``; one block is freed before the next is built.
+    The points run in blocks whose n^4 arrays over all (point, generator)
+    pairs fit ``_BLOCK_ARRAY_BYTES`` each; one block is freed before the
+    next is built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
@@ -641,7 +639,7 @@ def identity_suite(
             plan.append((ident, info.classification, info.evaluate))
         elif info.scope == "kahler_hypothesis":  # kahler_only does not run
             plan.append((ident, "expected-fail", info.evaluate))
-    size = max(1, _BLOCK_BYTES // (_LIVE_BLOCKS * len(generators) * m.n**4 * 8))
+    size = max(1, _BLOCK_ARRAY_BYTES // (len(generators) * m.n**4 * 8))
     blocks = [
         _block_results(m, points[first : first + size], generators, cfg, plan, tol_audit)
         for first in range(0, len(points), size)

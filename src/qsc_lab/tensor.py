@@ -29,7 +29,7 @@ _ABS_BYTES = 128 << 10
 
 
 class SingularMetricError(ValueError):
-    """Metric inversion rejected: condition number above the configured bound."""
+    """Metric inversion rejected: condition number above 1e12."""
 
 
 class ConfigError(ValueError):
@@ -97,17 +97,17 @@ def contract_first(m: np.ndarray, arr: np.ndarray, rank: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (n,) * rank)
 
 
-def metric_inverse(g: np.ndarray, cond_bound: float = 1e12) -> np.ndarray:
-    """Invert a (0,2) metric, or each of a stack, rejecting near-singular
-    input; the error names the first such matrix's condition number."""
+def metric_inverse(g: np.ndarray) -> np.ndarray:
+    """Invert a (0,2) metric, or each of a stack, rejecting a condition
+    number above 1e12; the error names the first such matrix's."""
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"expected a square metric block, got shape {g.shape}")
     cond = np.linalg.cond(g)
-    bad = ~(cond <= cond_bound)  # also NaN
+    bad = ~(cond <= 1e12)  # also NaN
     if bad.any():
         worst = float(np.ravel(cond)[np.argmax(bad)])
         raise SingularMetricError(
-            f"metric condition number {worst:.3e} exceeds bound {cond_bound:.1e}"
+            f"metric condition number {worst:.3e} exceeds bound 1.0e+12"
         )
     inv = np.linalg.inv(g)
     return 0.5 * (inv + inv.swapaxes(-1, -2))  # symmetrize away inversion rounding

@@ -304,5 +304,8 @@ def test_nabla1_pi_closed_form(name):
     for gen_name in ("linear_j", "grad"):
         gen = generator(gen_name, dim=m.n)
         for p in sample_points(m, 2, seed=5):
-            res = nabla1_pi_defect(*records(m, p, gen))
+            pj, gj = records(m, p, gen)
+            # D3 = nabla^g pi + pi (x) (pi o A), built here, not by curvature
+            d3 = gj.nabla_pi + np.outer(gj.pi, gj.pi @ pj.a)
+            res = nabla1_pi_defect(pj, gj, d3)
             assert res["residual"] < 1e-13 * max(res["scale"], 1.0)

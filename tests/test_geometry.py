@@ -24,9 +24,7 @@ from qsc_lab.geometry import (
     GENERATORS,
     MANIFOLDS,
     generator,
-    generator_names,
     manifold_by_name,
-    manifold_names,
     parse_generator_spec,
     sample_points,
 )
@@ -87,7 +85,7 @@ def test_conformal_metric_frozen():
     assert not m.kahler_expected
 
 
-@pytest.mark.parametrize("name", manifold_names())
+@pytest.mark.parametrize("name", MANIFOLDS)
 def test_catalog_is_almost_hermitian(name):
     """A^2 = -I, g(A., A.) = g, F(A., .) = -g, G(A., A.) = G and g > 0."""
     m = manifold_by_name(name, k=2)
@@ -204,7 +202,7 @@ def test_generator_random_poly_deterministic():
 def test_generator_unknown_label():
     with pytest.raises(ValueError, match="unknown generator"):
         generator("swirl", dim=4)
-    assert set(generator_names()) == {"zero", "const", "linear_j", "grad", "random_poly"}
+    assert set(GENERATORS) == {"zero", "const", "linear_j", "grad", "random_poly"}
 
 
 @pytest.mark.parametrize(
@@ -285,7 +283,7 @@ def _catalog_fields(k):
     """(name, field) for the metric and structure of every chart at complex
     dimension k and for every generator family at n = 2k."""
     n = 2 * k
-    for name in manifold_names():
+    for name in MANIFOLDS:
         if name == "conformal-nonkahler" and k != 2:
             continue
         m = manifold_by_name(name, k=k)
@@ -372,7 +370,7 @@ def _sympy_oracle(k, point):
             u,
             point,
         )
-    for name in manifold_names():
+    for name in MANIFOLDS:
         if name != "conformal-nonkahler" or k == 2:
             oracle[f"{name}.A"] = constant(a)
     for seed in (1, 3):

@@ -364,40 +364,61 @@ def test_suite_differentiates_each_field_once_per_job(monkeypatch, points, schem
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
     """An I-HYB-COND conclusion is computed only where its hypothesis holds,
-    and the rules run only on rows that differ from R^g: per part, the rows
-    handed to the rules plus the rows of the R stack equal to R^g (those of
-    the zero generator, all held) are the (point, generator) pairs the
-    report rows count as satisfied, and no row handed over equals R^g."""
-    received = {"rotation_rules": [], "commutation_rules": []}
-    for name in received:
-
-        def counted(*args, _name=name, _original=getattr(invariants, name)):
-            received[_name].extend(args[0])
-            return _original(*args)
-
-        monkeypatch.setattr(invariants, name, counted)
+    and the rules run only on rows whose rank-one blocks do not vanish.  The
+    vanishing-block mask is D1 = 0 for kind 1 and pi = nabla^g pi = 0 for
+    the other kinds; its rows are R^g but for the sign of a zero.  Per part,
+    the rows handed to the rules are, in order, the held rows outside the
+    mask; with the held rows inside it, which take R^g's rules, they are the
+    (point, generator) pairs the report rows count as satisfied.  Checked
+    with the zero generator, whose rows are all in the mask, and with the
+    closed pi of grad and const, whose kind-1 rows are (at these points only
+    the kind-1 part-2 rows of that pair hold, so the rules see none)."""
     m = manifold_by_name("fs", k=2)
-    gens = [
+    pts = sample_points(m, 2, seed=0)
+    zero_set = [
         generator("zero", dim=4),
         generator("linear_j", dim=4),
         generator("random_poly", dim=4, seed=3),
     ]
-    pts = sample_points(m, 2, seed=0)
-    results = identity_suite(m, pts, gens, CFG)
-    b = bundle(m, pts, gens)
-    from_g = int((b.r == b.pj.r_g).all((-4, -3, -2, -1)).sum())
-    # rotation_rules receives lowered rows, commutation_rules the (1,3) rows
-    r_g = {"rotation_rules": lowered(b.pj.r_g, b.pj.g), "commutation_rules": b.pj.r_g}
-    rows = [r for r in results if r.id.startswith("I-HYB-COND")]
-    assert len(rows) == 6 and all(len(r.passed) == 2 for r in rows)
-    for part, rules in (("part1", "rotation_rules"), ("part2", "commutation_rules")):
-        satisfied = sum(r.details[f"{part}_satisfied"].sum() for r in rows)
-        assert len(received[rules]) + from_g == satisfied
-        assert 0 < satisfied < 6 * 2 * len(gens)
-        for row in received[rules]:
-            assert not any(np.array_equal(row, rg) for rg in r_g[rules][:, 0])
-    assert from_g > 0
-    assert sum(len(v) for v in received.values()) > 0
+    cases = ((zero_set, set(range(6)), True), (SEVEN[2:4], {1}, False))
+    for gens, masked_kinds, rules_run in cases:
+        pj = point_jets(m, pts, CFG)
+        gj = generator_jets(pj, gens)
+        held = _held_rows(monkeypatch, pj, gj)
+        b = curvature_bundle(pj, gj)
+        no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
+        vanish = np.stack([~b.d[1].any((-2, -1)) if t == 1 else no_pi for t in range(6)])
+        # rotation_rules receives lowered rows, commutation_rules the (1,3) rows
+        received = {"rotation_rules": [], "commutation_rules": []}
+        with monkeypatch.context() as patch:
+            for name in received:
+
+                def counted(*args, _name=name, _original=getattr(invariants, name)):
+                    received[_name].extend(args[0])
+                    return _original(*args)
+
+                patch.setattr(invariants, name, counted)
+            results = identity_suite(m, pts, gens, CFG)
+        rows = [r for r in results if r.id.startswith("I-HYB-COND")]
+        assert len(rows) == 6 and all(len(r.passed) == 2 for r in rows)
+        reused = held & vanish[..., None]
+        assert {int(kind) for kind in np.nonzero(reused)[0]} == masked_kinds
+        for kind, point, gen in zip(*np.nonzero(vanish)):
+            assert (b.r[kind, point, gen] == b.pj.r_g[point, 0]).all()
+        total = 0
+        for part, rules in enumerate(("rotation_rules", "commutation_rules")):
+            satisfied = sum(r.details[f"part{part + 1}_satisfied"].sum() for r in rows)
+            total += satisfied
+            handed = np.nonzero(held[..., part] & ~vanish)
+            want = b.r[handed]
+            if not part:
+                want = lowered(want, b.pj.g[handed[1], 0])
+            assert len(received[rules]) == len(want)
+            assert np.array_equal(np.array(received[rules]).reshape(want.shape), want)
+            assert len(received[rules]) + reused[..., part].sum() == satisfied
+            assert satisfied < 6 * 2 * len(gens)
+        assert total > 0
+        assert (sum(len(v) for v in received.values()) > 0) == rules_run
 
 
 def _direct_rules(b, row):
@@ -550,12 +571,12 @@ def test_batched_suite_equals_single_point_runs(name, scheme, k, points):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
 def test_the_largest_block_of_the_budget_equals_one_point_jets(k):
     """identity_suite's largest block, one generator's, holds
-    _BLOCK_BYTES // (_LIVE_BLOCKS n^4 8) points (8192 at k=1, so P n^3 =
-    65536).  At 16 evenly spaced points of it, every PointJets and
-    GeneratorJets array is bit for bit the one-point call's; a budget that
+    _BLOCK_ARRAY_BYTES // (n^4 8) points (8192 at k=1, so P n^3 = 65536).
+    At 16 evenly spaced points of it, every PointJets and GeneratorJets
+    array is bit for bit the one-point call's; a budget that
     builds blocks past that regime fails here."""
     m = manifold_by_name("fs", k=k)
-    size = max(1, invariants._BLOCK_BYTES // (invariants._LIVE_BLOCKS * m.n**4 * 8))
+    size = max(1, invariants._BLOCK_ARRAY_BYTES // (m.n**4 * 8))
     gens = [generator("random_poly", dim=m.n, seed=3)]
     pts = sample_points(m, size, seed=21)
     pj = point_jets(m, pts, CFG)
@@ -733,11 +754,13 @@ def _chunk_case(name):
 @pytest.mark.parametrize("name", ["fs-k2", "hyperbolic-k4-fd4", "fs-k8"])
 @pytest.mark.parametrize("budget", [1, 1 << 60], ids=["one-row", "unlimited"])
 def test_hybrid_rows_do_not_depend_on_the_chunk_size(monkeypatch, name, budget):
-    """I-HYB-COND gathers the held rows of all six kinds in chunks: one row
-    per chunk and every row in one chunk give the shipped rows bit for bit."""
+    """I-HYB-COND gathers the held rows of all six kinds in chunks of
+    _SLAB_BYTES: one row per chunk and every row in one chunk (with the
+    I-R1COMM chunks and linear slabs of that budget) give the shipped rows
+    bit for bit."""
     m, pts, gens, cfg = _chunk_case(name)
     want = identity_suite(m, pts, gens, cfg)
-    monkeypatch.setattr(invariants, "_HYB_CHUNK_BYTES", budget)
+    monkeypatch.setattr(invariants, "_SLAB_BYTES", budget)
     got = identity_suite(m, pts, gens, cfg)
     assert any(r.details is not None and r.details["part2_satisfied"].any() for r in got)
     _assert_same_rows(got, want)

@@ -180,7 +180,7 @@ def test_metric_inverse_roundtrip(dim, seed):
 
 
 def test_metric_inverse_rejects_singular():
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(SingularMetricError, match=r"exceeds bound 1\.0e\+12$"):
         metric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
