@@ -102,12 +102,13 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
     number above 1e12; the error names the first such matrix's."""
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"expected a square metric block, got shape {g.shape}")
+    bound = 1e12
     cond = np.linalg.cond(g)
-    bad = ~(cond <= 1e12)  # also NaN
+    bad = ~(cond <= bound)  # also NaN
     if bad.any():
         worst = float(np.ravel(cond)[np.argmax(bad)])
         raise SingularMetricError(
-            f"metric condition number {worst:.3e} exceeds bound 1.0e+12"
+            f"metric condition number {worst:.3e} exceeds bound {bound:.1e}"
         )
     inv = np.linalg.inv(g)
     return 0.5 * (inv + inv.swapaxes(-1, -2))  # symmetrize away inversion rounding

@@ -371,8 +371,9 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
     mask; with the held rows inside it, which take R^g's rules, they are the
     (point, generator) pairs the report rows count as satisfied.  Checked
     with the zero generator, whose rows are all in the mask, and with the
-    closed pi of grad and const, whose kind-1 rows are (at these points only
-    the kind-1 part-2 rows of that pair hold, so the rules see none)."""
+    closed pi of grad and const, whose kind-1 rows are.  Each part holds
+    rows for the first set; for grad and const only the kind-1 part-2 rows
+    hold at these points, so part 1 holds none and the rules see none."""
     m = manifold_by_name("fs", k=2)
     pts = sample_points(m, 2, seed=0)
     zero_set = [
@@ -380,8 +381,12 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
         generator("linear_j", dim=4),
         generator("random_poly", dim=4, seed=3),
     ]
-    cases = ((zero_set, set(range(6)), True), (SEVEN[2:4], {1}, False))
-    for gens, masked_kinds, rules_run in cases:
+    # (generators, kinds with reused rows, parts that hold rows, rules run)
+    cases = (
+        (zero_set, set(range(6)), (True, True), True),
+        (SEVEN[2:4], {1}, (False, True), False),
+    )
+    for gens, masked_kinds, parts_hold, rules_run in cases:
         pj = point_jets(m, pts, CFG)
         gj = generator_jets(pj, gens)
         held = _held_rows(monkeypatch, pj, gj)
@@ -405,10 +410,8 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
         assert {int(kind) for kind in np.nonzero(reused)[0]} == masked_kinds
         for kind, point, gen in zip(*np.nonzero(vanish)):
             assert (b.r[kind, point, gen] == b.pj.r_g[point, 0]).all()
-        total = 0
         for part, rules in enumerate(("rotation_rules", "commutation_rules")):
             satisfied = sum(r.details[f"part{part + 1}_satisfied"].sum() for r in rows)
-            total += satisfied
             handed = np.nonzero(held[..., part] & ~vanish)
             want = b.r[handed]
             if not part:
@@ -416,8 +419,8 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
             assert len(received[rules]) == len(want)
             assert np.array_equal(np.array(received[rules]).reshape(want.shape), want)
             assert len(received[rules]) + reused[..., part].sum() == satisfied
+            assert (0 < satisfied) == parts_hold[part]
             assert satisfied < 6 * 2 * len(gens)
-        assert total > 0
         assert (sum(len(v) for v in received.values()) > 0) == rules_run
 
 
