@@ -238,7 +238,7 @@ class CurvatureBundle:
     def blocks(self) -> dict[str, np.ndarray]:
         """The blocks that ``H_TERMS`` and ``PART2_TERMS`` of ``invariants`` name,
         computed on first use: x_a = x A, a_x = A^T x = x(A., .), x_aa = x(A., A.),
-        pp, pq, d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
+        pp, d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
         a, ric, pr3, pr4 = self.pj.a, self.ric, self.prime_r3, self.prime_r4
         at, d2, d3, pp, pq = a.swapaxes(-1, -2), self.d[2], self.d[3], self.pp, self.pq
         d2_a, d4 = d2 @ a, self.gj.nabla_pi @ a - 2 * pp  # d4: the part-2 block of kind 4
@@ -247,7 +247,7 @@ class CurvatureBundle:
             "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
             "a_pr3": at @ pr3, "a_pr4": at @ pr4,
             "pr3_aa": rotate_slots(pr3, a, (0, 1)), "pr4_aa": rotate_slots(pr4, a, (0, 1)),
-            "d2": d2, "d3": d3, "pp": pp, "pq": pq, "pp_a": pp @ a, "d3_a": d3 @ a,
+            "d2": d2, "d3": d3, "pp": pp, "pp_a": pp @ a, "d3_a": d3 @ a,
             "d2_a": d2_a, "d2_pq": d2 + pq, "d2_a_pp": d2_a - pp, "d4": d4, "d4_a": d4 @ a,
         }
 
@@ -306,15 +306,13 @@ def commutation_rules(r: np.ndarray, rl: np.ndarray, a: np.ndarray) -> dict[str,
 def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
     """Residuals of the five structure/curvature exchange rules k1..k5 of
     ``rotation_rules`` and ``commutation_rules`` for R^g, one per point,
-    with the residual scale and the max-norm of the lowered R^g, the part of
-    that scale an I-HYB-COND row equal to R^g reuses."""
+    with the residual scale: the max-norm of R^g and of its lowered form,
+    which an I-HYB-COND row equal to R^g also reuses."""
     rl = lowered(pj.r_g, pj.g)
-    rl_norm = norm_max(rl, 4)
     return {
         **commutation_rules(pj.r_g, rl, pj.a),
         **rotation_rules(rl, pj.a),
-        "lowered_norm": rl_norm,
-        "scale": np.maximum(norm_max(pj.r_g, 4), rl_norm),
+        "scale": np.maximum(norm_max(pj.r_g, 4), norm_max(rl, 4)),
     }
 
 

@@ -45,14 +45,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .diff import DiffConfig, DomainError, _check_domain, eval_components, field_jets, jet_exp
+from .diff import DiffConfig, _check_domain, eval_components, field_jets, jet_exp
 from .tensor import MAX_DIM, ConfigError
 
 __all__ = [
     "TensorField",
     "ManifoldSpec",
-    "DiffConfig",
-    "DomainError",
     "flat_complex",
     "fubini_study",
     "complex_hyperbolic",
@@ -376,6 +374,6 @@ def sample_points(m: ManifoldSpec, count: int, seed: int) -> np.ndarray:
         v /= np.linalg.norm(v)
         r = m.sample_radius * rng.uniform() ** (1.0 / n)
         points[row] = r * v
-        m.require(points[row])
+    m.require(points)
     return points
 

@@ -14,19 +14,20 @@ description, classification, scope and evaluator of one ID.  A linear
 relation among H0..H5, W, P and H0 written in R^g is one row of coefficients,
 a ``LinearRelation``; one evaluator computes the residual of every such row.
 
-``identity_suite`` runs whole points in blocks sized by a byte budget, so a
-job's n^4 working set is bounded in P.  Per block of P points it
-differentiates each field once into one ``PointJets`` (axes (P, 1)) and one
-``GeneratorJets`` (P, G), from which one ``_Job`` takes the Kahler rules of
-R^g (per point, so their n^4 temporaries are freed before the stack exists)
-and builds one ``CurvatureBundle`` with batch axes (P, G) that reads both
-records rather than copying them; the block then runs the identities that read
-R^theta, then calls ``h_tensor`` once per kind, folding H^theta onto R^theta
-in the bundle's stack (the R -> H handover: one n^4 stack per kind family,
-and R^theta unreadable after).  Beside that stack a block holds a constant
+``identity_suite`` runs whole points in blocks, so a job's n^4 working set
+is bounded in P.  Per block of P points it differentiates each field once
+into one ``PointJets`` (axes (P, 1)) and one ``GeneratorJets`` (P, G), from
+which one ``_Job`` takes the Kahler rules of R^g (per point, so their n^4
+temporaries are freed before the stack exists) and builds one
+``CurvatureBundle`` with batch axes (P, G) that reads both records rather
+than copying them; the block then runs the identities that read R^theta,
+then calls ``h_tensor`` once per kind, folding H^theta onto R^theta in the
+bundle's stack (the R -> H handover: one n^4 stack per kind family, and
+R^theta unreadable after).  Beside that stack a block holds a constant
 number of n^4 arrays per (point, generator): I-R1COMM builds its commutator
-curvature in chunks of generators, through two buffers of at most
-``_SLAB_BYTES``, and the linear rows sum in slabs of the same size.
+curvature in chunks of generators through two reused buffers, and the
+linear rows sum in slabs of output rows; ``_chunks`` cuts these, the point
+blocks and the chunks of I-HYB-COND rows, each by a byte budget.
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
@@ -34,11 +35,11 @@ one ``IdentityRows`` of (P,) arrays per identity, never an object per
 (kind, point, generator) rows of the R stack.  A held row whose rank-one
 blocks vanish (D1 for kind 1, pi and nabla^g pi for the others) is R^g, and
 takes the Kahler rules of R^g from ``kahler_identities``; the rules run on
-the others, gathered in chunks of at most ``_SLAB_BYTES`` of R rows.  The
-rank-one terms of H^theta, of W, P and H0 in R^g, and of the part-2
-conditions of I-HYB-COND are the rows of ``H_TERMS``, ``RG_TERMS`` and
-``PART2_TERMS``, folded by ``curvature.fold_rank_one``; as in ``curvature``,
-their order inside a (V, vector slot) group fixes the bits.
+the others, gathered in chunks of R rows.  The rank-one terms of H^theta,
+of W, P and H0 in R^g, and of the part-2 conditions of I-HYB-COND are the
+rows of ``H_TERMS``, ``RG_TERMS`` and ``PART2_TERMS``, folded by
+``curvature.fold_rank_one``; as in ``curvature``, their order inside a
+(V, vector slot) group fixes the bits.
 
 Residual scale convention: the scale of an identity is the largest max-norm
 among the tensors entering it, including the curvature and trace blocks that
@@ -93,13 +94,23 @@ EXPECTED_FAIL_FLOOR = 1e-3
 
 # The bytes of one n^4 array over a block's (point, generator) pairs: a block
 # peaks at about 16 such arrays (a tracemalloc peak of 12.4 at n=16 and G=1,
-# falling to 7.8 at G=5; 13.3 to 10.6 before I-R1COMM ran in chunks), so a
-# block holds about 16 MiB, and its sizes stay in the bit-equal regime
+# 7.8 at G=5), so it holds about 16 MiB; its batched jets equal one-point jets
 _BLOCK_ARRAY_BYTES = 1 << 20
 # The largest slab of output rows a linear-relation row sums at once, of
 # generators an I-R1COMM chunk holds per buffer, and of R rows an I-HYB-COND
 # chunk gathers, in bytes
 _SLAB_BYTES = 512 << 10
+
+
+def _chunks(count: int, item_bytes: int, budget: int) -> list[slice]:
+    """As few slices of range(count) as keep each within `budget` bytes at
+    `item_bytes` an item, with at least one item each: of equal size, but
+    for a shorter last one."""
+    if not count:
+        return []
+    parts = -(-count // max(1, budget // item_bytes))
+    size = -(-count // parts)
+    return [slice(first, min(first + size, count)) for first in range(0, count, size)]
 
 
 def hybrid_defect(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +283,7 @@ class _Job:
         stack (k2..k4, then k1 and k5).  A held row whose ``R_TERMS`` vanish
         takes R^g's rules from ``kahler``: kind 1 where D1 = 0, the other
         kinds where pi and nabla^g pi are 0 (so are D0..D3 and pi (x) pi).
-        The rules run on the others, in chunks of ``_SLAB_BYTES``.  Such a
+        The rules run on the others, in ``_chunks`` of ``_SLAB_BYTES``.  Such a
         row is R^g up to the sign of a zero, and the rules are per-row
         functions in which no sum, product or max-norm carries that sign:
         the same bits."""
@@ -292,21 +303,20 @@ class _Job:
         # the rows where R^theta is R^g: its rank-one blocks vanish
         no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
         same = np.stack([~b.d[1].any((-2, -1)) if t == 1 else no_pi for t in THETAS])
-        size = max(1, _SLAB_BYTES // (8 * pj.n**4))
         k = self.kahler
         from_g = (
             emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
             emax(k["k1_operator"], k["k5_last_pair"]),
         )
-        g_scale = np.maximum(b.scale, k["lowered_norm"])
+        g_scale = np.maximum(b.scale, k["scale"])
         res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
         for part, mask in enumerate(held):
             reuse = mask & same
             res[..., part] = np.where(reuse, from_g[part], 0.0)
             sc[..., part] = np.where(reuse, g_scale, 0.0)
             rows = np.nonzero(mask & ~same)
-            for first in range(0, len(rows[0]), size):
-                kind, point, gen = (i[first : first + size] for i in rows)
+            for chunk in _chunks(len(rows[0]), 8 * pj.n**4, _SLAB_BYTES):
+                kind, point, gen = (i[chunk] for i in rows)
                 r, ar = b.r[kind, point, gen], a[point, gen]
                 rl = lowered(r, g[point, gen])
                 rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
@@ -330,12 +340,10 @@ class _Job:
 # An evaluator maps a _Job to (residuals, scales, details): residuals and
 # scales broadcast to (P, K); details, if any, map a key to one value per point.
 
-def _hyb_cond_evaluator(theta: int):
-    return lambda j: j.hyb_cond[theta]
-
-
-def _torsion_evaluator(key: str):
-    return lambda j: (j.torsion[key], j.torsion["scale"], None)
+def _record(name: str, key: str):
+    """The evaluator of entry `key` of the job's record `name`, ``torsion``
+    or ``kahler``, with the record's scale."""
+    return lambda j: (getattr(j, name)[key], getattr(j, name)["scale"], None)
 
 
 def _metricity_evaluator(j: _Job):
@@ -362,28 +370,23 @@ def _drel_evaluator(j: _Job):
     return res, norm_max(j.b.d, 2).max(0), None
 
 
-def _kahler_evaluator(key: str):
-    return lambda j: (j.kahler[key], j.kahler["scale"], None)
-
-
 def _richyb_evaluator(j: _Job):
     return (*hybrid_defect(j.pj.ric_g, j.pj.a), None)
 
 
 def _r1comm_evaluator(j: _Job):
-    """R^1 against the commutator curvature, in chunks of generators of at
-    most ``_SLAB_BYTES`` per buffer: one buffer takes dL, then the
+    """R^1 against the commutator curvature, in ``_chunks`` of generators of
+    at most ``_SLAB_BYTES`` per buffer: one buffer takes dL, then the
     commutator; the other the products of dL, L L and the sum of half of R,
     then R^1 minus the commutator."""
     r1, gj = j.b.r[1], j.gj
     points, gens = r1.shape[:-4]
     block = points * j.pj.n**4
-    size = min(gens, max(1, _SLAB_BYTES // (8 * block)))
-    buffers = np.empty((2, size * block))
+    chunks = _chunks(gens, 8 * block, _SLAB_BYTES)
+    buffers = np.empty((2, (chunks[0].stop - chunks[0].start) * block))
     res, comm_norms = [], []
-    for first in range(0, gens, size):
-        part = slice(first, first + size)
-        shape = (points, min(size, gens - first)) + r1.shape[-4:]
+    for part in chunks:
+        shape = (points, part.stop - part.start) + r1.shape[-4:]
         comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
         chunk = GeneratorJets(gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part])
         commutator_curvature(j.pj, chunk, out=comm, work=diff)
@@ -436,10 +439,10 @@ class LinearRelation:
     is built for its row alone (kept for the whole job, it would raise the
     peak memory).  slots names the arguments of T: "YZX" is T(Y, Z)X.  The
     scale is the bundle scale and the max-norm of every T_i in the row.  The
-    sum runs in slabs of the output slot, at most ``_SLAB_BYTES`` each, in
-    two reused buffers: the first term is read in place if c = 1 (1 T is T)
-    and written otherwise, the others added (c T in the second buffer unless
-    c = +-1); the residual is the largest slab's."""
+    sum runs in ``_chunks`` of the output slot of ``_SLAB_BYTES`` (one slab
+    reads its terms whole), in two reused buffers: the first term is read in
+    place if c = 1 (1 T is T) and written otherwise, the others added (c T in
+    the second buffer unless c = +-1); the residual is the largest slab's."""
 
     def __init__(self, *terms):
         self.terms = terms
@@ -454,14 +457,13 @@ class LinearRelation:
             terms.append((c(j.pj.n) if callable(c) else c, t))
         shape = np.broadcast_shapes(*(t.shape for _, t in terms))
         n = shape[-1]
-        # as few slabs as fit the budget, of rows as equal as they can be
-        count = -(-n // max(1, _SLAB_BYTES // (8 * prod(shape[:-4]) * n**3)))
-        rows = -(-n // count)
+        slabs = _chunks(n, 8 * prod(shape[:-4]) * n**3, _SLAB_BYTES)
+        rows = slabs[0].stop - slabs[0].start
         total, scaled, residual = np.empty(shape[:-4] + (rows,) + shape[-3:]), None, []
-        for first in range(0, n, rows):
-            slab = total if n - first >= rows else total[..., : n - first, :, :, :]
+        for part in slabs:
+            slab = total[..., : part.stop - part.start, :, :, :]
             for i, (c, t) in enumerate(terms):
-                t = t[..., first : first + rows, :, :, :] if count > 1 else t
+                t = t[..., part, :, :, :] if len(slabs) > 1 else t
                 if i == 0:  # 1 T is T: read in place, not copied into the slab
                     acc = t if c == 1 else np.multiply(t, c, out=slab)
                     continue
@@ -484,14 +486,14 @@ class Identity:
 IDENTITY_CATALOG: dict[str, Identity] = {
     "I-T1": Identity(
         "torsion: A T(AX,AY) = A T(X,Y) - T(AX,Y) - T(X,AY)", "core", "hermitian",
-        _torsion_evaluator("twisted_composition"),
+        _record("torsion", "twisted_composition"),
     ),
     "I-T2": Identity(
         "lowered torsion rebuilt from structure-rotated slots", "core", "hermitian",
-        _torsion_evaluator("lowered_reconstruction"),
+        _record("torsion", "lowered_reconstruction"),
     ),
     "I-T3": Identity(
-        "cyclic torsion sums agree", "core", "hermitian", _torsion_evaluator("cyclic_sum")
+        "cyclic torsion sums agree", "core", "hermitian", _record("torsion", "cyclic_sum")
     ),
     "I-NABLA1PI": Identity(
         "(nabla^1 pi)(X,Y) = (nabla^g pi)(X,Y) + pi(X) pi(AY)", "core", "hermitian",
@@ -506,23 +508,23 @@ IDENTITY_CATALOG: dict[str, Identity] = {
         "kahler_hypothesis", _metricity_evaluator,
     ),
     "I-K1": Identity(
-        "R(X,Y)AZ = A R(X,Y)Z", "core", "kahler_hypothesis", _kahler_evaluator("k1_operator")
+        "R(X,Y)AZ = A R(X,Y)Z", "core", "kahler_hypothesis", _record("kahler", "k1_operator")
     ),
     "I-K2": Identity(
         "R(X,Y,AZ,AW) = R(AX,AY,Z,W)", "core", "kahler_hypothesis",
-        _kahler_evaluator("k2_pair_exchange"),
+        _record("kahler", "k2_pair_exchange"),
     ),
     "I-K3": Identity(
         "R(X,AY,AZ,W) = R(AX,Y,Z,AW)", "core", "kahler_hypothesis",
-        _kahler_evaluator("k3_inner_outer"),
+        _record("kahler", "k3_inner_outer"),
     ),
     "I-K4": Identity(
         "R(AX,AY,AZ,AW) = R(X,Y,Z,W)", "core", "kahler_hypothesis",
-        _kahler_evaluator("k4_all_four"),
+        _record("kahler", "k4_all_four"),
     ),
     "I-K5": Identity(
         "R(X,Y,Z,AW) = -R(X,Y,AZ,W)", "core", "kahler_hypothesis",
-        _kahler_evaluator("k5_last_pair"),
+        _record("kahler", "k5_last_pair"),
     ),
     "I-RICHYB": Identity(
         "Ricci tensor of g is hybrid", "core", "kahler_hypothesis", _richyb_evaluator
@@ -599,7 +601,7 @@ IDENTITY_CATALOG: dict[str, Identity] = {
     **{
         f"I-HYB-COND-{t}": Identity(
             f"conditional hybrid curvature properties, kind {t}", "audit", "kahler_only",
-            _hyb_cond_evaluator(t),
+            lambda j, t=t: j.hyb_cond[t],
         )
         for t in THETAS
     },
@@ -621,9 +623,9 @@ def identity_suite(
     On a Kahler-expected manifold the full catalog runs.  Otherwise only the
     almost-Hermitian-valid identities run as stated, and the Kahler-hypothesis
     block is re-classified expected-fail (its residuals should be large).
-    The points run in blocks whose n^4 arrays over all (point, generator)
-    pairs fit ``_BLOCK_ARRAY_BYTES`` each; one block is freed before the
-    next is built.
+    The points run in the ``_chunks`` whose n^4 arrays over all (point,
+    generator) pairs fit ``_BLOCK_ARRAY_BYTES`` each; one block is freed
+    before the next is built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not generators:
@@ -639,10 +641,9 @@ def identity_suite(
             plan.append((ident, info.classification, info.evaluate))
         elif info.scope == "kahler_hypothesis":  # kahler_only does not run
             plan.append((ident, "expected-fail", info.evaluate))
-    size = max(1, _BLOCK_ARRAY_BYTES // (len(generators) * m.n**4 * 8))
     blocks = [
-        _block_results(m, points[first : first + size], generators, cfg, plan, tol_audit)
-        for first in range(0, len(points), size)
+        _block_results(m, points[chunk], generators, cfg, plan, tol_audit)
+        for chunk in _chunks(len(points), len(generators) * m.n**4 * 8, _BLOCK_ARRAY_BYTES)
     ]
     stats = np.concatenate([s for s, _ in blocks], axis=-1)  # max_residual, scale, relative
     details = {

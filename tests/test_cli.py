@@ -507,6 +507,11 @@ def test_tensor_header_gives_the_slots_of_every_tensor(capsys, what):
         np.testing.assert_allclose(_printed_components(out), want, rtol=1e-10, atol=1e-10)
 
 
+def test_tensor_needs_a_manifold(capsys):
+    code, out, err = run(capsys, "tensor", "--what", "g", "--point", "0,0,0,0")
+    assert (code, out, err) == (2, "", "error: --manifold is required\n")
+
+
 def test_tensor_unknown_what(capsys):
     """An unknown tensor, or an unknown generator even for a tensor that
     needs none, is a configuration error naming the options."""

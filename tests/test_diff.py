@@ -84,6 +84,32 @@ def test_jet_division_and_power():
         x ** (-1)
 
 
+def widened(u):
+    """(x^2 y + delta_ij) / c_j: a scalar spread to a (2, 2) value by adding
+    a constant matrix, then divided by a constant vector."""
+    s = u[..., 0] * u[..., 0] * u[..., 1]
+    return (s[..., None, None] + np.eye(2)) / np.array([2.0, 4.0])
+
+
+@pytest.mark.parametrize("second", [True, False], ids=["second-order", "first-order"])
+@pytest.mark.parametrize("scheme,rtol", [("analytic", 1e-14), ("fd4", 1e-6)])
+def test_widened_and_divided_jets_match_hand_derivatives(scheme, rtol, second):
+    """A jet plus a constant of a wider shape, and a jet over a constant:
+    value and partials on the Taylor path and on the array path (fd4) are
+    the hand values, and a first-order jet gives its first partials."""
+    (x, y), c = (1.5, 0.7), np.array([2.0, 4.0])
+    out = field_jets(widened, np.array([x, y]), DiffConfig(scheme=scheme), second=second)
+    np.testing.assert_allclose(out[0], (x * x * y + np.eye(2)) / c, rtol=1e-15)
+    ds, d2s = np.array([2 * x * y, x * x]), np.array([[2 * y, 2 * x], [2 * x, 0.0]])
+    want = [ds[:, None, None] / np.broadcast_to(c, (2, 2))]
+    if second:
+        want.append(d2s[:, :, None, None] / np.broadcast_to(c, (2, 2)))
+    assert len(out) == 1 + len(want)
+    for got, hand in zip(out[1:], want):
+        assert got.shape == hand.shape
+        np.testing.assert_allclose(got, hand, rtol=rtol, atol=rtol)
+
+
 def test_jet_exp_log_roundtrip():
     x = seed([0.8])[..., 0]
     e = jet_exp(x)
@@ -125,6 +151,8 @@ def test_ndarray_operands_defer_to_the_jet():
     assert isinstance(np.float64(2.0) - u, Jet2)
     with pytest.raises(TypeError):
         np.eye(2) @ u  # write u @ M: M @ u reads a batch of points as a matrix
+    with pytest.raises(ValueError, match="constant vector or matrix only"):
+        u @ np.ones((2, 2, 2))
 
 
 @pytest.mark.parametrize("scheme", ["analytic", "fd2", "fd4"])
@@ -198,7 +226,9 @@ def _pointwise_fd(fn, point, step, scheme):
     for i in range(n):
         d2[i, i] = sum(c * f((i, k)) for k, c in pure) / (step * step)
         for j in range(i + 1, n):
-            mixed = sum(ci * cj * f((i, ki), (j, kj)) for ki, ci in d1_stencil for kj, cj in d1_stencil)
+            mixed = sum(
+                ci * cj * f((i, ki), (j, kj)) for ki, ci in d1_stencil for kj, cj in d1_stencil
+            )
             d2[i, j] = d2[j, i] = mixed / (step * step)
     return d1, d2
 
@@ -249,6 +279,11 @@ def test_non_finite_values_rejected():
     f = lambda u: math.inf * (u[..., 0] + 1.0)
     with pytest.raises(NumericError):
         field_jets(f, np.array([1.0]), DiffConfig(scheme="fd2"))
+    # a jet that overflows, with the warning silenced as the command line does
+    grows = lambda u: jet_exp(1000.0 * u[..., 0])
+    for second in (True, False):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+            field_jets(grows, np.array([1.0]), DiffConfig(), second=second)
 
 
 def test_constant_fields_are_sampled_and_broadcast():

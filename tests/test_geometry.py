@@ -22,6 +22,7 @@ from qsc_lab.diff import (
 )
 from qsc_lab.geometry import (
     GENERATORS,
+    as_point,
     MANIFOLDS,
     generator,
     manifold_by_name,
@@ -147,6 +148,17 @@ def test_chart_validation_and_domain():
     with pytest.raises(DomainError, match=outside):
         m.require(np.array([0.8, 0.7]))
     m.require(np.array([0.5, 0.5]))
+
+
+def test_as_point_rejects_the_wrong_length_and_non_finite_coordinates():
+    """Coordinates of one point or of a batch, checked against the chart's
+    dimension and for finiteness in every row."""
+    assert as_point([1, 2], dim=2).dtype == np.float64
+    with pytest.raises(ValueError, match="^point has 3 coordinates, chart needs 4$"):
+        as_point([0.1, 0.2, 0.3], dim=4)
+    for bad in ([0.1, np.nan], [[0.1, 0.2], [np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="^non-finite point coordinates$"):
+            as_point(bad, dim=2)
 
 
 def test_require_names_the_first_point_of_a_batch_outside_the_chart():
@@ -345,10 +357,10 @@ def _sympy_oracle(k, point):
         with mpmath.workdps(30):
             values = dict(zip(keys, (float(x) for x in evaluate(*map(mpmath.mpf, point)))))
         sym = lambda t: (t + np.swapaxes(a, 0, 1) @ t @ a) / 2
-        return tuple(
-            sym(np.array([values[tuple(sorted(i))] for i in np.ndindex((n,) * order)]).reshape((n,) * order))
-            for order in (2, 3, 4)
-        )
+        cube = lambda order: np.array(
+            [values[tuple(sorted(i))] for i in np.ndindex((n,) * order)]
+        ).reshape((n,) * order)
+        return tuple(sym(cube(order)) for order in (2, 3, 4))
 
     def constant(c):
         c = np.asarray(c, dtype=float)
@@ -361,12 +373,17 @@ def _sympy_oracle(k, point):
         "hyperbolic.g": from_potential(-sympy.log(1 - s)),
         "zero": constant(np.zeros(n)),
         "const": constant(consts),
-        "linear_j": _sympy_jets([(-u[i + 1] if i % 2 == 0 else u[i - 1]) for i in range(n)], u, point),
+        "linear_j": _sympy_jets(
+            [(-u[i + 1] if i % 2 == 0 else u[i - 1]) for i in range(n)], u, point
+        ),
         "grad": _sympy_jets([2 * u[0], 2 * u[1]] + [sympy.Integer(0)] * (n - 2), u, point),
     }
     if k == 2:
         oracle["conformal-nonkahler.g"] = _sympy_jets(
-            [[sympy.exp(2 * u[0]) if i == j else sympy.Integer(0) for j in range(n)] for i in range(n)],
+            [
+                [sympy.exp(2 * u[0]) if i == j else sympy.Integer(0) for j in range(n)]
+                for i in range(n)
+            ],
             u,
             point,
         )

@@ -525,19 +525,23 @@ def _rows_close(got, want, rtol=1e-12):
             assert got.details[key] == pytest.approx(value, rel=rtol, abs=0), (got.id, key)
 
 
-SEVEN = [
-    generator("zero", dim=4),
-    generator("linear_j", dim=4),
-    generator("grad", dim=4),
-    generator("const", dim=4, components=[0.3, -0.2, 0.1, 0.5]),
-    generator("random_poly", dim=4, seed=1),
-    generator("random_poly", dim=4, seed=2),
-    generator("random_poly", dim=4, seed=3),
-]
+def _seven(dim):
+    """Seven generators of every kind the catalog has, in dimension `dim`."""
+    return [
+        generator("zero", dim=dim),
+        generator("linear_j", dim=dim),
+        generator("grad", dim=dim),
+        generator("const", dim=dim, components=[0.3, -0.2, 0.1, 0.5, -0.7, 0.25, 0.9, -0.4][:dim]),
+        *(generator("random_poly", dim=dim, seed=seed) for seed in (1, 2, 3)),
+    ]
+
+
+SEVEN = _seven(4)
 
 
 K8_GENS = [generator("zero", dim=16), generator("random_poly", dim=16, seed=3)]
 K8_THREE = [K8_GENS[0], generator("linear_j", dim=16), K8_GENS[1]]
+SUITE_GENS = {2: SEVEN, 4: _seven(8), 8: K8_GENS}  # the generators of a suite case, by k
 
 
 @functools.cache
@@ -546,7 +550,7 @@ def _one_point_rows(name, scheme, k, index):
     is a prefix of every larger one, so runs of several sizes share them."""
     m = manifold_by_name(name, k=k)
     point = sample_points(m, index + 1, seed=21)[index]
-    return identity_suite(m, point[None, :], SEVEN if k == 2 else K8_GENS, SCHEMES[scheme])
+    return identity_suite(m, point[None, :], SUITE_GENS[k], SCHEMES[scheme])
 
 
 @pytest.mark.parametrize(
@@ -558,14 +562,17 @@ def _one_point_rows(name, scheme, k, index):
         for name in ("flat", "fs", "hyperbolic", "conformal-nonkahler")
     ]
     # n=16 batches large enough that one batched jet differs from one-point jets
-    + [pytest.param("fs", "analytic", 8, p, id=f"fs-k8-P{p}") for p in (8, 10, 20)],
+    + [pytest.param("fs", "analytic", 8, p, id=f"fs-k8-P{p}") for p in (8, 10, 20)]
+    # n=8 with seven generators: blocks of at most 4 points, so 9 run as 3 + 3 + 3
+    + [pytest.param("fs", "analytic", 4, 9, id="fs-k4-P9")],
 )
 def test_batched_suite_equals_single_point_runs(name, scheme, k, points):
     """One call over P points gives, row by row and bit for bit, what P
-    one-point calls give, under every derivative scheme and at n=16."""
+    one-point calls give, under every derivative scheme, at n=16, and over
+    several multi-point blocks."""
     m, cfg = manifold_by_name(name, k=k), SCHEMES[scheme]
     pts = sample_points(m, points, seed=21)
-    batched = identity_suite(m, pts, SEVEN if k == 2 else K8_GENS, cfg)
+    batched = identity_suite(m, pts, SUITE_GENS[k], cfg)
     assert all(len(r.passed) == points for r in batched)
     for index in range(points):
         _assert_same_rows(batched, _one_point_rows(name, scheme, k, index), point=index)

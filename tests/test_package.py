@@ -60,10 +60,11 @@ def test_every_traced_name_is_wrapped_and_the_install_undone():
 
 
 def test_source_lines_fit_the_column_limit():
-    """No line of the package's modules is wider than MAX_COLUMNS."""
+    """No line of the package's modules or of its tests is wider than MAX_COLUMNS."""
+    paths = sorted((ROOT / "src" / "qsc_lab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     wide = [
-        f"{path.name}:{number}"
-        for path in sorted((ROOT / "src" / "qsc_lab").glob("*.py"))
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in paths
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if len(line) > MAX_COLUMNS
     ]

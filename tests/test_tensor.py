@@ -184,6 +184,12 @@ def test_metric_inverse_rejects_singular():
         metric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_metric_inverse_rejects_a_non_square_block():
+    for g in (np.ones((2, 3)), np.ones(4), np.ones((3, 2, 4))):
+        with pytest.raises(ValueError, match="expected a square metric block"):
+            metric_inverse(g)
+
+
 def test_metric_inverse_of_a_stack_inverts_each_matrix():
     """A (P, 1, n, n) stack gives the one-matrix inverses bit for bit, and
     one singular matrix anywhere in it rejects the stack."""

@@ -19,7 +19,11 @@ its parsed report without ``generated_at``, the canonical one of
 ``perfbench/jobs.report_digest``, so the comparison holds across a change of
 the report's layout.  The report goes to one fixed path, since
 ``config_echo`` records it; run the same command on the two trees and
-``diff`` the outputs.  With ``--peak`` each line ends with the job's
+``diff`` the outputs.  Run as a script, the file sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy is imported, as ``perfbench/run.py`` does: the fd4 reports
+differ in their last digits between BLAS thread counts, so two trees compare
+only at one count.  With ``--peak`` each line ends with the job's
 tracemalloc peak in MiB (the report's rendering included), so a change to
 the working set diffs across two trees the same way:
 
@@ -31,10 +35,15 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+
+if __name__ == "__main__":  # one BLAS/OpenMP thread, set before numpy is imported
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 from qsc_lab.cli import main
 
