@@ -4,10 +4,13 @@ Catalog names, their ``list`` lines and the generator spec grammar live in
 ``geometry``; this module only splits a ``--generators`` list into specs.
 Each ``verify`` setting is a field of ``report.RunConfig``, which holds its
 default and checks its value; the field name is the ``dest`` of its flag
-and its key in a ``--config`` file.  ``tensor`` hands the derivative flags
-it was given to ``DiffConfig``, which holds their defaults, and rejects a
-``--generator`` that the tensor does not read.  Both commands reject a
-``--step`` flag under the analytic scheme, even at the default step.
+and its key in a ``--config`` file.  ``tensor`` reads each ``--what``
+through one table, ``_TENSORS``, which names its slots, whether it reads the
+generator and its reader.  It rejects a ``--generator`` that the tensor does
+not read and a derivative flag for a tensor read as a value; it hands the
+other derivative flags it was given to ``DiffConfig``, which holds their
+defaults.  Both commands reject a ``--step`` flag under the analytic scheme,
+even at the default step.
 
 Exit codes: 0 all checks behaved as configured, 1 identity failure,
 2 configuration error (a ``--report`` path that cannot be written among
@@ -37,19 +40,29 @@ from .tensor import ConfigError, NumericError, Tensor
 PRINT_EPS = 1e-12
 
 # --what -> (the slots of the tensor it prints, whether it reads the generator,
-# whether it reads derivatives, and so the scheme flags)
+# its reader).  A value tensor's reader takes (m, point, gen) and reads fields
+# without derivatives, so no stencil can leave the chart and no scheme flag
+# applies; the others read (pj, b): the point's jets and the generator's
+# curvature bundle, None for a tensor that reads no generator.
+_VALUES = {
+    "g": ("dd", False, lambda m, x, gen: m.metric_field.value(x)),
+    "f": ("dd", False, lambda m, x, gen: m.structure_field.value(x).T @ m.metric_field.value(x)),
+    "a": ("ud", False, lambda m, x, gen: m.structure_field.value(x)),
+    "pi": ("d", True, lambda m, x, gen: gen.value(x)),
+    "torsion": ("udd", True, lambda m, x, gen: torsion(gen.value(x), m.structure_field.value(x))),
+}
 _TENSORS = {
-    "g": ("dd", False, False), "f": ("dd", False, False), "a": ("ud", False, False),
-    "rg": ("uddd", False, True), "ric_g": ("dd", False, True),
-    "w": ("uddd", False, True), "p": ("uddd", False, True),
-    "pi": ("d", True, False), "torsion": ("udd", True, False),
-    "prime_r3": ("dd", True, True), "prime_r4": ("dd", True, True),
-    **{f"d{t}": ("dd", True, True) for t in range(4)},
-    **{
-        f"{name}{t}": (slots, True, True)
-        for name, slots in (("r", "uddd"), ("ric", "dd"), ("h", "uddd"))
-        for t in range(6)
-    },
+    **_VALUES,
+    "rg": ("uddd", False, lambda pj, b: riemann_g(pj)),
+    "ric_g": ("dd", False, lambda pj, b: pj.ric_g),
+    "w": ("uddd", False, lambda pj, b: weyl_projective(pj)),
+    "p": ("uddd", False, lambda pj, b: hol_projective(pj)),
+    "prime_r3": ("dd", True, lambda pj, b: b.prime_r3),
+    "prime_r4": ("dd", True, lambda pj, b: b.prime_r4),
+    **{f"d{t}": ("dd", True, lambda pj, b, t=t: b.d[t]) for t in range(4)},
+    **{f"r{t}": ("uddd", True, lambda pj, b, t=t: b.r[t]) for t in range(6)},
+    **{f"ric{t}": ("dd", True, lambda pj, b, t=t: b.ric[t]) for t in range(6)},
+    **{f"h{t}": ("uddd", True, lambda pj, b, t=t: h_tensor(t, b)) for t in range(6)},
 }
 _WHAT_CHOICES = sorted(_TENSORS)
 
@@ -113,7 +126,7 @@ def _merge_config(args) -> RunConfig:
     """The config file's settings, overlaid with the flags that were given."""
     keys = {f.name for f in fields(RunConfig)}
     merged = {}
-    if args.config:
+    if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
@@ -184,49 +197,24 @@ def cmd_tensor(args) -> int:
         raise ConfigError(
             f"unknown tensor {args.what!r}; options: {', '.join(_WHAT_CHOICES)}"
         )
-    slots, reads_pi, differentiated = _TENSORS[what]
+    slots, reads_pi, read = _TENSORS[what]
     gen = None if args.generator is None else parse_generator_spec(args.generator, m.n)
     if gen is None and reads_pi:
         raise ConfigError(f"tensor {what!r} depends on the generator; pass --generator")
     if gen is not None and not reads_pi:
         raise ConfigError(f"tensor {what!r} does not read the generator; drop --generator")
-    if given and not differentiated:
-        flags = ", ".join(f"--{'diff' if k == 'scheme' else k}" for k in given)
-        raise ConfigError(f"tensor {what!r} takes no derivatives; drop {flags}")
-    _reject_analytic_step(given.get("step"), given.get("scheme", DiffConfig.scheme))
-    cfg = DiffConfig(**given)
-    _print_tensor(what, Tensor(m.n, slots, _tensor_array(what, m, point, cfg, gen)))
+    if what in _VALUES:
+        if given:
+            flags = ", ".join(f"--{'diff' if k == 'scheme' else k}" for k in given)
+            raise ConfigError(f"tensor {what!r} takes no derivatives; drop {flags}")
+        array = read(m, point, gen)
+    else:
+        _reject_analytic_step(given.get("step"), given.get("scheme", DiffConfig.scheme))
+        pj = point_jets(m, point, DiffConfig(**given))
+        b = None if gen is None else curvature_bundle(pj, generator_jets(pj, gen))
+        array = read(pj, b)
+    _print_tensor(what, Tensor(m.n, slots, array))
     return 0
-
-
-def _tensor_array(what: str, m, point: np.ndarray, cfg: DiffConfig, gen) -> np.ndarray:
-    """The components of the tensor `what` at `point`, from the arrays and
-    formulas that ``verify`` uses."""
-    # g, f, a, pi and torsion need no derivatives, so no stencil can leave the chart
-    if what == "g":
-        return m.metric_field.value(point)
-    if what == "f":
-        return m.structure_field.value(point).T @ m.metric_field.value(point)
-    if what == "a":
-        return m.structure_field.value(point)
-    if what == "pi":
-        return gen.value(point)
-    if what == "torsion":
-        return torsion(gen.value(point), m.structure_field.value(point))
-    pj = point_jets(m, point, cfg)
-    if what == "rg":
-        return riemann_g(pj)
-    if what == "ric_g":
-        return pj.ric_g
-    if what == "w":
-        return weyl_projective(pj)
-    if what == "p":
-        return hol_projective(pj)
-    b = curvature_bundle(pj, generator_jets(pj, gen))
-    if what.startswith("prime_r"):
-        return getattr(b, what)
-    name, kind = what[:-1], int(what[-1])  # d, r, ric or h, then the kind
-    return h_tensor(kind, b) if name == "h" else getattr(b, name)[kind]
 
 
 def cmd_list(args) -> int:

@@ -86,6 +86,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {tol!r}")
         if not self.generators:
             raise ConfigError("at least one generator is required")
+        if self.report == "":
+            raise ConfigError("cannot write report '': an empty path names no file")
         try:
             self.diff_config()
         except ValueError as exc:

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from qsc_lab.geometry import HYPERBOLIC_MARGIN, _chart
+from qsc_lab.geometry import (
+    HYPERBOLIC_MARGIN, ManifoldSpec, TensorField, _chart, _standard_matrix
+)
 
 
 def cp1_times_ch1():
@@ -22,3 +24,36 @@ def cp1_times_ch1():
         return np.isfinite(points).all(-1) & ((z2 * z2).sum(-1) < 1.0 - HYPERBOLIC_MARGIN)
 
     return _chart("cp1xch1", 4, metric, inside, sample_radius=0.4)
+
+
+def sheared(m, eps=0.3):
+    """The Kahler chart `m` pulled back by the shear phi(u) = u + eps u0^2 e1,
+    which is not holomorphic, so the structure varies: with c = 2 eps u0,
+    dphi = I + c E10, g'(u) = dphi^T g(phi(u)) dphi and
+    A' = dphi^-1 J dphi = J + c (E11 - E00) + c^2 E10.  The chart holds u
+    when `m` holds phi(u)."""
+    n = m.n
+    e = np.eye(n)
+    j = _standard_matrix(n)
+    e00, e10, e11 = np.outer(e[0], e[0]), np.outer(e[1], e[0]), np.outer(e[1], e[1])
+
+    def phi(u):
+        x = u[..., 0]
+        return u + (eps * x * x)[..., None] * e[1]
+
+    def metric(u):
+        g = m.metric_field.fn(phi(u))
+        c = 2 * eps * u[..., 0]
+        # dphi^T g dphi = g + c (E01 g + g E10) + c^2 g11 E00, g symmetric
+        cross = g[..., :, 1:2] * e[0] + e[0][:, None] * g[..., 1:2, :]
+        return g + c[..., None, None] * cross + (c * c * g[..., 1, 1])[..., None, None] * e00
+
+    def structure(u):
+        c = 2 * eps * u[..., 0]
+        return j + c[..., None, None] * (e11 - e00) + (c * c)[..., None, None] * e10
+
+    return ManifoldSpec(
+        f"sheared {m.label}", n, lambda points: m.contains(phi(points)),
+        TensorField("dd", metric, label="g"), TensorField("ud", structure, label="A"),
+        kahler_expected=m.kahler_expected, sample_radius=m.sample_radius,
+    )

@@ -192,6 +192,10 @@ def test_config_file_missing_or_invalid(tmp_path, capsys):
     bad.write_text("[1, 2]")
     code, _, err = run(capsys, "verify", "--config", str(bad))
     assert code == 2 and "JSON object" in err
+    # an empty path names no file: an error, not a run without a config file
+    code, out, err = run(capsys, "verify", "--manifold", "flat", "--points", "1", "--config", "")
+    assert code == 2 and not out
+    assert err.startswith("error: config file not found") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -591,21 +595,27 @@ def test_main_builds_the_parser_once_and_keeps_no_flag_between_calls(
 
 def _report_path_case(tmp_path, case):
     """(the verify flags, the report path they name) of one case."""
-    path = tmp_path if case == "a directory" else tmp_path / "missing" / "x.json"
-    if case != "config key":
+    if case.startswith("empty"):
+        path = ""
+    else:
+        path = tmp_path if case == "a directory" else tmp_path / "missing" / "x.json"
+    if not case.endswith("config key"):
         return ["--report", str(path)], path
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"manifold": "flat", "report": str(path)}))
     return ["--config", str(config)], path
 
 
-@pytest.mark.parametrize("case", ["missing directory", "a directory", "config key"])
+@pytest.mark.parametrize(
+    "case",
+    ["missing directory", "a directory", "config key", "empty path", "empty config key"],
+)
 def test_verify_rejects_an_unwritable_report_path_before_the_suite(
     capsys, monkeypatch, tmp_path, case
 ):
-    """A report path whose directory is missing, or that is a directory,
-    from a flag or a config key, is a configuration error (exit 2) with one
-    `error:` line naming it, and the suite never starts."""
+    """A report path whose directory is missing, that is a directory, or
+    that is empty, from a flag or a config key, is a configuration error
+    (exit 2) with one `error:` line naming it, and the suite never starts."""
     import qsc_lab.cli as cli
 
     def never(cfg):

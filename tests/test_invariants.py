@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from charts import cp1_times_ch1
+from charts import cp1_times_ch1, sheared
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max, relative_residual
@@ -360,6 +360,27 @@ def test_suite_differentiates_each_field_once_per_job(monkeypatch, points, schem
     assert all(len(r.passed) == points for r in results)
     assert _all_pass(results)
     assert calls == {"g": 1, "A": 1, "zero": 1, "linear_j": 1, "random_poly:3": 1}
+
+
+@pytest.mark.parametrize("scheme", ["analytic", "fd4"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["fs", "hyperbolic"])
+def test_suite_passes_on_sheared_charts(name, k, scheme):
+    """A Kahler chart in sheared coordinates carries a structure that varies,
+    so the terms of the connection and of the metricity defects that
+    multiply dA are read; every row passes."""
+    m = sheared(manifold_by_name(name, k=k))
+    pts = sample_points(m, 3, seed=0)
+    assert norm_max(point_jets(m, pts, CFG).da, 3).min() > 0.1
+    gens = [
+        generator("zero", dim=m.n),
+        generator("linear_j", dim=m.n),
+        generator("grad", dim=m.n),
+        generator("random_poly", dim=m.n, seed=3),
+    ]
+    results = identity_suite(m, pts, gens, SCHEMES[scheme])
+    assert all(r.classification != "expected-fail" for r in results)
+    assert _all_pass(results), [r.id for r in results if not r.passed.all()]
 
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
