@@ -34,7 +34,7 @@ from .curvature import curvature_bundle, riemann_g
 from .diff import DiffConfig, MAX_STEP, MIN_STEP, SCHEMES
 from .geometry import GENERATORS, MANIFOLDS, lookup, manifold_by_name, parse_generator_spec
 from .invariants import IDENTITY_CATALOG, h_tensor, hol_projective, weyl_projective
-from .report import RunConfig, exit_code, render_report, run_verification, spelled_once
+from .report import RunConfig, exit_code, render_report, run_verification
 from .tensor import ConfigError, NumericError, Tensor
 
 PRINT_EPS = 1e-12
@@ -153,12 +153,11 @@ def _merge_config(args) -> RunConfig:
 
 
 def _print_table(report: dict) -> None:
-    """The verdict table in one write, each distinct relative formatted once."""
-    relative = spelled_once("{:10.2e}".format)
+    """The verdict table in one write."""
     lines = [f"{'identity':16s} {'pt':>3s} {'class':13s} {'relative':>10s} status"]
     lines += [
         f"{r['id']:16s} {r['point_index']:3d} {r['classification']:13s} "
-        f"{relative(r['relative'])} {'pass' if r['pass'] else 'FAIL'}"
+        f"{r['relative']:10.2e} {'pass' if r['pass'] else 'FAIL'}"
         for r in report["results"]
     ]
     s = report["summary"]

@@ -20,8 +20,8 @@ For P points and G generators every derived array has the batch axes (P, G)
 in front of its tensor slots; the kind-indexed arrays carry the kind first,
 so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
 ``hand_over_r`` the R^theta stack belongs to its consumer (which overwrites it
-with H^theta): the bundle then holds the traces, the D blocks and the
-per-kind max-norms, and reading ``b.r`` raises.
+with H^theta): the bundle then holds the traces, the blocks, the per-kind
+max-norms and the scale, and reading ``b.r`` raises.
 
 ``commutator_curvature`` builds the curvature of nabla^1 from its
 coefficients instead, the oracle of the kind-1 shape; given two buffers it
@@ -33,7 +33,9 @@ Every kind is R^g plus signed rank-one terms c s(., .) V(.), V the identity
 or A, in the shapes specialized to A^2 = -I, which every catalog structure
 satisfies exactly.  The terms are data, rows (c, block, V, pattern) of
 ``R_TERMS`` by kind, like those of H, W, P and I-HYB-COND in ``invariants``:
-``table_terms`` looks up a row's blocks and ``fold_rank_one`` adds them.
+``table_terms`` looks up a row's blocks, all but W's and P's in the
+bundle's one dict ``b.blocks``, and ``fold_rank_one`` adds them;
+``equals_r_g`` reads from ``R_TERMS`` the rows of the stack that are R^g.
 The order of the rows in a (V, vector slot) group fixes the bits of a report.
 
 Batch convention (as in ``connections``): tensor slots trail, any leading
@@ -44,7 +46,8 @@ axes are batch axes; point data (P, 1, ...) broadcast against generator data
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
@@ -183,6 +186,14 @@ R_TERMS = {
 }
 
 
+def equals_r_g(b: CurvatureBundle) -> np.ndarray:
+    """The (6, ...) mask of the rows where every block that kind theta's
+    ``R_TERMS`` name is all zero, so R^theta is R^g but for the sign of a zero."""
+    names = {s for terms in R_TERMS.values() for _, s, _, _ in terms}
+    zero = {s: ~b.blocks[s].any((-2, -1)) for s in names}
+    return np.stack([reduce(and_, (zero[s] for _, s, _, _ in R_TERMS[t])) for t in THETAS])
+
+
 def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, blocks: dict, out=None) -> np.ndarray:
     """R^theta, R^g plus the ``R_TERMS`` of kind theta: a new array, or written into `out`."""
     return fold_rank_one(r_g, a_support, table_terms(R_TERMS, theta, blocks, r_g.shape[-1]), out)
@@ -193,21 +204,26 @@ class CurvatureBundle:
     """The curvature kinds, their traces and the D blocks of the generators
     at the points of one job, beside the records they were built from: g, A,
     R^g and Ric^g are read from ``pj`` (point data with a unit generator
-    axis), pi and nabla^g pi from ``gj``, never copied.  pp = pi (x) pi and
-    pq = pi (x) (pi o A) are (..., n, n); r (6, ..., n^4), r_norms (6, ...),
-    ric (6, ..., n, n) and d (4, ..., n, n) lead with the kind.  ``r`` raises
-    once handed over."""
+    axis), pi and nabla^g pi from ``gj``, never copied.  r (6, ..., n^4),
+    r_norms (6, ...), ric (6, ..., n, n) and d (4, ..., n, n) lead with the
+    kind.  ``blocks`` holds by name each (..., n, n) block that a term table
+    or a closed form reads: x_a = x A, a_x = A^T x = x(A., .), x_aa =
+    x(A., A.), pp = pi (x) pi, pq = pi (x) (pi o A), d23 = (D2 + D3) / 2,
+    d2_pq = D2 + pq, d2_a_pp = D2 A - pp.  ``scale``, the largest max-norm
+    among R^g, the six kinds, their Ricci traces, Ric^g, 'R3 and 'R4 per
+    (point, generator), is the residual scale every identity on this bundle
+    starts from.  ``r`` raises once handed over."""
 
     pj: PointJets
     gj: GeneratorJets
-    pp: np.ndarray
-    pq: np.ndarray
+    blocks: dict[str, np.ndarray]
     d: np.ndarray
     r_stack: np.ndarray | None
     r_norms: np.ndarray  # the max-norm of each kind, taken at assembly
     ric: np.ndarray
     prime_r3: np.ndarray
     prime_r4: np.ndarray
+    scale: np.ndarray
 
     @property
     def r(self) -> np.ndarray:
@@ -220,48 +236,18 @@ class CurvatureBundle:
         object.__setattr__(self, "r_stack", None)
         return r
 
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """Largest max-norm among R^g, the six kinds, their Ricci traces,
-        Ric^g, 'R3 and 'R4, per (point, generator): the residual scale every
-        identity on this bundle starts from.  Computed on first use."""
-        return emax(
-            norm_max(self.pj.r_g, 4),
-            self.r_norms.max(0),
-            norm_max(self.ric, 2).max(0),
-            norm_max(self.pj.ric_g, 2),
-            norm_max(self.prime_r3, 2),
-            norm_max(self.prime_r4, 2),
-        )
-
-    @cached_property
-    def blocks(self) -> dict[str, np.ndarray]:
-        """The blocks that ``H_TERMS`` and ``PART2_TERMS`` of ``invariants`` name,
-        computed on first use: x_a = x A, a_x = A^T x = x(A., .), x_aa = x(A., A.),
-        pp, d2_pq = D2 + pq, d2_a_pp = D2 A - pp."""
-        a, ric, pr3, pr4 = self.pj.a, self.ric, self.prime_r3, self.prime_r4
-        at, d2, d3, pp, pq = a.swapaxes(-1, -2), self.d[2], self.d[3], self.pp, self.pq
-        d2_a, d4 = d2 @ a, self.gj.nabla_pi @ a - 2 * pp  # d4: the part-2 block of kind 4
-        return {
-            **{f"ric{theta}": ric[theta] for theta in THETAS},
-            "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
-            "a_pr3": at @ pr3, "a_pr4": at @ pr4,
-            "pr3_aa": rotate_slots(pr3, a, (0, 1)), "pr4_aa": rotate_slots(pr4, a, (0, 1)),
-            "d2": d2, "d3": d3, "pp": pp, "pp_a": pp @ a, "d3_a": d3 @ a,
-            "d2_a": d2_a, "d2_pq": d2 + pq, "d2_a_pp": d2_a - pp, "d4": d4, "d4_a": d4 @ a,
-        }
-
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError, found from the
     max-norms (NaN and inf survive max and min)."""
-    n, pi, nabla = pj.n, gj.pi, gj.nabla_pi
-    pa = (pi[..., None, :] @ pj.a)[..., 0, :]
+    n, a, pi, nabla = pj.n, pj.a, gj.pi, gj.nabla_pi
+    pa = (pi[..., None, :] @ a)[..., 0, :]
     pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * pa[..., None, :]
     qp, nabla_t = pq.swapaxes(-1, -2), nabla.swapaxes(-1, -2)  # qp[i, j] = (pi o A)_i pi_j
     d = np.stack([nabla + 0.5 * (pq + qp), nabla - nabla_t, nabla + qp, nabla + pq])  # D0..D3
-    blocks = {"d1": d[1], "d2": d[2], "d3": d[3], "d23": 0.5 * (d[2] + d[3]), "pp": pp}
+    _, d1, d2, d3 = d
+    blocks = {"d1": d1, "d2": d2, "d3": d3, "d23": 0.5 * (d2 + d3), "pp": pp, "pq": pq}
     batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
     for theta in THETAS:
@@ -270,8 +256,25 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     if not np.isfinite(r_norms).all():
         raise NumericError("non-finite curvature components")
     ric = np.trace(r, axis1=-4, axis2=-3)
-    prime_r3, prime_r4 = (np.trace(r[theta], axis1=-4, axis2=-1) for theta in (3, 4))
-    return CurvatureBundle(pj, gj, pp, pq, d, r, r_norms, ric, prime_r3, prime_r4)
+    pr3, pr4 = (np.trace(r[theta], axis1=-4, axis2=-1) for theta in (3, 4))
+    at, d2_a, d4 = a.swapaxes(-1, -2), d2 @ a, nabla @ a - 2 * pp  # d4: kind 4's part-2 block
+    blocks |= {
+        **{f"ric{theta}": ric[theta] for theta in THETAS},
+        "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
+        "a_pr3": at @ pr3, "a_pr4": at @ pr4,
+        "pr3_aa": rotate_slots(pr3, a, (0, 1)), "pr4_aa": rotate_slots(pr4, a, (0, 1)),
+        "pp_a": pp @ a, "d3_a": d3 @ a,
+        "d2_a": d2_a, "d2_pq": d2 + pq, "d2_a_pp": d2_a - pp, "d4": d4, "d4_a": d4 @ a,
+    }
+    scale = emax(
+        norm_max(pj.r_g, 4),
+        r_norms.max(0),
+        norm_max(ric, 2).max(0),
+        norm_max(pj.ric_g, 2),
+        norm_max(pr3, 2),
+        norm_max(pr4, 2),
+    )
+    return CurvatureBundle(pj, gj, blocks, d, r, r_norms, ric, pr3, pr4, scale)
 
 
 def rotation_rules(rl: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
@@ -321,7 +324,7 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
     t = lambda x: x.swapaxes(-1, -2)
     at = t(a)
     d1, d2, d3 = b.d[1], b.d[2], b.d[3]
-    pipi, pr3_aa = b.pp, b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
+    pipi, pr3_aa = b.blocks["pp"], b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
 
     def da(dblock: np.ndarray, first_rotated: bool) -> np.ndarray:
         # D(A d_k, d_j) -> [j, k] when first_rotated, else D(A d_j, d_k) -> [j, k]

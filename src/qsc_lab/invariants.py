@@ -32,10 +32,10 @@ Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
 (identity, point).  I-HYB-COND runs all six kinds in one pass over the held
-(kind, point, generator) rows of the R stack.  A held row whose rank-one
-blocks vanish (D1 for kind 1, pi and nabla^g pi for the others) is R^g, and
-takes the Kahler rules of R^g from ``kahler_identities``; the rules run on
-the others, gathered in chunks of R rows.  The rank-one terms of H^theta,
+(kind, point, generator) rows of the R stack.  A held row whose
+``R_TERMS`` blocks all vanish (``curvature.equals_r_g``) is R^g, and takes
+the Kahler rules of R^g from ``kahler_identities``; the rules run on the
+others, gathered in chunks of R rows.  The rank-one terms of H^theta,
 of W, P and H0 in R^g, and of the part-2 conditions of I-HYB-COND are the
 rows of ``H_TERMS``, ``RG_TERMS`` and ``PART2_TERMS``, folded by
 ``curvature.fold_rank_one``; as in ``curvature``, their order inside a
@@ -80,6 +80,7 @@ from .curvature import (
     commutation_rules,
     commutator_curvature,
     curvature_bundle,
+    equals_r_g,
     fold_rank_one,
     kahler_identities,
     lowered,
@@ -241,7 +242,8 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
     if theta == 1:
         return np.zeros(b.gj.pi.shape[:-1])
     if theta == 0:
-        return norm_max(b.gj.nabla_pi + b.pq + 0.5 * b.pq.swapaxes(-1, -2), 2)
+        pq = b.blocks["pq"]
+        return norm_max(b.gj.nabla_pi + pq + 0.5 * pq.swapaxes(-1, -2), 2)
     terms = table_terms(PART2_TERMS, theta, b.blocks, b.pj.n)
     return norm_max(fold_rank_one(None, b.pj.a_support, terms), 4)
 
@@ -271,26 +273,20 @@ class _Job:
         return t
 
     @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The generator pairs (i, j), i < j, that I-HIND compares, in row order."""
-        return np.triu_indices(self.gj.pi.shape[-2], 1)
-
-    @cached_property
     def hyb_cond(self) -> list[tuple]:
         """(residuals, scales, details) of I-HYB-COND for each kind, from one
         pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
         the Kahler rules on the held (kind, point, generator) rows of the R
-        stack (k2..k4, then k1 and k5).  A held row whose ``R_TERMS`` vanish
-        takes R^g's rules from ``kahler``: kind 1 where D1 = 0, the other
-        kinds where pi and nabla^g pi are 0 (so are D0..D3 and pi (x) pi).
-        The rules run on the others, in ``_chunks`` of ``_SLAB_BYTES``.  Such a
-        row is R^g up to the sign of a zero, and the rules are per-row
-        functions in which no sum, product or max-norm carries that sign:
-        the same bits."""
+        stack (k2..k4, then k1 and k5).  A held row in ``equals_r_g``, where
+        every block of its kind's ``R_TERMS`` is zero, takes R^g's rules from
+        ``kahler``; the rules run on the others, in ``_chunks`` of
+        ``_SLAB_BYTES``.  Such a row is R^g up to the sign of a zero, and the
+        rules are per-row functions in which no sum, product or max-norm
+        carries that sign: the same bits."""
         pj, gj, b, tol = self.pj, self.gj, self.b, self.tol_audit
         # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
         nabla, nabla_scale = hybrid_defect(gj.nabla_pi, pj.a)
-        pipi, pipi_scale = hybrid_defect(b.pp, pj.a)
+        pipi, pipi_scale = hybrid_defect(b.blocks["pp"], pj.a)
         kind1 = relative_residual(nabla, nabla_scale)
         other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
         h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
@@ -300,9 +296,7 @@ class _Job:
         either = held[0] | held[1]
         batch = h1.shape[1:]
         a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (pj.a, pj.g))
-        # the rows where R^theta is R^g: its rank-one blocks vanish
-        no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
-        same = np.stack([~b.d[1].any((-2, -1)) if t == 1 else no_pi for t in THETAS])
+        same = equals_r_g(b)
         k = self.kahler
         from_g = (
             emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
@@ -414,19 +408,15 @@ def _pr34_evaluator(j: _Job):
 
 def _hind_evaluator(theta: int):
     def evaluate(j: _Job):
-        first, second = j.pairs
-        if not first.size:  # single generator: nothing to compare
+        if j.gj.pi.shape[-2] == 1:  # single generator: nothing to compare
             return np.zeros((len(j.pj.point), 1)), 1.0, None
-        bs = j.b.scale
         h, hn = j.tensors[f"H{theta}"]
-        # the pairs (i, i+1..G-1) of one triangle row at a time, in the order
-        # of (first, second): no copy of H per pair
-        res = np.concatenate(
-            [norm_max(h[:, i + 1 :] - h[:, i, None], 4) for i in range(h.shape[1] - 1)],
-            axis=-1,
-        )
-        scale = emax(bs[:, first], bs[:, second], hn[:, first], hn[:, second])
-        return res, scale, None
+        scale = np.maximum(j.b.scale, hn)  # per generator
+        # the pairs (i, i+1..G-1) of one triangle row at a time: no copy of H per pair
+        rows = range(h.shape[1] - 1)
+        res = [norm_max(h[:, i + 1 :] - h[:, i, None], 4) for i in rows]
+        pairs = [np.maximum(scale[:, i, None], scale[:, i + 1 :]) for i in rows]
+        return np.concatenate(res, axis=-1), np.concatenate(pairs, axis=-1), None
 
     return evaluate
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from qsc_lab.geometry import (
-    HYPERBOLIC_MARGIN, ManifoldSpec, TensorField, _chart, _standard_matrix
+    HYPERBOLIC_MARGIN, ManifoldSpec, TensorField, _chart, _standard_matrix, flat_complex
 )
 
 
@@ -56,4 +56,33 @@ def sheared(m, eps=0.3):
         f"sheared {m.label}", n, lambda points: m.contains(phi(points)),
         TensorField("dd", metric, label="g"), TensorField("ud", structure, label="A"),
         kahler_expected=m.kahler_expected, sample_radius=m.sample_radius,
+    )
+
+
+def twisted(k, d, eps=0.4):
+    """Flat C^k through the frame field P = I + s N, N = E20 and s = eps u_d:
+    g' = P^T P = I + s (N + N^T) + s^2 N^T N and, as N^2 = 0,
+    A' = P^-1 J P = J + s (JN - NJ) - s^2 NJN.  J is orthogonal, so A' is
+    g'-orthogonal: almost Hermitian, and marked not Kahler.  At d = 0, P is
+    the Jacobian of u + eps u0^2 e2 / 2, so the chart is flat space sheared,
+    Kahler after all; at d = 1 it is integrable and not Kahler, at d = 3
+    not integrable."""
+    m = flat_complex(k)
+    n = m.n
+    e, j = np.eye(n), _standard_matrix(n)
+    nn = np.outer(e[2], e[0])
+    sym, sq, comm, njn = nn + nn.T, nn.T @ nn, j @ nn - nn @ j, nn @ j @ nn
+
+    def metric(u):
+        s = eps * u[..., d]
+        return e + s[..., None, None] * sym + (s * s)[..., None, None] * sq
+
+    def structure(u):
+        s = eps * u[..., d]
+        return j + s[..., None, None] * comm - (s * s)[..., None, None] * njn
+
+    return ManifoldSpec(
+        f"twisted {m.label} d={d}", n, m.contains,
+        TensorField("dd", metric, label="g"), TensorField("ud", structure, label="A"),
+        kahler_expected=False, sample_radius=m.sample_radius,
     )

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from charts import sheared
+from charts import sheared, twisted
 from qsc_lab.cli import main
 from qsc_lab.connections import generator_jets, metricity_defects, point_jets
 from qsc_lab.curvature import (
@@ -158,8 +158,9 @@ def test_criterion_06_parallel_structure_contrapositive(capsys):
     F) exactly where A is parallel under nabla^g.  Per (point, generator),
     under five schemes, the three defects are all below 1e-6 of the record's
     scale, on the Kahler charts (in sheared coordinates too), or all at or
-    above the expected-fail floor, on conformal-nonkahler, whose I-METRICITY
-    rows are expected-fail and pass."""
+    above the expected-fail floor, on conformal-nonkahler and on flat space
+    in twisted frames, integrable or not, whose I-METRICITY rows are
+    expected-fail and pass."""
     schemes = [
         DiffConfig(scheme, richardson=r)
         for scheme, r in (("analytic", False), ("fd2", False), ("fd4", False),
@@ -168,6 +169,7 @@ def test_criterion_06_parallel_structure_contrapositive(capsys):
     charts = [manifold_by_name(name, k) for name in ("flat", "fs", "hyperbolic") for k in (1, 2, 4)]
     charts += [sheared(manifold_by_name(name, k)) for name in ("fs", "hyperbolic") for k in (1, 2)]
     charts.append(manifold_by_name("conformal-nonkahler"))
+    charts += [twisted(k, d) for d in (1, 3) for k in (2, 4)]
     ok, small, big = True, 0.0, 1.0
     for m in charts:
         gens = [generator(name, dim=m.n) for name in ("zero", "linear_j", "grad")]

@@ -8,16 +8,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from charts import cp1_times_ch1, sheared
+from charts import cp1_times_ch1, sheared, twisted
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max, relative_residual
 from qsc_lab.connections import GeneratorJets, generator_jets, point_jets
 from qsc_lab.curvature import (
+    R_TERMS,
     assemble_r_theta,
     commutation_rules,
     commutator_curvature,
     curvature_bundle,
+    equals_r_g,
     kahler_identities,
     lowered,
     rotation_rules,
@@ -332,8 +334,19 @@ SCHEMES = {
     "analytic": CFG,
     "fd2": DiffConfig(scheme="fd2"),
     "fd4": DiffConfig(scheme="fd4"),
+    "fd2r": DiffConfig(scheme="fd2", richardson=True),
     "fd4r": DiffConfig(scheme="fd4", richardson=True),
 }
+
+
+def _four(n):
+    """The generators zero, linear_j, grad and random_poly:3 in dimension n."""
+    return [
+        generator("zero", dim=n),
+        generator("linear_j", dim=n),
+        generator("grad", dim=n),
+        generator("random_poly", dim=n, seed=3),
+    ]
 
 
 @pytest.mark.parametrize("scheme", ["analytic", "fd4"])
@@ -362,25 +375,47 @@ def test_suite_differentiates_each_field_once_per_job(monkeypatch, points, schem
     assert calls == {"g": 1, "A": 1, "zero": 1, "linear_j": 1, "random_poly:3": 1}
 
 
-@pytest.mark.parametrize("scheme", ["analytic", "fd4"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("name", ["fs", "hyperbolic"])
 def test_suite_passes_on_sheared_charts(name, k, scheme):
     """A Kahler chart in sheared coordinates carries a structure that varies,
     so the terms of the connection and of the metricity defects that
-    multiply dA are read; every row passes."""
+    multiply dA are read; every row passes, under every scheme."""
     m = sheared(manifold_by_name(name, k=k))
     pts = sample_points(m, 3, seed=0)
     assert norm_max(point_jets(m, pts, CFG).da, 3).min() > 0.1
-    gens = [
-        generator("zero", dim=m.n),
-        generator("linear_j", dim=m.n),
-        generator("grad", dim=m.n),
-        generator("random_poly", dim=m.n, seed=3),
-    ]
-    results = identity_suite(m, pts, gens, SCHEMES[scheme])
+    results = identity_suite(m, pts, _four(m.n), SCHEMES[scheme])
     assert all(r.classification != "expected-fail" for r in results)
     assert _all_pass(results), [r.id for r in results if not r.passed.all()]
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("d", [1, 3])
+def test_suite_passes_on_twisted_charts(d, k, scheme):
+    """Flat space through a twisted frame field is almost Hermitian and not
+    Kahler, integrable at d = 1 and not at d = 3: under every scheme
+    every hermitian row holds and the seven Kahler-hypothesis rows fail, as
+    expected."""
+    m = twisted(k, d)
+    results = identity_suite(m, sample_points(m, 3, seed=0), _four(m.n), SCHEMES[scheme])
+    assert sum(r.classification == "expected-fail" for r in results) == 7
+    assert _all_pass(results), [r.id for r in results if not r.passed.all()]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_a_kahler_chart_marked_not_kahler_fails_every_expected_fail_row(k):
+    """The twisted chart at d = 0 is flat space sheared, Kahler though marked
+    not: on the analytic path each of the seven expected-fail rows fails at
+    every point, so a mislabelled chart is caught.  (Under fd4 the noise of
+    R^g lifts all of them but I-METRICITY above the floor.)"""
+    m = twisted(k, 0)
+    results = identity_suite(m, sample_points(m, 3, seed=0), _four(m.n), CFG)
+    expected_fail = [r for r in results if r.classification == "expected-fail"]
+    assert len(expected_fail) == 7
+    assert not any(r.passed.any() for r in expected_fail)
+    assert all(r.passed.all() for r in results if r.classification != "expected-fail")
 
 
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
@@ -458,9 +493,6 @@ def _direct_rules(b, row):
     ]
 
 
-FD2R = DiffConfig(scheme="fd2", richardson=True)
-
-
 def _r_g_rows_case(name):
     """(chart, generators, scheme) of one I-HYB-COND row case, by id, and
     the kinds whose held rows equal R^g: every kind under the zero
@@ -473,20 +505,51 @@ def _r_g_rows_case(name):
     if name == "fs-closed-pi":
         return manifold_by_name("fs", k=2), SEVEN[2:4], CFG, {1}
     chart, scheme = name.rsplit("-", 1)
-    cfg = {"analytic": CFG, "fd4": SCHEMES["fd4"], "fd2r": FD2R}[scheme]
-    return manifold_by_name(chart, k=2), SEVEN, cfg, set(range(6))
+    return manifold_by_name(chart, k=2), SEVEN, SCHEMES[scheme], set(range(6))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [f"{c}-{s}" for c in ("flat", "fs", "hyperbolic") for s in ("analytic", "fd4", "fd2r")]
-    + ["fs-k8", "fs-no-zero", "fs-closed-pi"],
-)
+R_G_ROW_CASES = [
+    f"{c}-{s}" for c in ("flat", "fs", "hyperbolic") for s in ("analytic", "fd4", "fd2r")
+] + ["fs-k8", "fs-no-zero", "fs-closed-pi"]
+
+
+@pytest.mark.parametrize("name", R_G_ROW_CASES)
 def test_every_hybrid_row_equals_the_rules_on_its_own_curvature(monkeypatch, name):
     m, gens, cfg, equal_kinds = _r_g_rows_case(name)
     held, got_equal_kinds = _check_hybrid_rows(monkeypatch, m, gens, cfg)
     assert held > 0
     assert got_equal_kinds == equal_kinds
+
+
+@pytest.mark.parametrize("name", R_G_ROW_CASES)
+def test_every_row_the_r_g_mask_holds_is_r_g(name):
+    """Wherever ``equals_r_g`` holds, on every row of the R stack, held or
+    not, R^theta equals R^g, a zero of either sign counting as equal.  The
+    mask holds wherever pi = nabla^g pi = 0, and for kind 1 exactly where
+    D1 = 0."""
+    m, gens, cfg, _ = _r_g_rows_case(name)
+    pj = point_jets(m, sample_points(m, 2, seed=27), cfg)
+    gj = generator_jets(pj, gens)
+    b = curvature_bundle(pj, gj)
+    mask = equals_r_g(b)
+    assert mask.shape == b.r.shape[:3]
+    for kind, point, gen in zip(*np.nonzero(mask)):
+        assert (b.r[kind, point, gen] == pj.r_g[point, 0]).all(), (kind, point, gen)
+    no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
+    assert (mask >= no_pi).all()
+    assert np.array_equal(mask[1], ~b.d[1].any((-2, -1)))
+
+
+def test_every_table_row_finds_its_block_in_the_bundle():
+    """Each block that a row of ``R_TERMS``, ``H_TERMS`` or ``PART2_TERMS``
+    names is an entry of the bundle's one dict, a (P, G, n, n) array."""
+    m = manifold_by_name("fs", k=2)
+    pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
+    b = curvature_bundle(pj, generator_jets(pj, SEVEN[:3]))
+    for table in (R_TERMS, invariants.H_TERMS, invariants.PART2_TERMS):
+        for terms in table.values():
+            for _, name, _, _ in terms:
+                assert b.blocks[name].shape == (2, 3, 4, 4), name
 
 
 def _held_rows(monkeypatch, pj, gj):
@@ -661,8 +724,7 @@ def test_rows_hold_at_most_57_bytes_per_identity_and_point():
 def test_h_tensors_take_over_the_curvature_stack():
     """_Job builds each H^theta over R^theta, bit for bit the H^theta of a
     new array, with its max-norm; a later read of R^theta raises, never returning H^theta,
-    while the bundle scale, first taken after the handover, reads only the
-    norms of assembly."""
+    while the bundle scale, taken at assembly, is a fresh bundle's."""
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     gj = generator_jets(pj, SEVEN[:3])
@@ -691,10 +753,11 @@ def _bits(value):
 
 def test_a_job_holds_each_datum_in_one_record():
     """The bundle reads g, A, R^g, pi and nabla^g pi from the PointJets and
-    GeneratorJets it was built from: no array field of it is, or views, an
-    array of those records.  _Job(pj, gj, tol) builds the Kahler rules and the
-    bundle itself, and its I-HYB-COND rows, tensors and every evaluator
-    result are bit for bit those of a job given a hand-made bundle."""
+    GeneratorJets it was built from: no array field of it, nor any of its
+    blocks, is or views an array of those records.  _Job(pj, gj, tol) builds
+    the Kahler rules and the bundle itself, and its I-HYB-COND rows, tensors
+    and every evaluator result are bit for bit those of a job given a
+    hand-made bundle."""
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     gj = generator_jets(pj, SEVEN[:3])
@@ -706,8 +769,9 @@ def test_a_job_holds_each_datum_in_one_record():
     ]
     for field in dataclasses.fields(built.b):
         value = getattr(built.b, field.name)
-        if isinstance(value, np.ndarray):
-            assert not any(np.may_share_memory(value, x) for x in records), field.name
+        for array in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(array, np.ndarray):
+                assert not any(np.may_share_memory(array, x) for x in records), field.name
     by_hand = invariants._Job(pj, gj, tol_audit=1e-6)
     by_hand.kahler, by_hand.b = kahler_identities(pj), curvature_bundle(pj, gj)
     # the readers of R^theta first, as identity_suite runs them

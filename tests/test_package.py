@@ -1,5 +1,6 @@
 """The package's public names, and the names the benchmark's tracer wraps."""
 
+import ast
 import importlib
 import operator
 import types
@@ -9,6 +10,7 @@ import qsc_lab
 import qsc_lab.geometry
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qsc_lab"
 TRACER = ROOT / "perfbench" / "tracer.py"
 MAX_COLUMNS = 100
 
@@ -69,3 +71,43 @@ def test_source_lines_fit_the_column_limit():
         if len(line) > MAX_COLUMNS
     ]
     assert wide == []
+
+
+def _top_level_names(tree: ast.Module):
+    """The functions, classes and assigned names a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _reads(tree: ast.Module):
+    """Every name a module reads: a loaded name, an attribute or an import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_top_level_name_of_the_package_is_read():
+    """No function, class or assigned name of the package, dunders aside,
+    goes unread by the package and the benchmark: a name only listed in
+    ``__all__`` is dead."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    dead = [
+        f"{path.name}:{name}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for name in _top_level_names(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
+    ]
+    assert dead == []
