@@ -59,7 +59,7 @@ _TENSORS = {
     "p": ("uddd", False, lambda pj, b: hol_projective(pj)),
     "prime_r3": ("dd", True, lambda pj, b: b.prime_r3),
     "prime_r4": ("dd", True, lambda pj, b: b.prime_r4),
-    **{f"d{t}": ("dd", True, lambda pj, b, t=t: b.d[t]) for t in range(4)},
+    **{f"d{t}": ("dd", True, lambda pj, b, t=t: b.gj.d[t]) for t in range(4)},
     **{f"r{t}": ("uddd", True, lambda pj, b, t=t: b.r[t]) for t in range(6)},
     **{f"ric{t}": ("dd", True, lambda pj, b, t=t: b.ric[t]) for t in range(6)},
     **{f"h{t}": ("uddd", True, lambda pj, b, t=t: h_tensor(t, b)) for t in range(6)},

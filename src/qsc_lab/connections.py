@@ -22,9 +22,11 @@ Everything computed from the fields is algebra on two immutable records:
   differentiated, and the metric inverted, once per job, on all points at
   once; Gamma, R^g and Ric^g follow on the same arrays.
 * ``GeneratorJets`` (``generator_jets``): pi, its partials and nabla^g pi of
-  one generator, or of G generators stacked on an axis after the point axes;
-  each generator is differentiated once per job.  The record holds arrays
-  only: a generator's name stays with its ``TensorField`` and its spec.
+  one generator, or of G generators stacked on an axis after the point axes,
+  with the (0,2) blocks every chart reads: pq = pi (x) (pi o A) and the D
+  blocks D0..D3 (see ``curvature``); each generator is differentiated once
+  per job.  The record holds arrays only: a generator's name stays with its
+  ``TensorField`` and its spec.
 
 F, G = g + F and their partials follow from the product rule, not from
 differencing F and G again.
@@ -47,7 +49,7 @@ import numpy as np
 
 from .diff import DiffConfig
 from .geometry import ManifoldSpec, TensorField, as_point
-from .tensor import contract_first, metric_inverse, norm_max
+from .tensor import NumericError, contract_first, metric_inverse, norm_max
 
 
 def _freeze_arrays(record) -> None:
@@ -87,14 +89,17 @@ class PointJets:
 
 @dataclass(frozen=True)
 class GeneratorJets:
-    """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j
-    and nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j.  One generator has the
-    point axes of its PointJets; a stack of G fills the generator axis of a
-    batch, (P, G, ...), in the order of the list it was built from."""
+    """Generators at the points of a PointJets: pi, dpi[..., a, j] = d_a pi_j,
+    nabla_pi[..., a, j] = (nabla^g_{d_a} pi)_j, pq = pi (x) (pi o A) and the
+    blocks D0..D3 with the kind first, d (4, ..., n, n).  One generator has
+    the point axes of its PointJets; a stack of G fills the generator axis of
+    a batch, (P, G, ...), in the order of the list it was built from."""
 
     pi: np.ndarray
     dpi: np.ndarray
     nabla_pi: np.ndarray
+    pq: np.ndarray
+    d: np.ndarray
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
@@ -163,7 +168,7 @@ def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> 
     generator keeps the point axes, a list of G stacks them on the generator
     axis, (P, G, n), and needs `pj` at a batch of points.  As in
     ``point_jets``, past about P n^3 = 3e4 a batch may differ from one-point
-    calls in the last digits."""
+    calls in the last digits.  A D block that overflowed is a NumericError."""
     if isinstance(gens, TensorField):
         pi, dpi = gens.jets(pj.point, pj.cfg)
     elif not gens:
@@ -175,7 +180,13 @@ def generator_jets(pj: PointJets, gens: TensorField | Sequence[TensorField]) -> 
     else:
         jets = [gen.jets(pj.point, pj.cfg) for gen in gens]
         pi, dpi = (np.concatenate(part, axis=pj.point.ndim - 2) for part in zip(*jets))
-    return GeneratorJets(pi, dpi, covariant_derivative(levi_civita(pj), pi, dpi, "d"))
+    nabla = covariant_derivative(levi_civita(pj), pi, dpi, "d")
+    pq = pi[..., :, None] * (pi[..., None, :] @ pj.a)[..., 0, None, :]
+    qp, nabla_t = pq.swapaxes(-1, -2), nabla.swapaxes(-1, -2)  # qp[i, j] = (pi o A)_i pi_j
+    d = np.stack([nabla + 0.5 * (pq + qp), nabla - nabla_t, nabla + qp, nabla + pq])  # D0..D3
+    if not np.isfinite(d).all():
+        raise NumericError("non-finite generator blocks")
+    return GeneratorJets(pi, dpi, nabla, pq, d)
 
 
 def levi_civita(pj: PointJets) -> np.ndarray:
@@ -249,11 +260,11 @@ def metricity_defects(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]
     }
 
 
-def nabla1_pi_defect(pj: PointJets, gj: GeneratorJets, d3: np.ndarray) -> dict[str, np.ndarray]:
+def nabla1_pi_defect(pj: PointJets, gj: GeneratorJets) -> dict[str, np.ndarray]:
     """Residual of (nabla^1_X pi)(Y) = (nabla^g_X pi)(Y) + pi(X) pi(A Y),
-    whose right-hand side is the D3 block of ``curvature.curvature_bundle``,
-    passed as `d3`."""
+    whose right-hand side is the D3 block of `gj`."""
     lhs = covariant_derivative(quarter_symmetric(pj, gj), gj.pi, gj.dpi, "d")
+    d3 = gj.d[3]
     return {
         "residual": norm_max(lhs - d3, 2),
         "scale": np.maximum(norm_max(lhs, 2), norm_max(d3, 2)),

@@ -10,24 +10,26 @@ B = nabla^g pi (direction first) and p = pi, q = pi o A:
     D0 = B + (p (x) q + q (x) p) / 2      D1 = B - B^T
     D2 = B + q (x) p                      D3 = B + p (x) q
 
-The six curvature kinds are linear in these.  ``curvature_bundle`` assembles
-them, their traces and the D blocks once per job, from the two records of
+``connections.generator_jets`` builds them, kind first as ``gj.d``, with pq
+= pi (x) (pi o A): they are all that the identities valid on any almost
+Hermitian chart read of the generator.  The six curvature kinds are linear
+in them.  ``curvature_bundle`` assembles the kinds, their traces and the
+blocks that the term tables read once per job, from the two records of
 ``connections``: ``PointJets`` (g, A, Gamma with their partials, R^g, Ric^g)
-and ``GeneratorJets`` (pi, dpi, nabla^g pi), so no consumer differentiates a
-field itself.  The bundle holds those two records as ``b.pj`` and ``b.gj`` and
-only what it derives from them, so each datum of a job lives in one record.
-For P points and G generators every derived array has the batch axes (P, G)
-in front of its tensor slots; the kind-indexed arrays carry the kind first,
-so ``b.r[theta]`` is R^theta and ``b.d[theta]`` is D_theta.  After
-``hand_over_r`` the R^theta stack belongs to its consumer (which overwrites it
-with H^theta): the bundle then holds the traces, the blocks, the per-kind
-max-norms and the scale, and reading ``b.r`` raises.
+and ``GeneratorJets``, so no consumer differentiates a field itself.  The
+bundle holds those two records as ``b.pj`` and ``b.gj`` and only what it
+derives from them, so each datum of a job lives in one record.  For P points
+and G generators every derived array has the batch axes (P, G) in front of
+its tensor slots; the kind-indexed arrays carry the kind first, so
+``b.r[theta]`` is R^theta.  A consumer that folds H^theta over the stack
+keeps ``dataclasses.replace(b, r=None)``, so a late reader of R^theta fails.
 
 ``commutator_curvature`` builds the curvature of nabla^1 from its
 coefficients instead, the oracle of the kind-1 shape; given two buffers it
 writes dL and then the curvature into one and its intermediates into the
 other, so I-R1COMM can run it on a few generators at a time.  The Kahler
-rules of R^g (``kahler_identities``) are per point and read no bundle.
+rules of R^g (``kahler_identities``) are per point and read no bundle; a
+non-finite R^g is a NumericError there.
 
 Every kind is R^g plus signed rank-one terms c s(., .) V(.), V the identity
 or A, in the shapes specialized to A^2 = -I, which every catalog structure
@@ -201,52 +203,37 @@ def assemble_r_theta(theta: int, r_g: np.ndarray, a_support, blocks: dict, out=N
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """The curvature kinds, their traces and the D blocks of the generators
-    at the points of one job, beside the records they were built from: g, A,
-    R^g and Ric^g are read from ``pj`` (point data with a unit generator
-    axis), pi and nabla^g pi from ``gj``, never copied.  r (6, ..., n^4),
-    r_norms (6, ...), ric (6, ..., n, n) and d (4, ..., n, n) lead with the
-    kind.  ``blocks`` holds by name each (..., n, n) block that a term table
-    or a closed form reads: x_a = x A, a_x = A^T x = x(A., .), x_aa =
-    x(A., A.), pp = pi (x) pi, pq = pi (x) (pi o A), d23 = (D2 + D3) / 2,
-    d2_pq = D2 + pq, d2_a_pp = D2 A - pp.  ``scale``, the largest max-norm
-    among R^g, the six kinds, their Ricci traces, Ric^g, 'R3 and 'R4 per
-    (point, generator), is the residual scale every identity on this bundle
-    starts from.  ``r`` raises once handed over."""
+    """The curvature kinds and their traces for the generators at the points
+    of one job, beside the records they were built from: g, A, R^g and Ric^g
+    are read from ``pj`` (point data with a unit generator axis), pi, nabla^g
+    pi and the D blocks from ``gj``, never copied.  r (6, ..., n^4), r_norms
+    (6, ...) and ric (6, ..., n, n) lead with the kind; r is None once H^theta
+    is folded over it.  ``blocks`` holds by name each (..., n, n) block that a
+    term table or a closed form reads: x_a = x A, a_x = A^T x = x(A., .),
+    x_aa = x(A., A.), d1..d3 and pq from ``gj``, pp = pi (x) pi, d23 = (D2 +
+    D3) / 2, d2_pq = D2 + pq, d2_a_pp = D2 A - pp.  ``scale``, the largest
+    max-norm among R^g, the six kinds, their Ricci traces, Ric^g, 'R3 and 'R4
+    per (point, generator), is the residual scale every identity on this
+    bundle starts from."""
 
     pj: PointJets
     gj: GeneratorJets
     blocks: dict[str, np.ndarray]
-    d: np.ndarray
-    r_stack: np.ndarray | None
+    r: np.ndarray | None
     r_norms: np.ndarray  # the max-norm of each kind, taken at assembly
     ric: np.ndarray
     prime_r3: np.ndarray
     prime_r4: np.ndarray
     scale: np.ndarray
 
-    @property
-    def r(self) -> np.ndarray:
-        if self.r_stack is None:
-            raise RuntimeError("R^theta was handed over and now holds H^theta")
-        return self.r_stack
-
-    def hand_over_r(self) -> np.ndarray:
-        r = self.r
-        object.__setattr__(self, "r_stack", None)
-        return r
-
 
 def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError, found from the
     max-norms (NaN and inf survive max and min)."""
-    n, a, pi, nabla = pj.n, pj.a, gj.pi, gj.nabla_pi
-    pa = (pi[..., None, :] @ a)[..., 0, :]
-    pp, pq = pi[..., :, None] * pi[..., None, :], pi[..., :, None] * pa[..., None, :]
-    qp, nabla_t = pq.swapaxes(-1, -2), nabla.swapaxes(-1, -2)  # qp[i, j] = (pi o A)_i pi_j
-    d = np.stack([nabla + 0.5 * (pq + qp), nabla - nabla_t, nabla + qp, nabla + pq])  # D0..D3
-    _, d1, d2, d3 = d
+    n, a, pi, nabla, pq = pj.n, pj.a, gj.pi, gj.nabla_pi, gj.pq
+    pp = pi[..., :, None] * pi[..., None, :]
+    _, d1, d2, d3 = gj.d
     blocks = {"d1": d1, "d2": d2, "d3": d3, "d23": 0.5 * (d2 + d3), "pp": pp, "pq": pq}
     batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
@@ -274,7 +261,7 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         norm_max(pr3, 2),
         norm_max(pr4, 2),
     )
-    return CurvatureBundle(pj, gj, blocks, d, r, r_norms, ric, pr3, pr4, scale)
+    return CurvatureBundle(pj, gj, blocks, r, r_norms, ric, pr3, pr4, scale)
 
 
 def rotation_rules(rl: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
@@ -310,20 +297,20 @@ def kahler_identities(pj: PointJets) -> dict[str, np.ndarray]:
     """Residuals of the five structure/curvature exchange rules k1..k5 of
     ``rotation_rules`` and ``commutation_rules`` for R^g, one per point,
     with the residual scale: the max-norm of R^g and of its lowered form,
-    which an I-HYB-COND row equal to R^g also reuses."""
+    which an I-HYB-COND row equal to R^g also reuses.  A non-finite scale
+    is a NumericError (NaN and inf survive max)."""
     rl = lowered(pj.r_g, pj.g)
-    return {
-        **commutation_rules(pj.r_g, rl, pj.a),
-        **rotation_rules(rl, pj.a),
-        "scale": np.maximum(norm_max(pj.r_g, 4), norm_max(rl, 4)),
-    }
+    scale = np.maximum(norm_max(pj.r_g, 4), norm_max(rl, 4))
+    if not np.isfinite(scale).all():
+        raise NumericError("non-finite Levi-Civita curvature")
+    return {**commutation_rules(pj.r_g, rl, pj.a), **rotation_rules(rl, pj.a), "scale": scale}
 
 
 def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
     n, a, ricg = b.pj.n, b.pj.a, b.pj.ric_g
     t = lambda x: x.swapaxes(-1, -2)
     at = t(a)
-    d1, d2, d3 = b.d[1], b.d[2], b.d[3]
+    _, d1, d2, d3 = b.gj.d
     pipi, pr3_aa = b.blocks["pp"], b.blocks["pr3_aa"]  # 'R3(A d_j, A d_k)
 
     def da(dblock: np.ndarray, first_rotated: bool) -> np.ndarray:
@@ -373,6 +360,6 @@ def closed_form_residuals(b: CurvatureBundle) -> dict[str, np.ndarray]:
         norm_max(b.prime_r3, 2),
         norm_max(b.prime_r4, 2),
         (n - 1) * norm_max(pipi, 2),
-        norm_max(b.d, 2).max(0),
+        norm_max(b.gj.d, 2).max(0),
     )
     return res

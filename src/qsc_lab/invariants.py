@@ -16,18 +16,20 @@ a ``LinearRelation``; one evaluator computes the residual of every such row.
 
 ``identity_suite`` runs whole points in blocks, so a job's n^4 working set
 is bounded in P.  Per block of P points it differentiates each field once
-into one ``PointJets`` (axes (P, 1)) and one ``GeneratorJets`` (P, G), from
-which one ``_Job`` takes the Kahler rules of R^g (per point, so their n^4
-temporaries are freed before the stack exists) and builds one
-``CurvatureBundle`` with batch axes (P, G) that reads both records rather
-than copying them; the block then runs the identities that read R^theta,
-then calls ``h_tensor`` once per kind, folding H^theta onto R^theta in the
-bundle's stack (the R -> H handover: one n^4 stack per kind family, and
-R^theta unreadable after).  Beside that stack a block holds a constant
-number of n^4 arrays per (point, generator): I-R1COMM builds its commutator
-curvature in chunks of generators through two reused buffers, and the
-linear rows sum in slabs of output rows; ``_chunks`` cuts these, the point
-blocks and the chunks of I-HYB-COND rows, each by a byte budget.
+into one ``PointJets`` (axes (P, 1)) and one ``GeneratorJets`` (P, G), with
+the D blocks, from which one ``_Job`` runs in two stages by scope.  The
+first, on every chart, takes what the hermitian and Kahler-hypothesis
+identities read: the per-point Kahler rules of R^g and the torsion
+identities.  The second, on a Kahler chart alone, builds one
+``CurvatureBundle`` with batch axes (P, G) over both records, runs the two
+readers of R^theta (I-R1COMM, I-HYB-COND), folds each H^theta onto R^theta
+in the bundle's stack (one n^4 stack per kind family; the job keeps the
+bundle with r None), then builds W and P; the evaluators only read these.
+Beside that stack a block holds a constant number of n^4 arrays per (point,
+generator): I-R1COMM builds its commutator curvature in chunks of
+generators through two reused buffers, and the linear rows sum in slabs of
+output rows; ``_chunks`` cuts these, the point blocks and the chunks of
+I-HYB-COND rows, each by a byte budget.
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
@@ -57,8 +59,7 @@ reverse the batch axes too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from math import prod
 from typing import Callable
 
@@ -248,87 +249,106 @@ def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
     return norm_max(fold_rank_one(None, b.pj.a_support, terms), 4)
 
 
+def _hybrid_conditions(b: CurvatureBundle, kahler: dict, tol: float):
+    """(residuals, scales, details) of I-HYB-COND for each kind, from one
+    pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
+    the Kahler rules on the held (kind, point, generator) rows of the R
+    stack (k2..k4, then k1 and k5).  A held row in ``equals_r_g``, where
+    every block of its kind's ``R_TERMS`` is zero, takes R^g's rules from
+    `kahler`; the rules run on the others, in ``_chunks`` of ``_SLAB_BYTES``.
+    Such a row is R^g up to the sign of a zero, and the rules are per-row
+    functions in which no sum, product or max-norm carries that sign: the
+    same bits."""
+    pj, gj = b.pj, b.gj
+    # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
+    nabla, nabla_scale = hybrid_defect(gj.nabla_pi, pj.a)
+    pipi, pipi_scale = hybrid_defect(b.blocks["pp"], pj.a)
+    kind1 = relative_residual(nabla, nabla_scale)
+    other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
+    h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
+    hyp2_scale = emax(norm_max(gj.d, 2).max(0), nabla_scale, pipi_scale)
+    h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), hyp2_scale)
+    held = (h1 < tol, h2 < tol)
+    either = held[0] | held[1]
+    batch = h1.shape[1:]
+    a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (pj.a, pj.g))
+    same = equals_r_g(b)
+    from_g = (
+        emax(kahler["k2_pair_exchange"], kahler["k3_inner_outer"], kahler["k4_all_four"]),
+        emax(kahler["k1_operator"], kahler["k5_last_pair"]),
+    )
+    g_scale = np.maximum(b.scale, kahler["scale"])
+    res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
+    for part, mask in enumerate(held):
+        reuse = mask & same
+        res[..., part] = np.where(reuse, from_g[part], 0.0)
+        sc[..., part] = np.where(reuse, g_scale, 0.0)
+        rows = np.nonzero(mask & ~same)
+        for chunk in _chunks(len(rows[0]), 8 * pj.n**4, _SLAB_BYTES):
+            kind, point, gen = (i[chunk] for i in rows)
+            r, ar = b.r[kind, point, gen], a[point, gen]
+            rl = lowered(r, g[point, gen])
+            rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
+            res[kind, point, gen, part] = emax(*rules.values())
+            sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
+    rel = relative_residual(res, sc)
+    res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
+    sc[~either.any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
+    details = {
+        "part1_hypothesis_rel_min": h1.min(-1),
+        "part1_satisfied": held[0].sum(-1).astype(float),
+        "part1_conclusion_rel_max": rel[..., 0].max(-1),
+        "part2_condition_rel_min": h2.min(-1),
+        "part2_satisfied": held[1].sum(-1).astype(float),
+        "part2_conclusion_rel_max": rel[..., 1].max(-1),
+        "violated": (rel >= tol).any((-2, -1)).astype(float),
+    }
+    return [(res[t], sc[t], {k: v[t] for k, v in details.items()}) for t in THETAS]
+
+
+def _r1comm(b: CurvatureBundle):
+    """(residuals, scales, None) of I-R1COMM: R^1 against the commutator
+    curvature, in ``_chunks`` of generators of at most ``_SLAB_BYTES`` per
+    buffer: one buffer takes dL, then the commutator; the other the products
+    of dL, L L and the sum of half of R, then R^1 minus the commutator."""
+    pj, gj, r1 = b.pj, b.gj, b.r[1]
+    points, gens = r1.shape[:-4]
+    block = points * pj.n**4
+    chunks = _chunks(gens, 8 * block, _SLAB_BYTES)
+    buffers = np.empty((2, (chunks[0].stop - chunks[0].start) * block))
+    res, comm_norms = [], []
+    for part in chunks:
+        shape = (points, part.stop - part.start) + r1.shape[-4:]
+        comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
+        sliced = (gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part], gj.pq[:, part])
+        commutator_curvature(pj, GeneratorJets(*sliced, gj.d[:, :, part]), out=comm, work=diff)
+        comm_norms.append(norm_max(comm, 4))
+        res.append(norm_max(np.subtract(r1[:, part], comm, out=diff), 4))
+    comm_norm = np.concatenate(comm_norms, axis=-1)
+    return np.concatenate(res, axis=-1), np.maximum(b.r_norms[1], comm_norm), None
+
+
 class _Job:
     """What the evaluators of one ``identity_suite`` call read, built from
-    the records of all points and generators: the Kahler rules of R^g, then
-    the bundle, which holds `pj` and `gj` beside what it derives, the torsion
-    identities, and the tensors built from them (on first use, so only on
-    Kahler charts).  Point-level results carry a unit generator axis."""
+    the records of all points and generators in the two stages of the
+    module docstring; the second, on a Kahler chart alone, fills ``r1comm``,
+    ``hyb_cond``, ``b`` (r None) and ``tensors``, H0..H5, W and P each with
+    its max-norm, taken as it is built.  Point-level results carry a unit
+    generator axis."""
 
-    def __init__(self, pj: PointJets, gj: GeneratorJets, tol_audit: float):
-        self.pj, self.gj, self.tol_audit = pj, gj, tol_audit
-        # the Kahler rules of R^g are per point: their n^4 temporaries go before the stack comes
+    def __init__(self, pj: PointJets, gj: GeneratorJets, tol_audit: float, kahler_chart: bool):
+        self.pj, self.gj = pj, gj
+        # per point: their n^4 temporaries go before the stack comes
         self.kahler = kahler_identities(pj)
-        self.b = curvature_bundle(pj, gj)
         self.torsion = torsion_identities(pj, gj)
-
-    @cached_property
-    def tensors(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """H0..H5 per (point, generator), each built over R^theta in the
-        bundle's stack (so R^theta is unreadable from then on), W and P per
-        point; each with its max-norm, taken as it is built."""
-        r = self.b.hand_over_r()
-        t = {f"H{theta}": _with_norm(h_tensor(theta, self.b, r[theta])) for theta in THETAS}
-        t["W"], t["P"] = _with_norm(weyl_projective(self.pj)), _with_norm(hol_projective(self.pj))
-        return t
-
-    @cached_property
-    def hyb_cond(self) -> list[tuple]:
-        """(residuals, scales, details) of I-HYB-COND for each kind, from one
-        pass over all six: the hypotheses as (6, P, G) arrays, then, per part,
-        the Kahler rules on the held (kind, point, generator) rows of the R
-        stack (k2..k4, then k1 and k5).  A held row in ``equals_r_g``, where
-        every block of its kind's ``R_TERMS`` is zero, takes R^g's rules from
-        ``kahler``; the rules run on the others, in ``_chunks`` of
-        ``_SLAB_BYTES``.  Such a row is R^g up to the sign of a zero, and the
-        rules are per-row functions in which no sum, product or max-norm
-        carries that sign: the same bits."""
-        pj, gj, b, tol = self.pj, self.gj, self.b, self.tol_audit
-        # part 1 asks nabla^g pi hybrid, and pi (x) pi too except for kind 1
-        nabla, nabla_scale = hybrid_defect(gj.nabla_pi, pj.a)
-        pipi, pipi_scale = hybrid_defect(b.blocks["pp"], pj.a)
-        kind1 = relative_residual(nabla, nabla_scale)
-        other = relative_residual(np.maximum(nabla, pipi), np.maximum(nabla_scale, pipi_scale))
-        h1 = np.stack([kind1 if t == 1 else other for t in THETAS])
-        hyp2_scale = emax(norm_max(b.d, 2).max(0), nabla_scale, pipi_scale)
-        h2 = relative_residual(np.stack([_part2_condition(t, b) for t in THETAS]), hyp2_scale)
-        held = (h1 < tol, h2 < tol)
-        either = held[0] | held[1]
-        batch = h1.shape[1:]
-        a, g = (np.broadcast_to(x, batch + x.shape[-2:]) for x in (pj.a, pj.g))
-        same = equals_r_g(b)
-        k = self.kahler
-        from_g = (
-            emax(k["k2_pair_exchange"], k["k3_inner_outer"], k["k4_all_four"]),
-            emax(k["k1_operator"], k["k5_last_pair"]),
-        )
-        g_scale = np.maximum(b.scale, k["scale"])
-        res, sc = np.zeros(h1.shape + (2,)), np.zeros(h1.shape + (2,))
-        for part, mask in enumerate(held):
-            reuse = mask & same
-            res[..., part] = np.where(reuse, from_g[part], 0.0)
-            sc[..., part] = np.where(reuse, g_scale, 0.0)
-            rows = np.nonzero(mask & ~same)
-            for chunk in _chunks(len(rows[0]), 8 * pj.n**4, _SLAB_BYTES):
-                kind, point, gen = (i[chunk] for i in rows)
-                r, ar = b.r[kind, point, gen], a[point, gen]
-                rl = lowered(r, g[point, gen])
-                rules = commutation_rules(r, rl, ar) if part else rotation_rules(rl, ar)
-                res[kind, point, gen, part] = emax(*rules.values())
-                sc[kind, point, gen, part] = np.maximum(b.scale[point, gen], norm_max(rl, 4))
-        rel = relative_residual(res, sc)
-        res, sc = (x.reshape(len(THETAS), batch[0], -1) for x in (res, sc))
-        sc[~either.any(-1), 0] = 1.0  # no conclusion at this point: (0, 1)
-        details = {
-            "part1_hypothesis_rel_min": h1.min(-1),
-            "part1_satisfied": held[0].sum(-1).astype(float),
-            "part1_conclusion_rel_max": rel[..., 0].max(-1),
-            "part2_condition_rel_min": h2.min(-1),
-            "part2_satisfied": held[1].sum(-1).astype(float),
-            "part2_conclusion_rel_max": rel[..., 1].max(-1),
-            "violated": (rel >= tol).any((-2, -1)).astype(float),
-        }
-        return [(res[t], sc[t], {k: v[t] for k, v in details.items()}) for t in THETAS]
+        if not kahler_chart:
+            return
+        b = curvature_bundle(pj, gj)
+        self.r1comm = _r1comm(b)
+        self.hyb_cond = _hybrid_conditions(b, self.kahler, tol_audit)
+        self.tensors = {f"H{t}": _with_norm(h_tensor(t, b, b.r[t])) for t in THETAS}
+        self.b = replace(b, r=None)
+        self.tensors |= {"W": _with_norm(weyl_projective(pj)), "P": _with_norm(hol_projective(pj))}
 
 
 # An evaluator maps a _Job to (residuals, scales, details): residuals and
@@ -349,45 +369,23 @@ def _metricity_evaluator(j: _Job):
 
 
 def _nabla1pi_evaluator(j: _Job):
-    rec = nabla1_pi_defect(j.pj, j.gj, j.b.d[3])
+    rec = nabla1_pi_defect(j.pj, j.gj)
     return rec["residual"], rec["scale"], None
 
 
 def _drel_evaluator(j: _Job):
-    d0, d1, d2, d3 = j.b.d
+    d0, d1, d2, d3 = j.gj.d
     t = lambda x: x.swapaxes(-1, -2)
     res = emax(
         norm_max(d1 - (d2 - t(d3)), 2),
         norm_max(d1 - (d0 - t(d0)), 2),
         norm_max(2 * d0 - (d2 + d3), 2),
     )
-    return res, norm_max(j.b.d, 2).max(0), None
+    return res, norm_max(j.gj.d, 2).max(0), None
 
 
 def _richyb_evaluator(j: _Job):
     return (*hybrid_defect(j.pj.ric_g, j.pj.a), None)
-
-
-def _r1comm_evaluator(j: _Job):
-    """R^1 against the commutator curvature, in ``_chunks`` of generators of
-    at most ``_SLAB_BYTES`` per buffer: one buffer takes dL, then the
-    commutator; the other the products of dL, L L and the sum of half of R,
-    then R^1 minus the commutator."""
-    r1, gj = j.b.r[1], j.gj
-    points, gens = r1.shape[:-4]
-    block = points * j.pj.n**4
-    chunks = _chunks(gens, 8 * block, _SLAB_BYTES)
-    buffers = np.empty((2, (chunks[0].stop - chunks[0].start) * block))
-    res, comm_norms = [], []
-    for part in chunks:
-        shape = (points, part.stop - part.start) + r1.shape[-4:]
-        comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
-        chunk = GeneratorJets(gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part])
-        commutator_curvature(j.pj, chunk, out=comm, work=diff)
-        comm_norms.append(norm_max(comm, 4))
-        res.append(norm_max(np.subtract(r1[:, part], comm, out=diff), 4))
-    comm_norm = np.concatenate(comm_norms, axis=-1)
-    return np.concatenate(res, axis=-1), np.maximum(j.b.r_norms[1], comm_norm), None
 
 
 def _riccf_evaluator(j: _Job):
@@ -521,7 +519,7 @@ IDENTITY_CATALOG: dict[str, Identity] = {
     ),
     "I-R1COMM": Identity(
         "kind-1 curvature equals the coefficient-commutator curvature", "core",
-        "kahler_only", _r1comm_evaluator,
+        "kahler_only", lambda j: j.r1comm,
     ),
     "I-RIC-CF": Identity(
         "closed forms of all Ricci-type traces and their inversions", "core",
@@ -622,11 +620,8 @@ def identity_suite(
         raise ValueError("identity suite needs at least one generator")
     if not len(points):
         raise ValueError("identity suite needs at least one point")
-    # the readers of R^theta run before the H^theta are built over it
-    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
     plan = []  # (id, classification, evaluator)
-    for ident in order:
-        info = IDENTITY_CATALOG[ident]
+    for ident, info in IDENTITY_CATALOG.items():
         if m.kahler_expected or info.scope == "hermitian":
             plan.append((ident, info.classification, info.evaluate))
         elif info.scope == "kahler_hypothesis":  # kahler_only does not run
@@ -656,7 +651,7 @@ def _block_results(m, points, generators, cfg, plan, tol_audit):
     index.  Each field is differentiated once, on all the block's points;
     everything after runs on (point, generator) batches."""
     pj = point_jets(m, points, cfg)
-    job = _Job(pj, generator_jets(pj, generators), tol_audit)
+    job = _Job(pj, generator_jets(pj, generators), tol_audit, m.kahler_expected)
     evaluated = [evaluate(job) for _, _, evaluate in plan]
     # zero-padded to the widest K: residuals and scales are >= 0, relative(0, 0) = 0
     widths = [max(np.shape(res)[-1:] + np.shape(scale)[-1:]) for res, scale, _ in evaluated]

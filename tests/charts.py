@@ -86,3 +86,38 @@ def twisted(k, d, eps=0.4):
         TensorField("dd", metric, label="g"), TensorField("ud", structure, label="A"),
         kahler_expected=False, sample_radius=m.sample_radius,
     )
+
+
+def _left(mat, t):
+    """mat t over the last two axes of t, an array or a Taylor number, which
+    contracts only its last axis with a constant: sum_a mat[i, a] t[..., a, j]."""
+    return (mat.T[:, :, None] * t[..., :, None, :]).sum(-3)
+
+
+def linear_pullback(m, mat):
+    """The chart `m` pulled back by the linear map u -> M u:
+    g'(u) = M^T g(Mu) M and A'(u) = M^-1 A(Mu) M.  The chart holds u when
+    `m` holds Mu.  ``pulled_one_form`` pulls a generator back the same way."""
+    inv = np.linalg.inv(mat)
+
+    def metric(u):
+        return _left(mat.T, m.metric_field.fn(u @ mat.T) @ mat)
+
+    def structure(u):
+        return _left(inv, m.structure_field.fn(u @ mat.T) @ mat)
+
+    return ManifoldSpec(
+        f"{m.label} pulled back linearly", m.n, lambda points: m.contains(points @ mat.T),
+        TensorField("dd", metric, label="g"), TensorField("ud", structure, label="A"),
+        kahler_expected=m.kahler_expected, sample_radius=m.sample_radius,
+    )
+
+
+def pulled_one_form(pi, mat):
+    """The one-form pi pulled back by u -> M u: pi'(u) = pi(Mu) M."""
+    return TensorField("d", lambda u: pi.fn(u @ mat.T) @ mat, label=pi.label)
+
+
+def random_linear_map(n, seed, size=0.3):
+    """M = I + size N(0, 1) / sqrt(n), seeded."""
+    return np.eye(n) + size * np.random.default_rng(seed).normal(size=(n, n)) / np.sqrt(n)

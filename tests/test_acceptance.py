@@ -64,9 +64,9 @@ def test_criterion_01_flat_baseline(capsys):
 
     b = _bundle(m, P0, gens[1])
     spots = [
-        (b.d[1][0, 1], 2.0),
-        (b.d[3][0, 1], 1.0),
-        (b.d[2][0, 1], 2.0),
+        (b.gj.d[1][0, 1], 2.0),
+        (b.gj.d[3][0, 1], 1.0),
+        (b.gj.d[2][0, 1], 2.0),
     ]
     ok &= all(abs(got - want) < 1e-12 for got, want in spots)
     from qsc_lab.connections import torsion
@@ -234,7 +234,7 @@ def test_criterion_08_hybridity_cascade(capsys):
     ok = True
     for p in pts:
         b = _bundle(m, p, gen)
-        defect, scale = hybrid_defect(b.d[1], b.pj.a)
+        defect, scale = hybrid_defect(b.gj.d[1], b.pj.a)
         ok &= defect < 1e-10 * max(scale, 1.0)
         rl = lowered(b.r[1], b.pj.g)
         scale = max(norm_max(rl), 1.0)

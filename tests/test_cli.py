@@ -90,6 +90,22 @@ def test_verify_numeric_blow_up_is_a_numeric_failure(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_verify_numeric_blow_up_on_a_non_kahler_chart_is_a_numeric_failure(capsys):
+    """On a chart that builds no curvature stack the overflow of pi (x)
+    (pi o A) is caught where the D blocks are built: exit 3 with one stderr
+    line and no numpy warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "verify", "--manifold", "conformal-nonkahler",
+            "--generators", "const:1e200,1e200,1e200,1e200",
+        )
+    assert code == 3
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("spec", ["const:nan,0,0,0", "const:1e400,0,0,0"])
 def test_verify_non_finite_const_component_is_a_configuration_error(capsys, spec):
     """A const component that is already nan or inf is a bad spec (exit 2,

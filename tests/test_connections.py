@@ -25,6 +25,7 @@ from qsc_lab.connections import (
     torsion,
     torsion_identities,
 )
+from qsc_lab.tensor import NumericError, norm_max
 
 CFG = DiffConfig(scheme="analytic")
 EXACT = 1e-14
@@ -33,6 +34,25 @@ EXACT = 1e-14
 def records(m, p, gen, cfg=CFG):
     pj = point_jets(m, p, cfg)
     return pj, generator_jets(pj, gen)
+
+
+def test_generator_jets_build_the_d_blocks_and_reject_an_overflow():
+    """The D blocks of a generator, kind first, from nabla^g pi and pq =
+    pi (x) (pi o A); a pi whose pq overflows is a NumericError there."""
+    m = manifold_by_name("conformal-nonkahler", k=2)
+    pts = sample_points(m, 2, seed=5)
+    pj, gj = records(m, pts, [generator("linear_j", dim=4), generator("grad", dim=4)])
+    nabla, pq = gj.nabla_pi, gj.pq
+    assert gj.d.shape == (4, 2, 2, 4, 4)
+    np.testing.assert_array_equal(pq, gj.pi[..., :, None] * (gj.pi @ pj.a[:, 0])[..., None, :])
+    want = (nabla + 0.5 * (pq + pq.swapaxes(-1, -2)), nabla - nabla.swapaxes(-1, -2))
+    want += (nabla + pq.swapaxes(-1, -2), nabla + pq)
+    for theta in range(4):
+        assert norm_max(gj.d[theta] - want[theta]) <= 1e-15 * max(norm_max(want[theta]), 1.0)
+    huge = generator("const", dim=4, components=[1e200] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite"):
+            generator_jets(pj, [huge])
 
 
 def test_generator_jets_stack_a_list_on_a_batch():
@@ -305,7 +325,8 @@ def test_nabla1_pi_closed_form(name):
         gen = generator(gen_name, dim=m.n)
         for p in sample_points(m, 2, seed=5):
             pj, gj = records(m, p, gen)
-            # D3 = nabla^g pi + pi (x) (pi o A), built here, not by curvature
+            # D3 = nabla^g pi + pi (x) (pi o A), built here as well as by generator_jets
             d3 = gj.nabla_pi + np.outer(gj.pi, gj.pi @ pj.a)
-            res = nabla1_pi_defect(pj, gj, d3)
+            assert norm_max(gj.d[3] - d3) <= 1e-15 * max(norm_max(d3), 1.0)
+            res = nabla1_pi_defect(pj, gj)
             assert res["residual"] < 1e-13 * max(res["scale"], 1.0)

@@ -78,8 +78,8 @@ def test_d_blocks_hand_values():
     vals = {0: 1.5, 1: 2.0, 2: 2.0, 3: 1.0}
     b = bundle(m, P0, gen)
     for theta, want in vals.items():
-        assert b.d[theta][0, 1] == pytest.approx(want, abs=1e-14)
-        assert b.d[theta].shape == (4, 4)
+        assert b.gj.d[theta][0, 1] == pytest.approx(want, abs=1e-14)
+        assert b.gj.d[theta].shape == (4, 4)
 
 
 def test_d_block_linear_relations():
@@ -88,7 +88,7 @@ def test_d_block_linear_relations():
     gen = generator("random_poly", dim=4, seed=9)
     for p in sample_points(m, 4, seed=13):
         b = bundle(m, p, gen)
-        d0, d1, d2, d3 = (b.d[t] for t in range(4))
+        d0, d1, d2, d3 = b.gj.d
         assert norm_max(d1 - (d0 - d0.T)) < 1e-13
         assert norm_max(d1 - (d2 - d3.T)) < 1e-13
         assert norm_max(d2 + d3 - 2 * d0) < 1e-13
@@ -188,7 +188,7 @@ def test_general_and_reduced_assemblies_coincide():
         gen = generator("random_poly", dim=4, seed=3)
         p = sample_points(m, 1, seed=7)[0]
         bk = bundle(m, p, gen)
-        pj, pi, d = bk.pj, bk.gj.pi, bk.d
+        pj, pi, d = bk.pj, bk.gj.pi, bk.gj.d
         pp = pi[..., :, None] * pi[..., None, :]
         blocks = {"d1": d[1], "d2": d[2], "d3": d[3], "d23": 0.5 * (d[2] + d[3]), "pp": pp}
         for theta in range(6):
@@ -358,6 +358,19 @@ def test_non_finite_levi_civita_curvature_raises_at_assembly(bad):
     r_g[1, 0, 2, 0, 1, 3] = bad
     with pytest.raises(NumericError, match="non-finite"):
         curvature_bundle(dataclasses.replace(pj, r_g=r_g), gj)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_levi_civita_curvature_raises_in_the_kahler_rules(bad):
+    """The Kahler rules of R^g, which every chart runs and which read no
+    bundle, catch a non-finite R^g entry through their scale: the max-norm
+    of R^g and of its lowered form."""
+    m = manifold_by_name("conformal-nonkahler", k=2)
+    pj = point_jets(m, sample_points(m, 2, seed=3), CFG)
+    r_g = pj.r_g.copy()
+    r_g[1, 0, 2, 0, 1, 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+        kahler_identities(dataclasses.replace(pj, r_g=r_g))
 
 
 def test_fold_rank_one_builds_no_n4_temporary():

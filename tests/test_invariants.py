@@ -12,7 +12,7 @@ from charts import cp1_times_ch1, sheared, twisted
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max, relative_residual
-from qsc_lab.connections import GeneratorJets, generator_jets, point_jets
+from qsc_lab.connections import GeneratorJets, generator_jets, point_jets, torsion_identities
 from qsc_lab.curvature import (
     R_TERMS,
     assemble_r_theta,
@@ -421,8 +421,9 @@ def test_a_kahler_chart_marked_not_kahler_fails_every_expected_fail_row(k):
 def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypatch):
     """An I-HYB-COND conclusion is computed only where its hypothesis holds,
     and the rules run only on rows whose rank-one blocks do not vanish.  The
-    vanishing-block mask is D1 = 0 for kind 1 and pi = nabla^g pi = 0 for
-    the other kinds; its rows are R^g but for the sign of a zero.  Per part,
+    vanishing-block mask is the one the suite reads, ``equals_r_g``; it holds
+    at least where D1 = 0 for kind 1 and pi = nabla^g pi = 0 for the other
+    kinds, and its rows are R^g but for the sign of a zero.  Per part,
     the rows handed to the rules are, in order, the held rows outside the
     mask; with the held rows inside it, which take R^g's rules, they are the
     (point, generator) pairs the report rows count as satisfied.  Checked
@@ -447,8 +448,10 @@ def test_suite_evaluates_hybrid_conclusions_only_under_their_hypotheses(monkeypa
         gj = generator_jets(pj, gens)
         held = _held_rows(monkeypatch, pj, gj)
         b = curvature_bundle(pj, gj)
+        vanish = equals_r_g(b)
         no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
-        vanish = np.stack([~b.d[1].any((-2, -1)) if t == 1 else no_pi for t in range(6)])
+        old = np.stack([~gj.d[1].any((-2, -1)) if t == 1 else no_pi for t in range(6)])
+        assert (vanish >= old).all()
         # rotation_rules receives lowered rows, commutation_rules the (1,3) rows
         received = {"rotation_rules": [], "commutation_rules": []}
         with monkeypatch.context() as patch:
@@ -537,7 +540,7 @@ def test_every_row_the_r_g_mask_holds_is_r_g(name):
         assert (b.r[kind, point, gen] == pj.r_g[point, 0]).all(), (kind, point, gen)
     no_pi = ~(gj.pi.any(-1) | gj.nabla_pi.any((-2, -1)))
     assert (mask >= no_pi).all()
-    assert np.array_equal(mask[1], ~b.d[1].any((-2, -1)))
+    assert np.array_equal(mask[1], ~gj.d[1].any((-2, -1)))
 
 
 def test_every_table_row_finds_its_block_in_the_bundle():
@@ -556,11 +559,12 @@ def _held_rows(monkeypatch, pj, gj):
     """The held (kind, point, generator, part) rows of I-HYB-COND, as a
     boolean (6, P, G, 2) array: the rows that read NaN when every rule, of
     R^theta or of R^g, returns NaN."""
+    nan_rules = {k: np.full_like(v, np.nan) for k, v in kahler_identities(pj).items()}
     with monkeypatch.context() as patch:
         for name in ("rotation_rules", "commutation_rules"):
             patch.setattr(invariants, name, lambda *args: {"nan": np.full(len(args[0]), np.nan)})
-        probe = invariants._Job(pj, gj, tol_audit=1e-6)
-        probe.kahler = {k: np.full_like(v, np.nan) for k, v in probe.kahler.items()}
+        patch.setattr(invariants, "kahler_identities", lambda _: nan_rules)
+        probe = invariants._Job(pj, gj, 1e-6, kahler_chart=True)
         res = np.stack([res for res, _, _ in probe.hyb_cond])
     return np.isnan(res).reshape(res.shape[:2] + (-1, 2))
 
@@ -574,8 +578,8 @@ def _check_hybrid_rows(monkeypatch, m, gens, cfg):
     pj = point_jets(m, pts, cfg)
     gj = generator_jets(pj, gens)
     held = _held_rows(monkeypatch, pj, gj)
-    job = invariants._Job(pj, gj, tol_audit=1e-6)
-    b, got = job.b, job.hyb_cond
+    got = invariants._Job(pj, gj, 1e-6, kahler_chart=True).hyb_cond
+    b = curvature_bundle(pj, gj)  # the job keeps its bundle with r None
     equal_kinds = set()
     for kind, (res, sc, details) in enumerate(got):
         res, sc = (x.reshape(held.shape[1:]) for x in (res, sc))
@@ -667,8 +671,9 @@ def test_the_largest_block_of_the_budget_equals_one_point_jets(k):
     """identity_suite's largest block, one generator's, holds
     _BLOCK_ARRAY_BYTES // (n^4 8) points (8192 at k=1, so P n^3 = 65536).
     At 16 evenly spaced points of it, every PointJets and GeneratorJets
-    array is bit for bit the one-point call's; a budget that
-    builds blocks past that regime fails here."""
+    array is bit for bit the one-point call's (the D blocks, kind first,
+    sliced on their point axis); a budget that builds blocks past that
+    regime fails here."""
     m = manifold_by_name("fs", k=k)
     size = max(1, invariants._BLOCK_ARRAY_BYTES // (m.n**4 * 8))
     gens = [generator("random_poly", dim=m.n, seed=3)]
@@ -681,7 +686,8 @@ def test_the_largest_block_of_the_budget_equals_one_point_jets(k):
             for f in dataclasses.fields(single):
                 want = getattr(single, f.name)
                 if isinstance(want, np.ndarray):
-                    got = getattr(batched, f.name)[index : index + 1]
+                    got = getattr(batched, f.name)
+                    got = got[:, index : index + 1] if f.name == "d" else got[index : index + 1]
                     assert got.shape == want.shape, (f.name, index)
                     assert got.tobytes() == want.tobytes(), (f.name, index)
 
@@ -722,21 +728,27 @@ def test_rows_hold_at_most_57_bytes_per_identity_and_point():
 
 
 def test_h_tensors_take_over_the_curvature_stack():
-    """_Job builds each H^theta over R^theta, bit for bit the H^theta of a
-    new array, with its max-norm; a later read of R^theta raises, never returning H^theta,
-    while the bundle scale, taken at assembly, is a fresh bundle's."""
+    """A Kahler _Job builds each H^theta over R^theta, in the memory of the
+    bundle's one stack, bit for bit the H^theta of a new array, with its
+    max-norm; it keeps the bundle with r None, so a late read of R^theta
+    fails, while the bundle scale, taken at assembly, is a fresh bundle's."""
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     gj = generator_jets(pj, SEVEN[:3])
-    job = invariants._Job(pj, gj, tol_audit=1e-6)
-    want = [h_tensor(theta, job.b) for theta in range(6)]
+    job = invariants._Job(pj, gj, 1e-6, kahler_chart=True)
+    fresh = curvature_bundle(pj, gj)
+    stack = job.tensors["H0"][0].base
+    assert stack.shape == fresh.r.shape
     for theta in range(6):
         h, norm = job.tensors[f"H{theta}"]
-        np.testing.assert_array_equal(h, want[theta])
-        assert norm.tobytes() == norm_max(want[theta], 4).tobytes()
-    with pytest.raises(RuntimeError, match="handed over"):
-        job.b.r
-    np.testing.assert_array_equal(job.b.scale, curvature_bundle(pj, gj).scale)
+        assert h.base is stack and np.shares_memory(h, stack[theta])
+        want = h_tensor(theta, fresh)
+        np.testing.assert_array_equal(h, want)
+        assert norm.tobytes() == norm_max(want, 4).tobytes()
+    assert job.b.r is None
+    with pytest.raises(TypeError):
+        job.b.r[1]
+    np.testing.assert_array_equal(job.b.scale, fresh.scale)
 
 
 def _bits(value):
@@ -752,34 +764,55 @@ def _bits(value):
 
 
 def test_a_job_holds_each_datum_in_one_record():
-    """The bundle reads g, A, R^g, pi and nabla^g pi from the PointJets and
-    GeneratorJets it was built from: no array field of it, nor any of its
-    blocks, is or views an array of those records.  _Job(pj, gj, tol) builds
-    the Kahler rules and the bundle itself, and its I-HYB-COND rows, tensors
-    and every evaluator result are bit for bit those of a job given a
-    hand-made bundle."""
+    """The bundle reads g, A, R^g, pi, nabla^g pi and the D blocks from the
+    PointJets and GeneratorJets it was built from: no array field of it is
+    or views an array of those records, and of its blocks exactly d1..d3
+    and pq are views of ``gj.d`` and ``gj.pq``.  _Job(pj, gj, tol, True)
+    builds the Kahler rules, the torsion identities and the bundle itself;
+    its bundle, I-R1COMM and I-HYB-COND rows and tensors are bit for bit
+    those built by hand from a fresh bundle, and every evaluator reads them."""
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     gj = generator_jets(pj, SEVEN[:3])
-    built = invariants._Job(pj, gj, tol_audit=1e-6)
+    built = invariants._Job(pj, gj, 1e-6, kahler_chart=True)
     assert built.b.pj is pj and built.b.gj is gj
     records = [
         x for rec in (pj, gj) for v in vars(rec).values()
         for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, np.ndarray)
     ]
+    views = {"d1": gj.d[1], "d2": gj.d[2], "d3": gj.d[3], "pq": gj.pq}
     for field in dataclasses.fields(built.b):
         value = getattr(built.b, field.name)
-        for array in value.values() if isinstance(value, dict) else (value,):
-            if isinstance(array, np.ndarray):
-                assert not any(np.may_share_memory(array, x) for x in records), field.name
-    by_hand = invariants._Job(pj, gj, tol_audit=1e-6)
-    by_hand.kahler, by_hand.b = kahler_identities(pj), curvature_bundle(pj, gj)
-    # the readers of R^theta first, as identity_suite runs them
-    order = sorted(IDENTITY_CATALOG, key=lambda i: not i.startswith(("I-HYB-COND", "I-R1COMM")))
-    got, want = ([IDENTITY_CATALOG[i].evaluate(job) for i in order] for job in (built, by_hand))
-    assert _bits(got) == _bits(want)
-    assert _bits(built.hyb_cond) == _bits(by_hand.hyb_cond)
-    assert _bits(built.tensors) == _bits(by_hand.tensors)
+        for key, array in value.items() if isinstance(value, dict) else [(field.name, value)]:
+            if key in views:
+                assert np.shares_memory(array, views[key]), key
+                np.testing.assert_array_equal(array, views[key])
+            elif isinstance(array, np.ndarray):
+                assert not any(np.may_share_memory(array, x) for x in records), key
+    assert built.b.blocks.keys() >= views.keys()
+    b = curvature_bundle(pj, gj)
+    kahler = kahler_identities(pj)
+    derived = lambda x: [
+        getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in ("pj", "gj", "r")
+    ]
+    by_hand = {
+        "kahler": kahler,
+        "torsion": torsion_identities(pj, gj),
+        "r1comm": invariants._r1comm(b),
+        "hyb_cond": invariants._hybrid_conditions(b, kahler, 1e-6),
+        "b": derived(b),
+        "tensors": {
+            **{f"H{t}": (h_tensor(t, b), norm_max(h_tensor(t, b), 4)) for t in range(6)},
+            "W": (weyl_projective(pj), norm_max(weyl_projective(pj), 4)),
+            "P": (hol_projective(pj), norm_max(hol_projective(pj), 4)),
+        },
+    }
+    got = {key: getattr(built, key) for key in by_hand}
+    got["b"] = derived(built.b)
+    assert _bits(got) == _bits(by_hand)
+    assert IDENTITY_CATALOG["I-R1COMM"].evaluate(built) is built.r1comm
+    for t in range(6):
+        assert IDENTITY_CATALOG[f"I-HYB-COND-{t}"].evaluate(built) is built.hyb_cond[t]
 
 
 @pytest.mark.parametrize("name", ["fs", "conformal-nonkahler"])
@@ -813,22 +846,67 @@ def test_stacked_h_tensor_equals_the_per_bundle_one(k):
                 assert norm_max(stacked[i, j] - single) <= 1e-13 * scale, (theta, i, j)
 
 
-@pytest.mark.parametrize("points,gens", [(1, 1), (2, 3), (4, 7)])
-def test_suite_builds_one_bundle_and_six_h_tensors_per_call(monkeypatch, points, gens):
-    """Everything after the jets runs once per block of points, and at n=4
-    every (P, G) here fits one block."""
-    calls = Counter()
-    for name in ("curvature_bundle", "h_tensor"):
-
-        def counted(*args, _name=name, _original=getattr(invariants, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(invariants, name, counted)
+@pytest.mark.parametrize(
+    "points,gens,per_block",
+    [(1, 1, None), (2, 3, None), (4, 7, None), (5, 7, 2)],
+    ids=["1-1", "2-3", "4-7", "5-7-blocks-of-2"],
+)
+def test_suite_builds_one_bundle_and_six_h_tensors_per_call(monkeypatch, points, gens, per_block):
+    """Everything after the jets runs once per block of points: at n=4
+    every (P, G) here fits one block, unless the budget holds `per_block`
+    points a block (five points then run as 2 + 2 + 1)."""
     m = manifold_by_name("hyperbolic", k=2)
+    blocks = 1
+    if per_block is not None:
+        monkeypatch.setattr(invariants, "_BLOCK_ARRAY_BYTES", per_block * gens * m.n**4 * 8)
+        blocks = -(-points // per_block)
+    calls = _count_calls(monkeypatch, ("curvature_bundle", "h_tensor"))
     results = identity_suite(m, sample_points(m, points, seed=24), SEVEN[:gens], CFG)
     assert _all_pass(results)
-    assert calls == {"curvature_bundle": 1, "h_tensor": 6}
+    assert calls == {"curvature_bundle": blocks, "h_tensor": 6 * blocks}
+
+
+def _count_calls(monkeypatch, names):
+    """A Counter of the calls that identity_suite makes through each of
+    `names` in ``invariants``."""
+    calls = Counter()
+    for name in names:
+
+        def counted(*args, _name=name, _original=getattr(invariants, name), **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(invariants, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("chart", ["conformal-nonkahler", "twisted-3"])
+def test_a_non_kahler_suite_builds_no_curvature_stack(monkeypatch, chart):
+    """On a chart not marked Kahler only the first stage runs: no bundle,
+    no commutator curvature and no H^theta, while every hermitian and
+    Kahler-hypothesis row is there."""
+    calls = _count_calls(monkeypatch, ("curvature_bundle", "commutator_curvature", "h_tensor"))
+    m = twisted(2, 3) if chart == "twisted-3" else manifold_by_name(chart, k=2)
+    results = identity_suite(m, sample_points(m, 5, seed=24), SEVEN, CFG)
+    assert not calls, calls
+    ran = {ident for ident, info in IDENTITY_CATALOG.items() if info.scope != "kahler_only"}
+    assert {r.id for r in results} == ran
+
+
+def test_a_non_kahler_suite_call_peaks_below_0_45_mib():
+    """conformal-nonkahler at k=2, five points, seven generators: without the
+    curvature stack one call peaks near 0.30 MiB (0.82 MiB when every job
+    built the whole bundle)."""
+    m = manifold_by_name("conformal-nonkahler", k=2)
+    pts = sample_points(m, 5, seed=29)
+    identity_suite(m, pts, SEVEN, CFG)  # first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        identity_suite(m, pts, SEVEN, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * 2**20, peak / 2**20
 
 
 @functools.cache
@@ -885,8 +963,8 @@ def _whole_array_row(relation, job):
 
 @functools.cache
 def _slab_job(k):
-    """A _Job with its tensors built: fs at k=8 with (P, G) = (1, 3), a row
-    of several slabs, or at k=2 with (5, 7), a row of one slab."""
+    """A Kahler _Job, which builds its tensors: fs at k=8 with (P, G) =
+    (1, 3), a row of several slabs, or at k=2 with (5, 7), a row of one slab."""
     m = manifold_by_name("fs", k=k)
     if k == 2:
         pts, gens = sample_points(m, 5, seed=27), SEVEN
@@ -894,9 +972,7 @@ def _slab_job(k):
         pts = sample_points(m, 1, seed=27)
         gens = K8_THREE
     pj = point_jets(m, pts, CFG)
-    job = invariants._Job(pj, generator_jets(pj, gens), tol_audit=1e-6)
-    job.tensors, job.b.scale
-    return job
+    return invariants._Job(pj, generator_jets(pj, gens), 1e-6, kahler_chart=True)
 
 
 @pytest.mark.parametrize(
@@ -947,13 +1023,12 @@ def test_a_linear_relation_row_peaks_at_its_two_slab_buffers():
     assert peak < block, (peak, block)
 
 
-def _fresh_job(k, points):
-    """A _Job whose R stack is still readable: fs at k=8 with the three
+def _fresh_bundle(k, points):
+    """A bundle whose R stack is still readable: fs at k=8 with the three
     K8_THREE generators, or at k=2 with SEVEN."""
     m = manifold_by_name("fs", k=k)
     pj = point_jets(m, sample_points(m, points, seed=27), CFG)
-    gj = generator_jets(pj, SEVEN if k == 2 else K8_THREE)
-    return invariants._Job(pj, gj, tol_audit=1e-6)
+    return curvature_bundle(pj, generator_jets(pj, SEVEN if k == 2 else K8_THREE))
 
 
 @pytest.mark.parametrize("k,points", [(2, 2), (8, 1)])
@@ -961,25 +1036,29 @@ def test_commutator_curvature_into_buffers_equals_a_new_array(monkeypatch, k, po
     """commutator_curvature written into given buffers, all generators at
     once or one generator at a time, is the new array bit for bit, whatever
     the buffers held; I-R1COMM gives the whole-array residual and scale
-    with one generator per chunk, the shipped chunks and one chunk."""
-    job = _fresh_job(k, points)
-    pj, gj = job.pj, job.gj
+    with one generator per chunk, the shipped chunks and one chunk, and a
+    Kahler job's I-R1COMM row reads the shipped chunks' result."""
+    b = _fresh_bundle(k, points)
+    pj, gj = b.pj, b.gj
     want = commutator_curvature(pj, gj)
     out, work = np.full_like(want, np.nan), np.full_like(want, np.inf)
     assert commutator_curvature(pj, gj, out=out, work=work) is out
     assert out.tobytes() == want.tobytes()
     for g in range(want.shape[1]):
-        one = GeneratorJets(*(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi)))
+        one = GeneratorJets(
+            *(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi, gj.pq)), gj.d[:, :, g : g + 1]
+        )
         out, work = np.full_like(want[:, :1], np.nan), np.full_like(want[:, :1], -1.0)
         commutator_curvature(pj, one, out=out, work=work)
         assert out.tobytes() == want[:, g : g + 1].tobytes(), g
-    r1 = job.b.r[1]
-    want_res = norm_max(r1 - want, 4).tobytes()
-    want_scale = np.maximum(job.b.r_norms[1], norm_max(want, 4)).tobytes()
-    evaluate = IDENTITY_CATALOG["I-R1COMM"].evaluate
+    want_res = norm_max(b.r[1] - want, 4).tobytes()
+    want_scale = np.maximum(b.r_norms[1], norm_max(want, 4)).tobytes()
+    job = invariants._Job(pj, gj, 1e-6, kahler_chart=True)
+    res, scale, details = IDENTITY_CATALOG["I-R1COMM"].evaluate(job)
+    assert (res.tobytes(), scale.tobytes(), details) == (want_res, want_scale, None)
     for budget in (1, invariants._SLAB_BYTES, 1 << 60):
         monkeypatch.setattr(invariants, "_SLAB_BYTES", budget)
-        res, scale, details = evaluate(job)
+        res, scale, details = invariants._r1comm(b)
         assert (res.tobytes(), scale.tobytes(), details) == (want_res, want_scale, None), budget
 
 
@@ -987,13 +1066,12 @@ def test_r1comm_peaks_at_its_two_chunk_buffers():
     """At n=16 with (P, G) = (1, 3), I-R1COMM runs one generator per chunk
     through two buffers of one n^4 block each: its peak is those two plus
     O(n^3) per (point, generator), under the G n^4 of one whole curvature."""
-    job = _fresh_job(8, 1)
-    n, (p, g) = job.pj.n, job.gj.pi.shape[:-1]
-    evaluate = IDENTITY_CATALOG["I-R1COMM"].evaluate
-    evaluate(job)  # first-call caches stay out of the trace
+    b = _fresh_bundle(8, 1)
+    n, (p, g) = b.pj.n, b.gj.pi.shape[:-1]
+    invariants._r1comm(b)  # first-call caches stay out of the trace
     tracemalloc.start()
     try:
-        evaluate(job)
+        invariants._r1comm(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1026,7 +1104,7 @@ def _per_identity_block_results(m, points, generators, cfg, plan, tol_audit):
     identity's residuals and scales broadcast together, stacked with their
     relatives and reduced on their own; with the K of each identity by id."""
     pj = point_jets(m, points, cfg)
-    job = invariants._Job(pj, generator_jets(pj, generators), tol_audit)
+    job = invariants._Job(pj, generator_jets(pj, generators), tol_audit, m.kahler_expected)
     stats, details, widths = np.empty((3, len(plan), len(points))), {}, {}
     for i, (ident, _, evaluate) in enumerate(plan):
         res, scale, extra = evaluate(job)
