@@ -34,7 +34,7 @@ non-finite R^g is a NumericError there.
 Every kind is R^g plus signed rank-one terms c s(., .) V(.), V the identity
 or A, in the shapes specialized to A^2 = -I, which every catalog structure
 satisfies exactly.  The terms are data, rows (c, block, V, pattern) of
-``R_TERMS`` by kind, like those of H, W, P and I-HYB-COND in ``invariants``:
+``R_TERMS`` by kind, like those of H, W and P in ``invariants``:
 ``table_terms`` looks up a row's blocks, all but W's and P's in the
 bundle's one dict ``b.blocks``, and ``fold_rank_one`` adds them;
 ``equals_r_g`` reads from ``R_TERMS`` the rows of the stack that are R^g.
@@ -210,11 +210,10 @@ class CurvatureBundle:
     (6, ...) and ric (6, ..., n, n) lead with the kind; r is None once H^theta
     is folded over it.  ``blocks`` holds by name each (..., n, n) block that a
     term table or a closed form reads: x_a = x A, a_x = A^T x = x(A., .),
-    x_aa = x(A., A.), d1..d3 and pq from ``gj``, pp = pi (x) pi, d23 = (D2 +
-    D3) / 2, d2_pq = D2 + pq, d2_a_pp = D2 A - pp.  ``scale``, the largest
-    max-norm among R^g, the six kinds, their Ricci traces, Ric^g, 'R3 and 'R4
-    per (point, generator), is the residual scale every identity on this
-    bundle starts from."""
+    x_aa = x(A., A.), d1..d3 from ``gj``, pp = pi (x) pi and d23 = (D2 +
+    D3) / 2.  ``scale``, the largest max-norm among R^g, the six kinds, their
+    Ricci traces, Ric^g, 'R3 and 'R4 per (point, generator), is the residual
+    scale every identity on this bundle starts from."""
 
     pj: PointJets
     gj: GeneratorJets
@@ -231,10 +230,10 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
     """Assemble every kind for all points and generators at once; a value
     that overflowed anywhere in the stack is a NumericError, found from the
     max-norms (NaN and inf survive max and min)."""
-    n, a, pi, nabla, pq = pj.n, pj.a, gj.pi, gj.nabla_pi, gj.pq
+    n, a, pi = pj.n, pj.a, gj.pi
     pp = pi[..., :, None] * pi[..., None, :]
     _, d1, d2, d3 = gj.d
-    blocks = {"d1": d1, "d2": d2, "d3": d3, "d23": 0.5 * (d2 + d3), "pp": pp, "pq": pq}
+    blocks = {"d1": d1, "d2": d2, "d3": d3, "d23": 0.5 * (d2 + d3), "pp": pp}
     batch = np.broadcast_shapes(pj.point.shape[:-1], pi.shape[:-1])
     r = np.empty((len(THETAS),) + batch + (n,) * 4)
     for theta in THETAS:
@@ -244,14 +243,12 @@ def curvature_bundle(pj: PointJets, gj: GeneratorJets) -> CurvatureBundle:
         raise NumericError("non-finite curvature components")
     ric = np.trace(r, axis1=-4, axis2=-3)
     pr3, pr4 = (np.trace(r[theta], axis1=-4, axis2=-1) for theta in (3, 4))
-    at, d2_a, d4 = a.swapaxes(-1, -2), d2 @ a, nabla @ a - 2 * pp  # d4: kind 4's part-2 block
+    at = a.swapaxes(-1, -2)
     blocks |= {
         **{f"ric{theta}": ric[theta] for theta in THETAS},
         "ric1_a": ric[1] @ a, "ric3_a": ric[3] @ a, "a_ric2": at @ ric[2],
-        "a_pr3": at @ pr3, "a_pr4": at @ pr4,
+        "a_pr3": at @ pr3, "a_pr4": at @ pr4, "d3_a": d3 @ a,
         "pr3_aa": rotate_slots(pr3, a, (0, 1)), "pr4_aa": rotate_slots(pr4, a, (0, 1)),
-        "pp_a": pp @ a, "d3_a": d3 @ a,
-        "d2_a": d2_a, "d2_pq": d2 + pq, "d2_a_pp": d2_a - pp, "d4": d4, "d4_a": d4 @ a,
     }
     scale = emax(
         norm_max(pj.r_g, 4),

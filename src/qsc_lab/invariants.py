@@ -37,9 +37,9 @@ one ``IdentityRows`` of (P,) arrays per identity, never an object per
 (kind, point, generator) rows of the R stack.  A held row whose
 ``R_TERMS`` blocks all vanish (``curvature.equals_r_g``) is R^g, and takes
 the Kahler rules of R^g from ``kahler_identities``; the rules run on the
-others, gathered in chunks of R rows.  The rank-one terms of H^theta,
-of W, P and H0 in R^g, and of the part-2 conditions of I-HYB-COND are the
-rows of ``H_TERMS``, ``RG_TERMS`` and ``PART2_TERMS``, folded by
+others, gathered in chunks of R rows.  Its part-2 hypotheses are the
+(0,2) forms of ``PART2_FORMS``.  The rank-one terms of H^theta and of W, P
+and H0 in R^g are the rows of ``H_TERMS`` and ``RG_TERMS``, folded by
 ``curvature.fold_rank_one``; as in ``curvature``, their order inside a
 (V, vector slot) group fixes the bits.
 
@@ -221,32 +221,30 @@ class IdentityRows:
     details: dict[str, np.ndarray] | None = None
 
 
-# The rank-one terms of the part-2 conditions of I-HYB-COND, kinds 2..5 (0 and 1 are no folds)
-PART2_TERMS = {
-    2: (
-        (1.0, "d2", "I", "ik,lj"), (1.0, "d2_a", "A", "ik,lj"),
-        (-1.0, "d2", "I", "jk,li"), (-1.0, "d2_a", "A", "jk,li"),
-    ),
-    3: ((1.0, "d3", "I", "jk,li"), (1.0, "d3_a", "A", "jk,li")),
-    4: (
-        (1.0, "d4", "A", "jk,li"), (1.0, "pp", "A", "ik,lj"),
-        (1.0, "d4_a", "I", "jk,li"), (-1.0, "pp_a", "I", "ik,lj"),
-    ),
-    5: (
-        (1.0, "d3", "I", "ik,lj"), (1.0, "d3_a", "A", "ik,lj"),
-        (-1.0, "d2_pq", "I", "jk,li"), (-1.0, "d2_a_pp", "A", "jk,li"),
-    ),
+def _hybrid_part(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(n - 1) X - A^T X A: zero iff X is, but at n = 2 iff X is hybrid (A^2 = -I)."""
+    return (a.shape[-1] - 1) * x - a.swapaxes(-1, -2) @ x @ a
+
+
+# The part-2 hypothesis of I-HYB-COND by kind: (0,2) forms that all vanish
+# exactly where it holds, for kinds 2..5 where the paper's rank-one (1,3)
+# condition does (tests/test_part2_forms.py); kind 1 has none
+PART2_FORMS = {
+    0: lambda a, pp, gj: (gj.nabla_pi + gj.pq + 0.5 * gj.pq.swapaxes(-1, -2),),
+    1: lambda a, pp, gj: (),
+    2: lambda a, pp, gj: (_hybrid_part(gj.d[2], a),),
+    3: lambda a, pp, gj: (gj.d[3],),
+    4: lambda a, pp, gj: (pp, gj.nabla_pi),
+    5: lambda a, pp, gj: (pp, _hybrid_part(gj.nabla_pi, a)),
 }
 
 
 def _part2_condition(theta: int, b: CurvatureBundle) -> np.ndarray:
-    if theta == 1:
-        return np.zeros(b.gj.pi.shape[:-1])
-    if theta == 0:
-        pq = b.blocks["pq"]
-        return norm_max(b.gj.nabla_pi + pq + 0.5 * pq.swapaxes(-1, -2), 2)
-    terms = table_terms(PART2_TERMS, theta, b.blocks, b.pj.n)
-    return norm_max(fold_rank_one(None, b.pj.a_support, terms), 4)
+    """The largest max-norm of kind theta's ``PART2_FORMS``, per (point, generator)."""
+    if theta not in PART2_FORMS:
+        raise ValueError(f"no part-2 condition for {theta!r}: the kinds are {THETAS}")
+    forms = PART2_FORMS[theta](b.pj.a, b.blocks["pp"], b.gj)
+    return emax(np.zeros(b.gj.pi.shape[:-1]), *(norm_max(f, 2) for f in forms))
 
 
 def _hybrid_conditions(b: CurvatureBundle, kahler: dict, tol: float):

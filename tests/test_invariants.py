@@ -94,17 +94,19 @@ def test_hybrid_defect_rank_one_hand_value():
 
 
 def test_h_tensor_rejects_bad_kind():
-    """Every table keyed by kind raises the one ValueError of its lookup:
-    H^theta, R^theta and the part-2 condition of I-HYB-COND."""
+    """Every lookup keyed by kind raises a ValueError for a kind outside
+    0..5, -1 included, which no lookup reads as the last kind: H^theta,
+    R^theta and the part-2 condition of I-HYB-COND."""
     m = manifold_by_name("flat", k=2)
     b = bundle(m, np.zeros(4), generator("zero", dim=4))
-    for build in (
-        lambda kind: h_tensor(kind, b),
-        lambda kind: assemble_r_theta(kind, b.pj.r_g, b.pj.a_support, b.blocks),
-        lambda kind: invariants._part2_condition(kind, b),
+    table = "no rank-one terms for"
+    for build, message in (
+        (lambda kind: h_tensor(kind, b), table),
+        (lambda kind: assemble_r_theta(kind, b.pj.r_g, b.pj.a_support, b.blocks), table),
+        (lambda kind: invariants._part2_condition(kind, b), "no part-2 condition for"),
     ):
         for kind in (7, -1):
-            with pytest.raises(ValueError, match="no rank-one terms for"):
+            with pytest.raises(ValueError, match=f"{message} {kind}"):
                 build(kind)
 
 
@@ -544,12 +546,12 @@ def test_every_row_the_r_g_mask_holds_is_r_g(name):
 
 
 def test_every_table_row_finds_its_block_in_the_bundle():
-    """Each block that a row of ``R_TERMS``, ``H_TERMS`` or ``PART2_TERMS``
-    names is an entry of the bundle's one dict, a (P, G, n, n) array."""
+    """Each block that a row of ``R_TERMS`` or ``H_TERMS`` names is an entry
+    of the bundle's one dict, a (P, G, n, n) array."""
     m = manifold_by_name("fs", k=2)
     pj = point_jets(m, sample_points(m, 2, seed=25), CFG)
     b = curvature_bundle(pj, generator_jets(pj, SEVEN[:3]))
-    for table in (R_TERMS, invariants.H_TERMS, invariants.PART2_TERMS):
+    for table in (R_TERMS, invariants.H_TERMS):
         for terms in table.values():
             for _, name, _, _ in terms:
                 assert b.blocks[name].shape == (2, 3, 4, 4), name
@@ -767,8 +769,8 @@ def test_a_job_holds_each_datum_in_one_record():
     """The bundle reads g, A, R^g, pi, nabla^g pi and the D blocks from the
     PointJets and GeneratorJets it was built from: no array field of it is
     or views an array of those records, and of its blocks exactly d1..d3
-    and pq are views of ``gj.d`` and ``gj.pq``.  _Job(pj, gj, tol, True)
-    builds the Kahler rules, the torsion identities and the bundle itself;
+    are views of ``gj.d``.  _Job(pj, gj, tol, True) builds the Kahler
+    rules, the torsion identities and the bundle itself;
     its bundle, I-R1COMM and I-HYB-COND rows and tensors are bit for bit
     those built by hand from a fresh bundle, and every evaluator reads them."""
     m = manifold_by_name("fs", k=2)
@@ -780,7 +782,7 @@ def test_a_job_holds_each_datum_in_one_record():
         x for rec in (pj, gj) for v in vars(rec).values()
         for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, np.ndarray)
     ]
-    views = {"d1": gj.d[1], "d2": gj.d[2], "d3": gj.d[3], "pq": gj.pq}
+    views = {"d1": gj.d[1], "d2": gj.d[2], "d3": gj.d[3]}
     for field in dataclasses.fields(built.b):
         value = getattr(built.b, field.name)
         for key, array in value.items() if isinstance(value, dict) else [(field.name, value)]:

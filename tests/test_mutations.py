@@ -4,16 +4,15 @@ coefficient of a linear relation is read by some verdict.
 A mutant changes one number and nothing else:
 
 * the sign of one rank-one term of ``curvature.R_TERMS``,
-  ``invariants.H_TERMS``, ``invariants.RG_TERMS`` or
-  ``invariants.PART2_TERMS``;
+  ``invariants.H_TERMS`` or ``invariants.RG_TERMS``;
 * the sign of one coefficient of a ``LinearRelation``, or its size (times
   1.1), which a sign flip cannot show.
 
 Each mutant runs ``identity_suite`` on the charts of ``CHARTS`` and must fail
 at least one row there, unless ``SURVIVORS`` lists it with its reason.  A
 listed mutant that is now caught fails the gate too, so the list can only
-shrink.  The census, one line per mutant with the first chart that catches
-it or the reason it survives, is
+shrink; today it is empty.  The census, one line per mutant with the first
+chart that catches it or the reason it survives, is
 
     PYTHONPATH=src python tests/test_mutations.py
 """
@@ -33,33 +32,13 @@ TABLES = {
     "R_TERMS": curvature.R_TERMS,
     "H_TERMS": invariants.H_TERMS,
     "RG_TERMS": invariants.RG_TERMS,
-    "PART2_TERMS": invariants.PART2_TERMS,
 }
 GENERATORS = "zero,linear_j,grad,random_poly:3"
 # P vanishes on every complex space form of the catalog; CP^1 x CH^1 reads P
 CHART_NAMES = ("flat", "fs", "hyperbolic", "conformal-nonkahler", "cp1xch1")
 
-_PART2 = (
-    "the part-2 condition of kinds 2..5 holds on these generators only at pi = 0, "
-    "where all its blocks vanish, so no verdict reads the sign of this term"
-)
 # (table, kind, index) -> why flipping that term's sign changes no verdict
-SURVIVORS = {
-    ("PART2_TERMS", 2, 0): _PART2,
-    ("PART2_TERMS", 2, 1): _PART2,
-    ("PART2_TERMS", 2, 2): _PART2,
-    ("PART2_TERMS", 2, 3): _PART2,
-    ("PART2_TERMS", 3, 0): _PART2,
-    ("PART2_TERMS", 3, 1): _PART2,
-    ("PART2_TERMS", 4, 0): _PART2,
-    ("PART2_TERMS", 4, 1): _PART2,
-    ("PART2_TERMS", 4, 2): _PART2,
-    ("PART2_TERMS", 4, 3): _PART2,
-    ("PART2_TERMS", 5, 0): _PART2,
-    ("PART2_TERMS", 5, 1): _PART2,
-    ("PART2_TERMS", 5, 2): _PART2,
-    ("PART2_TERMS", 5, 3): _PART2,
-}
+SURVIVORS: dict[tuple, str] = {}
 
 RELATIONS = {
     ident: entry.evaluate
@@ -129,9 +108,9 @@ def test_every_row_passes_unmutated(name):
 
 
 def test_mutants_cover_every_term_and_the_survivors_name_table_terms():
-    assert sum(len(terms) for table in TABLES.values() for terms in table.values()) == 78
+    assert sum(len(terms) for table in TABLES.values() for terms in table.values()) == 64
     assert sum(len(r.terms) for r in RELATIONS.values()) == 33
-    assert len(MUTANTS) == 78 + 2 * 33
+    assert len(MUTANTS) == 64 + 2 * 33
     assert set(SURVIVORS) <= {m[:3] for m in MUTANTS if m[0] in TABLES}
 
 

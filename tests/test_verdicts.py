@@ -101,7 +101,8 @@ SCHEME_FLAGS = {
 def multi_point_jobs():
     """(name, argv without --report) of the multi-point jobs the benchmark
     does not run: every k=2 chart under every scheme, fs at k=8, hyperbolic
-    at k=4 with fd4, and a generator list without `zero`."""
+    at k=4 with fd4, and fs at k=2 and k=1 with a generator list without
+    `zero`."""
     common = ["--generators", "zero,linear_j,grad,random_poly:3", "--seed", "7"]
     for chart in ("flat", "fs", "hyperbolic", "conformal-nonkahler"):
         for scheme, flags in SCHEME_FLAGS.items():
@@ -112,10 +113,11 @@ def multi_point_jobs():
         "verify", "--manifold", "hyperbolic", "--k", "4", "--points", "4", "--diff", "fd4",
         *common,
     ]
-    yield "multi-fs-k2-no-zero", [
-        "verify", "--manifold", "fs", "--k", "2", "--points", "3",
-        "--generators", "linear_j,grad,random_poly:1,random_poly:2", "--seed", "7",
-    ]
+    for k in ("2", "1"):  # k=1 reads the n = 2 forms of the part-2 conditions
+        yield f"multi-fs-k{k}-no-zero", [
+            "verify", "--manifold", "fs", "--k", k, "--points", "3",
+            "--generators", "linear_j,grad,random_poly:1,random_poly:2", "--seed", "7",
+        ]
 
 
 def digest(argv: list[str], report: Path = DIGEST_REPORT) -> tuple[int, str]:
