@@ -113,10 +113,9 @@ _SLOT_SECOND = {"i": (-4, -3, -2, -1), "j": (-4, -2, -3, -1), "k": (-4, -1, -3, 
 def fold_rank_one(base, a_support, terms, out: np.ndarray | None = None) -> np.ndarray:
     """base + sum of c * s(., .) V(.) over terms (c, s, V, pattern), V "I" or
     "A"; pattern "ij,lk" means out[..., l,i,j,k] += s[..., i,j] V[..., l,k],
-    and "ji,lk" reads s transposed; A comes as ``connections.support(A)``.  A
-    base of None adds no base; out=base folds the terms onto base in place,
-    any other out takes the result (its contents unread), the same IEEE sums
-    as a new array.
+    and "ji,lk" reads s transposed; A comes as ``connections.support(A)``.
+    out=base folds the terms onto base in place, any other out takes the
+    result (its contents unread), the same IEEE sums as a new array.
 
     Terms sharing (V, vector slot) are summed first.  An I-group is added
     through an n^3 diagonal view of the output.  An A-group goes into one
@@ -150,7 +149,7 @@ def fold_rank_one(base, a_support, terms, out: np.ndarray | None = None) -> np.n
     if onto_base:
         out += acc
     else:
-        out = acc if base is None else np.add(acc, base, out=acc)
+        out = np.add(acc, base, out=acc)
     for slot, s in groups["I"].items():
         diagonal = np.einsum(_DIAGONALS[slot], out)
         diagonal += s[..., None, :, :]

@@ -13,6 +13,9 @@ The identities live in one table, ``IDENTITY_CATALOG``: each entry holds the
 description, classification, scope and evaluator of one ID.  A linear
 relation among H0..H5, W, P and H0 written in R^g is one row of coefficients,
 a ``LinearRelation``; one evaluator computes the residual of every such row.
+A record of residuals with a scale is read by ``_record``, one entry, or by
+``_worst``, its largest (I-METRICITY, I-NABLA1PI, I-RIC-CF); ``_pair`` compares
+two (0,2) tensors (I-RIC23, I-PR34).
 
 ``identity_suite`` runs whole points in blocks, so a job's n^4 working set
 is bounded in P.  Per block of P points it differentiates each field once
@@ -351,6 +354,8 @@ class _Job:
 
 # An evaluator maps a _Job to (residuals, scales, details): residuals and
 # scales broadcast to (P, K); details, if any, map a key to one value per point.
+# ``_record`` reads one entry of a record, ``_worst`` its largest entry, and
+# ``_pair`` compares two (0,2) tensors.
 
 def _record(name: str, key: str):
     """The evaluator of entry `key` of the job's record `name`, ``torsion``
@@ -358,17 +363,23 @@ def _record(name: str, key: str):
     return lambda j: (getattr(j, name)[key], getattr(j, name)["scale"], None)
 
 
-def _metricity_evaluator(j: _Job):
-    rec = metricity_defects(j.pj, j.gj)
-    batch = j.gj.pi.shape[:-1]
-    worst = {k: np.broadcast_to(v, batch) for k, v in rec.items() if k != "scale"}
-    details = {k: v.max(-1) for k, v in worst.items()}
-    return emax(*worst.values()), rec["scale"], details
+def _worst(read: Callable[[_Job], dict], details: bool = False):
+    """The evaluator of the record ``read(job)`` of residuals and a "scale":
+    the largest entry, in record order, with the record's scale; `details`
+    adds each entry's max over the generators (a (P, 1) entry broadcasts)."""
+
+    def evaluate(j: _Job):
+        rec = read(j)
+        entries = {k: v for k, v in rec.items() if k != "scale"}
+        extra = {k: v.max(-1) for k, v in entries.items()} if details else None
+        return emax(*entries.values()), rec["scale"], extra
+
+    return evaluate
 
 
-def _nabla1pi_evaluator(j: _Job):
-    rec = nabla1_pi_defect(j.pj, j.gj)
-    return rec["residual"], rec["scale"], None
+def _pair(x: np.ndarray, y: np.ndarray):
+    """The evaluation of the (0,2) identity X = Y: |X - Y| against max(|X|, |Y|)."""
+    return norm_max(x - y, 2), np.maximum(norm_max(x, 2), norm_max(y, 2)), None
 
 
 def _drel_evaluator(j: _Job):
@@ -380,26 +391,6 @@ def _drel_evaluator(j: _Job):
         norm_max(2 * d0 - (d2 + d3), 2),
     )
     return res, norm_max(j.gj.d, 2).max(0), None
-
-
-def _richyb_evaluator(j: _Job):
-    return (*hybrid_defect(j.pj.ric_g, j.pj.a), None)
-
-
-def _riccf_evaluator(j: _Job):
-    rec = closed_form_residuals(j.b)
-    return emax(*(v for k, v in rec.items() if k != "scale")), rec["scale"], None
-
-
-def _ric23_evaluator(j: _Job):
-    ric2, ric3 = j.b.ric[2], j.b.ric[3]
-    res = norm_max(ric2 - ric3.swapaxes(-1, -2), 2)
-    return res, np.maximum(norm_max(ric2, 2), norm_max(ric3, 2)), None
-
-
-def _pr34_evaluator(j: _Job):
-    pr3, pr4 = j.b.prime_r3, j.b.prime_r4
-    return norm_max(pr3 - pr4, 2), np.maximum(norm_max(pr3, 2), norm_max(pr4, 2)), None
 
 
 def _hind_evaluator(theta: int):
@@ -483,7 +474,7 @@ IDENTITY_CATALOG: dict[str, Identity] = {
     ),
     "I-NABLA1PI": Identity(
         "(nabla^1 pi)(X,Y) = (nabla^g pi)(X,Y) + pi(X) pi(AY)", "core", "hermitian",
-        _nabla1pi_evaluator,
+        _worst(lambda j: nabla1_pi_defect(j.pj, j.gj)),
     ),
     "I-DREL": Identity(
         "linear relations among the D blocks (D1, D0, D2, D3)", "core", "hermitian",
@@ -491,7 +482,8 @@ IDENTITY_CATALOG: dict[str, Identity] = {
     ),
     "I-METRICITY": Identity(
         "connection preserves g, F, G and A (and A is g-parallel)", "core",
-        "kahler_hypothesis", _metricity_evaluator,
+        "kahler_hypothesis",
+        _worst(lambda j: metricity_defects(j.pj, j.gj), details=True),
     ),
     "I-K1": Identity(
         "R(X,Y)AZ = A R(X,Y)Z", "core", "kahler_hypothesis", _record("kahler", "k1_operator")
@@ -513,7 +505,8 @@ IDENTITY_CATALOG: dict[str, Identity] = {
         _record("kahler", "k5_last_pair"),
     ),
     "I-RICHYB": Identity(
-        "Ricci tensor of g is hybrid", "core", "kahler_hypothesis", _richyb_evaluator
+        "Ricci tensor of g is hybrid", "core", "kahler_hypothesis",
+        lambda j: (*hybrid_defect(j.pj.ric_g, j.pj.a), None),
     ),
     "I-R1COMM": Identity(
         "kind-1 curvature equals the coefficient-commutator curvature", "core",
@@ -521,10 +514,15 @@ IDENTITY_CATALOG: dict[str, Identity] = {
     ),
     "I-RIC-CF": Identity(
         "closed forms of all Ricci-type traces and their inversions", "core",
-        "kahler_only", _riccf_evaluator,
+        "kahler_only", _worst(lambda j: closed_form_residuals(j.b)),
     ),
-    "I-RIC23": Identity("Ric2(X,Y) = Ric3(Y,X)", "core", "kahler_only", _ric23_evaluator),
-    "I-PR34": Identity("'R3 = 'R4", "core", "kahler_only", _pr34_evaluator),
+    "I-RIC23": Identity(
+        "Ric2(X,Y) = Ric3(Y,X)", "core", "kahler_only",
+        lambda j: _pair(j.b.ric[2], j.b.ric[3].swapaxes(-1, -2)),
+    ),
+    "I-PR34": Identity(
+        "'R3 = 'R4", "core", "kahler_only", lambda j: _pair(j.b.prime_r3, j.b.prime_r4)
+    ),
     "I-H1H3": Identity(
         "H1 = H3", "core", "kahler_only", LinearRelation((1, "H1"), (-1, "H3"))
     ),

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, printed tensors, catalogs, reports."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -274,6 +275,23 @@ def test_analytic_scheme_rejects_finite_difference_settings(capsys, argv, settin
     assert code == 2 and not out
     assert err.startswith(f"error: {setting}") and "analytic" in err, err
     assert setting != "step" or "--step" in err, err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_an_accepted_fd2_step_gives_a_verdict_or_names_the_usable_range(capsys):
+    """fd2 at a step of 1e-6, inside [MIN_STEP, MAX_STEP], passes on fs, or
+    is refused with an error that names the usable step range.  Today it
+    exits 1: rounding, about eps/h^2, fails 51 rows."""
+    code, out, err = run(
+        capsys, "verify", "--manifold", "fs", "--k", "2", "--points", "3",
+        "--generators", "zero,linear_j,random_poly:3", "--seed", "7",
+        "--diff", "fd2", "--step", "1e-6",
+    )
+    if code == 2:
+        assert not out and err.startswith("error:") and "step" in err, err
+        assert len(re.findall(r"\d(?:\.\d*)?(?:e[-+]?\d+)?", err)) >= 2, err
+    else:
+        assert code == 0, out
 
 
 def test_a_config_file_may_hold_the_default_step_under_the_analytic_scheme(tmp_path, capsys):

@@ -243,8 +243,8 @@ def test_fold_rank_one_matches_einsum():
     """Every V in {I, A}, vector slot and orientation of s, alone and all at
     once, against einsum: a dense A and a block-diagonal rotation (cos/sin
     entries, a support that is no permutation), batch axes (P, G) = (2, 3),
-    and a base with a unit generator axis, the scalar 0, none, or a full one
-    that out=base folds onto in place, bit for bit the new array's sums."""
+    and a base with a unit generator axis, the scalar 0, or a full one that
+    out=base folds onto in place, bit for bit the new array's sums."""
     rng = np.random.default_rng(0)
     n = 4
     a = rng.normal(size=(2, 1, n, n))
@@ -257,12 +257,12 @@ def test_fold_rank_one_matches_einsum():
     ]
     cases.append([term for case in cases for term in case])
     full = rng.normal(size=(2, 3) + (n,) * 4)
-    bases = (rng.normal(size=(2, 1) + (n,) * 4), 0.0, None, full)
+    bases = (rng.normal(size=(2, 1) + (n,) * 4), 0.0, full)
     for a in (a, _block_rotation(rng.uniform(0, 2 * np.pi, size=(2, 1, n // 2)))):
         vectors, a_support = {"I": np.broadcast_to(np.eye(n), a.shape), "A": a}, support(a)
         for base in bases:
             for terms in cases:
-                want = (0.0 if base is None else base) + sum(
+                want = base + sum(
                     c * np.einsum(f"...{pattern.replace(',', ',...')}->...lijk", x, vectors[v])
                     for c, x, v, pattern in terms
                 )
@@ -309,7 +309,7 @@ def _fold_by_matmul(base, a, terms, out=None):
     if groups["A"]:
         acc = contract_first(a, acc, 4)
     if out is None:
-        out = acc if base is None else np.add(acc, base, out=acc)
+        out = np.add(acc, base, out=acc)
     else:
         out += acc
     return add_diagonals(out, "I")
@@ -335,7 +335,7 @@ def test_fold_through_the_support_of_the_catalog_j_equals_the_matmul_bit_for_bit
     ]
     cases.append([term for case in cases for term in case])
     full = rng.normal(size=(2, 3) + (n,) * 4)
-    for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0, None, full):
+    for base in (rng.normal(size=(2, 1) + (n,) * 4), 0.0, full):
         for terms in cases:
             want = _fold_by_matmul(base, pj.a, terms)
             assert fold_rank_one(base, pj.a_support, terms).tobytes() == want.tobytes()

@@ -88,7 +88,7 @@ def test_the_reference_rows_fold_as_the_package_folds(kind):
     a = _standard_matrix(4)
     _, _, blocks = _generator(rng.normal(size=4), rng.normal(size=(4, 4)), a)
     terms = [(c, blocks[s], v, p) for c, s, v, p in FOLD_ROWS[kind]]
-    want = fold_rank_one(None, support(a), terms)
+    want = fold_rank_one(0.0, support(a), terms)
     np.testing.assert_allclose(_fold(kind, blocks, a.astype(int)), want, rtol=0, atol=1e-14)
 
 

@@ -19,13 +19,18 @@ its parsed report without ``generated_at``, the canonical one of
 ``perfbench/jobs.report_digest``, so the comparison holds across a change of
 the report's layout.  The report goes to one fixed path, since
 ``config_echo`` records it; run the same command on the two trees and
-``diff`` the outputs.  Run as a script, the file sets
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
-before numpy is imported, as ``perfbench/run.py`` does: the fd4 reports
-differ in their last digits between BLAS thread counts, so two trees compare
-only at one count.  With ``--peak`` each line ends with the job's
-tracemalloc peak in MiB (the report's rendering included), so a change to
-the working set diffs across two trees the same way:
+``diff`` the outputs.  Run as a script, the file sets each of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that the
+environment leaves unset to 1 before numpy is imported: one thread, the
+benchmark's, is the default, and
+
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/test_verdicts.py --digest --rotations 3
+
+runs at two (ROADMAP item 15's gate).  The fd4 reports differ in their last
+digits between BLAS thread counts, so two trees compare only at the same
+setting.  With ``--peak`` each line ends with the job's tracemalloc peak in
+MiB (the report's rendering included), so a change to the working set diffs
+across two trees the same way:
 
     PYTHONPATH=src python tests/test_verdicts.py --digest --peak
 """
@@ -41,9 +46,9 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-if __name__ == "__main__":  # one BLAS/OpenMP thread, set before numpy is imported
+if __name__ == "__main__":  # one BLAS/OpenMP thread unless set, before numpy is imported
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+        os.environ.setdefault(_var, "1")
 
 from qsc_lab.cli import main
 
