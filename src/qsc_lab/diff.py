@@ -18,8 +18,11 @@ P one-point calls give, bit for bit; (P, n) would make ``u @ M`` one gemm.
   operators, never through ``.g`` or ``.h``.
 * "fd2" / "fd4": central finite-difference stencils of order two and four,
   with optional Richardson extrapolation.  ``fn`` is called once per stencil
-  level on the stencils of all the points as one batch; second derivatives
-  use direct two-dimensional stencils, nothing is differenced twice.
+  level on the axis and pair stencils of all the points as one batch; each
+  derivative is a weighted sum of its samples in a fixed order, with no BLAS
+  call, so the result does not depend on the BLAS thread count.  Mixed
+  second partials use direct two-dimensional stencils, nothing is
+  differenced twice.
 """
 
 from __future__ import annotations
@@ -244,67 +247,28 @@ def eval_jets(
     return np.array(val), d1, d2
 
 
-# Central stencils: offset -> coefficient, to be scaled by 1/step**order.
-_D1_STENCILS = {
-    "fd2": ((-1, -0.5), (1, 0.5)),
-    "fd4": ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12)),
+# Central stencils, one row each, to be scaled by 1/step**order: the axis
+# offsets in steps, the first-derivative weights at them, and the
+# second-derivative weights without offset 0, whose weight only multiplies
+# the centred sample at the point, an exact zero.
+_STENCILS = {
+    "fd2": np.array([[-1.0, 1.0], [-0.5, 0.5], [1.0, 1.0]]),
+    "fd4": np.array([[-24.0, -12, 12, 24], [1, -8, 8, -1], [-1, 16, 16, -1]]) / 12,
 }
-_D2_PURE_STENCILS = {
-    "fd2": ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    "fd4": ((-2, -1.0 / 12), (-1, 16.0 / 12), (0, -30.0 / 12), (1, 16.0 / 12), (2, -1.0 / 12)),
-}
-
-
-def _stencil(n: int, terms) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, coefficients) of a stencil given as (slots, offset, coefficient)
-    terms: offsets is (m, n) in units of the step, one row per distinct
-    offset in order of first use; coefficients is (n,) * len(slots) + (m,)."""
-    rows: dict[tuple[int, ...], int] = {}
-    entries = []
-    for slots, offset, c in terms:
-        entries.append((slots, rows.setdefault(offset, len(rows)), c))
-    coef = np.zeros((n,) * len(entries[0][0]) + (len(rows),))
-    for slots, row, c in entries:
-        coef[slots + (row,)] = c
-    offsets = np.array(list(rows), dtype=np.float64)
-    offsets.flags.writeable = coef.flags.writeable = False  # shared through the cache
-    return offsets, coef
-
-
-def _offset(n: int, *moves: tuple[int, int]) -> tuple[int, ...]:
-    """Unit offset with entry k on axis i for each (i, k) in `moves`."""
-    e = [0] * n
-    for i, k in moves:
-        e[i] = k
-    return tuple(e)
 
 
 @lru_cache(maxsize=None)
-def _d1_stencil(n: int, scheme: str):
-    return _stencil(
-        n,
-        (((i,), _offset(n, (i, k)), c) for i in range(n) for k, c in _D1_STENCILS[scheme]),
-    )
-
-
-@lru_cache(maxsize=None)
-def _d2_stencil(n: int, scheme: str):
-    cross = _D1_STENCILS[scheme]
-
-    def terms():
-        for i in range(n):
-            for k, c in _D2_PURE_STENCILS[scheme]:
-                yield (i, i), _offset(n, (i, k)), c
-        # mixed partials: tensor product of two first-derivative stencils
-        for i in range(n):
-            for j in range(i + 1, n):
-                for ki, ci in cross:
-                    for kj, cj in cross:
-                        offset = _offset(n, (i, ki), (j, kj))
-                        yield (i, j), offset, ci * cj
-                        yield (j, i), offset, ci * cj
-
-    return _stencil(n, terms())
+def _offsets(n: int, scheme: str, second: bool):
+    """(offsets, i, j), read-only as the cache shares them: the axis moves
+    k e_i in (i, k) order, then with `second` the pair moves a e_i + b e_j
+    for i < j in (i, j, a, b) order; i and j index the pairs."""
+    axis = np.eye(n)[:, None, :] * _STENCILS[scheme][0][:, None]
+    i, j = np.triu_indices(n, 1)
+    moves = [axis, axis[i][:, :, None] + axis[j][:, None]] if second else [axis]
+    offsets = np.concatenate([move.reshape(-1, n) for move in moves])
+    for a in (offsets, i, j):
+        a.flags.writeable = False
+    return offsets, i, j
 
 
 def _check_domain(
@@ -319,21 +283,32 @@ def _check_domain(
         raise DomainError(message.format(q.tolist()))
 
 
-def _fd_level(stencil, order, fn, point, val, step, scheme, domain) -> np.ndarray:
-    """One stencil level: the stencils of all points sampled in one batch,
-    the samples contracted with the stencil coefficients by one matmul per
-    point.  The coefficients of each slot sum to zero, so the samples are
-    centred on ``val``, the value at ``point``: on a constant field
-    sum c_k (f_k - f_0) is exactly zero, where sum c_k f_k leaves rounding of
-    about eps |f| / step^order."""
-    offsets, coef = stencil(point.shape[-1], scheme)
-    lead, m = point.shape[:-1], len(offsets)
+def _fd_level(fn, point, val, step, scheme, domain, second):
+    """One stencil level: (d1, d2 or None) from the axis and pair stencils of
+    all points, sampled in one batch.  The samples are centred on ``val``,
+    the value at ``point``, so on a constant field every sum is exactly zero;
+    each is one einsum, a fixed-order loop that never calls BLAS:
+    d1_i = sum_k w1_k x_ik, d2_ii = sum_k w2_k x_ik and
+    d2_ij = d2_ji = sum_ab w1_a w1_b x_ijab."""
+    ks, w1, w2 = _STENCILS[scheme]
+    n, m, lead = point.shape[-1], len(ks), point.shape[:-1]
+    offsets, i, j = _offsets(n, scheme, second)
     points = point[..., None, :] + offsets * step
     _check_domain(points, domain, "finite-difference stencil leaves the chart domain at {}")
     shape = val.shape[len(lead):]
-    samples = eval_components(fn, points, shape) - np.expand_dims(val, len(lead))
-    d = coef.reshape(-1, m) @ samples.reshape(lead + (m, -1))
-    return d.reshape(lead + coef.shape[:-1] + shape) / (step if order == 1 else step * step)
+    x = eval_components(fn, points, shape) - np.expand_dims(val, len(lead))
+    x = x.reshape(lead + (len(offsets), -1))
+    f = x.shape[-1]  # the field's components, flattened
+    axis = x[..., : n * m, :].reshape(lead + (n, m, f))
+    d1 = (np.einsum("k,...ikf->...if", w1, axis) / step).reshape(lead + (n,) + shape)
+    if not second:
+        return d1, None
+    d2 = np.empty(lead + (n, n, f))
+    diag = np.arange(n)
+    d2[..., diag, diag, :] = np.einsum("k,...ikf->...if", w2, axis)
+    pairs = x[..., n * m :, :].reshape(lead + (len(i), m, m, f))
+    d2[..., i, j, :] = d2[..., j, i, :] = np.einsum("ab,...pabf->...pf", w1[:, None] * w1, pairs)
+    return d1, (d2 / (step * step)).reshape(lead + (n, n) + shape)
 
 
 def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray:
@@ -342,11 +317,11 @@ def _richardson(coarse: np.ndarray, fine: np.ndarray, scheme: str) -> np.ndarray
     return (factor * fine - coarse) / (factor - 1.0)
 
 
-def _fd(stencil, order, fn, point, val, cfg: DiffConfig, domain) -> np.ndarray:
-    d = _fd_level(stencil, order, fn, point, val, cfg.step, cfg.scheme, domain)
+def _fd(fn, point, val, cfg: DiffConfig, domain, second):
+    d = _fd_level(fn, point, val, cfg.step, cfg.scheme, domain, second)
     if cfg.richardson:
-        d_half = _fd_level(stencil, order, fn, point, val, cfg.step / 2, cfg.scheme, domain)
-        d = _richardson(d, d_half, cfg.scheme)
+        half = _fd_level(fn, point, val, cfg.step / 2, cfg.scheme, domain, second)
+        d = tuple(c if c is None else _richardson(c, f, cfg.scheme) for c, f in zip(d, half))
     return d
 
 
@@ -366,8 +341,7 @@ def field_jets(
         val, d1, d2 = eval_jets(fn, point, second)
     else:
         val = np.array(eval_components(fn, point, shape))
-        d1 = _fd(_d1_stencil, 1, fn, point, val, cfg, domain)
-        d2 = _fd(_d2_stencil, 2, fn, point, val, cfg, domain) if second else None
+        d1, d2 = _fd(fn, point, val, cfg, domain, second)
     if second:
         return val, d1, d2
     return val, d1

@@ -300,9 +300,10 @@ def test_constant_fields_are_sampled_and_broadcast():
     assert np.abs(d1).max() < 1e-10 and np.abs(d2).max() < 1e-6
 
 
-@pytest.mark.parametrize("second,most", [(False, 3), (True, 5)])
+@pytest.mark.parametrize("second,most", [(False, 3), (True, 3)])
 def test_fd_calls_the_field_once_per_stencil_level(second, most):
-    """fd4 with Richardson: the point, then one batch per step and order."""
+    """fd4 with Richardson: the point, then one batch per step, which holds
+    the axis stencils and, for second partials, the pair stencils too."""
     m = manifold_by_name("fs", k=4)
     calls = []
 

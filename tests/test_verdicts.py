@@ -26,9 +26,10 @@ benchmark's, is the default, and
 
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/test_verdicts.py --digest --rotations 3
 
-runs at two (ROADMAP item 15's gate).  The fd4 reports differ in their last
-digits between BLAS thread counts, so two trees compare only at the same
-setting.  With ``--peak`` each line ends with the job's tracemalloc peak in
+runs at two (ROADMAP item 15's gate): it prints the same lines, since finite
+differences sum their stencils without BLAS, and
+``test_an_fd4_report_does_not_depend_on_the_blas_thread_count`` checks one
+fd4 job in two processes.  With ``--peak`` each line ends with the job's tracemalloc peak in
 MiB (the report's rendering included), so a change to the working set diffs
 across two trees the same way:
 
@@ -41,6 +42,7 @@ import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -123,6 +125,27 @@ def multi_point_jobs():
             "verify", "--manifold", "fs", "--k", k, "--points", "3",
             "--generators", "linear_j,grad,random_poly:1,random_poly:2", "--seed", "7",
         ]
+
+
+def test_an_fd4_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """multi-hyperbolic-k4-fd4 run in two processes, at one and at two BLAS
+    and OpenMP threads, gives one report digest."""
+    report = tmp_path / "report.json"
+    argv = [*dict(multi_point_jobs())["multi-hyperbolic-k4-fd4"], "--report", str(report)]
+    run = "import sys; from qsc_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = os.environ | {
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": path
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", run, *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(_perfbench("jobs").report_digest(json.loads(report.read_text())))
+    assert digests[0] == digests[1]
 
 
 def digest(argv: list[str], report: Path = DIGEST_REPORT) -> tuple[int, str]:
