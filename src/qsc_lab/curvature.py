@@ -25,11 +25,10 @@ its tensor slots; the kind-indexed arrays carry the kind first, so
 keeps ``dataclasses.replace(b, r=None)``, so a late reader of R^theta fails.
 
 ``commutator_curvature`` builds the curvature of nabla^1 from its
-coefficients instead, the oracle of the kind-1 shape; given two buffers it
-writes dL and then the curvature into one and its intermediates into the
-other, so I-R1COMM can run it on a few generators at a time.  The Kahler
-rules of R^g (``kahler_identities``) are per point and read no bundle; a
-non-finite R^g is a NumericError there.
+coefficients instead, the oracle of the kind-1 shape, as one new array for
+every (point, generator); I-R1COMM runs it before the stack exists.  The
+Kahler rules of R^g (``kahler_identities``) are per point and read no
+bundle; a non-finite R^g is a NumericError there.
 
 Every kind is R^g plus signed rank-one terms c s(., .) V(.), V the identity
 or A, in the shapes specialized to A^2 = -I, which every catalog structure
@@ -69,13 +68,10 @@ def riemann_g(pj: PointJets) -> np.ndarray:
     return pj.r_g
 
 
-def commutator_curvature(pj: PointJets, gj: GeneratorJets, out=None, work=None) -> np.ndarray:
+def commutator_curvature(pj: PointJets, gj: GeneratorJets) -> np.ndarray:
     """Curvature of the quarter-symmetric connection straight from its
-    coefficients; the oracle every kind-1 closed shape is checked against.
-    A new array, or written into `out`, which first holds dL, with `work`,
-    a second contiguous buffer of the same shape, for the intermediates."""
-    l, dl = quarter_symmetric_jets(pj, gj, out, work)
-    return curvature_from_coefficients(l, dl, out=dl, work=work)
+    coefficients; the oracle every kind-1 closed shape is checked against."""
+    return curvature_from_coefficients(*quarter_symmetric_jets(pj, gj))
 
 
 def rotate_slots(arr: np.ndarray, a: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:

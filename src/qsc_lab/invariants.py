@@ -23,16 +23,16 @@ into one ``PointJets`` (axes (P, 1)) and one ``GeneratorJets`` (P, G), with
 the D blocks, from which one ``_Job`` runs in two stages by scope.  The
 first, on every chart, takes what the hermitian and Kahler-hypothesis
 identities read: the per-point Kahler rules of R^g and the torsion
-identities.  The second, on a Kahler chart alone, builds one
-``CurvatureBundle`` with batch axes (P, G) over both records, runs the two
-readers of R^theta (I-R1COMM, I-HYB-COND), folds each H^theta onto R^theta
-in the bundle's stack (one n^4 stack per kind family; the job keeps the
-bundle with r None), then builds W and P; the evaluators only read these.
-Beside that stack a block holds a constant number of n^4 arrays per (point,
-generator): I-R1COMM builds its commutator curvature in chunks of
-generators through two reused buffers, and the linear rows sum in slabs of
-output rows; ``_chunks`` cuts these, the point blocks and the chunks of
-I-HYB-COND rows, each by a byte budget.
+identities, and on a Kahler chart I-R1COMM, R^1 against the commutator
+curvature on whole arrays, whose n^4 temporaries go before the stack comes.
+The second, on a Kahler chart alone, builds one ``CurvatureBundle`` with
+batch axes (P, G) over both records, runs I-HYB-COND, the reader of
+R^theta, folds each H^theta onto R^theta in the bundle's stack (one n^4
+stack per kind family; the job keeps the bundle with r None), then builds W
+and P; the evaluators only read these.  Beside that stack a block holds a
+constant number of n^4 arrays per (point, generator): the linear rows sum
+in slabs of output rows; ``_chunks`` cuts these, the point blocks and the
+chunks of I-HYB-COND rows, each by a byte budget.
 Each evaluator returns residuals and scales shaped (P, K), K the generators
 or, for an independence check, the generator pairs; their maxima over K make
 one ``IdentityRows`` of (P,) arrays per identity, never an object per
@@ -80,6 +80,7 @@ from .connections import (
 from .curvature import (
     THETAS,
     CurvatureBundle,
+    assemble_r_theta,
     closed_form_residuals,
     commutation_rules,
     commutator_curvature,
@@ -101,9 +102,8 @@ EXPECTED_FAIL_FLOOR = 1e-3
 # peaks at about 16 such arrays (a tracemalloc peak of 12.4 at n=16 and G=1,
 # 7.8 at G=5), so it holds about 16 MiB; its batched jets equal one-point jets
 _BLOCK_ARRAY_BYTES = 1 << 20
-# The largest slab of output rows a linear-relation row sums at once, of
-# generators an I-R1COMM chunk holds per buffer, and of R rows an I-HYB-COND
-# chunk gathers, in bytes
+# The largest slab of output rows a linear-relation row sums at once, and of
+# R rows an I-HYB-COND chunk gathers, in bytes
 _SLAB_BYTES = 512 << 10
 
 
@@ -307,45 +307,36 @@ def _hybrid_conditions(b: CurvatureBundle, kahler: dict, tol: float):
     return [(res[t], sc[t], {k: v[t] for k, v in details.items()}) for t in THETAS]
 
 
-def _r1comm(b: CurvatureBundle):
-    """(residuals, scales, None) of I-R1COMM: R^1 against the commutator
-    curvature, in ``_chunks`` of generators of at most ``_SLAB_BYTES`` per
-    buffer: one buffer takes dL, then the commutator; the other the products
-    of dL, L L and the sum of half of R, then R^1 minus the commutator."""
-    pj, gj, r1 = b.pj, b.gj, b.r[1]
-    points, gens = r1.shape[:-4]
-    block = points * pj.n**4
-    chunks = _chunks(gens, 8 * block, _SLAB_BYTES)
-    buffers = np.empty((2, (chunks[0].stop - chunks[0].start) * block))
-    res, comm_norms = [], []
-    for part in chunks:
-        shape = (points, part.stop - part.start) + r1.shape[-4:]
-        comm, diff = (buf[: prod(shape)].reshape(shape) for buf in buffers)
-        sliced = (gj.pi[:, part], gj.dpi[:, part], gj.nabla_pi[:, part], gj.pq[:, part])
-        commutator_curvature(pj, GeneratorJets(*sliced, gj.d[:, :, part]), out=comm, work=diff)
-        comm_norms.append(norm_max(comm, 4))
-        res.append(norm_max(np.subtract(r1[:, part], comm, out=diff), 4))
-    comm_norm = np.concatenate(comm_norms, axis=-1)
-    return np.concatenate(res, axis=-1), np.maximum(b.r_norms[1], comm_norm), None
+def _r1comm(pj: PointJets, gj: GeneratorJets):
+    """(residuals, scales, None) of I-R1COMM: R^1, folded from the D blocks of
+    `gj` as ``curvature_bundle`` folds it, against the commutator curvature,
+    for every (point, generator) at once; the same bits as the stack's r[1]
+    and r_norms[1] would give."""
+    blocks = {f"d{kind}": d for kind, d in enumerate(gj.d)}
+    r1 = assemble_r_theta(1, pj.r_g, pj.a_support, blocks)
+    comm = commutator_curvature(pj, gj)
+    scale = np.maximum(norm_max(r1, 4), norm_max(comm, 4))
+    return norm_max(np.subtract(r1, comm, out=comm), 4), scale, None
 
 
 class _Job:
     """What the evaluators of one ``identity_suite`` call read, built from
     the records of all points and generators in the two stages of the
-    module docstring; the second, on a Kahler chart alone, fills ``r1comm``,
+    module docstring: the first fills ``kahler``, ``torsion`` and, on a
+    Kahler chart, ``r1comm``; the second, on a Kahler chart alone,
     ``hyb_cond``, ``b`` (r None) and ``tensors``, H0..H5, W and P each with
     its max-norm, taken as it is built.  Point-level results carry a unit
     generator axis."""
 
     def __init__(self, pj: PointJets, gj: GeneratorJets, tol_audit: float, kahler_chart: bool):
         self.pj, self.gj = pj, gj
-        # per point: their n^4 temporaries go before the stack comes
+        # the n^4 temporaries of stage 1 go before the stack comes
         self.kahler = kahler_identities(pj)
         self.torsion = torsion_identities(pj, gj)
         if not kahler_chart:
             return
+        self.r1comm = _r1comm(pj, gj)
         b = curvature_bundle(pj, gj)
-        self.r1comm = _r1comm(b)
         self.hyb_cond = _hybrid_conditions(b, self.kahler, tol_audit)
         self.tensors = {f"H{t}": _with_norm(h_tensor(t, b, b.r[t])) for t in THETAS}
         self.b = replace(b, r=None)

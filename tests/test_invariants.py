@@ -12,7 +12,7 @@ from charts import cp1_times_ch1, sheared, twisted
 from qsc_lab.diff import DiffConfig
 from qsc_lab.geometry import TensorField, generator, manifold_by_name, sample_points
 from qsc_lab.tensor import norm_max, relative_residual
-from qsc_lab.connections import GeneratorJets, generator_jets, point_jets, torsion_identities
+from qsc_lab.connections import generator_jets, point_jets, torsion_identities
 from qsc_lab.curvature import (
     R_TERMS,
     assemble_r_theta,
@@ -800,7 +800,7 @@ def test_a_job_holds_each_datum_in_one_record():
     by_hand = {
         "kahler": kahler,
         "torsion": torsion_identities(pj, gj),
-        "r1comm": invariants._r1comm(b),
+        "r1comm": invariants._r1comm(pj, gj),
         "hyb_cond": invariants._hybrid_conditions(b, kahler, 1e-6),
         "b": derived(b),
         "tensors": {
@@ -931,8 +931,7 @@ def _chunk_case(name):
 def test_hybrid_rows_do_not_depend_on_the_chunk_size(monkeypatch, name, budget):
     """I-HYB-COND gathers the held rows of all six kinds in chunks of
     _SLAB_BYTES: one row per chunk and every row in one chunk (with the
-    I-R1COMM chunks and linear slabs of that budget) give the shipped rows
-    bit for bit."""
+    linear slabs of that budget) give the shipped rows bit for bit."""
     m, pts, gens, cfg = _chunk_case(name)
     want = identity_suite(m, pts, gens, cfg)
     monkeypatch.setattr(invariants, "_SLAB_BYTES", budget)
@@ -1025,68 +1024,75 @@ def test_a_linear_relation_row_peaks_at_its_two_slab_buffers():
     assert peak < block, (peak, block)
 
 
-def _fresh_bundle(k, points):
-    """A bundle whose R stack is still readable: fs at k=8 with the three
-    K8_THREE generators, or at k=2 with SEVEN."""
+def _fresh_records(k, points):
+    """The PointJets and GeneratorJets of fs at k=8 with the three K8_THREE
+    generators, or at k=2 with SEVEN."""
     m = manifold_by_name("fs", k=k)
     pj = point_jets(m, sample_points(m, points, seed=27), CFG)
-    return curvature_bundle(pj, generator_jets(pj, SEVEN if k == 2 else K8_THREE))
+    return pj, generator_jets(pj, SEVEN if k == 2 else K8_THREE)
 
 
 @pytest.mark.parametrize("k,points", [(2, 2), (8, 1)])
-def test_commutator_curvature_into_buffers_equals_a_new_array(monkeypatch, k, points):
-    """commutator_curvature written into given buffers, all generators at
-    once or one generator at a time, is the new array bit for bit, whatever
-    the buffers held; I-R1COMM gives the whole-array residual and scale
-    with one generator per chunk, the shipped chunks and one chunk, and a
-    Kahler job's I-R1COMM row reads the shipped chunks' result."""
-    b = _fresh_bundle(k, points)
-    pj, gj = b.pj, b.gj
-    want = commutator_curvature(pj, gj)
-    out, work = np.full_like(want, np.nan), np.full_like(want, np.inf)
-    assert commutator_curvature(pj, gj, out=out, work=work) is out
-    assert out.tobytes() == want.tobytes()
-    for g in range(want.shape[1]):
-        one = GeneratorJets(
-            *(x[:, g : g + 1] for x in (gj.pi, gj.dpi, gj.nabla_pi, gj.pq)), gj.d[:, :, g : g + 1]
-        )
-        out, work = np.full_like(want[:, :1], np.nan), np.full_like(want[:, :1], -1.0)
-        commutator_curvature(pj, one, out=out, work=work)
-        assert out.tobytes() == want[:, g : g + 1].tobytes(), g
-    want_res = norm_max(b.r[1] - want, 4).tobytes()
-    want_scale = np.maximum(b.r_norms[1], norm_max(want, 4)).tobytes()
+def test_the_stage_1_r1_fold_is_the_stacks_r1(monkeypatch, k, points):
+    """The R^1 that a Kahler job folds for I-R1COMM, before the stack exists,
+    is the bundle's r[1] byte for byte, and the job's I-R1COMM row is the
+    whole-array residual and scale taken from the bundle."""
+    pj, gj = _fresh_records(k, points)
+    folds = []
+
+    def recorded(theta, *args, **kw):
+        folds.append((theta, assemble_r_theta(theta, *args, **kw)))
+        return folds[-1][1]
+
+    monkeypatch.setattr(invariants, "assemble_r_theta", recorded)
     job = invariants._Job(pj, gj, 1e-6, kahler_chart=True)
+    b = curvature_bundle(pj, gj)
+    assert [theta for theta, _ in folds] == [1]
+    assert folds[0][1].tobytes() == b.r[1].tobytes()
+    comm = commutator_curvature(pj, gj)
+    want_res = norm_max(b.r[1] - comm, 4).tobytes()
+    want_scale = np.maximum(b.r_norms[1], norm_max(comm, 4)).tobytes()
     res, scale, details = IDENTITY_CATALOG["I-R1COMM"].evaluate(job)
     assert (res.tobytes(), scale.tobytes(), details) == (want_res, want_scale, None)
-    for budget in (1, invariants._SLAB_BYTES, 1 << 60):
-        monkeypatch.setattr(invariants, "_SLAB_BYTES", budget)
-        res, scale, details = invariants._r1comm(b)
-        assert (res.tobytes(), scale.tobytes(), details) == (want_res, want_scale, None), budget
 
 
-def test_r1comm_peaks_at_its_two_chunk_buffers():
-    """At n=16 with (P, G) = (1, 3), I-R1COMM runs one generator per chunk
-    through two buffers of one n^4 block each: its peak is those two plus
-    O(n^3) per (point, generator), under the G n^4 of one whole curvature."""
-    b = _fresh_bundle(8, 1)
-    n, (p, g) = b.pj.n, b.gj.pi.shape[:-1]
-    invariants._r1comm(b)  # first-call caches stay out of the trace
+def test_a_kahler_job_runs_r1comm_before_the_stack(monkeypatch):
+    """An fs k=2 job calls _r1comm before curvature_bundle, so I-R1COMM's
+    n^4 temporaries go before the R stack comes."""
+    order = []
+    for name in ("_r1comm", "curvature_bundle"):
+
+        def recorded(*args, _name=name, _original=getattr(invariants, name)):
+            order.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(invariants, name, recorded)
+    pj, gj = _fresh_records(2, 2)
+    invariants._Job(pj, gj, 1e-6, kahler_chart=True)
+    assert order == ["_r1comm", "curvature_bundle"]
+
+
+def test_r1comm_peaks_below_the_stack_that_follows_it():
+    """At n=16 with (P, G) = (1, 3), I-R1COMM on whole arrays (R^1, dL, the
+    L L products and the commutator) peaks near 4.1 G n^4 doubles, below the
+    6 G n^4 of the R stack that the job builds after it."""
+    pj, gj = _fresh_records(8, 1)
+    n, (p, g) = pj.n, gj.pi.shape[:-1]
+    invariants._r1comm(pj, gj)  # first-call caches stay out of the trace
     tracemalloc.start()
     try:
-        invariants._r1comm(b)
+        invariants._r1comm(pj, gj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * p * n**4 == invariants._SLAB_BYTES
-    assert peak <= 2 * invariants._SLAB_BYTES + 4 * p * g * n**3 * 8, peak
-    assert peak < p * g * n**4 * 8, peak
+    assert peak < 6 * p * g * n**4 * 8, peak / (p * g * n**4 * 8)
 
 
 def test_an_n16_suite_call_peaks_within_1_4_times_its_stack():
     """fs at k=8, one point, three generators: one identity_suite call peaks
-    at no more than 1.4 times its R/H stack of 6 G n^4 doubles (about 1.36;
-    1.82 when I-R1COMM built whole-array temporaries and the Kahler rules of
-    R^g ran beside the stack)."""
+    at no more than 1.4 times its R/H stack of 6 G n^4 doubles (about 1.36:
+    I-R1COMM's whole-array temporaries and the Kahler rules of R^g go before
+    the stack comes; 1.82 when both ran beside it)."""
     m = manifold_by_name("fs", k=8)
     pts = sample_points(m, 1, seed=21)
     identity_suite(m, pts, K8_THREE, CFG)  # first-call caches stay out of the trace

@@ -111,3 +111,19 @@ def test_every_top_level_name_of_the_package_is_read():
         if not (name.startswith("__") and name.endswith("__")) and name not in read
     ]
     assert dead == []
+
+
+def test_only_the_writers_of_the_r_h_stack_take_a_buffer():
+    """``out`` is a parameter of the three functions that write the R/H stack
+    and of no other package function, and no package function takes
+    ``work``: how an oracle bounds its memory is known by no module."""
+    params = [
+        (node.name, {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs})
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert sorted(name for name, args in params if "out" in args) == [
+        "assemble_r_theta", "fold_rank_one", "h_tensor"
+    ]
+    assert [name for name, args in params if "work" in args] == []
